@@ -37,7 +37,8 @@ from .atlas import (
     derive_vector_field,
     same_structure,
 )
-from .laurent_core import ExponentMonoid, LaurentPoly, Rational, format_rational
+from .laurent_core import LaurentPoly, Rational, format_rational, poly_to_json
+from .linear import SymPoly, derivation_rows, solve_rows
 
 BOUND_CAVEAT = (
     "bounded search: coefficients were restricted to the exponent box "
@@ -249,10 +250,6 @@ def two_cocycle_failures(atlas: Atlas, t: TwoCocycle) -> list[str]:
     return out
 
 
-def residue_exponent(nvars: int):
-    return (-1, -1) + (0,) * (nvars - 2)
-
-
 def residue_raw(atlas: Atlas, t: TwoCocycle) -> LaurentPoly:
     """Unnormalized residue: strip the (-1, -1) coefficient of each triple.
 
@@ -320,44 +317,101 @@ def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
 # -- bounded coboundary solving -----------------------------------------
 
 
-from .linear import LinearSolver  # noqa: E402  (kept close to its use)
+def _chart_fields(atlas: Atlas, space: BoundedSpace) -> dict[str, tuple]:
+    """Unknown boxed chart vector fields, coefficients ("T", chart, v, e)."""
+    exps = list(space.exponents())
+    return {
+        chart.name: tuple(
+            SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
+            for v in range(atlas.nvars)
+        )
+        for chart in atlas.charts
+    }
 
 
-def _vf_membership_rows(
-    solver: LinearSolver, label: str, chart_name: str, ring: ExponentMonoid,
-    space: BoundedSpace,
-) -> None:
-    """Constrain boxed coefficients of a chart field to preserve its ring.
+def _twisted_difference_rows(
+    atlas: Atlas, fields: dict[str, tuple], twist_full, target_full, extra=(),
+):
+    """Rows of F_i - twist_ij F_j + sum_s c_s K_s = target on spanning pairs.
 
-    Variables are (label, chart, v, exp).  For each ring generator g and each
-    possible image exponent f outside the ring, the f-coefficient of the
-    image of x^g must vanish.
+    ``fields`` maps each chart to symbolic components; ``extra`` lists pairs
+    (label, K) of an unknown scalar c_s and its known ordered-pair family.
+    Twist entries must be monomials.
     """
-    nvars = space.nvars
-    targets: dict[tuple, dict] = {}
-    for g in ring.generators:
-        seen: dict[tuple, dict] = {}
+    nvars = atlas.nvars
+    for pair in canonical_spanning_pairs(atlas):
+        i, j = pair
+        exp_a, coeff_a = twist_full[pair].as_monomial()
         for v in range(nvars):
-            if g[v] == 0:
+            poly = (
+                fields[i][v]
+                - fields[j][v].shifted(exp_a, coeff_a)
+                - SymPoly.wrap(target_full[pair][v])
+            )
+            if extra:
+                poly = poly + SymPoly.combination(
+                    nvars, [(label, known[pair][v]) for label, known in extra]
+                )
+            yield from poly.membership_rows()
+
+
+def _field_rows(
+    atlas: Atlas, fields: dict[str, tuple], alpha_full, target_full, extra=(),
+):
+    """Twisted-difference rows for unknown chart vector fields.
+
+    Each chart's field must also preserve its chart ring.
+    """
+    for chart in atlas.charts:
+        yield from derivation_rows(fields[chart.name], chart.ring)
+    yield from _twisted_difference_rows(
+        atlas, fields, alpha_full, target_full, extra
+    )
+
+
+def _read_fields(atlas: Atlas, fields: dict[str, tuple], values) -> dict:
+    """Evaluate the unknown chart fields; each must preserve its chart ring."""
+    out = {}
+    for chart in atlas.charts:
+        comps = tuple(comp.evaluate(values) for comp in fields[chart.name])
+        bad = derivation_failures(comps, chart.ring, atlas.variables)
+        if bad:  # pragma: no cover - solver constraints make this unreachable
+            raise AssertionError(
+                f"witness field on {chart.name} not ring-stable: {bad}"
+            )
+        out[chart.name] = comps
+    return out
+
+
+def _verify_resubstitution(
+    atlas: Atlas, fields: dict, twist_full, target_full, extra=(),
+) -> None:
+    """Check F_i - twist_ij F_j + sum_s c_s K_s = target on every ordered pair.
+
+    ``extra`` lists pairs (c_s, K_s) of solved scalars and known families.
+    Plain polynomial arithmetic, independent of the row builder.
+    """
+    names = atlas.chart_names()
+    for i in names:
+        for j in names:
+            if i == j:
                 continue
-            for e in space.exponents():
-                f = tuple(a + b for a, b in zip(e, g))
-                f = f[:v] + (f[v] - 1,) + f[v + 1:]
-                seen.setdefault(f, {})[(label, chart_name, v, e)] = Fraction(g[v])
-        for f, row in seen.items():
-            if not ring.contains(f):
-                solver.add_equation(row, 0)
+            twist = twist_full[(i, j)]
+            for v in range(atlas.nvars):
+                acc = fields[i][v] - twist * fields[j][v]
+                for scalar, known in extra:
+                    acc = acc + known[(i, j)][v].scale(scalar)
+                if acc != target_full[(i, j)][v]:  # pragma: no cover
+                    raise AssertionError(
+                        f"witness fails resubstitution on ({i},{j})"
+                    )
 
 
-def _poly_from_solution(
-    values: dict, label: str, chart_name: str, v: int, space: BoundedSpace,
-) -> LaurentPoly:
-    terms = {}
-    for e in space.exponents():
-        coeff = values.get((label, chart_name, v, e), Fraction(0))
-        if coeff:
-            terms[e] = coeff
-    return LaurentPoly(space.nvars, terms)
+def _fields_json(fields: dict) -> dict:
+    return {
+        name: [poly_to_json(comp) for comp in comps]
+        for name, comps in fields.items()
+    }
 
 
 def coboundary_solve(
@@ -373,70 +427,15 @@ def coboundary_solve(
     space = BoundedSpace(atlas.nvars, bound)
     alpha_full = derive_mult(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
-    solver = LinearSolver()
-    for chart in atlas.charts:
-        _vf_membership_rows(solver, "T", chart.name, chart.ring, space)
-    for (i, j) in canonical_spanning_pairs(atlas):
-        exp_a, coeff_a = alpha_full[(i, j)].as_monomial()
-        for v in range(atlas.nvars):
-            rhs_poly = sigma_full[(i, j)][v]
-            support = set(rhs_poly.support())
-            for e in space.exponents():
-                support.add(e)
-                support.add(tuple(a + b for a, b in zip(e, exp_a)))
-            for f in support:
-                row = {}
-                if f in space:
-                    row[("T", i, v, f)] = Fraction(1)
-                shifted = tuple(a - b for a, b in zip(f, exp_a))
-                if shifted in space:
-                    row[("T", j, v, shifted)] = -coeff_a
-                solver.add_equation(row, rhs_poly.coefficient(f))
-    values = solver.solve()
+    fields = _chart_fields(atlas, space)
+    values = solve_rows(
+        _field_rows(atlas, fields, alpha_full, sigma_full)
+    ).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
-    witness = {
-        chart.name: tuple(
-            _poly_from_solution(values, "T", chart.name, v, space)
-            for v in range(atlas.nvars)
-        )
-        for chart in atlas.charts
-    }
-    _verify_vf_coboundary(spec, witness, sigma_full, alpha_full)
-    json_witness = {
-        name: [[_term_json(t) for t in comp.items()] for comp in comps]
-        for name, comps in witness.items()
-    }
-    return witness, solver_report("found", bound, json_witness)
-
-
-def _term_json(item) -> dict:
-    exp, coeff = item
-    return {"coeff": format_rational(coeff), "exp": list(exp)}
-
-
-def _verify_vf_coboundary(spec, witness, sigma_full, alpha_full) -> None:
-    atlas = spec.atlas
-    for chart in atlas.charts:
-        bad = derivation_failures(
-            witness[chart.name], chart.ring, atlas.variables
-        )
-        if bad:  # pragma: no cover - solver constraints make this unreachable
-            raise AssertionError(
-                f"witness field on {chart.name} not ring-stable: {bad}"
-            )
-    names = atlas.chart_names()
-    for i in names:
-        for j in names:
-            if i == j:
-                continue
-            alpha = alpha_full[(i, j)]
-            for v in range(atlas.nvars):
-                delta = witness[i][v] - alpha * witness[j][v]
-                if delta != sigma_full[(i, j)][v]:  # pragma: no cover
-                    raise AssertionError(
-                        f"witness fails resubstitution on ({i},{j})"
-                    )
+    witness = _read_fields(atlas, fields, values)
+    _verify_resubstitution(atlas, witness, alpha_full, sigma_full)
+    return witness, solver_report("found", bound, _fields_json(witness))
 
 
 def iso_decide(
@@ -458,102 +457,53 @@ def iso_decide(
     space = BoundedSpace(atlas.nvars, bound)
     s1 = derive_vector_field(atlas, alpha_full, first.D)
     s2 = derive_vector_field(atlas, alpha_full, second.D)
-
-    def build(tau_fixed: Rational | None) -> LinearSolver:
-        solver = LinearSolver()
-        if tau_fixed is not None:
-            solver.add_equation({("tau",): Fraction(1)}, tau_fixed)
-        for chart in atlas.charts:
-            _vf_membership_rows(solver, "T", chart.name, chart.ring, space)
-        for (i, j) in canonical_spanning_pairs(atlas):
-            exp_a, coeff_a = alpha_full[(i, j)].as_monomial()
-            for v in range(atlas.nvars):
-                lhs = s2[(i, j)][v]
-                scaled = s1[(i, j)][v]
-                support = set(lhs.support()) | set(scaled.support())
-                for e in space.exponents():
-                    support.add(e)
-                    support.add(tuple(a + b for a, b in zip(e, exp_a)))
-                for f in support:
-                    row = {("tau",): scaled.coefficient(f)}
-                    if f in space:
-                        row[("T", i, v, f)] = Fraction(1)
-                    shifted = tuple(a - b for a, b in zip(f, exp_a))
-                    if shifted in space:
-                        row[("T", j, v, shifted)] = -coeff_a
-                    solver.add_equation(row, lhs.coefficient(f))
-        return solver
-
-    values = build(Fraction(1)).solve()
+    fields = _chart_fields(atlas, space)
+    solver = solve_rows(
+        _field_rows(atlas, fields, alpha_full, s2, [(("tau",), s1)])
+    )
+    # the solution depends only on the equations, not on their order, so
+    # pinning tau = 1 last gives the same witness as pinning it first
+    unpinned = solver.solve()
+    if unpinned is None:
+        return None, solver_report("none_within_bound", bound)
+    solver.add_equation({("tau",): 1}, 1)
+    values = solver.solve()
     if values is None:
-        values = build(None).solve()
-        if values is None or not values.get(("tau",), Fraction(0)):
+        values = unpinned
+        if not values.get(("tau",), Fraction(0)):
             return None, solver_report("none_within_bound", bound)
     tau = values[("tau",)]
-    fields = {
-        chart.name: tuple(
-            _poly_from_solution(values, "T", chart.name, v, space)
-            for v in range(atlas.nvars)
-        )
-        for chart in atlas.charts
-    }
-    _verify_iso(first, second, tau, fields, s1, s2, alpha_full)
-    json_witness = {
-        "tau": format_rational(tau),
-        "fields": {
-            name: [[_term_json(t) for t in comp.items()] for comp in comps]
-            for name, comps in fields.items()
-        },
-    }
-    return (tau, fields), solver_report("found", bound, json_witness)
-
-
-def _verify_iso(first, second, tau, fields, s1, s2, alpha_full) -> None:
-    atlas = first.atlas
-    for chart in atlas.charts:
-        bad = derivation_failures(fields[chart.name], chart.ring, atlas.variables)
-        if bad:  # pragma: no cover
-            raise AssertionError(f"iso witness not ring-stable on {chart.name}")
-    names = atlas.chart_names()
-    for i in names:
-        for j in names:
-            if i == j:
-                continue
-            alpha = alpha_full[(i, j)]
-            for v in range(atlas.nvars):
-                rhs = (
-                    s1[(i, j)][v].scale(tau)
-                    + fields[i][v]
-                    - alpha * fields[j][v]
-                )
-                if rhs != s2[(i, j)][v]:  # pragma: no cover
-                    raise AssertionError(
-                        f"iso witness fails resubstitution on ({i},{j})"
-                    )
+    witness = _read_fields(atlas, fields, values)
+    _verify_resubstitution(atlas, witness, alpha_full, s2, [(tau, s1)])
+    json_witness = {"tau": format_rational(tau), "fields": _fields_json(witness)}
+    return (tau, witness), solver_report("found", bound, json_witness)
 
 
 # -- one-form coboundary solving ----------------------------------------
 
 
-def _oneform_basis(ring: ExponentMonoid, space: BoundedSpace):
-    """Regular one-form basis on a chart: x^m d(x^g) for boxed m in the ring.
+def _oneform_unknown(chart, space: BoundedSpace) -> tuple[SymPoly, ...]:
+    """Unknown regular one-form on a chart: span of x^m d(x^g).
 
-    Yields ((m, g), comps) with comps the per-variable coefficients.
+    m runs over the boxed exponents in the chart ring and g over its
+    generators; the coefficient of x^m d(x^g) is labelled
+    ("rho", chart, m, g).  Returns the per-variable components.
     """
     nvars = space.nvars
+    ring = chart.ring
+    pairs = [[] for _ in range(nvars)]
     for m in space.exponents():
         if not ring.contains(m):
             continue
         for g in ring.generators:
-            comps = []
+            label = ("rho", chart.name, m, g)
             for v in range(nvars):
                 if g[v] == 0:
-                    comps.append(None)
                     continue
                 exp = tuple(a + b for a, b in zip(m, g))
                 exp = exp[:v] + (exp[v] - 1,) + exp[v + 1:]
-                comps.append((exp, Fraction(g[v])))
-            yield (m, g), comps
+                pairs[v].append((label, LaurentPoly.monomial(nvars, exp, g[v])))
+    return tuple(SymPoly.combination(nvars, comp) for comp in pairs)
 
 
 def oneform_coboundary_solve(
@@ -570,8 +520,7 @@ def oneform_coboundary_solve(
     keyed by their names.  Returns (solution, report); the solution maps
     "coefficients" to the multipliers and "cochain" to the per-chart forms.
     """
-    nvars = atlas.nvars
-    space = BoundedSpace(nvars, bound)
+    space = BoundedSpace(atlas.nvars, bound)
     twist_full = (
         derive_mult(atlas, twist) if twist is not None else trivial_twist(atlas)
     )
@@ -579,91 +528,31 @@ def oneform_coboundary_solve(
     extra_full = {
         name: derive_oneform(atlas, cls) for name, cls in (extra or {}).items()
     }
-
-    # per chart: list of (key, comps) basis elements
-    basis: dict[str, list] = {}
-    for chart in atlas.charts:
-        basis[chart.name] = list(_oneform_basis(chart.ring, space))
-
-    solver = LinearSolver()
-    for (i, j) in canonical_spanning_pairs(atlas):
-        tw = twist_full[(i, j)]
-        exp_a, coeff_a = tw.as_monomial()
-        for v in range(nvars):
-            rows: dict[tuple, dict] = {}
-            rhs_poly = sigma_full[(i, j)][v]
-            support = set(rhs_poly.support())
-            for name, cls in extra_full.items():
-                support |= set(cls[(i, j)][v].support())
-            for key, comps in basis[i]:
-                if comps[v] is not None:
-                    exp, coeff = comps[v]
-                    support.add(exp)
-                    rows.setdefault(exp, {})[("rho", i) + key] = coeff
-            for key, comps in basis[j]:
-                if comps[v] is not None:
-                    exp, coeff = comps[v]
-                    shifted = tuple(a + b for a, b in zip(exp, exp_a))
-                    support.add(shifted)
-                    rows.setdefault(shifted, {})[("rho", j) + key] = (
-                        -coeff * coeff_a
-                    )
-            for f in support:
-                row = dict(rows.get(f, {}))
-                for name, cls in extra_full.items():
-                    c = cls[(i, j)][v].coefficient(f)
-                    if c:
-                        row[("coeff", name)] = c
-                solver.add_equation(row, rhs_poly.coefficient(f))
-    values = solver.solve()
+    forms = {chart.name: _oneform_unknown(chart, space) for chart in atlas.charts}
+    rows = _twisted_difference_rows(
+        atlas, forms, twist_full, sigma_full,
+        [(("coeff", name), known) for name, known in extra_full.items()],
+    )
+    values = solve_rows(rows).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
 
     coefficients = {
         name: values.get(("coeff", name), Fraction(0)) for name in extra_full
     }
-    cochain: dict[str, tuple[LaurentPoly, ...]] = {}
-    for chart in atlas.charts:
-        comps_total = [LaurentPoly.zero(nvars) for _ in range(nvars)]
-        for key, comps in basis[chart.name]:
-            c = values.get(("rho", chart.name) + key, Fraction(0))
-            if not c:
-                continue
-            for v, item in enumerate(comps):
-                if item is not None:
-                    exp, coeff = item
-                    comps_total[v] = comps_total[v] + LaurentPoly.monomial(
-                        nvars, exp, coeff * c
-                    )
-        cochain[chart.name] = tuple(comps_total)
-
-    _verify_oneform(atlas, sigma_full, twist_full, extra_full, coefficients, cochain)
+    cochain = {
+        name: tuple(comp.evaluate(values) for comp in comps)
+        for name, comps in forms.items()
+    }
+    _verify_resubstitution(
+        atlas, cochain, twist_full, sigma_full,
+        [(coefficients[name], known) for name, known in extra_full.items()],
+    )
     solution = {"coefficients": coefficients, "cochain": cochain}
     json_witness = {
         "coefficients": {
             n: format_rational(c) for n, c in coefficients.items()
         },
-        "cochain": {
-            name: [[_term_json(t) for t in comp.items()] for comp in comps]
-            for name, comps in cochain.items()
-        },
+        "cochain": _fields_json(cochain),
     }
     return solution, solver_report("found", bound, json_witness)
-
-
-def _verify_oneform(atlas, sigma_full, twist_full, extra_full, coefficients,
-                    cochain) -> None:
-    names = atlas.chart_names()
-    for i in names:
-        for j in names:
-            if i == j:
-                continue
-            tw = twist_full[(i, j)]
-            for v in range(atlas.nvars):
-                acc = cochain[i][v] - tw * cochain[j][v]
-                for name, cls in extra_full.items():
-                    acc = acc + cls[(i, j)][v].scale(coefficients[name])
-                if acc != sigma_full[(i, j)][v]:  # pragma: no cover
-                    raise AssertionError(
-                        f"one-form witness fails resubstitution on ({i},{j})"
-                    )

@@ -287,22 +287,6 @@ class LaurentPoly:
         return LaurentPoly(nvars, {e + pad: c for e, c in self._terms.items()})
 
 
-def lp_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Exact ring arithmetic: ``op`` is one of ``add``, ``sub``, ``mul``."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def partial_derivative(p: LaurentPoly, var: int) -> LaurentPoly:
-    """Formal partial derivative with respect to the ``var``-th variable."""
-    return p.partial_derivative(var)
-
-
 # -- exponent monoids ---------------------------------------------------
 
 
@@ -390,11 +374,6 @@ def _monoid_contains_cached(generators: tuple[Exponent, ...], target: Exponent) 
         return False
 
     return rec(0, target)
-
-
-def monoid_contains(m: ExponentMonoid, exp: Iterable[int]) -> bool:
-    """Bounded-search membership of an exponent vector in the monoid."""
-    return m.contains(exp)
 
 
 def monoids_equal(a: ExponentMonoid, b: ExponentMonoid) -> bool:

@@ -10,12 +10,25 @@ particular solution with all free variables set to zero.
 
 Every particular solution is re-verified against the original equations
 before being returned.
+
+Since each pivot is the smallest label of its reduced row, the pivot set is
+the set of leading labels of the row space, and the particular solution
+depends only on the solution set and the labels, not on the order in which
+rows were added.
+
+The bounded solvers build their rows from ``SymPoly``: a Laurent polynomial
+whose coefficients are affine in named unknowns.  A condition such as "this
+polynomial vanishes" or "this polynomial lies in a chart ring" becomes one
+row per coefficient that must vanish.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from operator import add
+from typing import Hashable, Iterable, Iterator, Mapping
+
+from .laurent_core import Exponent, ExponentMonoid, LaurentPoly
 
 Var = Hashable
 Row = dict[Var, Fraction]
@@ -122,3 +135,152 @@ def in_span(vector: Mapping[Var, Fraction],
     basis = list(basis)
     base_rank = rank_of_vectors(basis)
     return rank_of_vectors(basis + [dict(vector)]) == base_rank
+
+
+def solve_rows(rows: Iterable[tuple[Row, Fraction]],
+               pins: Mapping[Var, Fraction | int] | None = None) -> LinearSolver:
+    """A solver holding ``rows`` plus one equation label = value per pin."""
+    solver = LinearSolver()
+    for row, rhs in rows:
+        solver.add_equation(row, rhs)
+    for label, value in (pins or {}).items():
+        solver.add_equation({label: Fraction(1)}, value)
+    return solver
+
+
+# -- symbolic rows --------------------------------------------------------
+
+
+def _add_into(row: Row, label: Var, coeff: Fraction) -> None:
+    """row[label] += coeff, dropping the entry when it cancels."""
+    old = row.get(label)
+    if old is None:
+        row[label] = coeff
+    elif total := old + coeff:
+        row[label] = total
+    else:
+        del row[label]
+
+
+class SymPoly:
+    """Laurent polynomial whose coefficients are affine in named unknowns.
+
+    ``table`` maps an exponent to its linear part {label: coefficient};
+    ``const`` holds the known part.  Instances are immutable, and rows of
+    ``table`` may be shared between instances, so no row is changed in place.
+    """
+
+    __slots__ = ("nvars", "table", "const")
+
+    def __init__(self, nvars: int, table: dict[Exponent, Row] | None = None,
+                 const: LaurentPoly | None = None):
+        self.nvars = nvars
+        self.table = table if table is not None else {}
+        self.const = const if const is not None else LaurentPoly.zero(nvars)
+
+    @classmethod
+    def unknown(cls, nvars: int, prefix: tuple, exps) -> SymPoly:
+        """One unknown coefficient, labelled ``prefix + (e,)``, per exponent e."""
+        one = Fraction(1)
+        return cls(nvars, {e: {prefix + (e,): one} for e in exps})
+
+    @classmethod
+    def combination(cls, nvars: int,
+                    pairs: Iterable[tuple[Var, LaurentPoly]]) -> SymPoly:
+        """The sum of unknown scalars (labels) times known polynomials."""
+        table: dict[Exponent, Row] = {}
+        for label, poly in pairs:
+            for e, c in poly.items():
+                _add_into(table.setdefault(e, {}), label, c)
+        return cls(nvars, table)
+
+    @classmethod
+    def wrap(cls, poly: LaurentPoly) -> SymPoly:
+        return cls(poly.nvars, {}, poly)
+
+    def shifted(self, exp, coeff: Fraction | int = 1) -> SymPoly:
+        """This polynomial times the monomial coeff * x^exp (coeff nonzero)."""
+        exp = tuple(exp)
+        coeff = Fraction(coeff)
+        if coeff == 1:
+            table = {
+                tuple(map(add, e, exp)): row for e, row in self.table.items()
+            }
+        else:
+            table = {
+                tuple(map(add, e, exp)): {
+                    label: c * coeff for label, c in row.items()
+                }
+                for e, row in self.table.items()
+            }
+        return SymPoly(self.nvars, table, self.const.mul_monomial(exp, coeff))
+
+    def __add__(self, other: SymPoly) -> SymPoly:
+        table = dict(self.table)
+        for e, row in other.table.items():
+            mine = table.get(e)
+            if mine is None:
+                table[e] = row
+                continue
+            merged = dict(mine)
+            for label, c in row.items():
+                _add_into(merged, label, c)
+            table[e] = merged
+        return SymPoly(self.nvars, table, self.const + other.const)
+
+    def __neg__(self) -> SymPoly:
+        table = {
+            e: {label: -c for label, c in row.items()}
+            for e, row in self.table.items()
+        }
+        return SymPoly(self.nvars, table, -self.const)
+
+    def __sub__(self, other: SymPoly) -> SymPoly:
+        return self + -other
+
+    def evaluate(self, values: Mapping[Var, Fraction]) -> LaurentPoly:
+        """The known polynomial obtained by substituting ``values``.
+
+        Unknowns missing from ``values`` count as zero.
+        """
+        terms = {}
+        for e, row in self.table.items():
+            total = 0
+            for label, c in row.items():
+                value = values.get(label)
+                if value:
+                    total += c * value
+            if total:
+                terms[e] = total
+        return self.const + LaurentPoly(self.nvars, terms)
+
+    def membership_rows(
+        self, ring: ExponentMonoid | None = None,
+    ) -> Iterator[tuple[Row, Fraction]]:
+        """Rows forcing every coefficient outside ``ring`` to vanish.
+
+        Without a ring, every coefficient must vanish.
+        """
+        exps = set(self.table) | self.const.support()
+        for f in sorted(exps):
+            if ring is None or not ring.contains(f):
+                yield dict(self.table.get(f, {})), -self.const.coefficient(f)
+
+
+def derivation_rows(
+    comps: tuple[SymPoly, ...], ring: ExponentMonoid,
+) -> Iterator[tuple[Row, Fraction]]:
+    """Rows forcing the field sum(comps[v] * d/dx_v) to preserve ``ring``.
+
+    For each ring generator g the image of x^g must lie in the ring.
+    """
+    nvars = comps[0].nvars
+    for g in ring.generators:
+        image = SymPoly(nvars)
+        for v, comp in enumerate(comps):
+            if g[v] == 0:
+                continue
+            shift = list(g)
+            shift[v] -= 1
+            image = image + comp.shifted(shift, g[v])
+        yield from image.membership_rows(ring)

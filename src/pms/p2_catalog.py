@@ -64,7 +64,7 @@ from .laurent_core import (
     Rational,
     format_rational,
 )
-from .linear import LinearSolver, rank_of_vectors
+from .linear import SymPoly, derivation_rows, rank_of_vectors, solve_rows
 
 VARIABLES = ("lam", "mu")
 SYMBOL = "al"
@@ -457,77 +457,6 @@ def _as_poly(value, nvars: int) -> LaurentPoly:
 # -- the pullback family, two ways --------------------------------------
 
 
-class _SymPoly:
-    """Laurent polynomial whose coefficients are affine in named unknowns."""
-
-    def __init__(self, nvars: int, table=None, const: LaurentPoly | None = None):
-        self.nvars = nvars
-        self.table: dict[tuple, dict] = table if table is not None else {}
-        self.const = const if const is not None else LaurentPoly.zero(nvars)
-
-    @classmethod
-    def unknown(cls, nvars: int, name: str, exps) -> "_SymPoly":
-        return cls(
-            nvars, {e: {(name, e): Fraction(1)} for e in exps}
-        )
-
-    @classmethod
-    def wrap(cls, poly: LaurentPoly) -> "_SymPoly":
-        return cls(poly.nvars, {}, poly)
-
-    def add_term(self, exp, label, coeff) -> "_SymPoly":
-        table = {e: dict(row) for e, row in self.table.items()}
-        row = table.setdefault(tuple(exp), {})
-        row[label] = row.get(label, Fraction(0)) + Fraction(coeff)
-        return _SymPoly(self.nvars, table, self.const)
-
-    def shifted(self, exp, coeff=Fraction(1)) -> "_SymPoly":
-        exp = tuple(exp)
-        coeff = Fraction(coeff)
-        table = {
-            tuple(a + b for a, b in zip(e, exp)): {
-                label: c * coeff for label, c in row.items()
-            }
-            for e, row in self.table.items()
-        }
-        return _SymPoly(self.nvars, table, self.const.mul_monomial(exp, coeff))
-
-    def __add__(self, other: "_SymPoly") -> "_SymPoly":
-        table = {e: dict(row) for e, row in self.table.items()}
-        for e, row in other.table.items():
-            mine = table.setdefault(e, {})
-            for label, c in row.items():
-                val = mine.get(label, Fraction(0)) + c
-                if val:
-                    mine[label] = val
-                else:
-                    mine.pop(label, None)
-        return _SymPoly(self.nvars, table, self.const + other.const)
-
-    def __sub__(self, other: "_SymPoly") -> "_SymPoly":
-        return self + other.shifted((0,) * self.nvars, Fraction(-1))
-
-    def membership_rows(self, ring: ExponentMonoid):
-        """Rows forcing every coefficient outside the ring to vanish."""
-        exps = set(self.table) | set(self.const.support())
-        for f in sorted(exps):
-            if not ring.contains(f):
-                yield dict(self.table.get(f, {})), -self.const.coefficient(f)
-
-
-def _derivation_rows(comps, ring: ExponentMonoid):
-    nvars = comps[0].nvars
-    for g in ring.generators:
-        image = _SymPoly(nvars)
-        for v, comp in enumerate(comps):
-            if g[v] == 0:
-                continue
-            shift = list(g)
-            shift[v] -= 1
-            image = image + comp.shifted(tuple(shift), Fraction(g[v]))
-        yield from image.membership_rows(ring)
-
-
 def _pullback_rows(m: int, p: int, x_part: int, a, b, c, d) -> list:
     """Constraint rows for the family shape (A, B, C, D), named unknowns.
 
@@ -540,7 +469,7 @@ def _pullback_rows(m: int, p: int, x_part: int, a, b, c, d) -> list:
     w12 = ExponentMonoid(2, _W_OVERLAPS[("W1", "W2")])
     w23 = ExponentMonoid(2, _W_OVERLAPS[("W2", "W3")])
     w03 = ExponentMonoid(2, _W_OVERLAPS[("W0", "W3")])
-    x_mu = lambda e: _SymPoly.wrap(LaurentPoly.monomial(2, e, x_part))
+    x_mu = lambda e: SymPoly.wrap(LaurentPoly.monomial(2, e, x_part))
 
     rows = []
     rows += b.shifted((0, p + m), Fraction(-1)).membership_rows(poly_ring)
@@ -555,28 +484,19 @@ def _pullback_rows(m: int, p: int, x_part: int, a, b, c, d) -> list:
         - c.shifted((p, p + m + 1))
         - d.shifted((p + 1, p + m))
     ).membership_rows(w3_ring)
-    rows += _derivation_rows((a, b), w12)
+    rows += derivation_rows((a, b), w12)
     shift = (0, p + m)
-    rows += _derivation_rows(
+    rows += derivation_rows(
         ((c - a).shifted(shift), (d - b).shifted(shift)), w23
     )
     e03 = (
         c.shifted((-m, 0)),
-        d.shifted((-m, 0)) + _SymPoly.wrap(
+        d.shifted((-m, 0)) + SymPoly.wrap(
             LaurentPoly.monomial(2, (2, 2), -x_part)
         ),
     )
-    rows += _derivation_rows(e03, w03)
+    rows += derivation_rows(e03, w03)
     return rows
-
-
-def _solve_rows(rows, pins=None) -> LinearSolver:
-    solver = LinearSolver()
-    for row, rhs in rows:
-        solver.add_equation(row, rhs)
-    for label, value in (pins or {}).items():
-        solver.add_equation({label: Fraction(1)}, value)
-    return solver
 
 
 def _field_directions(ring: ExponentMonoid, weight) -> tuple:
@@ -721,7 +641,7 @@ class FamilyDescription:
 
 
 def solve_pullback_family(
-    m: int, p: int, ansatz_bound: int = 6, nontrivial: bool | None = None,
+    m: int, p: int, ansatz_bound: int = 6, nontrivial: bool = True,
 ) -> FamilyDescription:
     """Count the family of normal-form structures for twist beta(m, p).
 
@@ -729,34 +649,42 @@ def solve_pullback_family(
     subtracts the rank of the reparametrization directions; route two plugs
     in the named-coefficient ansatz (c0, c0D, R_k, S_k) and counts its free
     parameters.  The two dimensions must agree.
+
+    The domain is m = -3 (the normal-form ansatz describes the family only
+    there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
+    p); other inputs raise ValueError.
     """
     if p < 0:
         raise ValueError("the exceptional degree p must be non-negative")
-    if nontrivial is None:
-        nontrivial = m == -3
-    if nontrivial and m != -3:
-        raise ValueError("a nonzero plane class requires twist degree -3")
+    if m != -3:
+        raise ValueError("the pull-back family is solved only for m = -3")
+    if ansatz_bound < 3:
+        raise ValueError("the ansatz bound must be at least 3")
     x_part = 1 if nontrivial else 0
     b = ansatz_bound
     box = list(itertools.product(range(-b, b + 1), repeat=2))
 
     # route one: generic boxed coefficients modulo gauge
     unknowns = {
-        name: _SymPoly.unknown(2, name, box) for name in ("A", "B", "C", "D")
+        name: SymPoly.unknown(2, (name,), box) for name in ("A", "B", "C", "D")
     }
     rows = _pullback_rows(m, p, x_part, *(unknowns[n] for n in "ABCD"))
-    solver = _solve_rows(rows)
+    solver = solve_rows(rows)
     if solver.solve() is None:  # pragma: no cover - shape always realizable
         raise AssertionError("family constraints are inconsistent")
     kernel_dim = 4 * len(box) - solver.rank
     gauge = _gauge_vectors(m, p, box)
+    # a row sharing no label with a gauge vector pairs with it to zero
+    rows_by_label: dict[tuple, list[dict]] = {}
+    for row, _ in rows:
+        for label in row:
+            rows_by_label.setdefault(label, []).append(row)
     for vec in gauge:
-        for row, _ in rows:
-            acc = sum(
-                (coeff * vec[label] for label, coeff in row.items()
-                 if label in vec),
-                Fraction(0),
-            )
+        touched = {
+            id(row): row for label in vec for row in rows_by_label.get(label, ())
+        }
+        for row in touched.values():
+            acc = sum(c * row[label] for label, c in vec.items() if label in row)
             if acc:  # pragma: no cover - gauge directions are exact
                 raise AssertionError("gauge direction violates a constraint")
     gauge_rank = rank_of_vectors(gauge)
@@ -764,22 +692,25 @@ def solve_pullback_family(
 
     # route two: named-coefficient ansatz
     nv = 2
-    x_mu = LaurentPoly.monomial(nv, (0, 1), x_part)
-    a_sym = _SymPoly.wrap(x_mu)
-    for k in range(b + 1):
-        a_sym = a_sym.add_term((k, 2 - p), ("R", k), -1)
-    b_sym = _SymPoly(nv)
-    c_sym = _SymPoly.wrap(x_mu).add_term((1 - p, 2 - p), ("c0",), -1)
-    for k in range(b + 1):
-        c_sym = c_sym.add_term((-k - p, 2 - p), ("S", k), 1)
-    d_sym = _SymPoly(nv).add_term((-p, 3 - p), ("c0D",), 1)
+    x_mu = SymPoly.wrap(LaurentPoly.monomial(nv, (0, 1), x_part))
+    mono = lambda e, c: LaurentPoly.monomial(nv, e, c)
+    a_sym = x_mu + SymPoly.combination(
+        nv, [(("R", k), mono((k, 2 - p), -1)) for k in range(b + 1)]
+    )
+    b_sym = SymPoly(nv)
+    c_sym = x_mu + SymPoly.combination(
+        nv,
+        [(("c0",), mono((1 - p, 2 - p), -1))]
+        + [(("S", k), mono((-k - p, 2 - p), 1)) for k in range(b + 1)],
+    )
+    d_sym = SymPoly.combination(nv, [(("c0D",), mono((-p, 3 - p), 1))])
     named_rows = _pullback_rows(m, p, x_part, a_sym, b_sym, c_sym, d_sym)
     named_labels = (
         [("c0",), ("R", 0), ("c0D",)]
         + [("R", k) for k in range(1, b + 1)]
         + [("S", k) for k in range(b + 1)]
     )
-    named_solver = _solve_rows(named_rows)
+    named_solver = solve_rows(named_rows)
     if named_solver.solve() is None:  # pragma: no cover
         raise AssertionError("ansatz constraints are inconsistent")
     dim_named = len(named_labels) - named_solver.rank
@@ -793,7 +724,7 @@ def solve_pullback_family(
     pins: list[tuple] = []
     current = named_solver.rank
     for label in named_labels:
-        trial = _solve_rows(
+        trial = solve_rows(
             named_rows, {lb: Fraction(0) for lb in pins + [label]}
         )
         if trial.rank == current + 1:
@@ -802,12 +733,12 @@ def solve_pullback_family(
     if len(pins) != dim_named:  # pragma: no cover
         raise AssertionError("free-parameter selection failed")
 
-    base = _solve_rows(
+    base = solve_rows(
         named_rows, {lb: Fraction(0) for lb in pins}
     ).solve()
     directions = {}
     for pin in pins:
-        values = _solve_rows(
+        values = solve_rows(
             named_rows,
             {lb: Fraction(1 if lb == pin else 0) for lb in pins},
         ).solve()

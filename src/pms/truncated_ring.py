@@ -160,10 +160,6 @@ def truncate_down(a: TruncElement, order: int) -> TruncElement:
     return TruncElement(order, a.coeffs[:order])
 
 
-def constant_term(a: TruncElement) -> LaurentPoly:
-    return a.coeffs[0]
-
-
 def classify_element(u: TruncElement, ring: ExponentMonoid) -> str:
     """Classify into ``zero_divisor`` / ``unit`` / ``regular_nonunit``.
 

@@ -1,5 +1,6 @@
 """Tests for the blow-up constructors and the induced class maps."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -27,11 +28,12 @@ from pms.blowup import (
     validate_transition_spec,
     xi_map,
 )
-from pms.cohomology import coboundary_solve, iso_decide
+from pms.cohomology import BOUND_CAVEAT, coboundary_solve, iso_decide
 from pms.laurent_core import LaurentPoly
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
+    carpet_decompose,
     make_blown_plane,
     make_p2,
     make_p2_atlas,
@@ -62,6 +64,16 @@ LINE_X0 = CenterSpec(
         "U0": (mono((-1, 0)),),
         "U1": (const(1),),
         "U2": (mono((0, 1)),),
+    },
+)
+
+EXCEPTIONAL_LINE = CenterSpec(
+    "hypersurface",
+    generators={
+        "W0": (const(1),),
+        "W1": (const(1),),
+        "W2": (mono((0, 1)),),
+        "W3": (mono((1, 1)),),
     },
 )
 
@@ -279,16 +291,7 @@ def test_hypersurface_input_errors():
 
 
 def test_carpet_blowup_reaches_rigid_class():
-    center = CenterSpec(
-        "hypersurface",
-        generators={
-            "W0": (const(1),),
-            "W1": (const(1),),
-            "W2": (mono((0, 1)),),
-            "W3": (mono((1, 1)),),
-        },
-    )
-    res = blowup_hypersurface(build_carpet(Fraction(1, 2)), center)
+    res = blowup_hypersurface(build_carpet(Fraction(1, 2)), EXCEPTIONAL_LINE)
     assert dict(res.spec.alpha.data) == dict(beta_table(-3, 2).data)
     witness, report = iso_decide(
         res.spec, make_blown_plane(-3, 2, nontrivial=True), bound=5
@@ -382,3 +385,65 @@ def test_transition_spec_shape_errors():
     bad_order = order3_family()
     with pytest.raises(ValueError):
         TransitionSpec(base.atlas, bad_order.transitions)
+
+
+# Report bytes (caveat left out) of the bounded solvers at bound 3; any change
+# to how the linear systems are built must leave these witnesses unchanged.
+PINNED_REPORTS = {
+    "coboundary/hypersurface-blowup": (
+        '{"bound":3,"status":"found","witness":{"U0":[[],[{"coeff":"-1/1",'
+        '"exp":[1,2]}]],"U1":[[],[]],"U2":[[{"coeff":"-1/1","exp":[0,-1]}],'
+        '[]]}}'
+    ),
+    "iso/trivial-carpets": (
+        '{"bound":3,"status":"found","witness":{"fields":{"W0":[[],[]],'
+        '"W1":[[],[]],"W2":[[],[]],"W3":[[],[]]},"tau":"6/1"}}'
+    ),
+    "iso/reduced-blowup": (
+        '{"bound":3,"status":"found","witness":{"fields":{"W0":[[],[]],'
+        '"W1":[[],[]],"W2":[[],[]],"W3":[[],[]]},"tau":"1/1"}}'
+    ),
+    "iso/carpet-hypersurface-blowup": (
+        '{"bound":3,"status":"found","witness":{"fields":{"W0":[[],[]],'
+        '"W1":[[],[]],"W2":[[{"coeff":"-3/2","exp":[0,0]}],[]],'
+        '"W3":[[{"coeff":"-3/2","exp":[2,0]}],[{"coeff":"3/2","exp":[1,1]}]]},'
+        '"tau":"1/1"}}'
+    ),
+    "carpet-decompose": (
+        '{"bound":3,"status":"found","witness":{"cochain":{"W0":[[],[]],'
+        '"W1":[[],[]],"W2":[[],[]],"W3":[[],[]]},"coefficients":{"u":"1/1",'
+        '"v":"1/2"}}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_solver_witness_bytes_are_pinned(case):
+    base = make_p2(-3, nontrivial=True)
+    half = Fraction(1, 2)
+    runs = {
+        "coboundary/hypersurface-blowup": lambda: coboundary_solve(
+            blowup_hypersurface(base, LINE_X0).spec, bound=3
+        ),
+        "iso/trivial-carpets": lambda: iso_decide(
+            build_carpet(half, trivial=True),
+            build_carpet(Fraction(3), trivial=True),
+            bound=3,
+        ),
+        "iso/reduced-blowup": lambda: iso_decide(
+            blowup_reduced(base, P_CENTER, rename=RENAME).spec,
+            make_blown_plane(-3, 1, 0),
+            bound=3,
+        ),
+        "iso/carpet-hypersurface-blowup": lambda: iso_decide(
+            blowup_hypersurface(build_carpet(Fraction(3, 2)),
+                                EXCEPTIONAL_LINE).spec,
+            make_blown_plane(-3, 2, nontrivial=True),
+            bound=3,
+        ),
+        "carpet-decompose": lambda: carpet_decompose(half, bound=3),
+    }
+    _, report = runs[case]()
+    assert report.pop("caveat") == BOUND_CAVEAT
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert text == PINNED_REPORTS[case]

@@ -225,6 +225,18 @@ def test_family_matches_library(capsys):
     assert parsed["caveat"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--m", "-2", "--p", "0"),
+    ("--m", "-3", "--p", "0", "--ansatz-bound", "0"),
+    ("--m", "-3", "--p", "0", "--ansatz-bound", "2"),
+])
+def test_family_outside_domain_exits_2(capsys, argv):
+    code, out, err = run(capsys, "family", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gamma_queries(capsys):
     code, out, _ = run(capsys, "gamma", "--coeffs", "1/2,0", "--query", "delta")
     assert code == 0

@@ -33,6 +33,7 @@ from pms.cohomology import (
     two_cocycle_failures,
 )
 from pms.laurent_core import ExponentMonoid, LaurentPoly
+from pms.linear import SymPoly, derivation_rows
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
@@ -304,3 +305,35 @@ def test_residue_raw_and_report_shape():
     assert h2_residue(atlas, t) == Fraction(-2)
     report = solver_report("found", 5, {"x": 1})
     assert set(report) == {"status", "bound", "caveat", "witness"}
+
+
+def test_derivation_rows_match_derivation_failures():
+    """The symbolic ring rows flag a boxed field exactly when it fails."""
+    rng = random.Random(4417)
+    box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    rings = [c.ring for c in make_p2_atlas().charts]
+    rings += [c.ring for c in make_wcover_atlas().charts]
+    unknown = tuple(SymPoly.unknown(2, ("T", v), box) for v in range(2))
+    outcomes = set()
+    for trial in range(60):
+        ring = rings[trial % len(rings)]
+        comps = list(random_stable_field(ring, rng, pieces=2))
+        if trial % 2:
+            exp = (rng.randint(-1, 1), rng.randint(-1, 1))
+            v = rng.randrange(2)
+            comps[v] = comps[v] + mono(exp, rng.randint(1, 3))
+        comps = tuple(comps)
+        if any(max(map(abs, e)) > 3 for c in comps for e in c.support()):
+            continue
+        values = {
+            ("T", v, e): c for v in range(2) for e, c in comps[v].items()
+        }
+        assert tuple(u.evaluate(values) for u in unknown) == comps
+        violated = any(
+            sum(c * values.get(label, 0) for label, c in row.items()) != rhs
+            for row, rhs in derivation_rows(unknown, ring)
+        )
+        failed = bool(derivation_failures(comps, ring, ("lam", "mu")))
+        assert violated == failed, (ring.generators, comps)
+        outcomes.add(failed)
+    assert outcomes == {False, True}

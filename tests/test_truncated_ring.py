@@ -19,7 +19,6 @@ from pms.truncated_ring import (
     compose_endo,
     conjugate_chi,
     conjugate_chi_composed,
-    constant_term,
     endo_inverse,
     full_laurent_ring,
     identity_morphism,
@@ -281,7 +280,7 @@ def test_chi_morphism_is_bracket():
 def test_truncate_and_constant():
     u = el(LAM, MU, ONE)
     assert truncate_down(u, 2) == el(LAM, MU)
-    assert constant_term(u) == LAM
+    assert u.coeffs[0] == LAM
     with pytest.raises(ValueError):
         truncate_down(u, 4)
 
