@@ -3,7 +3,8 @@
 All structured output is JSON with sorted keys, so identical invocations
 produce identical bytes.  Exit codes: 0 for success or a positive answer,
 1 for a negative or not-found answer to a yes/no question, 2 for usage
-errors and malformed input files.
+errors and malformed input files, 3 when an internal self-check (solver
+re-verification, witness resubstitution, family cross-checks) fails.
 """
 
 from __future__ import annotations
@@ -371,12 +372,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
+    except (CliError, ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except AssertionError as exc:
+        # a re-verification inside the library failed: a bug, not a "no"
+        sys.stderr.write(f"error: internal self-check failed: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

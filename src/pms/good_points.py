@@ -201,9 +201,11 @@ def _evaluate_section(sec: Section, m: int) -> dict[int, Fraction]:
 def h_lp(m: int) -> tuple[tuple[Rational, Rational], ...]:
     """A basis of the evaluation subspace H(m) inside the two-dim fiber."""
     kept: list[dict[int, Fraction]] = []
+    solver = LinearSolver()
     for sec in sections_TL(m):
         vec = _evaluate_section(sec, m)
-        if vec and rank_of_vectors(kept + [vec]) > len(kept):
+        solver.add_equation(vec, 0)
+        if solver.rank > len(kept):
             kept.append(vec)
     return tuple(
         (vec.get(0, Fraction(0)), vec.get(1, Fraction(0))) for vec in kept

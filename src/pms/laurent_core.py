@@ -56,7 +56,8 @@ class LaurentPoly:
     The term dict is always in canonical form (see the module docstring).
     """
 
-    __slots__ = ("nvars", "_terms")
+    # ``_hash`` is filled in by the first ``__hash__`` call
+    __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Rational] | None = None):
         if nvars < 1:
@@ -148,7 +149,12 @@ class LaurentPoly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self._terms.items()))))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.nvars, tuple(sorted(self._terms.items()))))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         if not self._terms:

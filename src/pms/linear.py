@@ -1,20 +1,26 @@
 """Sparse exact linear algebra over the rationals.
 
 Rows are sparse mappings from hashable, comparable variable labels to
-Fraction coefficients.  The solver performs incremental Gaussian elimination:
-each added equation is reduced against the existing pivot rows and either
-vanishes, reveals an inconsistency, or contributes a new pivot.  Stored pivot
-rows are never modified afterwards, so a pivot row can only mention its own
-pivot, later pivots, and free variables; a reverse sweep therefore yields a
-particular solution with all free variables set to zero.
-
-Every particular solution is re-verified against the original equations
-before being returned.
+rational coefficients (``Fraction`` or ``int``).  The solver performs
+incremental Gaussian elimination on integer rows with content removal, in
+the style of Bareiss (1968).  Each added equation is multiplied once by the
+lcm of its denominators and reduced against the pivot rows by integer
+cross-multiplication, ``a * row - f * prow`` (``a`` the pivot coefficient of
+``prow``, ``f`` the row's entry there, both divided by their gcd).  It then
+vanishes, reveals an inconsistency, or becomes a new pivot row on its
+smallest label, divided by the gcd of its entries and right-hand side and
+signed so that the pivot coefficient is positive: stored rows are primitive.
+They are never modified afterwards, so a pivot row can only mention its own
+pivot, later pivots, and free variables; a reverse sweep over the pivots,
+in ``Fraction`` arithmetic, yields a particular solution with all free
+variables set to zero.  Every particular solution is re-verified against every original
+equation in integer arithmetic, with the values scaled by the lcm of their
+denominators.
 
 Since each pivot is the smallest label of its reduced row, the pivot set is
 the set of leading labels of the row space, and the particular solution
 depends only on the solution set and the labels, not on the order in which
-rows were added.
+rows were added or on how they were scaled.
 
 The bounded solvers build their rows from ``SymPoly``: a Laurent polynomial
 whose coefficients are affine in named unknowns.  A condition such as "this
@@ -25,6 +31,8 @@ row per coefficient that must vanish.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping
 
@@ -32,65 +40,90 @@ from .laurent_core import Exponent, ExponentMonoid, LaurentPoly
 
 Var = Hashable
 Row = dict[Var, Fraction]
+IntRow = dict[Var, int]
 
 
-class Inconsistent(Exception):
-    """Raised when the added equations admit no solution."""
+def _integer_row(coeffs: Mapping[Var, Fraction | int],
+                 rhs: Fraction | int) -> tuple[IntRow, int]:
+    """The equation times the lcm of its denominators, with int entries."""
+    row = {v: c for v, c in coeffs.items() if c}
+    den = rhs.denominator
+    for c in row.values():
+        d = c.denominator
+        if d != 1 and den % d:
+            den = lcm(den, d)
+    if den == 1:
+        return {v: c.numerator for v, c in row.items()}, rhs.numerator
+    return (
+        {v: c.numerator * (den // c.denominator) for v, c in row.items()},
+        rhs.numerator * (den // rhs.denominator),
+    )
 
 
 class LinearSolver:
     def __init__(self) -> None:
-        self.pivot_rows: dict[Var, Row] = {}
-        self.pivot_rhs: dict[Var, Fraction] = {}
+        self.pivot_rows: dict[Var, IntRow] = {}
+        self.pivot_rhs: dict[Var, int] = {}
         self.pivot_order: list[Var] = []
-        self.originals: list[tuple[Row, Fraction]] = []
+        self.pivot_index: dict[Var, int] = {}
+        self.originals: list[tuple[IntRow, int]] = []
         self.inconsistent = False
 
     @property
     def rank(self) -> int:
         return len(self.pivot_order)
 
-    def _reduce(self, row: Row, rhs: Fraction) -> tuple[Row, Fraction]:
-        row = {v: Fraction(c) for v, c in row.items() if c}
-        rhs = Fraction(rhs)
-        # repeatedly eliminate any variable that is a pivot
-        while True:
-            hit = None
-            for v in row:
-                if v in self.pivot_rows:
-                    hit = v
-                    break
-            if hit is None:
-                return row, rhs
-            factor = row.pop(hit)
-            prow = self.pivot_rows[hit]
+    def _reduce(self, row: IntRow, rhs: int) -> tuple[IntRow, int]:
+        # pivots go in creation order; a pivot row only brings in later
+        # pivots, so each is eliminated at most once
+        index = self.pivot_index
+        todo = [index[v] for v in row if v in index]
+        heapify(todo)
+        while todo:
+            pivot = self.pivot_order[heappop(todo)]
+            f = row.pop(pivot, 0)
+            if not f:  # cancelled after it was queued
+                continue
+            prow = self.pivot_rows[pivot]
+            g = gcd(prow[pivot], f)
+            if (a := prow[pivot] // g) != 1:
+                row = {u: a * c for u, c in row.items()}
+                rhs *= a
+            f //= g
             for u, c in prow.items():
-                if u == hit:
+                if u == pivot:
                     continue
-                nv = row.get(u, Fraction(0)) - factor * c
-                if nv:
-                    row[u] = nv
+                old = row.get(u)
+                if old is None:
+                    row[u] = -f * c
+                    if u in index:
+                        heappush(todo, index[u])
+                elif old != f * c:
+                    row[u] = old - f * c
                 else:
-                    row.pop(u, None)
-            rhs -= factor * self.pivot_rhs[hit]
+                    del row[u]
+            rhs -= f * self.pivot_rhs[pivot]
+        return row, rhs
 
     def add_equation(self, coeffs: Mapping[Var, Fraction | int],
                      rhs: Fraction | int = 0) -> None:
         """Add sum(coeffs[v] * x_v) = rhs."""
-        clean = {v: Fraction(c) for v, c in coeffs.items() if c}
-        rhs = Fraction(rhs)
-        self.originals.append((dict(clean), rhs))
+        row, rhs = _integer_row(coeffs, rhs)
+        self.originals.append((row, rhs))
         if self.inconsistent:
             return
-        row, rhs = self._reduce(clean, rhs)
+        row, rhs = self._reduce(dict(row), rhs)
         if not row:
-            if rhs:
-                self.inconsistent = True
+            self.inconsistent = rhs != 0
             return
         pivot = min(row)
-        inv = Fraction(1) / row[pivot]
-        row = {v: c * inv for v, c in row.items()}
-        rhs *= inv
+        content = gcd(rhs, *row.values())
+        if row[pivot] < 0:
+            content = -content
+        if content != 1:
+            row = {v: c // content for v, c in row.items()}
+            rhs //= content
+        self.pivot_index[pivot] = len(self.pivot_order)
         self.pivot_rows[pivot] = row
         self.pivot_rhs[pivot] = rhs
         self.pivot_order.append(pivot)
@@ -100,18 +133,22 @@ class LinearSolver:
         if self.inconsistent:
             return None
         values: dict[Var, Fraction] = {}
+        nonzero: dict[Var, Fraction] = {}
         for pivot in reversed(self.pivot_order):
             row = self.pivot_rows[pivot]
             total = self.pivot_rhs[pivot]
             for v, c in row.items():
-                if v != pivot:
-                    total -= c * values.get(v, Fraction(0))
-            values[pivot] = total
+                if v in nonzero:
+                    total -= c * nonzero[v]
+            values[pivot] = value = Fraction(total, row[pivot])
+            if value:
+                nonzero[pivot] = value
+        scale = lcm(*(x.denominator for x in nonzero.values()))
+        scaled = {v: x.numerator * (scale // x.denominator)
+                  for v, x in nonzero.items()}
         for row, rhs in self.originals:
-            acc = Fraction(0)
-            for v, c in row.items():
-                acc += c * values.get(v, Fraction(0))
-            if acc != rhs:  # pragma: no cover - internal safety net
+            total = sum(c * scaled.get(v, 0) for v, c in row.items())
+            if total != rhs * scale:
                 raise AssertionError("solver verification failed")
         return values
 
@@ -121,20 +158,16 @@ class LinearSolver:
 
 def rank_of_vectors(vectors: Iterable[Mapping[Var, Fraction]]) -> int:
     """Rank of a family of sparse vectors."""
-    solver = LinearSolver()
-    for vec in vectors:
-        solver.add_equation(vec, 0)
-        # homogeneous rows never create inconsistency; rank grows per
-        # independent vector
-    return solver.rank
+    return solve_rows((vec, 0) for vec in vectors).rank
 
 
 def in_span(vector: Mapping[Var, Fraction],
             basis: Iterable[Mapping[Var, Fraction]]) -> bool:
     """Whether ``vector`` lies in the span of ``basis``."""
-    basis = list(basis)
-    base_rank = rank_of_vectors(basis)
-    return rank_of_vectors(basis + [dict(vector)]) == base_rank
+    solver = solve_rows((vec, 0) for vec in basis)
+    rank = solver.rank
+    solver.add_equation(vector, 0)
+    return solver.rank == rank
 
 
 def solve_rows(rows: Iterable[tuple[Row, Fraction]],
@@ -144,7 +177,7 @@ def solve_rows(rows: Iterable[tuple[Row, Fraction]],
     for row, rhs in rows:
         solver.add_equation(row, rhs)
     for label, value in (pins or {}).items():
-        solver.add_equation({label: Fraction(1)}, value)
+        solver.add_equation({label: 1}, value)
     return solver
 
 

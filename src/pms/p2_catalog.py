@@ -720,29 +720,25 @@ def solve_pullback_family(
             f"ansatz route {dim_named}"
         )
 
-    # canonical free parameters: greedy rank-increasing pins
+    # canonical free parameters: greedy rank-increasing pins (the rank does
+    # not depend on the right-hand sides, so the homogeneous rows suffice)
     pins: list[tuple] = []
-    current = named_solver.rank
+    pinned = solve_rows((row, 0) for row, _ in named_rows)
     for label in named_labels:
-        trial = solve_rows(
-            named_rows, {lb: Fraction(0) for lb in pins + [label]}
-        )
-        if trial.rank == current + 1:
+        before = pinned.rank
+        pinned.add_equation({label: 1}, 0)
+        if pinned.rank > before:
             pins.append(label)
-            current += 1
     if len(pins) != dim_named:  # pragma: no cover
         raise AssertionError("free-parameter selection failed")
 
-    base = solve_rows(
-        named_rows, {lb: Fraction(0) for lb in pins}
-    ).solve()
-    directions = {}
-    for pin in pins:
-        values = solve_rows(
-            named_rows,
-            {lb: Fraction(1 if lb == pin else 0) for lb in pins},
-        ).solve()
-        directions[pin] = values
+    def pinned_solution(one=None):
+        """The solution with pin ``one`` set to 1 and the other pins to 0."""
+        pinned_values = {lb: int(lb == one) for lb in pins}
+        return solve_rows(named_rows, pinned_values).solve()
+
+    base = pinned_solution()
+    directions = {pin: pinned_solution(pin) for pin in pins}
     relations = []
     zeros = []
     for label in named_labels:

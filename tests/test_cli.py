@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from pms import cohomology
 from pms.atlas import AtlasDocument, dumps_document, loads_document
 from pms.blowup import CenterSpec, center_to_json
 from pms.cli import main
@@ -235,6 +236,20 @@ def test_family_outside_domain_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_self_check_failure_exits_3(capsys, monkeypatch):
+    def failing_check(*args, **kwargs):
+        raise AssertionError("witness fails resubstitution on (W0,W1)")
+
+    monkeypatch.setattr(cohomology, "_verify_resubstitution", failing_check)
+    code, out, err = run(capsys, "carpet", "--alpha", "1/2", "--query",
+                         "decompose")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal self-check failed: "
+        "witness fails resubstitution on (W0,W1)\n"
+    )
 
 
 def test_gamma_queries(capsys):

@@ -1,0 +1,134 @@
+"""The integer-row solver against a dense Gauss-Jordan reference over Fraction."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from pms.linear import LinearSolver, in_span, rank_of_vectors
+
+
+def reference(labels, rows):
+    """Rank, consistency and free-variables-zero solution of ``rows``.
+
+    Dense Gauss-Jordan elimination over Fraction with the columns in label
+    order, so the pivot columns are the leading labels of the row space.
+    """
+    labels = sorted(labels)
+    matrix = [
+        [Fraction(row.get(v, 0)) for v in labels] + [Fraction(rhs)]
+        for row, rhs in rows
+    ]
+    pivots = []
+    r = 0
+    for col in range(len(labels)):
+        hit = next((i for i in range(r, len(matrix)) if matrix[i][col]), None)
+        if hit is None:
+            continue
+        matrix[r], matrix[hit] = matrix[hit], matrix[r]
+        inv = 1 / matrix[r][col]
+        matrix[r] = [x * inv for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][col]:
+                f = matrix[i][col]
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
+        pivots.append(labels[col])
+        r += 1
+    consistent = all(row[-1] == 0 for row in matrix[r:])
+    solution = {v: matrix[i][-1] for i, v in enumerate(pivots)}
+    return len(pivots), consistent, solution if consistent else None
+
+
+def random_coeff(rng, integer):
+    num = rng.choice([n for n in range(-5, 6) if n])
+    if integer:
+        return num
+    return Fraction(num, rng.randint(1, 6))
+
+
+def random_system(rng):
+    """Sparse rows solved by a planted point, plus redundant rows.
+
+    About a quarter of the systems get one extra row whose rhs is shifted
+    off a combination of the others, which makes them inconsistent.
+    """
+    labels = [("x", i) for i in rng.sample(range(20), rng.randint(1, 8))]
+    integer_point = rng.random() < 0.5
+    point = {v: random_coeff(rng, integer_point) for v in labels}
+    if rng.random() < 0.2:
+        point = dict.fromkeys(labels, 0)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        integer = rng.random() < 0.3
+        support = rng.sample(labels, rng.randint(1, min(4, len(labels))))
+        row = {v: random_coeff(rng, integer) for v in support}
+        rhs = sum(c * point[v] for v, c in row.items())
+        if rng.random() < 0.2:
+            row[rng.choice(labels)] = 0  # explicit zeros are ignored
+        if integer and integer_point:
+            rhs = int(rhs)
+        rows.append((row, rhs))
+    for _ in range(rng.randint(0, 3)):
+        # a combination of earlier rows
+        combo: dict = {}
+        total = Fraction(0)
+        for row, rhs in rng.sample(rows, min(2, len(rows))):
+            f = random_coeff(rng, False)
+            for v, c in row.items():
+                combo[v] = combo.get(v, 0) + f * c
+            total += f * rhs
+        rows.append((combo, total))
+    if rng.random() < 0.25:
+        row, rhs = rng.choice(rows)
+        rows.append(({v: 2 * c for v, c in row.items()}, 2 * rhs + 1))
+    rng.shuffle(rows)
+    return labels, rows
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_solver_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    labels, rows = random_system(rng)
+    solver = LinearSolver()
+    for row, rhs in rows:
+        solver.add_equation(row, rhs)
+    rank, consistent, solution = reference(labels, rows)
+    assert solver.is_consistent() == consistent
+    values = solver.solve()
+    assert values == solution
+    if consistent:
+        assert solver.rank == rank
+        assert all(type(x) is Fraction for x in values.values())
+    # stored pivot rows are primitive integer rows on their smallest label,
+    # with a positive pivot coefficient
+    for pivot, prow in solver.pivot_rows.items():
+        entries = list(prow.values()) + [solver.pivot_rhs[pivot]]
+        assert all(type(c) is int for c in entries)
+        assert gcd(*entries) == 1
+        assert pivot == min(prow) and prow[pivot] > 0
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_rank_and_span_match_reference(seed):
+    rng = random.Random(seed)
+    labels, rows = random_system(rng)
+    vectors = [row for row, _ in rows]
+    homogeneous = [(row, 0) for row in vectors]
+    rank = reference(labels, homogeneous)[0]
+    assert rank_of_vectors(vectors) == rank
+    basis, vector = vectors[:-1], vectors[-1]
+    expected = reference(labels, [(row, 0) for row in basis])[0] == rank
+    assert in_span(vector, basis) == expected
+
+
+def test_corrupted_pivot_row_fails_verification():
+    solver = LinearSolver()
+    solver.add_equation({"x": Fraction(1, 2), "y": Fraction(1, 2)}, 3)
+    solver.add_equation({"y": 1}, 1)
+    assert solver.solve() == {"x": 5, "y": 1}
+    solver.pivot_rows["x"]["y"] = 2
+    with pytest.raises(AssertionError, match="verification failed"):
+        solver.solve()
