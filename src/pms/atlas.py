@@ -31,6 +31,7 @@ from .laurent_core import (
     LaurentPoly,
     Rational,
     format_rational,
+    json_shape,
     monomial_str,
     monoids_equal,
     parse_rational,
@@ -226,6 +227,38 @@ def _spanning_tree(names: list[str], edges: set[Pair]) -> dict[str, list[str]]:
     return paths
 
 
+def fold_tree_routes(names: list[str], data: dict, reverse, start, step) -> dict:
+    """Fold spanning data along tree routes, for every ordered chart pair.
+
+    ``data`` holds entries on a connected set of pairs; a missing reverse
+    entry on (j, i) is ``reverse(i, j, entry_ij)``.  The value on (i, k) is
+    ``start`` folded by ``acc = step(acc, i, a, entry_ab)`` over the steps
+    (a, b) of the tree route from i to k.
+    """
+    lookup = {}
+    for (i, j), entry in data.items():
+        lookup[(i, j)] = entry
+        if (j, i) not in data:
+            lookup[(j, i)] = reverse(i, j, entry)
+    paths = _spanning_tree(names, set(lookup))
+    full = {}
+    for i in names:
+        for k in names:
+            if i == k:
+                continue
+            # walk i -> root -> k along tree paths; contract the common prefix
+            pi, pk = paths[i][::-1], paths[k]  # i..root, root..k
+            while len(pi) > 1 and len(pk) > 1 and pi[-2] == pk[1]:
+                pi = pi[:-1]
+                pk = pk[1:]
+            route = pi + pk[1:]
+            acc = start
+            for a, b in zip(route, route[1:]):
+                acc = step(acc, i, a, lookup[(a, b)])
+            full[(i, k)] = acc
+    return full
+
+
 def derive_mult(atlas: Atlas, c: MultCocycle) -> dict[Pair, LaurentPoly]:
     """All ordered-pair entries from spanning data, via chart potentials."""
     names = atlas.chart_names()
@@ -258,40 +291,19 @@ def derive_vector_field(
     Uses the reversal rule D_ji = -alpha_ji * D_ij and the twisted chain rule
     along spanning-tree paths.
     """
-    names = atlas.chart_names()
-    lookup: dict[Pair, tuple[LaurentPoly, ...]] = {}
-    for (i, j), comps in D.data.items():
-        lookup[(i, j)] = comps
-        if (j, i) not in D.data:
-            back = alpha_full[(j, i)]
-            lookup[(j, i)] = tuple(-(back * c) for c in comps)
-    paths = _spanning_tree(names, set(lookup))
-    zero = tuple(LaurentPoly.zero(atlas.nvars) for _ in atlas.variables)
+    one = LaurentPoly.const(atlas.nvars, 1)
 
-    def chain(i: str, k: str) -> tuple[LaurentPoly, ...]:
-        # walk i -> root -> k along tree paths; contract the common prefix
-        pi, pk = paths[i][::-1], paths[k]  # i..root, root..k
-        while len(pi) > 1 and len(pk) > 1 and pi[-2] == pk[1]:
-            pi = pi[:-1]
-            pk = pk[1:]
-        route = pi + pk[1:]
-        total = list(zero)
-        for a, b in zip(route, route[1:]):
-            twist = (
-                LaurentPoly.const(atlas.nvars, 1)
-                if a == i
-                else alpha_full[(i, a)]
-            )
-            for v, comp in enumerate(lookup[(a, b)]):
-                total[v] = total[v] + twist * comp
-        return tuple(total)
+    def step(total, i, a, comps):
+        twist = one if a == i else alpha_full[(i, a)]
+        return tuple(t + twist * c for t, c in zip(total, comps))
 
-    full: dict[Pair, tuple[LaurentPoly, ...]] = {}
-    for i in names:
-        for k in names:
-            if i != k:
-                full[(i, k)] = chain(i, k)
-    return full
+    return fold_tree_routes(
+        atlas.chart_names(),
+        D.data,
+        lambda i, j, comps: tuple(-(alpha_full[(j, i)] * c) for c in comps),
+        tuple(LaurentPoly.zero(atlas.nvars) for _ in atlas.variables),
+        step,
+    )
 
 
 # -- validation ---------------------------------------------------------
@@ -494,9 +506,10 @@ def _monoid_to_json(m: ExponentMonoid) -> list[list[int]]:
 
 
 def _monoid_from_json(data, nvars: int) -> ExponentMonoid:
-    if not isinstance(data, list):
-        raise ValueError("monoid generators must be a list")
-    return ExponentMonoid(nvars, tuple(tuple(int(x) for x in g) for g in data))
+    gens = json_shape(data, list, "monoid generators", list)
+    return ExponentMonoid(nvars, tuple(
+        tuple(json_shape(g, list, "a monoid generator", int)) for g in gens
+    ))
 
 
 def document_to_json(doc: AtlasDocument) -> dict:
@@ -546,16 +559,20 @@ def _split_pair(key: str) -> Pair:
 
 
 def document_from_json(data: dict) -> AtlasDocument:
-    if not isinstance(data, dict):
-        raise ValueError("atlas document must be a JSON object")
+    json_shape(data, dict, "an atlas document")
     for key in ("variables", "truncation_order", "charts", "overlaps"):
         if key not in data:
             raise ValueError(f"atlas document is missing {key!r}")
-    variables = tuple(str(v) for v in data["variables"])
+    variables = tuple(
+        str(v) for v in json_shape(data["variables"], list, "variables")
+    )
     nvars = len(variables)
-    order = int(data["truncation_order"])
+    try:
+        order = int(data["truncation_order"])
+    except TypeError:
+        raise ValueError("truncation_order must be an integer") from None
     charts = []
-    for item in data["charts"]:
+    for item in json_shape(data["charts"], list, "charts", dict):
         if "name" not in item or "monoid_generators" not in item:
             raise ValueError("chart entries need name and monoid_generators")
         charts.append(
@@ -563,13 +580,13 @@ def document_from_json(data: dict) -> AtlasDocument:
         )
     overlaps = {
         _split_pair(key): _monoid_from_json(val, nvars)
-        for key, val in data["overlaps"].items()
+        for key, val in json_shape(data["overlaps"], dict, "overlaps").items()
     }
     frames = None
     if "frames" in data:
         frames = {
             str(name): poly_from_json(val, nvars)
-            for name, val in data["frames"].items()
+            for name, val in json_shape(data["frames"], dict, "frames").items()
         }
     scale = None
     if "residue_scale" in data:
@@ -577,16 +594,17 @@ def document_from_json(data: dict) -> AtlasDocument:
     atlas = Atlas(variables, order, tuple(charts), overlaps, frames, scale)
 
     cocycles = {}
-    for name, entries in data.get("cocycles", {}).items():
+    listed = json_shape(data.get("cocycles", {}), dict, "cocycles")
+    for name, entries in listed.items():
         cdata = {
             _split_pair(key): poly_from_json(val, nvars)
-            for key, val in entries.items()
+            for key, val in json_shape(entries, dict, "a cocycle").items()
         }
         cocycles[str(name)] = MultCocycle(str(name), cdata)
 
     double = None
     if "double_structure" in data:
-        ds = data["double_structure"]
+        ds = json_shape(data["double_structure"], dict, "double_structure")
         if "alpha" not in ds or "D" not in ds:
             raise ValueError("double_structure needs alpha and D")
         alpha_name = str(ds["alpha"])
@@ -595,7 +613,7 @@ def document_from_json(data: dict) -> AtlasDocument:
                 f"double_structure references unknown cocycle {alpha_name!r}"
             )
         ddata = {}
-        for key, comps in ds["D"].items():
+        for key, comps in json_shape(ds["D"], dict, "D").items():
             if not isinstance(comps, list) or len(comps) != nvars:
                 raise ValueError(
                     f"vector-field entry {key!r} needs one coefficient per variable"

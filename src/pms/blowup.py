@@ -2,18 +2,23 @@
 
 Three constructions are provided.  Blowing up a reduced center replaces each
 chart by one new chart per monomial generator of the center's ideal there,
-with rings enlarged by the generator ratios, and rescales the transition data
-by the ratio of the two charts' distinguished generators.  Blowing up a good
+with rings enlarged by the generator ratios.  Blowing up a hypersurface keeps
+the atlas: each chart is its own new chart, with its local equation as the
+one generator.  Both then run one rescaling core, ``_rescale``: over each
+consecutive pair of new charts it takes the base transition (the identity
+when both lie over one chart) and rescales it by the ratio x^(f-l) of the
+two distinguished generators.  The reduced blow-up passes the blown-up atlas
+and its charts; the hypersurface blow-up passes the unchanged atlas and
+``BlownChart(name, name, equation)`` per chart.  Blowing up a good
 zero-dimensional subscheme (ideal locally ``(y_r + a_r t)``) produces the
-same chart combinatorics but keeps the pulled-back bundle cocycle, correcting
-the derivation family by the coefficient field sum(a_r d/dy_r) on the center
-chart.  Blowing up a hypersurface keeps the atlas and conjugates every
-transition endomorphism by the rescaling built from the local equations.
+chart combinatorics of the reduced center but keeps the pulled-back bundle
+cocycle, correcting the derivation family by the coefficient field
+sum(a_r d/dy_r) on the center chart.
 
-For truncation order two the constructions act on double-scheme data; higher
-orders carry their transitions as ring morphisms on consecutive chart pairs
-(the ``TransitionSpec`` form), and the reduced and hypersurface constructions
-conjugate those morphisms directly.
+For truncation order two the constructions act on double-scheme data, where
+the rescaling multiplies alpha by x^(f-l) and D by x^f; higher orders carry
+their transitions as ring morphisms on consecutive chart pairs (the
+``TransitionSpec`` form), which the rescaling conjugates directly.
 """
 
 from __future__ import annotations
@@ -28,18 +33,20 @@ from .atlas import (
     Pair,
     ValidationReport,
     VectorFieldCocycle,
-    _spanning_tree,
     canonical_spanning_pairs,
     derivation_failures,
     derive_mult,
     derive_vector_field,
+    fold_tree_routes,
     pair_key,
+    transition_endomorphism,
     validate_double_scheme,
 )
 from .cohomology import iso_decide
 from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
+    json_shape,
     minimal_generators,
     monomial_is_unit,
     monomial_str,
@@ -123,17 +130,21 @@ def center_from_json(data: dict, nvars: int) -> CenterSpec:
     kind = str(data["kind"])
     generators: dict[str, tuple[LaurentPoly, ...]] = {}
     pairs: dict[str, tuple[tuple[LaurentPoly, LaurentPoly], ...]] = {}
-    for name, entry in data["per_chart"].items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"center entry for {name!r} must be an object")
+    per_chart = json_shape(data["per_chart"], dict, "per_chart")
+    for name, entry in per_chart.items():
+        entry = json_shape(entry, dict, f"center entry for {name!r}")
         if "generators" in entry:
             generators[str(name)] = tuple(
-                poly_from_json(g, nvars) for g in entry["generators"]
+                poly_from_json(g, nvars)
+                for g in json_shape(entry["generators"], list, "generators")
             )
         elif "pairs" in entry:
+            items = json_shape(entry["pairs"], list, "pairs", list)
+            if any(len(pair) != 2 for pair in items):
+                raise ValueError("center pairs must be [y, a] lists")
             pairs[str(name)] = tuple(
                 (poly_from_json(y, nvars), poly_from_json(a, nvars))
-                for y, a in entry["pairs"]
+                for y, a in items
             )
         else:
             raise ValueError(
@@ -175,75 +186,43 @@ class TransitionSpec:
 
 def lift_double(spec: DoubleSchemeSpec) -> TransitionSpec:
     """The order-two transition morphisms of a double scheme."""
-    atlas = spec.atlas
-    alpha_full = derive_mult(atlas, spec.alpha)
-    full = derive_vector_field(atlas, alpha_full, spec.D)
-    nvars = atlas.nvars
-    transitions = {}
-    for (i, j) in canonical_spanning_pairs(atlas):
-        images = tuple(
-            TruncElement(2, (LaurentPoly.var(nvars, v), full[(i, j)][v]))
-            for v in range(nvars)
-        )
-        eps = TruncElement(1, (alpha_full[(i, j)],))
-        transitions[(i, j)] = RingMorphism(2, images, eps)
-    return TransitionSpec(atlas, transitions)
+    return TransitionSpec(spec.atlas, {
+        (i, j): transition_endomorphism(spec, i, j)
+        for i, j in canonical_spanning_pairs(spec.atlas)
+    })
 
 
 def derive_transitions(
     atlas: Atlas, transitions: dict[Pair, RingMorphism]
 ) -> dict[Pair, RingMorphism]:
     """Transition morphisms on all ordered pairs, composed along a tree."""
-    names = atlas.chart_names()
-    lookup: dict[Pair, RingMorphism] = {}
-    for (i, j), theta in transitions.items():
-        lookup[(i, j)] = theta
-        if (j, i) not in transitions:
-            lookup[(j, i)] = endo_inverse(theta)
-    paths = _spanning_tree(names, set(lookup))
-    full: dict[Pair, RingMorphism] = {}
-    for i in names:
-        for k in names:
-            if i == k:
-                continue
-            pi, pk = paths[i][::-1], paths[k]
-            while len(pi) > 1 and len(pk) > 1 and pi[-2] == pk[1]:
-                pi = pi[:-1]
-                pk = pk[1:]
-            route = pi + pk[1:]
-            acc = identity_morphism(atlas.truncation_order, atlas.nvars)
-            for a, b in zip(route, route[1:]):
-                acc = compose_endo(acc, lookup[(a, b)])
-            full[(i, k)] = acc
-    return full
-
-
-def transition_failures(
-    theta: RingMorphism, ring: ExponentMonoid, variables: tuple[str, ...]
-) -> list[str]:
-    """Membership failures of a transition morphism over an overlap ring."""
-    out = []
-    eps0 = theta.epsilon.coeffs[0]
-    if not monomial_is_unit(eps0, ring):
-        out.append("epsilon is not a unit of the overlap ring")
-    for g in ring.generators:
-        image = _phi_poly(theta, LaurentPoly.monomial(theta.nvars, g))
-        for k, coeff in enumerate(image.coeffs):
-            if not poly_in_ring(coeff, ring):
-                out.append(
-                    f"image of {monomial_str(g, variables)} leaves the "
-                    f"overlap ring at order {k}"
-                )
-                break
-    return out
+    return fold_tree_routes(
+        atlas.chart_names(),
+        transitions,
+        lambda i, j, theta: endo_inverse(theta),
+        identity_morphism(atlas.truncation_order, atlas.nvars),
+        lambda acc, i, a, theta: compose_endo(acc, theta),
+    )
 
 
 def validate_transition_spec(spec: TransitionSpec) -> ValidationReport:
-    failures = spec.atlas.structure_failures()
+    """Atlas structure, unit epsilons, and overlap rings kept at every order."""
+    atlas = spec.atlas
+    failures = atlas.structure_failures()
     for (i, j), theta in sorted(spec.transitions.items()):
-        ring = spec.atlas.overlap(i, j)
-        for msg in transition_failures(theta, ring, spec.atlas.variables):
-            failures.append(f"transition on ({i},{j}): {msg}")
+        ring = atlas.overlap(i, j)
+        where = f"transition on ({i},{j})"
+        if not monomial_is_unit(theta.epsilon.coeffs[0], ring):
+            failures.append(f"{where}: epsilon is not a unit of the overlap ring")
+        for g in ring.generators:
+            image = _phi_poly(theta, LaurentPoly.monomial(theta.nvars, g))
+            for k, coeff in enumerate(image.coeffs):
+                if not poly_in_ring(coeff, ring):
+                    failures.append(
+                        f"{where}: image of {monomial_str(g, atlas.variables)}"
+                        f" leaves the overlap ring at order {k}"
+                    )
+                    break
     return ValidationReport(not failures, failures)
 
 
@@ -359,10 +338,6 @@ def _blown_atlas(
     return new_atlas, tuple(blown)
 
 
-def _ratio_poly(nvars: int, f: Exponent, l: Exponent) -> LaurentPoly:
-    return LaurentPoly.monomial(nvars, tuple(a - b for a, b in zip(f, l)))
-
-
 def _require_valid(spec, label: str) -> None:
     if isinstance(spec, TransitionSpec):
         report = validate_transition_spec(spec)
@@ -374,6 +349,92 @@ def _require_valid(spec, label: str) -> None:
         )
 
 
+def _base_transitions(
+    spec: DoubleSchemeSpec | TransitionSpec, blown: tuple[BlownChart, ...]
+):
+    """Each consecutive new-chart pair with the transition over its bases.
+
+    The base transition is the identity when both new charts lie over one
+    base chart.  It is a ring morphism for a ``TransitionSpec`` and the pair
+    (alpha, D) for double-scheme data.
+    """
+    atlas = spec.atlas
+    nvars = atlas.nvars
+    if isinstance(spec, TransitionSpec):
+        full = derive_transitions(atlas, spec.transitions)
+        identity = identity_morphism(atlas.truncation_order, nvars)
+    else:
+        if atlas.truncation_order != 2:
+            raise ValueError(
+                "double-scheme data must have truncation order two"
+            )
+        alpha_full = derive_mult(atlas, spec.alpha)
+        d_full = derive_vector_field(atlas, alpha_full, spec.D)
+        full = {pair: (alpha_full[pair], d_full[pair]) for pair in d_full}
+        identity = (
+            LaurentPoly.const(nvars, 1),
+            tuple(LaurentPoly.zero(nvars) for _ in range(nvars)),
+        )
+    for a, b in zip(blown, blown[1:]):
+        # full holds no pair of a chart with itself: shared bases get identity
+        yield a, b, full.get((a.base, b.base), identity)
+
+
+def _rescale(
+    spec: DoubleSchemeSpec | TransitionSpec,
+    new_atlas: Atlas,
+    blown: tuple[BlownChart, ...],
+    suffix: str,
+    label: str,
+) -> BlowupResult:
+    """Rescale every base transition by the ratio of distinguished monomials.
+
+    On the new pair over the base pair (i, k) with distinguished generators
+    f and l, the bundle entry becomes alpha_ik * x^(f-l); a ``TransitionSpec``
+    morphism is conjugated by that rescaling, and at order two the derivation
+    entry becomes x^f * D_ik.  The result is validated.
+    """
+    nvars = new_atlas.nvars
+    order = new_atlas.truncation_order
+    higher = isinstance(spec, TransitionSpec)
+    transitions, alpha_data, d_data, pull_data, exc_data = {}, {}, {}, {}, {}
+    for a, b, base in _base_transitions(spec, blown):
+        key = (a.name, b.name)
+        ratio = LaurentPoly.monomial(
+            nvars, tuple(x - y for x, y in zip(a.generator, b.generator))
+        )
+        if higher:
+            transitions[key] = conjugate_chi(
+                base,
+                LaurentPoly.monomial(nvars, b.generator),
+                TruncElement.from_poly(order - 1, ratio),
+            )
+            base_alpha = base.epsilon.coeffs[0]
+        else:
+            base_alpha, base_d = base
+            alpha_data[key] = base_alpha * ratio
+            d_data[key] = tuple(
+                comp.mul_monomial(a.generator) for comp in base_d
+            )
+        pull_data[key] = base_alpha
+        exc_data[key] = ratio
+    if higher:
+        new_spec = TransitionSpec(new_atlas, transitions)
+    else:
+        new_spec = DoubleSchemeSpec(
+            new_atlas,
+            MultCocycle(f"{spec.alpha.name}.{suffix}", alpha_data),
+            VectorFieldCocycle(d_data),
+        )
+    _require_valid(new_spec, label)
+    return BlowupResult(
+        new_spec,
+        MultCocycle("pullback", pull_data),
+        MultCocycle("exceptional", exc_data),
+        blown,
+    )
+
+
 # -- reduced centers ----------------------------------------------------
 
 
@@ -381,7 +442,6 @@ def blowup_reduced(
     spec: DoubleSchemeSpec | TransitionSpec,
     center: CenterSpec,
     rename: dict[str, str] | None = None,
-    check: bool = True,
 ) -> BlowupResult:
     """Blow up along a reduced monomial center.
 
@@ -392,80 +452,9 @@ def blowup_reduced(
     """
     if center.kind != "reduced":
         raise ValueError("blowup_reduced needs a reduced center")
-    atlas = spec.atlas
-    exponents = _center_exponents(atlas, center)
-    new_atlas, blown = _blown_atlas(atlas, exponents, rename)
-    nvars = atlas.nvars
-    new_pairs = [
-        (blown[i], blown[i + 1]) for i in range(len(blown) - 1)
-    ]
-
-    if isinstance(spec, TransitionSpec):
-        theta_full = derive_transitions(atlas, spec.transitions)
-        order = atlas.truncation_order
-        transitions = {}
-        pull_data = {}
-        exc_data = {}
-        alpha_data = {}
-        for a, b in new_pairs:
-            if a.base == b.base:
-                theta = identity_morphism(order, nvars)
-            else:
-                theta = theta_full[(a.base, b.base)]
-            ratio = _ratio_poly(nvars, a.generator, b.generator)
-            new_theta = conjugate_chi(
-                theta,
-                LaurentPoly.monomial(nvars, b.generator),
-                TruncElement.from_poly(order - 1, ratio),
-            )
-            transitions[(a.name, b.name)] = new_theta
-            base_alpha = theta.epsilon.coeffs[0]
-            pull_data[(a.name, b.name)] = base_alpha
-            exc_data[(a.name, b.name)] = ratio
-            alpha_data[(a.name, b.name)] = base_alpha * ratio
-        new_spec: DoubleSchemeSpec | TransitionSpec = TransitionSpec(
-            new_atlas, transitions
-        )
-    else:
-        if atlas.truncation_order != 2:
-            raise ValueError(
-                "double-scheme data must have truncation order two"
-            )
-        alpha_full = derive_mult(atlas, spec.alpha)
-        d_full = derive_vector_field(atlas, alpha_full, spec.D)
-        one = LaurentPoly.const(nvars, 1)
-        zero = tuple(LaurentPoly.zero(nvars) for _ in range(nvars))
-        alpha_data = {}
-        pull_data = {}
-        exc_data = {}
-        d_data = {}
-        for a, b in new_pairs:
-            base_alpha = (
-                one if a.base == b.base else alpha_full[(a.base, b.base)]
-            )
-            base_d = zero if a.base == b.base else d_full[(a.base, b.base)]
-            ratio = _ratio_poly(nvars, a.generator, b.generator)
-            alpha_data[(a.name, b.name)] = base_alpha * ratio
-            pull_data[(a.name, b.name)] = base_alpha
-            exc_data[(a.name, b.name)] = ratio
-            d_data[(a.name, b.name)] = tuple(
-                comp.mul_monomial(a.generator) for comp in base_d
-            )
-        new_spec = DoubleSchemeSpec(
-            new_atlas,
-            MultCocycle(f"{spec.alpha.name}.blown", alpha_data),
-            VectorFieldCocycle(d_data),
-        )
-
-    result = BlowupResult(
-        new_spec,
-        MultCocycle("pullback", pull_data),
-        MultCocycle("exceptional", exc_data),
-        blown,
-    )
-    if check:
-        _require_valid(new_spec, "blowup_reduced")
-    return result
+    exponents = _center_exponents(spec.atlas, center)
+    new_atlas, blown = _blown_atlas(spec.atlas, exponents, rename)
+    return _rescale(spec, new_atlas, blown, "blown", "blowup_reduced")
 
 
 def xi_map(
@@ -576,9 +565,6 @@ def blowup_good(
     exponents = _center_exponents(atlas, reduced)
     new_atlas, blown = _blown_atlas(atlas, exponents, rename)
     nvars = atlas.nvars
-    alpha_full = derive_mult(atlas, spec.alpha)
-    d_full = derive_vector_field(atlas, alpha_full, spec.D)
-    one = LaurentPoly.const(nvars, 1)
     zero = tuple(LaurentPoly.zero(nvars) for _ in range(nvars))
 
     def rho(base: str) -> tuple[LaurentPoly, ...]:
@@ -588,10 +574,7 @@ def blowup_good(
 
     alpha_data = {}
     d_data = {}
-    for pos in range(len(blown) - 1):
-        a, b = blown[pos], blown[pos + 1]
-        base_alpha = one if a.base == b.base else alpha_full[(a.base, b.base)]
-        base_d = zero if a.base == b.base else d_full[(a.base, b.base)]
+    for a, b, (base_alpha, base_d) in _base_transitions(spec, blown):
         rho_a, rho_b = rho(a.base), rho(b.base)
         alpha_data[(a.name, b.name)] = base_alpha
         d_data[(a.name, b.name)] = tuple(
@@ -604,10 +587,9 @@ def blowup_good(
         MultCocycle(f"{spec.alpha.name}.pulled", dict(alpha_data)),
         VectorFieldCocycle(d_data),
     )
-    result = BlowupResult(new_spec, pull, None, blown)
     if check:
         _require_valid(new_spec, "blowup_good")
-    return result
+    return BlowupResult(new_spec, pull, None, blown)
 
 
 # -- hypersurface centers -----------------------------------------------
@@ -647,74 +629,19 @@ def _hypersurface_equations(
 def blowup_hypersurface(
     spec: DoubleSchemeSpec | TransitionSpec,
     center: CenterSpec,
-    check: bool = True,
 ) -> BlowupResult:
     """Blow up along a hypersurface given by compatible monomial equations.
 
-    The atlas is unchanged; transitions are conjugated by the rescalings of
-    the local equations, which multiplies the bundle cocycle by x_i/x_j and,
-    at truncation order two, the derivation entries by x_i.
+    The atlas is unchanged and each chart is its own new chart with its local
+    equation as distinguished generator, so the rescaling multiplies the
+    bundle cocycle by x_i/x_j and, at truncation order two, the derivation
+    entries by x_i.
     """
-    atlas = spec.atlas
-    eqs = _hypersurface_equations(atlas, center)
-    nvars = atlas.nvars
-    pairs = canonical_spanning_pairs(atlas)
+    eqs = _hypersurface_equations(spec.atlas, center)
     blown = tuple(
-        BlownChart(name, name, eqs[name]) for name in atlas.chart_names()
+        BlownChart(name, name, eqs[name]) for name in spec.atlas.chart_names()
     )
-
-    if isinstance(spec, TransitionSpec):
-        order = atlas.truncation_order
-        theta_full = derive_transitions(atlas, spec.transitions)
-        transitions = {}
-        pull_data = {}
-        exc_data = {}
-        for (i, j) in pairs:
-            ratio = _ratio_poly(nvars, eqs[i], eqs[j])
-            transitions[(i, j)] = conjugate_chi(
-                theta_full[(i, j)],
-                LaurentPoly.monomial(nvars, eqs[j]),
-                TruncElement.from_poly(order - 1, ratio),
-            )
-            pull_data[(i, j)] = theta_full[(i, j)].epsilon.coeffs[0]
-            exc_data[(i, j)] = ratio
-        new_spec: DoubleSchemeSpec | TransitionSpec = TransitionSpec(
-            atlas, transitions
-        )
-    else:
-        if atlas.truncation_order != 2:
-            raise ValueError(
-                "double-scheme data must have truncation order two"
-            )
-        alpha_full = derive_mult(atlas, spec.alpha)
-        d_full = derive_vector_field(atlas, alpha_full, spec.D)
-        alpha_data = {}
-        pull_data = {}
-        exc_data = {}
-        d_data = {}
-        for (i, j) in pairs:
-            ratio = _ratio_poly(nvars, eqs[i], eqs[j])
-            alpha_data[(i, j)] = alpha_full[(i, j)] * ratio
-            pull_data[(i, j)] = alpha_full[(i, j)]
-            exc_data[(i, j)] = ratio
-            d_data[(i, j)] = tuple(
-                comp.mul_monomial(eqs[i]) for comp in d_full[(i, j)]
-            )
-        new_spec = DoubleSchemeSpec(
-            atlas,
-            MultCocycle(f"{spec.alpha.name}.twisted", alpha_data),
-            VectorFieldCocycle(d_data),
-        )
-
-    result = BlowupResult(
-        new_spec,
-        MultCocycle("pullback", pull_data),
-        MultCocycle("exceptional", exc_data),
-        blown,
-    )
-    if check:
-        _require_valid(new_spec, "blowup_hypersurface")
-    return result
+    return _rescale(spec, spec.atlas, blown, "twisted", "blowup_hypersurface")
 
 
 # -- successive blow-ups ------------------------------------------------

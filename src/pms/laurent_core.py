@@ -342,7 +342,8 @@ def membership_bound(generators: tuple[Exponent, ...], target: Exponent) -> int:
     return total + MEMBERSHIP_SLACK
 
 
-@lru_cache(maxsize=None)
+# a few thousand distinct queries cover the catalog solvers
+@lru_cache(maxsize=8192)
 def _monoid_contains_cached(generators: tuple[Exponent, ...], target: Exponent) -> bool:
     bound = membership_bound(generators, target)
     n = len(target)
@@ -461,14 +462,19 @@ def poly_to_json(p: LaurentPoly) -> list[dict]:
     ]
 
 
+def json_shape(value, kind: type, what: str, item: type = object):
+    """``value`` if it is a JSON ``kind`` (list or dict) of ``item`` entries."""
+    if not isinstance(value, kind) or not all(isinstance(x, item) for x in value):
+        raise ValueError(f"wrong JSON shape for {what}")
+    return value
+
+
 def poly_from_json(data: list, nvars: int) -> LaurentPoly:
     terms: dict[Exponent, Rational] = {}
-    if not isinstance(data, list):
-        raise ValueError("polynomial serialization must be a list of terms")
-    for item in data:
-        if not isinstance(item, dict) or "coeff" not in item or "exp" not in item:
+    for item in json_shape(data, list, "a polynomial term list", dict):
+        if "coeff" not in item or "exp" not in item:
             raise ValueError(f"malformed polynomial term {item!r}")
-        exp = tuple(int(x) for x in item["exp"])
+        exp = tuple(json_shape(item["exp"], list, "a term exponent", int))
         if len(exp) != nvars:
             raise ValueError(
                 f"term exponent {list(exp)} has {len(exp)} entries, expected {nvars}"

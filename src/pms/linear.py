@@ -294,10 +294,11 @@ class SymPoly:
 
         Without a ring, every coefficient must vanish.
         """
-        exps = set(self.table) | self.const.support()
-        for f in sorted(exps):
+        # the right-hand side is almost always zero: negate only stored terms
+        rhs = {f: -c for f, c in self.const.items()}
+        for f in sorted(rhs.keys() | self.table.keys()):
             if ring is None or not ring.contains(f):
-                yield dict(self.table.get(f, {})), -self.const.coefficient(f)
+                yield dict(self.table.get(f, {})), rhs.get(f, 0)
 
 
 def derivation_rows(

@@ -63,6 +63,7 @@ from .laurent_core import (
     LaurentPoly,
     Rational,
     format_rational,
+    monomial_str,
 )
 from .linear import SymPoly, derivation_rows, rank_of_vectors, solve_rows
 
@@ -136,17 +137,26 @@ def _build_atlas(charts, overlaps, frames, symbolic: bool) -> Atlas:
     )
 
 
-@lru_cache(maxsize=None)
 def make_p2_atlas(symbolic: bool = False) -> Atlas:
     """The projective plane atlas (treat the shared result as immutable)."""
+    return _p2_atlas(bool(symbolic))
+
+
+def make_wcover_atlas(symbolic: bool = False) -> Atlas:
+    """The blown-plane atlas (treat the shared result as immutable)."""
+    return _wcover_atlas(bool(symbolic))
+
+
+# keyed by the bare bool, so f(), f(False) and f(symbolic=False) share a slot
+@lru_cache(maxsize=2)
+def _p2_atlas(symbolic: bool) -> Atlas:
     atlas = _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES, symbolic)
     atlas.residue_scale = calibrate_residue(atlas, p2_line_bundle(1, atlas))
     return atlas
 
 
-@lru_cache(maxsize=None)
-def make_wcover_atlas(symbolic: bool = False) -> Atlas:
-    """The blown-plane atlas (treat the shared result as immutable)."""
+@lru_cache(maxsize=2)
+def _wcover_atlas(symbolic: bool) -> Atlas:
     atlas = _build_atlas(_W_CHARTS, _W_OVERLAPS, _W_FRAMES, symbolic)
     atlas.residue_scale = calibrate_residue(
         atlas, _beta_on(atlas, 1, 0, symbolic)
@@ -375,27 +385,34 @@ def extension_lattice(alpha) -> tuple[int, int]:
     return pair
 
 
-def _poly_str(p: LaurentPoly) -> str:
-    from .laurent_core import monomial_str
+def _signed_sum(terms) -> str:
+    """``c1*n1 + c2*n2 - ...`` over (coefficient, name) terms.
 
-    names = VARIABLES + (SYMBOL,)
+    A term without a name is a constant; an empty sum is ``0``.
+    """
     parts = []
-    for e, c in p.items():
-        mono = monomial_str(e, names[: p.nvars])
-        if mono == "1":
-            parts.append(format_rational(c))
-        elif c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
+    for coeff, name in terms:
+        if name is None:
+            parts.append(format_rational(coeff))
+        elif coeff == 1:
+            parts.append(name)
+        elif coeff == -1:
+            parts.append(f"-{name}")
         else:
-            parts.append(f"{format_rational(c)}*{mono}")
+            parts.append(f"{format_rational(coeff)}*{name}")
     if not parts:
         return "0"
     out = parts[0]
     for piece in parts[1:]:
         out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return out
+
+
+def _poly_str(p: LaurentPoly) -> str:
+    names = (VARIABLES + (SYMBOL,))[: p.nvars]
+    return _signed_sum(
+        (c, monomial_str(e, names) if any(e) else None) for e, c in p.items()
+    )
 
 
 def quasiprojective(alpha) -> dict:
@@ -562,30 +579,7 @@ def _gauge_vectors(m: int, p: int, box) -> list[dict]:
 
 
 def _label_str(label) -> str:
-    if label == ("c0",):
-        return "c0"
-    if label == ("c0D",):
-        return "c0D"
-    return f"{label[0]}{label[1]}"
-
-
-def _expr_str(const: Fraction, deps: dict) -> str:
-    parts = []
-    if const:
-        parts.append(format_rational(const))
-    for name, coeff in deps.items():
-        if coeff == 1:
-            parts.append(name)
-        elif coeff == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{format_rational(coeff)}*{name}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+    return "".join(map(str, label))  # ("c0",) -> c0, ("R", 2) -> R2
 
 
 @dataclass
@@ -745,13 +739,13 @@ def solve_pullback_family(
         if label in pins:
             continue
         const = base.get(label, Fraction(0))
-        deps = {}
+        terms = [(const, None)] if const else []
         for pin in pins:
             coeff = directions[pin].get(label, Fraction(0)) - const
             if coeff:
-                deps[_label_str(pin)] = coeff
-        if const or deps:
-            relations.append(f"{_label_str(label)} = {_expr_str(const, deps)}")
+                terms.append((coeff, _label_str(pin)))
+        if terms:
+            relations.append(f"{_label_str(label)} = {_signed_sum(terms)}")
         else:
             zeros.append(_label_str(label))
     if zeros:

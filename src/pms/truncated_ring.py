@@ -270,7 +270,8 @@ def chi_morphism(order: int, y: TruncElement) -> RingMorphism:
     return RingMorphism(order, images, y)
 
 
-@lru_cache(maxsize=None)
+# powers are reused within one computation; fresh morphisms evict old ones
+@lru_cache(maxsize=4096)
 def _image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
     if k == 0:
         return TruncElement.one(theta.order, theta.nvars)

@@ -1,5 +1,6 @@
 """Tests for the blow-up constructors and the induced class maps."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 
 from pms.atlas import (
     Atlas,
+    AtlasDocument,
     bundle_ops,
     derive_mult,
     derive_vector_field,
+    dumps_document,
     same_structure,
     transition_endomorphism,
     validate_double_scheme,
@@ -38,7 +41,12 @@ from pms.p2_catalog import (
     make_p2,
     make_p2_atlas,
 )
-from pms.truncated_ring import RingMorphism, TruncElement, conjugate_chi
+from pms.truncated_ring import (
+    RingMorphism,
+    TruncElement,
+    conjugate_chi,
+    trunc_to_json,
+)
 
 
 def mono(exp, coeff=1):
@@ -447,3 +455,171 @@ def test_solver_witness_bytes_are_pinned(case):
     assert report.pop("caveat") == BOUND_CAVEAT
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert text == PINNED_REPORTS[case]
+
+
+# sha256 of the serialized output of every blow-up kind on the catalog
+# structures; any refactor of the blow-up code must leave these bytes alone.
+def _blowup_document_bytes(result):
+    cocycles = {result.spec.alpha.name: result.spec.alpha}
+    for extra in (result.pullback, result.exceptional):
+        if extra is not None:
+            cocycles.setdefault(extra.name, extra)
+    doc = AtlasDocument(result.spec.atlas, cocycles, result.spec)
+    return dumps_document(doc).encode()
+
+
+def _transitions_bytes(result):
+    return json.dumps(
+        {
+            f"{i},{j}": {
+                "images": [trunc_to_json(u) for u in theta.variable_images],
+                "epsilon": trunc_to_json(theta.epsilon),
+            }
+            for (i, j), theta in sorted(result.spec.transitions.items())
+        },
+        sort_keys=True,
+    ).encode()
+
+
+def _golden_cases():
+    cases = {}
+    planes = {
+        "p2(-3,x)": lambda: make_p2(-3, nontrivial=True),
+        "p2(-3)": lambda: make_p2(-3),
+        "p2(-1)": lambda: make_p2(-1),
+        "p2(0)": lambda: make_p2(0),
+        "p2(2)": lambda: make_p2(2),
+    }
+    good = good_center(1, Fraction(1, 2))
+    for label, plane in planes.items():
+        cases[f"{label}/point"] = lambda plane=plane: _blowup_document_bytes(
+            blowup_reduced(plane(), P_CENTER, rename=RENAME)
+        )
+        cases[f"{label}/line"] = lambda plane=plane: _blowup_document_bytes(
+            blowup_hypersurface(plane(), LINE_X0)
+        )
+        cases[f"{label}/good"] = lambda plane=plane: _blowup_document_bytes(
+            blowup_good(plane(), good, rename=RENAME)
+        )
+
+        def after_good(plane=plane):
+            first = blowup_good(plane(), good, rename=RENAME)
+            return _blowup_document_bytes(
+                blowup_hypersurface(first.spec, exceptional_center(first))
+            )
+
+        cases[f"{label}/good+exceptional"] = after_good
+    for alpha in (Fraction(1, 2), Fraction(3), Fraction(-2)):
+        cases[f"carpet({alpha})/exceptional"] = (
+            lambda alpha=alpha: _blowup_document_bytes(
+                blowup_hypersurface(build_carpet(alpha), EXCEPTIONAL_LINE)
+            )
+        )
+    for p in range(3):
+        cases[f"blown(-3,{p})/exceptional"] = (
+            lambda p=p: _blowup_document_bytes(
+                blowup_hypersurface(make_blown_plane(-3, p), EXCEPTIONAL_LINE)
+            )
+        )
+    cases["order3/point"] = lambda: _transitions_bytes(
+        blowup_reduced(order3_family(), P_CENTER, rename=RENAME)
+    )
+    cases["order3/line"] = lambda: _transitions_bytes(
+        blowup_hypersurface(order3_family(), LINE_X0)
+    )
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+GOLDEN_SHA256 = {
+    "blown(-3,0)/exceptional": (
+        "d5d87a21dbb6563beb6b086b314b9af741d64827338b4fee45f926c3cdd77c63"
+    ),
+    "blown(-3,1)/exceptional": (
+        "50a65a4b1d933ebdbae2d93fdbc476e052f0bfcd3844f6c1f9212a703c2c6578"
+    ),
+    "blown(-3,2)/exceptional": (
+        "24e6bfbe3aa59895b7ce08b167c5b6fd450dcb7dd726ab2f27e9ad58f63638e4"
+    ),
+    "carpet(-2)/exceptional": (
+        "b0ed68418f5a2f026f8921fac6bb63b20499002373abaffeb64f780a5c8bd67e"
+    ),
+    "carpet(1/2)/exceptional": (
+        "4cd0e30423ef75ed8bb1475f23c63e1b5c68340194653ac55f2b764b538a37c0"
+    ),
+    "carpet(3)/exceptional": (
+        "4668deec1b7d487d75b5107d8f51fb15475f451a6a0ddcd0d96dc52661b45e62"
+    ),
+    "order3/line": (
+        "17913af26dc3864668a4300c23ea61379eda54ebdf12a99eec08c596cbbda417"
+    ),
+    "order3/point": (
+        "78f485bbc967377cf936607e22321c9874d2f22663c61c2683110a35fe6bb50c"
+    ),
+    "p2(-1)/good": (
+        "f94d1559b4063ca144cc14089a702b0521540d08cfcedfa7a80501848346e4d6"
+    ),
+    "p2(-1)/good+exceptional": (
+        "993a202d745271f7222ea70d54061a150530b213129fbff8e65758433ba4a7b1"
+    ),
+    "p2(-1)/line": (
+        "8ee1294d6ee81a4a57a9719b51a3f4fec62602a12cf8a62eecce64786a0266b9"
+    ),
+    "p2(-1)/point": (
+        "398a12e662490c9a974cadce5174da0e8e352cf425e51b4d8309601c3e4fa60e"
+    ),
+    "p2(-3)/good": (
+        "7d1f7d0779ad8ade7ade9ba5dbd179d5117f86bdad7c80af5163126530c29cc1"
+    ),
+    "p2(-3)/good+exceptional": (
+        "6d7fc2c9882f6f404fd859f63b489049d273da8b12facc4410eb81c64586bd99"
+    ),
+    "p2(-3)/line": (
+        "691afe8c4c2d191c19c115d6bf245f5d49d2cff57a69d849177c368cd739b82a"
+    ),
+    "p2(-3)/point": (
+        "78dfc2f353c620a818b0c2d2b63278df87abde1d9896bd6e3855371163beb6d9"
+    ),
+    "p2(-3,x)/good": (
+        "17c5d57fd10a2621874bdbdd2038fdc31c436e329a037138611e8cf456d0d4c2"
+    ),
+    "p2(-3,x)/good+exceptional": (
+        "028e6b3db76486d1750d2781b074a4eacb27724d1510d15cc54b9a842b332d82"
+    ),
+    "p2(-3,x)/line": (
+        "1262ad0e64816cc49c007d6b28d1a6078e981d9ff0d46407b3292365e7c07fb0"
+    ),
+    "p2(-3,x)/point": (
+        "156d1a81aa02aeea495c187239ca2658747a024f5a08ff3695404c907d5e1413"
+    ),
+    "p2(0)/good": (
+        "69d5308c7f675cbc09559a2f28d5fcd67ad48cfc39e293c07f04e564812caf92"
+    ),
+    "p2(0)/good+exceptional": (
+        "16f393af1bff330601eaffecfbdaef2c892ae97dc3bd6be9af8d5a4bc7263ae6"
+    ),
+    "p2(0)/line": (
+        "1bc1d278b21ff0de05ec2194a09bd936fda917beeef03729eeda4db5e26735b2"
+    ),
+    "p2(0)/point": (
+        "511b6aefcc961559ead1383314fb58baf3bf5ef141dcc07de966aa179ed68f30"
+    ),
+    "p2(2)/good": (
+        "e7fe8381d48aa5e26ae5300ad24f381cadd293567be289d9de6657ebfe9cd518"
+    ),
+    "p2(2)/good+exceptional": (
+        "e6c1c655767c8a4b1017f6841e01938ad879a43f2cbe13aabb30a567772f5f5e"
+    ),
+    "p2(2)/line": (
+        "ee325da8745ff68be97819ca8da5422ae3742c257c101ab729b1918c0968aacc"
+    ),
+    "p2(2)/point": (
+        "c7f0070ba9a176101a20c636597f20da9f3464085795ef26042f7e6e480882cb"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_blowup_output_bytes_are_pinned(case):
+    digest = hashlib.sha256(GOLDEN_CASES[case]()).hexdigest()
+    assert digest == GOLDEN_SHA256[case]

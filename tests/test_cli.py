@@ -138,6 +138,44 @@ def test_validate_good_and_malformed(tmp_path, capsys):
     assert json.loads(out)["failures"]
 
 
+# (file, key path, replacement): each makes a JSON value the wrong shape
+MALFORMED_INPUTS = [
+    ("atlas", ("charts",), [1]),
+    ("atlas", ("variables",), 5),
+    ("atlas", ("overlaps",), []),
+    ("atlas", ("cocycles",), []),
+    ("atlas", ("charts", 0, "monoid_generators", 0), 5),
+    ("center", ("per_chart",), []),
+    ("center", ("per_chart", "U2", "generators"), 5),
+    ("center", ("per_chart", "U2", "generators", 0, 0, "exp"), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "which, path, value",
+    MALFORMED_INPUTS,
+    ids=[f"{w}:{'.'.join(map(str, p))}" for w, p, _ in MALFORMED_INPUTS],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, which, path, value):
+    atlas = write_plane_doc(tmp_path)
+    center = write_point_center(tmp_path)
+    target = atlas if which == "atlas" else center
+    data = json.loads(target.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target.write_text(json.dumps(data))
+    if which == "atlas":
+        argv = ("validate", str(atlas))
+    else:
+        argv = ("blowup", str(atlas), "--center", str(center), "--kind",
+                "reduced")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_iso_exit_codes(tmp_path, capsys):
     path = write_plane_doc(tmp_path)
     code, out, _ = run(

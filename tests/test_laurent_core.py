@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import pms
 from pms.laurent_core import (
     ExponentMonoid,
     LaurentPoly,
@@ -221,3 +224,17 @@ def test_monomial_str():
     assert monomial_str((0, 0), ("lam", "mu")) == "1"
     assert monomial_str((1, 0), ("lam", "mu")) == "lam"
     assert monomial_str((2, -1), ("lam", "mu")) == "lam^2*mu^-1"
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(pms.__path__):
+        module = importlib.import_module(f"pms.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)):
+                caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert {
+        "laurent_core._monoid_contains_cached",
+        "truncated_ring._image_power",
+    } <= set(caches)
+    assert all(size is not None for size in caches.values()), caches
