@@ -567,10 +567,9 @@ def document_from_json(data: dict) -> AtlasDocument:
         str(v) for v in json_shape(data["variables"], list, "variables")
     )
     nvars = len(variables)
-    try:
-        order = int(data["truncation_order"])
-    except TypeError:
-        raise ValueError("truncation_order must be an integer") from None
+    order = data["truncation_order"]
+    if type(order) is not int:  # a float, string or bool is not an order
+        raise ValueError("truncation_order must be a JSON integer")
     charts = []
     for item in json_shape(data["charts"], list, "charts", dict):
         if "name" not in item or "monoid_generators" not in item:

@@ -26,6 +26,7 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
+    json_shape,
     poly_from_json,
     poly_in_ring,
     poly_to_json,
@@ -112,9 +113,11 @@ def good_point_from_json(data: dict) -> GoodPoint:
     for key in ("chart", "coords", "coeffs"):
         if key not in data:
             raise ValueError(f"a good point needs {key!r}")
-    coords = [poly_from_json(p, 2) for p in data["coords"]]
-    coeffs = [poly_from_json(p, 2) for p in data["coeffs"]]
-    return GoodPoint(str(data["chart"]), tuple(coords), tuple(coeffs))
+    coords, coeffs = (
+        tuple(poly_from_json(p, 2) for p in json_shape(data[key], list, key))
+        for key in ("coords", "coeffs")
+    )
+    return GoodPoint(str(data["chart"]), coords, coeffs)
 
 
 def standard_good_point(a1, a2, chart: str = "U2") -> GoodPoint:

@@ -13,17 +13,28 @@ them with the internal ``LaurentPoly._wrap``, which skips re-normalization and
 therefore accepts only canonical dicts.
 
 A chart ring is described by the monoid of exponents it contains, given by a
-finite generator list.  Membership of an exponent vector in the monoid is
-decided by a complete bounded search: a vector e lies in the monoid iff it is
-a non-negative integer combination of the generators with coefficients at most
+finite generator list.  Membership of an exponent vector e is decided through
+the cone and lattice view of affine monoids (Bruns-Gubeladze, "Polytopes,
+Rings, and K-Theory", ch. 2).  By Caratheodory's theorem e lies in the real
+cone of the generators iff e = sum(l_i b_i) with l_i >= 0 for some linearly
+independent generator subset b of full rank; if no such subset exists, e is
+not in the monoid.  Otherwise the residue e - sum(floor(l_i) b_i) is an integer
+point of the half-open parallelepiped of b, a finite set; if it is zero, or
+the bounded search below finds it in the monoid, e is in the monoid, with the
+residue's coefficients plus floor(l) as witness.  These two answers are exact,
+and every yes carries a non-negative integer witness.  When no residue is
+found in the monoid, the bounded search on e decides: it accepts e iff e is a
+non-negative integer combination of the generators with coefficients at most
 B, where B is the sum of the absolute values of all generator and target
-components plus 4.  For the cone-like monoids used here the bound is large
-enough that the bounded search agrees with true membership.
+components plus 4.  Only this fallback can miss a member, one that needs a
+larger coefficient; for the cone-like monoids used here the bound is large
+enough.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -345,6 +356,125 @@ def membership_bound(generators: tuple[Exponent, ...], target: Exponent) -> int:
 # a few thousand distinct queries cover the catalog solvers
 @lru_cache(maxsize=8192)
 def _monoid_contains_cached(generators: tuple[Exponent, ...], target: Exponent) -> bool:
+    return membership_witness(generators, target)[1] is not None
+
+
+def membership_witness(
+    generators: tuple[Exponent, ...], target: Exponent
+) -> tuple[str, tuple[int, ...] | None]:
+    """How membership of ``target`` is decided, and a witness when it holds.
+
+    Returns ``(branch, coeffs)``: ``coeffs`` are non-negative integers with
+    ``sum(c * g) == target``, or ``None`` when the answer is no.  The branch
+    is ``"outside_cone"`` (an exact no), ``"residue"`` (an exact yes through a
+    simplicial cone) or ``"fallback"`` (the bounded search on the target).
+    """
+    cols, bases = _cone_bases(generators)
+    picked = [target[c] for c in cols]
+    solved = [
+        (basis, den, [sum(a * x for a, x in zip(row, picked)) for row in inverse])
+        for basis, inverse, den in bases
+    ]
+    basis, den, num = solved[0]
+    # every basis spans the same space, so one test finds targets off it
+    if _combine(generators, basis, num) != tuple(den * x for x in target):
+        return "outside_cone", None
+    cones = [entry for entry in solved if min(entry[2], default=0) >= 0]
+    if not cones:
+        return "outside_cone", None
+    for basis, den, num in cones:
+        floors = [q // den for q in num]
+        residue = tuple(
+            x - y for x, y in zip(target, _combine(generators, basis, floors))
+        )
+        witness = _residue_witness(generators, residue)
+        if witness is None:
+            continue
+        coeffs = list(witness)
+        for i, f in zip(basis, floors):
+            coeffs[i] += f
+        return "residue", tuple(coeffs)
+    return "fallback", _bounded_witness(generators, target)
+
+
+def _combine(
+    generators: tuple[Exponent, ...], basis: tuple[int, ...], coeffs: list[int]
+) -> Exponent:
+    """``sum(c * generators[i])`` over the basis indices ``i``."""
+    out = [0] * len(generators[0])
+    for i, c in zip(basis, coeffs):
+        for v, x in enumerate(generators[i]):
+            out[v] += c * x
+    return tuple(out)
+
+
+# one entry per generator set; tier-1 reaches about two hundred sets
+@lru_cache(maxsize=1024)
+def _cone_bases(generators: tuple[Exponent, ...]):
+    """The simplicial cones of a generator set, for ``membership_witness``.
+
+    Returns ``(cols, bases)``.  ``cols`` are r coordinates on which the span
+    of the generators (rank r) projects isomorphically.  ``bases`` lists every
+    linearly independent r-subset of the generators as ``(indices, inverse,
+    den)``: the coefficients of a target t in the span are
+    ``inverse @ t[cols] / den``, with ``den > 0``.  By Caratheodory's theorem a
+    point of the cone lies in the cone of one of these bases.
+    """
+    nvars = len(generators[0])
+    # the rank is the size of the largest invertible minor
+    for rank in range(min(nvars, len(generators)), -1, -1):
+        for cols in itertools.combinations(range(nvars), rank):
+            bases = []
+            for basis in itertools.combinations(range(len(generators)), rank):
+                inverse = _inverse([[generators[i][c] for i in basis] for c in cols])
+                if inverse is not None:
+                    bases.append((basis,) + inverse)
+            if bases:
+                return cols, tuple(bases)
+
+
+def _inverse(matrix: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """``(A, d)`` with ``A / d`` the inverse of a square integer matrix, ``d > 0``.
+
+    ``None`` when the matrix is singular.  Gauss-Jordan over ``Fraction``.
+    """
+    n = len(matrix)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [x / pivot for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    inverse = [row[n:] for row in aug]
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inverse), den
+
+
+# residues lie in the finitely many half-open parallelepipeds of the bases
+@lru_cache(maxsize=4096)
+def _residue_witness(
+    generators: tuple[Exponent, ...], residue: Exponent
+) -> tuple[int, ...] | None:
+    return _bounded_witness(generators, residue)
+
+
+def _bounded_witness(
+    generators: tuple[Exponent, ...], target: Exponent
+) -> tuple[int, ...] | None:
+    """Coefficients at most ``membership_bound`` reaching ``target``, or None.
+
+    A complete depth-first search of the bounded box: it never claims a false
+    yes, but it misses members that need a larger coefficient.
+    """
     bound = membership_bound(generators, target)
     n = len(target)
     gens = generators
@@ -361,24 +491,25 @@ def _monoid_contains_cached(generators: tuple[Exponent, ...], target: Exponent) 
 
     seen: set[tuple[int, Exponent]] = set()
 
-    def rec(i: int, residual: Exponent) -> bool:
+    def rec(i: int, residual: Exponent) -> tuple[int, ...] | None:
         if all(x == 0 for x in residual):
-            return True
+            return (0,) * (len(gens) - i)
         if i == len(gens):
-            return False
+            return None
         if any(not lo[i][v] <= residual[v] <= hi[i][v] for v in range(n)):
-            return False
+            return None
         key = (i, residual)
         if key in seen:
-            return False
+            return None
         seen.add(key)
         g = gens[i]
         current = residual
-        for _ in range(bound + 1):
-            if rec(i + 1, current):
-                return True
+        for k in range(bound + 1):
+            found = rec(i + 1, current)
+            if found is not None:
+                return (k,) + found
             current = tuple(x - y for x, y in zip(current, g))
-        return False
+        return None
 
     return rec(0, target)
 
@@ -398,8 +529,10 @@ def minimal_generators(m: ExponentMonoid) -> ExponentMonoid:
     """An irredundant sorted presentation of the same monoid.
 
     Repeatedly drops any generator that the remaining ones already produce;
-    the bounded membership search never claims a false positive, so the
-    result generates exactly the same monoid.
+    membership never claims a false positive (every yes has a witness), so
+    the result generates exactly the same monoid.  It is irredundant wherever
+    membership is exact, that is, unless the bounded-search fallback misses a
+    member.
     """
     gens = sorted({tuple(int(x) for x in g) for g in m.generators if any(g)})
     if not gens:

@@ -145,6 +145,7 @@ MALFORMED_INPUTS = [
     ("atlas", ("overlaps",), []),
     ("atlas", ("cocycles",), []),
     ("atlas", ("charts", 0, "monoid_generators", 0), 5),
+    ("atlas", ("truncation_order",), 2.7),
     ("center", ("per_chart",), []),
     ("center", ("per_chart", "U2", "generators"), 5),
     ("center", ("per_chart", "U2", "generators", 0, 0, "exp"), 5),

@@ -79,6 +79,10 @@ def test_good_point_json_round_trip():
         good_point_from_json({"chart": "U2", "coords": []})
     with pytest.raises(ValueError):
         good_point_from_json([1, 2])
+    with pytest.raises(ValueError):
+        good_point_from_json({"chart": "U2", "coords": 5, "coeffs": []})
+    with pytest.raises(ValueError):
+        good_point_from_json({"chart": "U2", "coords": [], "coeffs": 5})
 
 
 def test_ideal_equivalence():

@@ -1,8 +1,9 @@
-"""Tests for exact Laurent arithmetic and bounded monoid membership."""
+"""Tests for exact Laurent arithmetic and exact monoid membership."""
 
 from __future__ import annotations
 
 import importlib
+import itertools
 import pkgutil
 import random
 from fractions import Fraction
@@ -10,11 +11,13 @@ from fractions import Fraction
 import pytest
 
 import pms
+from pms import laurent_core as lc
 from pms.laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     format_rational,
     membership_bound,
+    membership_witness,
     monoid_contains_enumerate,
     monomial_is_unit,
     monomial_str,
@@ -169,6 +172,82 @@ def test_membership_matches_enumeration_oracle():
         hits += fast
     # sanity: the sample must exercise both outcomes
     assert 0 < hits < checked
+
+
+def combination(gens, coeffs):
+    return tuple(
+        sum(c * g[v] for c, g in zip(coeffs, gens)) for v in range(len(gens[0]))
+    )
+
+
+def test_cone_residue_finds_member_beyond_search_bound():
+    # 19*(-1, 1) + 7*(2, -3) = (-5, -2) needs a coefficient above the bound 18
+    gens, target = ((-1, 1), (2, -3)), (-5, -2)
+    assert membership_bound(gens, target) == 18
+    assert lc._bounded_witness(gens, target) is None
+    assert not monoid_contains_enumerate(ExponentMonoid(2, gens), target)
+    assert membership_witness(gens, target) == ("residue", (19, 7))
+    assert ExponentMonoid(2, gens).contains(target)
+
+
+MEMBERSHIP_SETS = (
+    # not saturated
+    ((2,), (3,)),
+    ((2, 0), (0, 1)),
+    ((2, 0), (3, 0), (0, 1)),
+    ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)),
+    ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+    # units: the cone contains a line
+    ((1, 0), (-1, 0), (0, 1)),
+    ((1, 0), (-1, 0), (0, 2), (1, 3)),
+    ((1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 0, 1)),
+    # rank below the number of variables
+    ((1, 1), (2, 2)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    ((1, 2, 0), (2, 1, 0), (-1, -1, 0)),
+    # a zero generator
+    ((0, 0),),
+    ((0, 0), (1, 0), (0, 1)),
+    ((0, 0), (2, 1), (1, 2)),
+    # members beyond the bounded search's coefficient bound
+    ((-1, 1), (2, -3)),
+)
+
+
+def test_membership_agrees_with_bounded_search():
+    """The cone/residue answer extends the bounded search and proves each yes."""
+    rng = random.Random(60613)
+    sets = list(MEMBERSHIP_SETS)
+    # small boxes: a bounded search that answers no in rank 3 can take seconds
+    for nvars, span, count in ((2, 2, 20), (3, 1, 10)):
+        for _ in range(count):
+            size, gens = rng.randint(1, 4), set()
+            while len(gens) < size:
+                gens.add(tuple(rng.randint(-span, span) for _ in range(nvars)))
+            sets.append(tuple(sorted(gens)))
+    outcomes = set()
+    for gens in sets:
+        reach = 4 if len(gens[0]) < 3 else 2
+        targets = [
+            tuple(rng.randint(-reach, reach) for _ in gens[0]) for _ in range(10)
+        ]
+        if gens in MEMBERSHIP_SETS:
+            # 7 = 2*2 + 3 is found by neither residue of ((2,), (3,))
+            box = {1: range(-3, 10), 2: range(-2, 3), 3: range(-1, 2)}
+            targets += itertools.product(box[len(gens[0])], repeat=len(gens[0]))
+        for target in targets:
+            branch, witness = membership_witness(gens, target)
+            outcomes.add((branch, witness is not None))
+            # a bounded-search yes is a yes, so every no is a bounded-search no
+            if lc._bounded_witness(gens, target) is not None:
+                assert witness is not None, (gens, target)
+            if witness is not None:
+                assert all(type(c) is int and c >= 0 for c in witness)
+                assert combination(gens, witness) == target, (gens, target)
+    assert outcomes == {
+        ("outside_cone", False), ("residue", True),
+        ("fallback", True), ("fallback", False),
+    }
 
 
 def test_poly_in_ring():
