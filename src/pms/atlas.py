@@ -31,6 +31,7 @@ from .laurent_core import (
     LaurentPoly,
     Rational,
     format_rational,
+    json_int,
     json_shape,
     monomial_str,
     monoids_equal,
@@ -567,9 +568,7 @@ def document_from_json(data: dict) -> AtlasDocument:
         str(v) for v in json_shape(data["variables"], list, "variables")
     )
     nvars = len(variables)
-    order = data["truncation_order"]
-    if type(order) is not int:  # a float, string or bool is not an order
-        raise ValueError("truncation_order must be a JSON integer")
+    order = json_int(data["truncation_order"], "truncation_order")
     charts = []
     for item in json_shape(data["charts"], list, "charts", dict):
         if "name" not in item or "monoid_generators" not in item:

@@ -113,11 +113,9 @@ def good_point_from_json(data: dict) -> GoodPoint:
     for key in ("chart", "coords", "coeffs"):
         if key not in data:
             raise ValueError(f"a good point needs {key!r}")
-    coords, coeffs = (
-        tuple(poly_from_json(p, 2) for p in json_shape(data[key], list, key))
-        for key in ("coords", "coeffs")
-    )
-    return GoodPoint(str(data["chart"]), coords, coeffs)
+    coords = [poly_from_json(p, 2) for p in json_shape(data["coords"], list, "coords")]
+    coeffs = [poly_from_json(p, 2) for p in json_shape(data["coeffs"], list, "coeffs")]
+    return GoodPoint(str(data["chart"]), tuple(coords), tuple(coeffs))
 
 
 def standard_good_point(a1, a2, chart: str = "U2") -> GoodPoint:

@@ -387,7 +387,7 @@ def membership_witness(
         residue = tuple(
             x - y for x, y in zip(target, _combine(generators, basis, floors))
         )
-        witness = _residue_witness(generators, residue)
+        witness = _bounded_witness(generators, residue)
         if witness is None:
             continue
         coeffs = list(witness)
@@ -459,14 +459,6 @@ def _inverse(matrix: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]
     return tuple(tuple(int(x * den) for x in row) for row in inverse), den
 
 
-# residues lie in the finitely many half-open parallelepipeds of the bases
-@lru_cache(maxsize=4096)
-def _residue_witness(
-    generators: tuple[Exponent, ...], residue: Exponent
-) -> tuple[int, ...] | None:
-    return _bounded_witness(generators, residue)
-
-
 def _bounded_witness(
     generators: tuple[Exponent, ...], target: Exponent
 ) -> tuple[int, ...] | None:
@@ -475,6 +467,8 @@ def _bounded_witness(
     A complete depth-first search of the bounded box: it never claims a false
     yes, but it misses members that need a larger coefficient.
     """
+    if not any(target):  # the residue of most targets
+        return (0,) * len(generators)
     bound = membership_bound(generators, target)
     n = len(target)
     gens = generators
@@ -595,9 +589,21 @@ def poly_to_json(p: LaurentPoly) -> list[dict]:
     ]
 
 
+def _json_is(value, kind: type) -> bool:
+    # bool is an int subclass, but JSON true and false are not integers
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (``true`` and ``false`` are not)."""
+    if not _json_is(value, int):
+        raise ValueError(f"{what} must be a JSON integer")
+    return value
+
+
 def json_shape(value, kind: type, what: str, item: type = object):
     """``value`` if it is a JSON ``kind`` (list or dict) of ``item`` entries."""
-    if not isinstance(value, kind) or not all(isinstance(x, item) for x in value):
+    if not isinstance(value, kind) or not all(_json_is(x, item) for x in value):
         raise ValueError(f"wrong JSON shape for {what}")
     return value
 

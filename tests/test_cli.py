@@ -150,12 +150,19 @@ MALFORMED_INPUTS = [
     ("center", ("per_chart", "U2", "generators"), 5),
     ("center", ("per_chart", "U2", "generators", 0, 0, "exp"), 5),
 ]
+# JSON true and false where an integer belongs (bool is an int subclass)
+BOOLEAN_INPUTS = [
+    ("atlas", ("truncation_order",), True),
+    ("atlas", ("charts", 1, "monoid_generators", 0), [True, 0]),
+    ("center", ("per_chart", "U2", "generators", 0, 0, "exp"), [False, True]),
+]
 
 
 @pytest.mark.parametrize(
     "which, path, value",
-    MALFORMED_INPUTS,
-    ids=[f"{w}:{'.'.join(map(str, p))}" for w, p, _ in MALFORMED_INPUTS],
+    MALFORMED_INPUTS + BOOLEAN_INPUTS,
+    ids=[f"{w}:{'.'.join(map(str, p))}" for w, p, _ in MALFORMED_INPUTS]
+    + [f"{w}:{'.'.join(map(str, p))}:bool" for w, p, _ in BOOLEAN_INPUTS],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, which, path, value):
     atlas = write_plane_doc(tmp_path)

@@ -16,6 +16,8 @@ from pms.laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     format_rational,
+    json_int,
+    json_shape,
     membership_bound,
     membership_witness,
     monoid_contains_enumerate,
@@ -287,6 +289,13 @@ def test_serialization_rejects_malformed():
         )
     with pytest.raises(ValueError):
         poly_from_json([{"coeff": "1/0", "exp": [1, 0]}], 2)
+    # JSON true and false are not integers, although bool is an int subclass
+    with pytest.raises(ValueError):
+        poly_from_json([{"coeff": "1/1", "exp": [True, 0]}], 2)
+    with pytest.raises(ValueError):
+        json_int(False, "an order")
+    assert json_int(3, "an order") == 3
+    assert json_shape([0, -1], list, "an exponent", int) == [0, -1]
 
 
 def test_rational_formatting():
