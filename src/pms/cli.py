@@ -368,16 +368,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> None:
+    """Write one ``error:`` line, with non-printable characters escaped."""
+    # a carriage return or escape sequence in a file name must not hide the
+    # prefix or drive the terminal
+    text = "".join(
+        ch if ch.isprintable() else ch.encode("unicode_escape").decode("ascii")
+        for ch in message
+    )
+    sys.stderr.write(f"error: {text}\n")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (CliError, ValueError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _error(str(exc))
         return 2
     except AssertionError as exc:
         # a re-verification inside the library failed: a bug, not a "no"
-        sys.stderr.write(f"error: internal self-check failed: {exc}\n")
+        _error(f"internal self-check failed: {exc}")
         return 3
 
 

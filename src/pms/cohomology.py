@@ -17,6 +17,19 @@ The module provides:
 * index raising/lowering against per-chart top-form frames,
 * the cup-product pairing into top-form-valued 2-cocycles and its residue
   functional, normalized by a stored calibration scale.
+
+Unknown chart vector fields carry one unknown t per boxed term
+t * x^e d/dx_v, except where the chart ring forces t to zero.  Such a term
+has degree d = e - e_v (Demazure's grading of the derivations of a toric
+ring), and the ring-preservation row of a generator g at the exponent
+g + d mentions only unknowns of degree d: the rows split into blocks of at
+most nvars unknowns.  An unknown z is dropped when its unit vector e_z lies
+in the span of its block's rows.  The rows have zero right-hand side, so the
+row space of the whole system is span(e_Z) (+) (the rows with the dropped
+coordinates Z deleted), a direct sum on disjoint coordinates.  Its leading
+labels are Z together with those of the second summand, so the solver's
+particular solution (free labels zero) is zero on Z and otherwise equal to
+the one computed without Z: witnesses and "none" answers do not change.
 """
 
 from __future__ import annotations
@@ -24,6 +37,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .atlas import (
     Atlas,
@@ -37,7 +52,14 @@ from .atlas import (
     derive_vector_field,
     same_structure,
 )
-from .laurent_core import LaurentPoly, Rational, format_rational, poly_to_json
+from .laurent_core import (
+    Exponent,
+    ExponentMonoid,
+    LaurentPoly,
+    Rational,
+    format_rational,
+    poly_to_json,
+)
 from .linear import SymPoly, derivation_rows, solve_rows
 
 BOUND_CAVEAT = (
@@ -317,16 +339,52 @@ def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
 # -- bounded coboundary solving -----------------------------------------
 
 
+# one entry per chart ring and bound; a cocycle-search round reaches about 48
+@lru_cache(maxsize=256)
+def _ring_free_exponents(
+    generators: tuple[Exponent, ...], nvars: int, bound: int,
+) -> tuple[tuple[Exponent, ...], ...]:
+    """Per variable v, the boxed e whose x^e d/dx_v the ring does not force to 0.
+
+    Groups the box unknowns by degree d = e - e_v and drops an unknown when
+    its unit vector lies in the span of its block's derivation rows (see the
+    module docstring).
+    """
+    ring = ExponentMonoid(nvars, generators)
+    box = list(BoundedSpace(nvars, bound).exponents())
+    blocks: dict[Exponent, list[tuple[int, Exponent]]] = {}
+    for e in box:
+        for v in range(nvars):
+            blocks.setdefault(e[:v] + (e[v] - 1,) + e[v + 1:], []).append((v, e))
+    forced = set()
+    for d, block in blocks.items():
+        rows = [
+            row for g in generators
+            if (row := {(v, e): g[v] for v, e in block if g[v]})
+            and not ring.contains(tuple(map(add, g, d)))
+        ]
+        if rows:
+            solver = solve_rows((row, 0) for row in rows)
+            forced.update(z for z in block if solver.spans({z: 1}))
+    return tuple(
+        tuple(e for e in box if (v, e) not in forced) for v in range(nvars)
+    )
+
+
 def _chart_fields(atlas: Atlas, space: BoundedSpace) -> dict[str, tuple]:
-    """Unknown boxed chart vector fields, coefficients ("T", chart, v, e)."""
-    exps = list(space.exponents())
-    return {
-        chart.name: tuple(
+    """Unknown boxed chart vector fields, coefficients ("T", chart, v, e).
+
+    Only the coefficients that the chart ring does not force to zero get an
+    unknown.
+    """
+    fields = {}
+    for chart in atlas.charts:
+        free = _ring_free_exponents(chart.ring.generators, atlas.nvars, space.bound)
+        fields[chart.name] = tuple(
             SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
-            for v in range(atlas.nvars)
+            for v, exps in enumerate(free)
         )
-        for chart in atlas.charts
-    }
+    return fields
 
 
 def _twisted_difference_rows(

@@ -18,17 +18,18 @@ the cone and lattice view of affine monoids (Bruns-Gubeladze, "Polytopes,
 Rings, and K-Theory", ch. 2).  By Caratheodory's theorem e lies in the real
 cone of the generators iff e = sum(l_i b_i) with l_i >= 0 for some linearly
 independent generator subset b of full rank; if no such subset exists, e is
-not in the monoid.  Otherwise the residue e - sum(floor(l_i) b_i) is an integer
-point of the half-open parallelepiped of b, a finite set; if it is zero, or
-the bounded search below finds it in the monoid, e is in the monoid, with the
-residue's coefficients plus floor(l) as witness.  These two answers are exact,
-and every yes carries a non-negative integer witness.  When no residue is
-found in the monoid, the bounded search on e decides: it accepts e iff e is a
-non-negative integer combination of the generators with coefficients at most
-B, where B is the sum of the absolute values of all generator and target
-components plus 4.  Only this fallback can miss a member, one that needs a
-larger coefficient; for the cone-like monoids used here the bound is large
-enough.
+not in the monoid.  Nor is e when it lies off the lattice the generators
+span, tested by reduction against their Hermite normal form.  Otherwise the
+residue e - sum(floor(l_i) b_i) is an integer point of the half-open
+parallelepiped of b, a finite set; if it is zero, or the bounded search below
+finds it in the monoid, e is in the monoid, with the residue's coefficients
+plus floor(l) as witness.  These answers are exact, and every yes carries a
+non-negative integer witness.  When no residue is found in the monoid, the
+bounded search on e decides: it accepts e iff e is a non-negative integer
+combination of the generators with coefficients at most B, where B is the sum
+of the absolute values of all generator and target components plus 4.  Only
+this fallback can miss a member, one that needs a larger coefficient; for the
+cone-like monoids used here the bound is large enough.
 """
 
 from __future__ import annotations
@@ -366,10 +367,11 @@ def membership_witness(
 
     Returns ``(branch, coeffs)``: ``coeffs`` are non-negative integers with
     ``sum(c * g) == target``, or ``None`` when the answer is no.  The branch
-    is ``"outside_cone"`` (an exact no), ``"residue"`` (an exact yes through a
-    simplicial cone) or ``"fallback"`` (the bounded search on the target).
+    is ``"outside_cone"`` or ``"outside_lattice"`` (exact noes), ``"residue"``
+    (an exact yes through a simplicial cone) or ``"fallback"`` (the bounded
+    search on the target).
     """
-    cols, bases = _cone_bases(generators)
+    cols, bases, lattice = _cone_bases(generators)
     picked = [target[c] for c in cols]
     solved = [
         (basis, den, [sum(a * x for a, x in zip(row, picked)) for row in inverse])
@@ -382,6 +384,8 @@ def membership_witness(
     cones = [entry for entry in solved if min(entry[2], default=0) >= 0]
     if not cones:
         return "outside_cone", None
+    if not _in_lattice(lattice, target):
+        return "outside_lattice", None
     for basis, den, num in cones:
         floors = [q // den for q in num]
         residue = tuple(
@@ -411,14 +415,16 @@ def _combine(
 # one entry per generator set; tier-1 reaches about two hundred sets
 @lru_cache(maxsize=1024)
 def _cone_bases(generators: tuple[Exponent, ...]):
-    """The simplicial cones of a generator set, for ``membership_witness``.
+    """The simplicial cones and the lattice of a generator set.
 
-    Returns ``(cols, bases)``.  ``cols`` are r coordinates on which the span
-    of the generators (rank r) projects isomorphically.  ``bases`` lists every
-    linearly independent r-subset of the generators as ``(indices, inverse,
-    den)``: the coefficients of a target t in the span are
-    ``inverse @ t[cols] / den``, with ``den > 0``.  By Caratheodory's theorem a
-    point of the cone lies in the cone of one of these bases.
+    Returns ``(cols, bases, lattice)`` for ``membership_witness``.  ``cols``
+    are r coordinates on which the span of the generators (rank r) projects
+    isomorphically.  ``bases`` lists every linearly independent r-subset of
+    the generators as ``(indices, inverse, den)``: the coefficients of a
+    target t in the span are ``inverse @ t[cols] / den``, with ``den > 0``.
+    By Caratheodory's theorem a point of the cone lies in the cone of one of
+    these bases.  ``lattice`` is the Hermite normal form of the generators
+    (``_hermite_rows``).
     """
     nvars = len(generators[0])
     # the rank is the size of the largest invertible minor
@@ -430,7 +436,53 @@ def _cone_bases(generators: tuple[Exponent, ...]):
                 if inverse is not None:
                     bases.append((basis,) + inverse)
             if bases:
-                return cols, tuple(bases)
+                return cols, tuple(bases), _hermite_rows(generators)
+
+
+def _hermite_rows(generators: tuple[Exponent, ...]) -> tuple[tuple[int, Exponent], ...]:
+    """The row Hermite normal form of the generators, as ``(pivot, row)`` pairs.
+
+    The rows are a basis of the lattice the generators span: row k is zero
+    before its pivot column, its pivot entry is positive, and every row above
+    it has an entry in ``[0, pivot entry)`` there.  Integer row operations
+    only (Euclid on each column).
+    """
+    rows = [list(g) for g in generators if any(g)]
+    out: list[tuple[int, list[int]]] = []
+    for c in range(len(generators[0])):
+        active = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(active) > 1:
+            active.sort(key=lambda r: abs(r[c]))
+            p = active[0]
+            kept = [p]
+            for r in active[1:]:
+                q = r[c] // p[c]
+                r = [x - q * y for x, y in zip(r, p)]
+                if r[c]:
+                    kept.append(r)
+                elif any(r):
+                    rows.append(r)
+            active = kept
+        if not active:
+            continue
+        p = active[0] if active[0][c] > 0 else [-x for x in active[0]]
+        for _, r in out:
+            q = r[c] // p[c]
+            r[:] = [x - q * y for x, y in zip(r, p)]
+        out.append((c, p))
+    return tuple((c, tuple(r)) for c, r in out)
+
+
+def _in_lattice(lattice: tuple[tuple[int, Exponent], ...], target: Exponent) -> bool:
+    """Whether ``target`` is an integer combination of the Hermite rows."""
+    rest = list(target)
+    for c, row in lattice:
+        q, r = divmod(rest[c], row[c])
+        if r:
+            return False
+        rest = [x - q * y for x, y in zip(rest, row)]
+    return not any(rest)
 
 
 def _inverse(matrix: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int] | None:

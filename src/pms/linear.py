@@ -155,6 +155,14 @@ class LinearSolver:
     def is_consistent(self) -> bool:
         return not self.inconsistent
 
+    def spans(self, coeffs: Mapping[Var, Fraction | int]) -> bool:
+        """Whether ``coeffs`` lies in the span of the rows added so far.
+
+        Reads only the pivot rows, so it holds for a consistent solver.
+        """
+        row, _ = _integer_row(coeffs, 0)
+        return not self._reduce(row, 0)[0]
+
 
 def rank_of_vectors(vectors: Iterable[Mapping[Var, Fraction]]) -> int:
     """Rank of a family of sparse vectors."""
@@ -164,10 +172,7 @@ def rank_of_vectors(vectors: Iterable[Mapping[Var, Fraction]]) -> int:
 def in_span(vector: Mapping[Var, Fraction],
             basis: Iterable[Mapping[Var, Fraction]]) -> bool:
     """Whether ``vector`` lies in the span of ``basis``."""
-    solver = solve_rows((vec, 0) for vec in basis)
-    rank = solver.rank
-    solver.add_equation(vector, 0)
-    return solver.rank == rank
+    return solve_rows((vec, 0) for vec in basis).spans(vector)
 
 
 def solve_rows(rows: Iterable[tuple[Row, Fraction]],

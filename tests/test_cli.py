@@ -284,6 +284,16 @@ def test_family_outside_domain_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["\r", "\x1b[2J\x1b[31mred", "a\nb\tc"])
+def test_error_line_escapes_control_characters(capsys, name):
+    code, out, err = run(capsys, "validate", name)
+    assert (code, out) == (2, "")
+    line, end = err[:-1], err[-1:]
+    assert end == "\n" and line.startswith("error: ")
+    assert line.isprintable()
+    assert name.encode("unicode_escape").decode("ascii") in line
+
+
 def test_self_check_failure_exits_3(capsys, monkeypatch):
     def failing_check(*args, **kwargs):
         raise AssertionError("witness fails resubstitution on (W0,W1)")

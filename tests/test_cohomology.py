@@ -1,10 +1,12 @@
 """Tests for the bounded cohomology solvers, cup product, and residue."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from pms import cohomology
 from pms.atlas import (
     DoubleSchemeSpec,
     VectorFieldCocycle,
@@ -12,8 +14,10 @@ from pms.atlas import (
     derivation_failures,
     derive_mult,
 )
+from pms.blowup import CenterSpec, blowup_hypersurface
 from pms.cohomology import (
     BOUND_CAVEAT,
+    BoundedSpace,
     OneFormCocycle,
     TwoCocycle,
     calibrate_residue,
@@ -33,11 +37,12 @@ from pms.cohomology import (
     two_cocycle_failures,
 )
 from pms.laurent_core import ExponentMonoid, LaurentPoly
-from pms.linear import SymPoly, derivation_rows
+from pms.linear import SymPoly, derivation_rows, solve_rows
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
     extension_bundle,
+    make_blown_plane,
     make_p2,
     make_p2_atlas,
     make_wcover_atlas,
@@ -337,3 +342,92 @@ def test_derivation_rows_match_derivation_failures():
         assert violated == failed, (ring.generators, comps)
         outcomes.add(failed)
     assert outcomes == {False, True}
+
+
+def catalog_and_random_rings(rng):
+    """Chart rings of the catalog atlases plus seeded random generator sets."""
+    specs = (
+        make_p2(-3, nontrivial=True),
+        build_carpet(Fraction(1, 2)),
+        make_blown_plane(-3, 1, 0),
+    )
+    rings = {c.ring.generators: (c.ring, 8) for s in specs for c in s.atlas.charts}
+    for nvars, count, bound in ((2, 6, 8), (3, 3, 2)):
+        for _ in range(count):
+            size, gens = rng.randint(1, 4), set()
+            while len(gens) < size:
+                gens.add(tuple(rng.randint(-2, 2) for _ in range(nvars)))
+            gens = tuple(sorted(gens))
+            rings[gens] = (ExponentMonoid(nvars, gens), bound)
+    return rings.values()
+
+
+def test_dropped_unknowns_are_exactly_the_ring_forced_ones():
+    """An unknown is dropped iff the full-box derivation rows span its unit.
+
+    ``LinearSolver.spans`` is the test behind ``linear.in_span``; one solver
+    per ring and bound holds the full-box rows.
+    """
+    counts = {True: 0, False: 0}
+    for ring, top in catalog_and_random_rings(random.Random(7121)):
+        nvars = ring.nvars
+        for bound in range(top + 1):
+            box = list(BoundedSpace(nvars, bound).exponents())
+            comps = tuple(SymPoly.unknown(nvars, (v,), box) for v in range(nvars))
+            full = solve_rows(derivation_rows(comps, ring))
+            free = cohomology._ring_free_exponents(ring.generators, nvars, bound)
+            for v in range(nvars):
+                kept = set(free[v])
+                for e in box:
+                    forced = full.spans({(v, e): 1})
+                    assert forced != (e in kept), (ring.generators, bound, v, e)
+                    counts[forced] += 1
+    assert min(counts.values()) > 0
+
+
+def full_box_fields(atlas, space):
+    """Every boxed coefficient an unknown, as before the ring split."""
+    exps = list(space.exponents())
+    return {
+        chart.name: tuple(
+            SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
+            for v in range(atlas.nvars)
+        )
+        for chart in atlas.charts
+    }
+
+
+LINE_X0 = CenterSpec("hypersurface", generators={
+    "U0": (mono((-1, 0)),), "U1": (LaurentPoly.const(2, 1),), "U2": (mono((0, 1)),),
+})
+DIFFERENTIAL_CASES = {
+    "coboundary/hypersurface-blowup": ("found", lambda b: coboundary_solve(
+        blowup_hypersurface(make_p2(-3, nontrivial=True), LINE_X0).spec, bound=b)),
+    "iso/same-carpet": ("found", lambda b: iso_decide(
+        build_carpet(Fraction(1, 2)), build_carpet(Fraction(1, 2)), bound=b)),
+    "iso/trivial-carpets": ("found", lambda b: iso_decide(
+        build_carpet(Fraction(-3, 4), trivial=True),
+        build_carpet(3, trivial=True), bound=b)),
+    "coboundary/carpet": ("none_within_bound", lambda b: coboundary_solve(
+        build_carpet(Fraction(1, 2)), bound=b)),
+    "coboundary/plane": ("none_within_bound", lambda b: coboundary_solve(
+        make_p2(-3, nontrivial=True), bound=b)),
+    "iso/distinct-carpets": ("none_within_bound", lambda b: iso_decide(
+        build_carpet(0), build_carpet(1), bound=b)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_dropping_forced_unknowns_keeps_reports(case, monkeypatch):
+    """Same witness and report JSON as with one unknown per boxed exponent."""
+    expected, solve = DIFFERENTIAL_CASES[case]
+    for bound in (1, 3, 5):
+        witness, report = solve(bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "_chart_fields", full_box_fields)
+            full_witness, full_report = solve(bound)
+        assert witness == full_witness
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            full_report, sort_keys=True
+        )
+    assert report["status"] == expected

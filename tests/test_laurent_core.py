@@ -247,9 +247,20 @@ def test_membership_agrees_with_bounded_search():
                 assert all(type(c) is int and c >= 0 for c in witness)
                 assert combination(gens, witness) == target, (gens, target)
     assert outcomes == {
-        ("outside_cone", False), ("residue", True),
+        ("outside_cone", False), ("outside_lattice", False), ("residue", True),
         ("fallback", True), ("fallback", False),
     }
+
+
+def test_lattice_test_answers_targets_off_the_generated_lattice():
+    """A target inside the cone but off the lattice 2Z x Z is an exact no."""
+    gens = ((-2, -2), (-2, 1), (2, 0), (2, 2))
+    assert lc._cone_bases(gens)[2] == ((0, (2, 0)), (1, (0, 1)))
+    assert membership_witness(gens, (1, 3)) == ("outside_lattice", None)
+    assert not monoid_contains_enumerate(ExponentMonoid(2, gens), (1, 3))
+    # the neighbouring lattice point is a member
+    branch, witness = membership_witness(gens, (2, 3))
+    assert branch == "residue" and combination(gens, witness) == (2, 3)
 
 
 def test_poly_in_ring():
