@@ -19,17 +19,22 @@ The module provides:
   functional, normalized by a stored calibration scale.
 
 Unknown chart vector fields carry one unknown t per boxed term
-t * x^e d/dx_v, except where the chart ring forces t to zero.  Such a term
-has degree d = e - e_v (Demazure's grading of the derivations of a toric
-ring), and the ring-preservation row of a generator g at the exponent
-g + d mentions only unknowns of degree d: the rows split into blocks of at
-most nvars unknowns.  An unknown z is dropped when its unit vector e_z lies
-in the span of its block's rows.  The rows have zero right-hand side, so the
-row space of the whole system is span(e_Z) (+) (the rows with the dropped
-coordinates Z deleted), a direct sum on disjoint coordinates.  Its leading
-labels are Z together with those of the second summand, so the solver's
-particular solution (free labels zero) is zero on Z and otherwise equal to
-the one computed without Z: witnesses and "none" answers do not change.
+t * x^e d/dx_v, except where the chart ring forces t to zero.  The
+ring-preservation rows of the full-box field (``linear.derivation_rows``,
+built once per chart ring and bound) have zero right-hand side, and an
+unknown z is dropped when its unit vector e_z lies in their span.  With Z
+the dropped unknowns, every (e_z | 0) lies in the augmented row space of the
+whole system, so that space is span(e_Z) (+) (every row with the
+coordinates Z deleted, right-hand side kept), a direct sum on disjoint
+coordinates.  Its leading labels are Z together with those of the second
+summand, so the solver's particular solution (free labels zero) is zero on
+Z and otherwise equal to the one computed without Z: witnesses and "none"
+answers do not change.  The solvers get the ring rows with Z deleted.
+The ring rows are few and short: a term x^e d/dx_v has degree e - e_v
+(Demazure's grading of the derivations of a toric ring), and the row of a
+generator g at the exponent g + d mentions only unknowns of degree d, so a
+degree gives at most one row per generator, of at most nvars entries, and
+rows of different degrees share no unknown.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .atlas import (
     Atlas,
@@ -85,9 +89,6 @@ class BoundedSpace:
         return itertools.product(
             range(-self.bound, self.bound + 1), repeat=self.nvars
         )
-
-    def __contains__(self, exp) -> bool:
-        return all(abs(int(x)) <= self.bound for x in exp)
 
 
 @dataclass
@@ -341,50 +342,49 @@ def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
 
 # one entry per chart ring and bound; a cocycle-search round reaches about 48
 @lru_cache(maxsize=256)
-def _ring_free_exponents(
+def _chart_ring_rows(
     generators: tuple[Exponent, ...], nvars: int, bound: int,
-) -> tuple[tuple[Exponent, ...], ...]:
-    """Per variable v, the boxed e whose x^e d/dx_v the ring does not force to 0.
+) -> tuple[tuple[tuple[Exponent, ...], ...], tuple[dict, ...]]:
+    """The ring-preservation rows of a boxed chart field, forced unknowns out.
 
-    Groups the box unknowns by degree d = e - e_v and drops an unknown when
-    its unit vector lies in the span of its block's derivation rows (see the
-    module docstring).
+    Builds ``derivation_rows`` once over one unknown (v, e) per boxed term
+    x^e d/dx_v and drops every unknown whose unit vector those rows span
+    (see the module docstring).  Returns, per variable v, the kept
+    exponents e, and the rows with the dropped coordinates deleted.
     """
-    ring = ExponentMonoid(nvars, generators)
     box = list(BoundedSpace(nvars, bound).exponents())
-    blocks: dict[Exponent, list[tuple[int, Exponent]]] = {}
-    for e in box:
-        for v in range(nvars):
-            blocks.setdefault(e[:v] + (e[v] - 1,) + e[v + 1:], []).append((v, e))
-    forced = set()
-    for d, block in blocks.items():
-        rows = [
-            row for g in generators
-            if (row := {(v, e): g[v] for v, e in block if g[v]})
-            and not ring.contains(tuple(map(add, g, d)))
-        ]
-        if rows:
-            solver = solve_rows((row, 0) for row in rows)
-            forced.update(z for z in block if solver.spans({z: 1}))
-    return tuple(
+    comps = tuple(SymPoly.unknown(nvars, (v,), box) for v in range(nvars))
+    rows = list(derivation_rows(comps, ExponentMonoid(nvars, generators)))
+    solver = solve_rows(rows)
+    mentioned = {z for row, _ in rows for z in row}
+    forced = {z for z in mentioned if solver.spans({z: 1})}
+    kept = tuple(
         tuple(e for e in box if (v, e) not in forced) for v in range(nvars)
     )
+    rows = ({z: c for z, c in row.items() if z not in forced} for row, _ in rows)
+    return kept, tuple(row for row in rows if row)
 
 
-def _chart_fields(atlas: Atlas, space: BoundedSpace) -> dict[str, tuple]:
-    """Unknown boxed chart vector fields, coefficients ("T", chart, v, e).
+def _chart_fields(atlas: Atlas, space: BoundedSpace) -> tuple[dict, list]:
+    """Unknown boxed chart vector fields and the rows keeping each chart ring.
 
-    Only the coefficients that the chart ring does not force to zero get an
-    unknown.
+    The coefficients are labelled ("T", chart, v, e); only those that the
+    chart ring does not force to zero get an unknown.
     """
-    fields = {}
+    fields, ring_rows = {}, []
     for chart in atlas.charts:
-        free = _ring_free_exponents(chart.ring.generators, atlas.nvars, space.bound)
+        kept, rows = _chart_ring_rows(
+            chart.ring.generators, atlas.nvars, space.bound
+        )
         fields[chart.name] = tuple(
             SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
-            for v, exps in enumerate(free)
+            for v, exps in enumerate(kept)
         )
-    return fields
+        ring_rows.extend(
+            ({("T", chart.name, v, e): c for (v, e), c in row.items()}, 0)
+            for row in rows
+        )
+    return fields, ring_rows
 
 
 def _twisted_difference_rows(
@@ -411,20 +411,6 @@ def _twisted_difference_rows(
                     nvars, [(label, known[pair][v]) for label, known in extra]
                 )
             yield from poly.membership_rows()
-
-
-def _field_rows(
-    atlas: Atlas, fields: dict[str, tuple], alpha_full, target_full, extra=(),
-):
-    """Twisted-difference rows for unknown chart vector fields.
-
-    Each chart's field must also preserve its chart ring.
-    """
-    for chart in atlas.charts:
-        yield from derivation_rows(fields[chart.name], chart.ring)
-    yield from _twisted_difference_rows(
-        atlas, fields, alpha_full, target_full, extra
-    )
 
 
 def _read_fields(atlas: Atlas, fields: dict[str, tuple], values) -> dict:
@@ -485,10 +471,10 @@ def coboundary_solve(
     space = BoundedSpace(atlas.nvars, bound)
     alpha_full = derive_mult(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
-    fields = _chart_fields(atlas, space)
-    values = solve_rows(
-        _field_rows(atlas, fields, alpha_full, sigma_full)
-    ).solve()
+    fields, ring_rows = _chart_fields(atlas, space)
+    values = solve_rows(itertools.chain(
+        ring_rows, _twisted_difference_rows(atlas, fields, alpha_full, sigma_full)
+    )).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
     witness = _read_fields(atlas, fields, values)
@@ -515,10 +501,11 @@ def iso_decide(
     space = BoundedSpace(atlas.nvars, bound)
     s1 = derive_vector_field(atlas, alpha_full, first.D)
     s2 = derive_vector_field(atlas, alpha_full, second.D)
-    fields = _chart_fields(atlas, space)
-    solver = solve_rows(
-        _field_rows(atlas, fields, alpha_full, s2, [(("tau",), s1)])
-    )
+    fields, ring_rows = _chart_fields(atlas, space)
+    solver = solve_rows(itertools.chain(
+        ring_rows,
+        _twisted_difference_rows(atlas, fields, alpha_full, s2, [(("tau",), s1)]),
+    ))
     # the solution depends only on the equations, not on their order, so
     # pinning tau = 1 last gives the same witness as pinning it first
     unpinned = solver.solve()

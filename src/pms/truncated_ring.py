@@ -22,6 +22,8 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
+    json_int,
+    json_shape,
     monomial_is_unit,
     poly_from_json,
     poly_in_ring,
@@ -457,6 +459,9 @@ def trunc_to_json(u: TruncElement) -> dict:
 def trunc_from_json(data: dict, nvars: int) -> TruncElement:
     if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
         raise ValueError("malformed truncated element")
-    order = int(data["order"])
-    coeffs = tuple(poly_from_json(c, nvars) for c in data["coeffs"])
+    order = json_int(data["order"], "truncation order")
+    coeffs = tuple(
+        poly_from_json(c, nvars)
+        for c in json_shape(data["coeffs"], list, "truncated coefficients")
+    )
     return TruncElement(order, coeffs)

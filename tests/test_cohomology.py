@@ -362,44 +362,90 @@ def catalog_and_random_rings(rng):
     return rings.values()
 
 
-def test_dropped_unknowns_are_exactly_the_ring_forced_ones():
-    """An unknown is dropped iff the full-box derivation rows span its unit.
+def block_forced(ring, bound):
+    """The unknowns (v, e) that their degree block's ring rows span.
 
-    ``LinearSolver.spans`` is the test behind ``linear.in_span``; one solver
-    per ring and bound holds the full-box rows.
+    The term x^e d/dx_v has degree d = e - e_v, and the row of a generator g
+    at the exponent g + d mentions only unknowns of degree d: one solver per
+    block decides the unit vectors of that block.
     """
+    blocks = {}
+    for e in BoundedSpace(ring.nvars, bound).exponents():
+        for v in range(ring.nvars):
+            blocks.setdefault(e[:v] + (e[v] - 1,) + e[v + 1:], []).append((v, e))
+    forced = set()
+    for d, block in blocks.items():
+        solver = solve_rows(
+            (row, 0) for g in ring.generators
+            if (row := {(v, e): g[v] for v, e in block if g[v]})
+            and not ring.contains(tuple(a + b for a, b in zip(g, d)))
+        )
+        forced.update(z for z in block if solver.spans({z: 1}))
+    return forced
+
+
+def test_dropped_unknowns_are_exactly_the_ring_forced_ones():
+    """An unknown is dropped iff its degree block's ring rows span its unit."""
     counts = {True: 0, False: 0}
     for ring, top in catalog_and_random_rings(random.Random(7121)):
         nvars = ring.nvars
         for bound in range(top + 1):
-            box = list(BoundedSpace(nvars, bound).exponents())
-            comps = tuple(SymPoly.unknown(nvars, (v,), box) for v in range(nvars))
-            full = solve_rows(derivation_rows(comps, ring))
-            free = cohomology._ring_free_exponents(ring.generators, nvars, bound)
+            forced = block_forced(ring, bound)
+            kept, _ = cohomology._chart_ring_rows(ring.generators, nvars, bound)
             for v in range(nvars):
-                kept = set(free[v])
-                for e in box:
-                    forced = full.spans({(v, e): 1})
-                    assert forced != (e in kept), (ring.generators, bound, v, e)
-                    counts[forced] += 1
+                free = set(kept[v])
+                for e in BoundedSpace(nvars, bound).exponents():
+                    dropped = e not in free
+                    assert dropped == ((v, e) in forced), (ring.generators, bound, v, e)
+                    counts[dropped] += 1
     assert min(counts.values()) > 0
 
 
+def test_chart_ring_rows_are_the_derivation_rows_of_the_kept_field():
+    for ring, top in catalog_and_random_rings(random.Random(7121)):
+        nvars = ring.nvars
+        for bound in range(top + 1):
+            kept, rows = cohomology._chart_ring_rows(ring.generators, nvars, bound)
+            comps = tuple(
+                SymPoly.unknown(nvars, (v,), exps) for v, exps in enumerate(kept)
+            )
+            assert [(row, 0) for row in rows] == list(derivation_rows(comps, ring))
+
+
 def full_box_fields(atlas, space):
-    """Every boxed coefficient an unknown, as before the ring split."""
+    """Every boxed coefficient an unknown, with the full-box ring rows."""
     exps = list(space.exponents())
-    return {
+    fields = {
         chart.name: tuple(
             SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
             for v in range(atlas.nvars)
         )
         for chart in atlas.charts
     }
+    rows = [
+        row for chart in atlas.charts
+        for row in derivation_rows(fields[chart.name], chart.ring)
+    ]
+    return fields, rows
 
 
 LINE_X0 = CenterSpec("hypersurface", generators={
     "U0": (mono((-1, 0)),), "U1": (LaurentPoly.const(2, 1),), "U2": (mono((0, 1)),),
 })
+
+
+def plane_with_pole():
+    """The m = -3 plane with D = mu^-2 d/dlam on (U0, U1) and zero elsewhere.
+
+    At bound 3, a solver without the ring rows on the kept unknowns finds a
+    witness that does not preserve its chart ring.
+    """
+    base = make_p2(-3, nontrivial=True)
+    data = {pair: (zero(), zero()) for pair in canonical_spanning_pairs(base.atlas)}
+    data[("U0", "U1")] = (mono((0, -2)), zero())
+    return DoubleSchemeSpec(base.atlas, base.alpha, VectorFieldCocycle(data))
+
+
 DIFFERENTIAL_CASES = {
     "coboundary/hypersurface-blowup": ("found", lambda b: coboundary_solve(
         blowup_hypersurface(make_p2(-3, nontrivial=True), LINE_X0).spec, bound=b)),
@@ -412,6 +458,8 @@ DIFFERENTIAL_CASES = {
         build_carpet(Fraction(1, 2)), bound=b)),
     "coboundary/plane": ("none_within_bound", lambda b: coboundary_solve(
         make_p2(-3, nontrivial=True), bound=b)),
+    "coboundary/plane-pole": ("none_within_bound", lambda b: coboundary_solve(
+        plane_with_pole(), bound=b)),
     "iso/distinct-carpets": ("none_within_bound", lambda b: iso_decide(
         build_carpet(0), build_carpet(1), bound=b)),
 }

@@ -333,6 +333,7 @@ def test_every_cache_is_bounded():
             if callable(getattr(obj, "cache_info", None)):
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert {
+        "cohomology._chart_ring_rows",
         "laurent_core._monoid_contains_cached",
         "truncated_ring._image_power",
     } <= set(caches)

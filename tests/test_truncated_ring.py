@@ -292,3 +292,11 @@ def test_serialization_round_trip():
     assert trunc_from_json(data, 2) == u
     with pytest.raises(ValueError):
         trunc_from_json({"order": 2}, 2)
+    for bad in (
+        {"order": 2.7, "coeffs": data["coeffs"][:2]},
+        {"order": "2", "coeffs": data["coeffs"][:2]},
+        {"order": True, "coeffs": data["coeffs"][:1]},
+        {"order": 1, "coeffs": 5},
+    ):
+        with pytest.raises(ValueError):
+            trunc_from_json(bad, 2)
