@@ -9,11 +9,16 @@ variable) to chart pairs and transforms with a multiplicative twist:
     D_ik = D_ij + alpha_ij * D_jk.
 
 Both kinds of cocycle are stored on a connected spanning set of ordered pairs
-and derived to all ordered pairs along a spanning tree; validation checks the
-derived family against every supplied entry, the triple identities, and
+and derived to all ordered pairs by one fold (``fold_tree``): each chart gets a
+potential, the entry from the first chart r to it folded along a spanning
+tree, and the entry on (i, k) joins the reversed potential of i to that of k.
+The fold reads each tree edge in one order only, so validation checks the
+derived family against every supplied entry (a reverse-order entry that
+contradicts the reversal rule is caught there), the triple identities, and
 membership: bundle entries must be units of the overlap ring, and a
 vector-field entry must map the overlap ring into itself (it suffices to
-check the image of each monoid generator).
+check the image of each monoid generator).  Cocycle data naming a chart
+outside the atlas is rejected with ``ValueError``.
 
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
 a twisted vector-field cocycle; its order-two transition endomorphisms feed
@@ -204,84 +209,73 @@ class ValidationReport:
 # -- derivation of full cocycle families --------------------------------
 
 
-def _spanning_tree(names: list[str], edges: set[Pair]) -> dict[str, list[str]]:
-    """BFS tree as a parent->path map; raises if the pair graph is disconnected."""
+def _spanning_tree(names: list[str], edges) -> list[Pair]:
+    """BFS tree edges (a, b), a nearer the first chart, in visiting order.
+
+    Raises if an edge names a chart outside ``names`` or if the edges leave
+    some chart unconnected to the first.
+    """
+    outside = sorted({n for edge in edges for n in edge} - set(names))
+    if outside:
+        raise ValueError(f"cocycle data names charts outside the atlas: {outside}")
     adj: dict[str, set[str]] = {n: set() for n in names}
     for i, j in edges:
-        if i in adj and j in adj:
-            adj[i].add(j)
-            adj[j].add(i)
+        adj[i].add(j)
+        adj[j].add(i)
     root = names[0]
-    paths: dict[str, list[str]] = {root: [root]}
+    seen = {root}
+    tree: list[Pair] = []
     queue = [root]
     while queue:
         cur = queue.pop(0)
-        for nxt in sorted(adj[cur]):
-            if nxt not in paths:
-                paths[nxt] = paths[cur] + [nxt]
-                queue.append(nxt)
-    missing = [n for n in names if n not in paths]
+        for nxt in sorted(adj[cur] - seen):
+            seen.add(nxt)
+            tree.append((cur, nxt))
+            queue.append(nxt)
+    missing = [n for n in names if n not in seen]
     if missing:
         raise ValueError(
             f"cocycle data does not connect charts {missing} to {root}"
         )
-    return paths
+    return tree
 
 
-def fold_tree_routes(names: list[str], data: dict, reverse, start, step) -> dict:
-    """Fold spanning data along tree routes, for every ordered chart pair.
+def fold_tree(names: list[str], data: dict, reverse, start, step) -> dict:
+    """Derive spanning data to every ordered chart pair, via chart potentials.
 
-    ``data`` holds entries on a connected set of pairs; a missing reverse
-    entry on (j, i) is ``reverse(i, j, entry_ij)``.  The value on (i, k) is
-    ``start`` folded by ``acc = step(acc, i, a, entry_ab)`` over the steps
-    (a, b) of the tree route from i to k.
+    ``reverse(i, j, entry_ij)`` is the entry on (j, i), and
+    ``step(acc, i, a, entry_ab)`` extends a value on (i, a) to one on (i, b).
+    With r the first chart, the potential of chart k is ``start`` folded
+    along the tree path from r to k; the path walks away from r, and each
+    step (a, b) reads the supplied entry on (a, b), or reverses the one on
+    (b, a) when only that order is given.  The value on (i, k) is
+    ``step(reverse(r, i, pot_i), i, r, pot_k)``, with ``start`` in place of
+    the reversed potential when i is r.  Supplied entries off the walked
+    steps, reverse orders included, are not read: validation compares them
+    with the derived family.
     """
-    lookup = {}
-    for (i, j), entry in data.items():
-        lookup[(i, j)] = entry
-        if (j, i) not in data:
-            lookup[(j, i)] = reverse(i, j, entry)
-    paths = _spanning_tree(names, set(lookup))
-    full = {}
-    for i in names:
-        for k in names:
-            if i == k:
-                continue
-            # walk i -> root -> k along tree paths; contract the common prefix
-            pi, pk = paths[i][::-1], paths[k]  # i..root, root..k
-            while len(pi) > 1 and len(pk) > 1 and pi[-2] == pk[1]:
-                pi = pi[:-1]
-                pk = pk[1:]
-            route = pi + pk[1:]
-            acc = start
-            for a, b in zip(route, route[1:]):
-                acc = step(acc, i, a, lookup[(a, b)])
-            full[(i, k)] = acc
-    return full
+    root = names[0]
+    pot = {root: start}
+    for a, b in _spanning_tree(names, data):
+        entry = data[(a, b)] if (a, b) in data else reverse(b, a, data[(b, a)])
+        pot[b] = step(pot[a], root, a, entry)
+    back = {i: reverse(root, i, pot[i]) for i in names[1:]}
+    back[root] = start
+    return {
+        (i, k): step(back[i], i, root, pot[k])
+        for i in names for k in names if i != k
+    }
 
 
 def derive_mult(atlas: Atlas, c: MultCocycle) -> dict[Pair, LaurentPoly]:
-    """All ordered-pair entries from spanning data, via chart potentials."""
-    names = atlas.chart_names()
-    lookup: dict[Pair, LaurentPoly] = {}
-    for (i, j), entry in c.data.items():
-        lookup[(i, j)] = entry
-        lookup.setdefault((j, i), entry.power(-1))
-    paths = _spanning_tree(names, set(lookup))
-    pot: dict[str, LaurentPoly] = {}
-    for name in names:
-        value = LaurentPoly.const(atlas.nvars, 1)
-        path = paths[name]
-        for a, b in zip(path, path[1:]):
-            value = value * lookup[(a, b)]
-        pot[name] = value
-    full: dict[Pair, LaurentPoly] = {}
-    for i in names:
-        inv_i = pot[i].power(-1)
-        for j in names:
-            if i != j:
-                full[(i, j)] = inv_i * pot[j]
-    return full
+    """All ordered-pair entries of a bundle cocycle: g_ik = g_ri^-1 g_rk."""
+    return fold_tree(
+        atlas.chart_names(),
+        c.data,
+        lambda i, j, entry: entry.power(-1),
+        LaurentPoly.const(atlas.nvars, 1),
+        lambda acc, i, a, entry: acc * entry,
+    )
 
 
 def derive_vector_field(
@@ -290,7 +284,7 @@ def derive_vector_field(
     """All ordered-pair entries of a twisted vector-field cocycle.
 
     Uses the reversal rule D_ji = -alpha_ji * D_ij and the twisted chain rule
-    along spanning-tree paths.
+    D_ik = D_ir + alpha_ir * D_rk through the chart potentials D_rk.
     """
     one = LaurentPoly.const(atlas.nvars, 1)
 
@@ -298,7 +292,7 @@ def derive_vector_field(
         twist = one if a == i else alpha_full[(i, a)]
         return tuple(t + twist * c for t, c in zip(total, comps))
 
-    return fold_tree_routes(
+    return fold_tree(
         atlas.chart_names(),
         D.data,
         lambda i, j, comps: tuple(-(alpha_full[(j, i)] * c) for c in comps),

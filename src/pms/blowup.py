@@ -37,7 +37,7 @@ from .atlas import (
     derivation_failures,
     derive_mult,
     derive_vector_field,
-    fold_tree_routes,
+    fold_tree,
     pair_key,
     transition_endomorphism,
     validate_double_scheme,
@@ -196,7 +196,7 @@ def derive_transitions(
     atlas: Atlas, transitions: dict[Pair, RingMorphism]
 ) -> dict[Pair, RingMorphism]:
     """Transition morphisms on all ordered pairs, composed along a tree."""
-    return fold_tree_routes(
+    return fold_tree(
         atlas.chart_names(),
         transitions,
         lambda i, j, theta: endo_inverse(theta),

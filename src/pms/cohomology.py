@@ -126,14 +126,10 @@ def trivial_twist(atlas: Atlas) -> dict[Pair, LaurentPoly]:
 
 def derive_oneform(
     atlas: Atlas, omega: OneFormCocycle,
-    twist: MultCocycle | None = None,
 ) -> dict[Pair, tuple[LaurentPoly, ...]]:
-    """Full ordered-pair family of a (possibly twisted) one-form cocycle."""
-    twist_full = (
-        derive_mult(atlas, twist) if twist is not None else trivial_twist(atlas)
-    )
+    """Full ordered-pair family of an untwisted one-form cocycle."""
     carrier = VectorFieldCocycle(dict(omega.data))
-    return derive_vector_field(atlas, twist_full, carrier)
+    return derive_vector_field(atlas, trivial_twist(atlas), carrier)
 
 
 def canonical_class(atlas: Atlas, c: MultCocycle) -> OneFormCocycle:
@@ -226,28 +222,23 @@ def flat(atlas: Atlas, spec: DoubleSchemeSpec) -> OneFormCocycle:
 # -- cup product and residue --------------------------------------------
 
 
-def increasing_triples(atlas: Atlas):
-    names = atlas.chart_names()
-    return itertools.combinations(names, 3)
-
-
 def contract_cup(
     atlas: Atlas, alpha: MultCocycle, sigma: VectorFieldCocycle,
-    omega: OneFormCocycle, omega_twist: MultCocycle | None = None,
+    omega: OneFormCocycle,
 ) -> TwoCocycle:
     """Cup product of a frame-twisted vector cocycle with a one-form cocycle.
 
     Entry on an increasing triple (i, j, k) is the contraction
     <sigma_ij, omega_jk> converted to a top-form coefficient through the
-    frame of chart i.  With untwisted omega the result satisfies the plain
-    Cech 2-cocycle identity on quadruples.
+    frame of chart i.  The result satisfies the plain Cech 2-cocycle identity
+    on quadruples.
     """
     _require_frame_twist(atlas, alpha)
     alpha_full = derive_mult(atlas, alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, sigma)
-    omega_full = derive_oneform(atlas, omega, omega_twist)
+    omega_full = derive_oneform(atlas, omega)
     data = {}
-    for i, j, k in increasing_triples(atlas):
+    for i, j, k in itertools.combinations(atlas.chart_names(), 3):
         s = sigma_full[(i, j)]
         w = omega_full[(j, k)]
         contraction = LaurentPoly.zero(atlas.nvars)
@@ -555,10 +546,9 @@ def oneform_coboundary_solve(
     atlas: Atlas,
     sigma: OneFormCocycle,
     bound: int = 6,
-    twist: MultCocycle | None = None,
     extra: dict[str, OneFormCocycle] | None = None,
 ) -> tuple[dict | None, dict]:
-    """Solve sigma = sum_s c_s extra_s + (rho_i - twist_ij rho_j), bounded.
+    """Solve sigma = sum_s c_s extra_s + (rho_i - rho_j), bounded.
 
     The chart cochains rho_i range over the span of x^m d(x^g) with m in the
     chart ring box; extra classes enter with unknown rational multipliers
@@ -566,9 +556,7 @@ def oneform_coboundary_solve(
     "coefficients" to the multipliers and "cochain" to the per-chart forms.
     """
     space = BoundedSpace(atlas.nvars, bound)
-    twist_full = (
-        derive_mult(atlas, twist) if twist is not None else trivial_twist(atlas)
-    )
+    twist_full = trivial_twist(atlas)
     sigma_full = derive_oneform(atlas, sigma)
     extra_full = {
         name: derive_oneform(atlas, cls) for name, cls in (extra or {}).items()

@@ -175,14 +175,11 @@ def in_span(vector: Mapping[Var, Fraction],
     return solve_rows((vec, 0) for vec in basis).spans(vector)
 
 
-def solve_rows(rows: Iterable[tuple[Row, Fraction]],
-               pins: Mapping[Var, Fraction | int] | None = None) -> LinearSolver:
-    """A solver holding ``rows`` plus one equation label = value per pin."""
+def solve_rows(rows: Iterable[tuple[Row, Fraction]]) -> LinearSolver:
+    """A solver holding ``rows``."""
     solver = LinearSolver()
     for row, rhs in rows:
         solver.add_equation(row, rhs)
-    for label, value in (pins or {}).items():
-        solver.add_equation({label: 1}, value)
     return solver
 
 

@@ -351,7 +351,7 @@ def carpet_decompose(
         "v": canonical_class(atlas, v_cls),
     }
     solution, report = oneform_coboundary_solve(
-        atlas, sigma, bound, twist=None, extra=extra
+        atlas, sigma, bound, extra=extra
     )
     if solution is None:
         return None, report
@@ -728,8 +728,8 @@ def solve_pullback_family(
 
     def pinned_solution(one=None):
         """The solution with pin ``one`` set to 1 and the other pins to 0."""
-        pinned_values = {lb: int(lb == one) for lb in pins}
-        return solve_rows(named_rows, pinned_values).solve()
+        pin_rows = (({lb: 1}, int(lb == one)) for lb in pins)
+        return solve_rows(itertools.chain(named_rows, pin_rows)).solve()
 
     base = pinned_solution()
     directions = {pin: pinned_solution(pin) for pin in pins}

@@ -30,8 +30,6 @@ from .laurent_core import (
     poly_to_json,
 )
 
-FULL_RING_2 = ExponentMonoid(2, ((1, 0), (-1, 0), (0, 1), (0, -1)))
-
 
 def full_laurent_ring(nvars: int) -> ExponentMonoid:
     """The monoid of all integer exponent vectors (every monomial allowed)."""

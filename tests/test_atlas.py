@@ -23,6 +23,7 @@ from pms.atlas import (
     validate_double_scheme,
     validate_mult_cocycle,
 )
+from pms.blowup import CenterSpec, blowup_reduced, derive_transitions, lift_double
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.truncated_ring import compose_endo, identity_morphism
 from pms.p2_catalog import (
@@ -117,24 +118,70 @@ def test_validate_mult_cocycle_flags_non_unit():
 
 
 def test_derive_vector_field_reversal_and_cocycle_rule():
+    plane = make_p2(-3, nontrivial=True)
+    point = CenterSpec("reduced", generators={"U2": (mono((0, 1)), mono((1, 1)))})
+    for spec in (plane, build_carpet(Fraction(1, 2)),
+                 blowup_reduced(plane, point).spec, build_carpet("symbolic")):
+        alpha = derive_mult(spec.atlas, spec.alpha)
+        full = derive_vector_field(spec.atlas, alpha, spec.D)
+        names = spec.atlas.chart_names()
+        nvars = spec.atlas.nvars
+        for i in names:
+            for j in names:
+                if i == j:
+                    continue
+                for v in range(nvars):
+                    assert full[(j, i)][v] == -(alpha[(j, i)] * full[(i, j)][v])
+        for i in names:
+            for j in names:
+                for k in names:
+                    if len({i, j, k}) == 3:
+                        for v in range(nvars):
+                            lhs = full[(i, k)][v]
+                            rhs = full[(i, j)][v] + alpha[(i, j)] * full[(j, k)][v]
+                            assert lhs == rhs
+
+
+def test_reverse_order_entries_must_obey_the_reversal_rule():
     spec = make_p2(-3, nontrivial=True)
-    alpha = derive_mult(spec.atlas, spec.alpha)
-    full = derive_vector_field(spec.atlas, alpha, spec.D)
-    names = spec.atlas.chart_names()
-    for i in names:
-        for j in names:
-            if i == j:
-                continue
-            for v in range(2):
-                assert full[(j, i)][v] == -(alpha[(j, i)] * full[(i, j)][v])
-    for i in names:
-        for j in names:
-            for k in names:
-                if len({i, j, k}) == 3:
-                    for v in range(2):
-                        lhs = full[(i, k)][v]
-                        rhs = full[(i, j)][v] + alpha[(i, j)] * full[(j, k)][v]
-                        assert lhs == rhs
+    alpha = MultCocycle("alpha", dict(spec.alpha.data))
+    alpha.data[("U1", "U0")] = alpha.data[("U0", "U1")]  # not its inverse
+    report = validate_mult_cocycle(spec.atlas, alpha)
+    assert not report.ok
+    assert any("(U1,U0) is inconsistent" in f for f in report.failures)
+    # D_10 must be -alpha_10 D_01, which is nonzero here
+    zero = LaurentPoly.zero(2)
+    assert spec.D.data[("U0", "U1")] != (zero, zero)
+    field = VectorFieldCocycle({**spec.D.data, ("U1", "U0"): (zero, zero)})
+    report = validate_double_scheme(DoubleSchemeSpec(spec.atlas, spec.alpha, field))
+    assert not report.ok
+    assert any("(U1,U0) is inconsistent" in f for f in report.failures)
+
+
+def test_data_naming_an_unknown_chart_is_rejected():
+    spec = make_p2(-3, nontrivial=True)
+    atlas = spec.atlas
+    zero = LaurentPoly.zero(2)
+    alpha = MultCocycle("alpha", {**spec.alpha.data, ("U0", "X9"): mono((1, 0))})
+    field = VectorFieldCocycle({**spec.D.data, ("X9", "U0"): (zero, zero)})
+    transitions = {
+        **lift_double(spec).transitions, ("U0", "X9"): identity_morphism(2, 2)
+    }
+    alpha_full = derive_mult(atlas, spec.alpha)
+    for derive in (
+        lambda: derive_mult(atlas, alpha),
+        lambda: derive_vector_field(atlas, alpha_full, field),
+        lambda: derive_transitions(atlas, transitions),
+    ):
+        with pytest.raises(ValueError, match=r"outside the atlas: \['X9'\]"):
+            derive()
+    for report in (
+        validate_mult_cocycle(atlas, alpha),
+        validate_double_scheme(DoubleSchemeSpec(atlas, alpha, spec.D)),
+        validate_double_scheme(DoubleSchemeSpec(atlas, spec.alpha, field)),
+    ):
+        assert not report.ok
+        assert any("X9" in f for f in report.failures)
 
 
 def test_validate_derivation_cocycle_accepts_and_rejects():

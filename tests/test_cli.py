@@ -137,6 +137,32 @@ def test_validate_good_and_malformed(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
     assert json.loads(out)["failures"]
 
+    # a reverse-order entry must obey D_10 = -alpha_10 D_01, which is not zero
+    data = json.loads(path.read_text())
+    data["double_structure"]["D"]["U1,U0"] = [[], []]
+    reversed_entry = tmp_path / "reversed.json"
+    reversed_entry.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "validate", str(reversed_entry))
+    assert code == 1
+    assert any("(U1,U0)" in f for f in json.loads(out)["failures"])
+
+
+def test_unknown_chart_in_cocycle_data(tmp_path, capsys):
+    path = write_plane_doc(tmp_path)
+    data = json.loads(path.read_text())
+    name = data["double_structure"]["alpha"]
+    data["cocycles"][name]["U0,X9"] = poly_to_json(mono(2, (1, 0)))
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert any("X9" in f for f in json.loads(out)["failures"])
+    code, out, err = run(
+        capsys, "cohomology", str(path), "--op", "coboundary", "--bound", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "X9" in err
+
 
 # (file, key path, replacement): each makes a JSON value the wrong shape
 MALFORMED_INPUTS = [

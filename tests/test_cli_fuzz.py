@@ -15,7 +15,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pms.atlas import AtlasDocument, dumps_document
@@ -83,12 +83,31 @@ JSON_VALUES = st.recursive(
 )
 
 
+CHARTS = {chart["name"] for chart in PLANE["charts"]}
+# new names for a renamed chart or chart-pair key: unknown charts, reversed
+# and degenerate pairs
+KEYS = st.sampled_from(["U0,X9", "U1,U0", "U0,U0", "X9", "U2,U1"])
+
+# the bundle cocycle with one more entry, on a pair naming an unknown chart
+UNKNOWN_CHART = copy.deepcopy(PLANE)
+UNKNOWN_CHART["cocycles"][BUNDLE]["U0,X9"] = PLANE["cocycles"][BUNDLE]["U0,U1"]
+
+
+def _names_charts(key) -> bool:
+    return isinstance(key, str) and set(key.split(",")) <= CHARTS
+
+
 @st.composite
 def mutated(draw, document, paths):
-    """``document`` with one to three values replaced or deleted."""
+    """``document`` with one to three values replaced, deleted or re-keyed.
+
+    Only keys that name charts or chart pairs are renamed.
+    """
+    keyed = [path for path in paths if path and _names_charts(path[-1])]
     data = copy.deepcopy(document)
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(paths))
+        action = draw(st.sampled_from(["delete", "replace", "rename"]))
+        path = draw(st.sampled_from(keyed if action == "rename" else paths))
         if not path:
             data = draw(JSON_VALUES)
             continue
@@ -99,10 +118,12 @@ def mutated(draw, document, paths):
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed this path
-        if draw(st.booleans()):
+        if action == "delete":
             del parent[path[-1]]
-        else:
+        elif action == "replace":
             parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            parent[draw(KEYS)] = parent.pop(path[-1])
     return data
 
 
@@ -171,6 +192,8 @@ VERB_ARGS = {
     doc=mutated(PLANE, DOC_PATHS),
     center=st.none() | mutated(CENTER, CENTER_PATHS),
 )
+@example(case="validate", doc=UNKNOWN_CHART, center=None)
+@example(case="cohomology/coboundary", doc=UNKNOWN_CHART, center=None)
 def test_mutated_documents_exit_cleanly(tmp_path_factory, case, doc, center):
     root = tmp_path_factory.getbasetemp()
     doc_path, center_path = root / "mutated.json", root / "mutated-center.json"
