@@ -19,22 +19,38 @@ The module provides:
   functional, normalized by a stored calibration scale.
 
 Unknown chart vector fields carry one unknown t per boxed term
-t * x^e d/dx_v, except where the chart ring forces t to zero.  The
-ring-preservation rows of the full-box field (``linear.derivation_rows``,
-built once per chart ring and bound) have zero right-hand side, and an
-unknown z is dropped when its unit vector e_z lies in their span.  With Z
-the dropped unknowns, every (e_z | 0) lies in the augmented row space of the
-whole system, so that space is span(e_Z) (+) (every row with the
-coordinates Z deleted, right-hand side kept), a direct sum on disjoint
-coordinates.  Its leading labels are Z together with those of the second
-summand, so the solver's particular solution (free labels zero) is zero on
-Z and otherwise equal to the one computed without Z: witnesses and "none"
-answers do not change.  The solvers get the ring rows with Z deleted.
-The ring rows are few and short: a term x^e d/dx_v has degree e - e_v
-(Demazure's grading of the derivations of a toric ring), and the row of a
-generator g at the exponent g + d mentions only unknowns of degree d, so a
-degree gives at most one row per generator, of at most nvars entries, and
-rows of different degrees share no unknown.
+t * x^e d/dx_v, except where the system forces t to zero.  With Z the
+dropped unknowns, if every (e_z | 0) lies in the augmented row space of the
+whole system, that space is span(e_Z) (+) (every row with the coordinates Z
+deleted, right-hand side kept), a direct sum on disjoint coordinates.  Its
+leading labels are Z together with those of the second summand, so the
+solver's particular solution (free labels zero) is zero on Z and otherwise
+equal to the one computed without Z: pivots, witnesses and "none" answers do
+not change.  Z is found in two steps.
+
+* The chart ring.  The ring-preservation rows of the full-box field
+  (``linear.derivation_rows``, built once per chart ring and bound) have
+  zero right-hand side, and z is dropped when e_z lies in their span.
+  These rows are few and short: a term x^e d/dx_v has degree e - e_v
+  (Demazure's grading of the derivations of a toric ring), and the row of a
+  generator g at the exponent g + d mentions only unknowns of degree d, so
+  a degree gives at most one row per generator, of at most nvars entries,
+  and rows of different degrees share no unknown.
+* The singleton cascade.  Repeatedly, a row with zero right-hand side that
+  mentions one label z left, after deleting the labels dropped before, is
+  c e_z plus a combination of earlier dropped e_z'; by induction each e_z
+  lies in the row space, so every z deleted this way may be dropped.  Over
+  the ring rows it finds most ring-forced unknowns; over the ring rows and
+  the twisted-difference rows of a solve it removes the rows u = 0 at the
+  box edges and where the other chart's term was dropped.  It reads
+  exponent sets only: the twisted-difference row at f of the pair (i, j)
+  with twist x^a mentions the terms of F_i at f and of F_j at f - a that
+  have an unknown, and has zero right-hand side exactly when f is outside
+  the target's support, so no row is built before Z is known.
+
+Extra scalar unknowns (tau, and the one-form ``coeff`` labels) are never
+dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted tau would
+make that pin consistent by mistake.
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .atlas import (
     Atlas,
@@ -331,6 +348,42 @@ def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
 # -- bounded coboundary solving -----------------------------------------
 
 
+def _forced_by_singletons(rows) -> set:
+    """The labels that a cascade of singleton rows forces to zero.
+
+    ``rows`` gives the label sets of rows with zero right-hand side whose
+    labels may all be dropped.  Repeatedly takes a row with one label left
+    and deletes that label from every row; returns the deleted labels, each
+    of whose unit vectors lies in the span of the rows (module docstring).
+    """
+    # todo holds the labels of singleton rows; only longer rows are indexed
+    where, todo = {}, []
+    for row in rows:
+        if len(row) == 1:
+            todo.extend(row)
+            continue
+        row = set(row)
+        for z in row:
+            where.setdefault(z, []).append(row)
+    forced = set()
+    while todo:
+        z = todo.pop()
+        if z in forced:
+            continue
+        forced.add(z)
+        for row in where.get(z, ()):
+            row.discard(z)
+            if len(row) == 1:
+                todo.extend(row)
+    return forced
+
+
+def _without(rows, labels) -> list[dict]:
+    """The rows with the coordinates ``labels`` deleted, empty rows left out."""
+    rows = ({z: c for z, c in row.items() if z not in labels} for row in rows)
+    return [row for row in rows if row]
+
+
 # one entry per chart ring and bound; a cocycle-search round reaches about 48
 @lru_cache(maxsize=256)
 def _chart_ring_rows(
@@ -340,42 +393,91 @@ def _chart_ring_rows(
 
     Builds ``derivation_rows`` once over one unknown (v, e) per boxed term
     x^e d/dx_v and drops every unknown whose unit vector those rows span
-    (see the module docstring).  Returns, per variable v, the kept
-    exponents e, and the rows with the dropped coordinates deleted.
+    (see the module docstring).  The singleton cascade finds most of them;
+    a solver holding the few rows left decides the rest, since outside the
+    cascade's labels the two row spaces hold the same unit vectors.
+    Returns, per variable v, the kept exponents e, and the rows with the
+    dropped coordinates deleted.
     """
     box = list(BoundedSpace(nvars, bound).exponents())
     comps = tuple(SymPoly.unknown(nvars, (v,), box) for v in range(nvars))
-    rows = list(derivation_rows(comps, ExponentMonoid(nvars, generators)))
-    solver = solve_rows(rows)
-    mentioned = {z for row, _ in rows for z in row}
-    forced = {z for z in mentioned if solver.spans({z: 1})}
+    rows = [
+        row for row, _ in derivation_rows(comps, ExponentMonoid(nvars, generators))
+    ]
+    forced = _forced_by_singletons(rows)
+    rows = _without(rows, forced)
+    solver = solve_rows((row, 0) for row in rows)
+    mentioned = {z for row in rows for z in row}
+    forced |= {z for z in mentioned if solver.spans({z: 1})}
     kept = tuple(
         tuple(e for e in box if (v, e) not in forced) for v in range(nvars)
     )
-    rows = ({z: c for z, c in row.items() if z not in forced} for row, _ in rows)
-    return kept, tuple(row for row in rows if row)
+    return kept, tuple(_without(rows, forced))
 
 
-def _chart_fields(atlas: Atlas, space: BoundedSpace) -> tuple[dict, list]:
-    """Unknown boxed chart vector fields and the rows keeping each chart ring.
+def _twisted_singleton_candidates(atlas: Atlas, kept: dict, twist_full,
+                                  target_full, extra=()):
+    """Label sets of the twisted-difference rows that can force a field term.
 
-    The coefficients are labelled ("T", chart, v, e); only those that the
-    chart ring does not force to zero get an unknown.
+    These are the rows of ``_twisted_difference_rows`` over the chart fields
+    with exponents ``kept[chart][v]`` whose right-hand side is zero, read
+    from exponent sets alone.  A row that mentions an extra scalar is left
+    out: the scalar is never dropped, so the row never becomes a singleton
+    of a chart-field label.
     """
-    fields, ring_rows = {}, []
+    for pair in canonical_spanning_pairs(atlas):
+        i, j = pair
+        exp_a, _ = twist_full[pair].as_monomial()
+        for v in range(atlas.nvars):
+            skip = target_full[pair][v].support()
+            for _, known in extra:
+                skip |= known[pair][v].support()
+            mine = set(kept[i][v])
+            theirs = {tuple(map(add, e, exp_a)): e for e in kept[j][v]}
+            for f in mine - skip:
+                if f in theirs:
+                    yield ("T", i, v, f), ("T", j, v, theirs[f])
+                else:
+                    yield (("T", i, v, f),)
+            for f in theirs.keys() - mine - skip:
+                yield (("T", j, v, theirs[f]),)
+
+
+def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
+                  extra=()) -> tuple[dict, list]:
+    """Unknown boxed chart fields and the rows keeping each chart ring.
+
+    The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
+    unknown when its chart ring forces it to zero (``_chart_ring_rows``), or
+    when the singleton cascade over the ring rows and the twisted-difference
+    rows of F_i - twist_ij F_j + sum_s c_s K_s = target does.  The cascade
+    reads the cached ring rows and exponent sets, so no row of the solve is
+    built before it is done; the extra scalars c_s are never dropped.
+    """
+    nvars = atlas.nvars
+    kept, ring_rows = {}, []
     for chart in atlas.charts:
-        kept, rows = _chart_ring_rows(
-            chart.ring.generators, atlas.nvars, space.bound
-        )
-        fields[chart.name] = tuple(
-            SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
-            for v, exps in enumerate(kept)
+        kept[chart.name], rows = _chart_ring_rows(
+            chart.ring.generators, nvars, space.bound
         )
         ring_rows.extend(
-            ({("T", chart.name, v, e): c for (v, e), c in row.items()}, 0)
+            {("T", chart.name, v, e): c for (v, e), c in row.items()}
             for row in rows
         )
-    return fields, ring_rows
+    forced = _forced_by_singletons(itertools.chain(
+        ring_rows,
+        _twisted_singleton_candidates(atlas, kept, twist_full, target_full, extra),
+    ))
+    fields = {
+        name: tuple(
+            SymPoly.unknown(nvars, ("T", name, v), [
+                e for e in exps if ("T", name, v, e) not in forced
+            ])
+            for v, exps in enumerate(per_var)
+        )
+        for name, per_var in kept.items()
+    }
+    return fields, [(row, 0) for row in _without(ring_rows, forced)]
 
 
 def _twisted_difference_rows(
@@ -462,7 +564,7 @@ def coboundary_solve(
     space = BoundedSpace(atlas.nvars, bound)
     alpha_full = derive_mult(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
-    fields, ring_rows = _chart_fields(atlas, space)
+    fields, ring_rows = _chart_fields(atlas, space, alpha_full, sigma_full)
     values = solve_rows(itertools.chain(
         ring_rows, _twisted_difference_rows(atlas, fields, alpha_full, sigma_full)
     )).solve()
@@ -492,10 +594,10 @@ def iso_decide(
     space = BoundedSpace(atlas.nvars, bound)
     s1 = derive_vector_field(atlas, alpha_full, first.D)
     s2 = derive_vector_field(atlas, alpha_full, second.D)
-    fields, ring_rows = _chart_fields(atlas, space)
+    extra = [(("tau",), s1)]
+    fields, ring_rows = _chart_fields(atlas, space, alpha_full, s2, extra)
     solver = solve_rows(itertools.chain(
-        ring_rows,
-        _twisted_difference_rows(atlas, fields, alpha_full, s2, [(("tau",), s1)]),
+        ring_rows, _twisted_difference_rows(atlas, fields, alpha_full, s2, extra),
     ))
     # the solution depends only on the equations, not on their order, so
     # pinning tau = 1 last gives the same witness as pinning it first

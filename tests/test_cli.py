@@ -230,6 +230,22 @@ def test_classify_iso_exit_codes(tmp_path, capsys):
     assert report["caveat"]
 
 
+def test_classify_iso_against_zero_structure(tmp_path, capsys):
+    """Only tau = 0 maps the carpet onto D = 0, so there is no isomorphism."""
+    path = write_carpet_doc(tmp_path, Fraction(1, 2))
+    data = json.loads(path.read_text())
+    D = data["double_structure"]["D"]
+    for pair in D:
+        D[pair] = [[] for _ in D[pair]]
+    zeroed = tmp_path / "zero.json"
+    zeroed.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "classify-iso", str(path), str(zeroed), "--bound", "3"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out)["status"] == "none_within_bound"
+
+
 def test_blowup_round_trip_and_determinism(tmp_path, capsys):
     path = write_plane_doc(tmp_path)
     center = write_point_center(tmp_path)

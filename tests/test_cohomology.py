@@ -14,7 +14,7 @@ from pms.atlas import (
     derivation_failures,
     derive_mult,
 )
-from pms.blowup import CenterSpec, blowup_hypersurface
+from pms.blowup import CenterSpec, blowup_good, blowup_hypersurface
 from pms.cohomology import (
     BOUND_CAVEAT,
     BoundedSpace,
@@ -412,7 +412,7 @@ def test_chart_ring_rows_are_the_derivation_rows_of_the_kept_field():
             assert [(row, 0) for row in rows] == list(derivation_rows(comps, ring))
 
 
-def full_box_fields(atlas, space):
+def full_box_fields(atlas, space, *_):
     """Every boxed coefficient an unknown, with the full-box ring rows."""
     exps = list(space.exponents())
     fields = {
@@ -446,6 +446,26 @@ def plane_with_pole():
     return DoubleSchemeSpec(base.atlas, base.alpha, VectorFieldCocycle(data))
 
 
+def good_center(a1, a2):
+    const = LaurentPoly.const
+    return CenterSpec("good", pairs={
+        "U2": ((mono((0, 1)), const(2, a1)), (mono((1, 1)), const(2, a2))),
+    })
+
+
+def distinct_good_points(bound):
+    base = make_p2(-3, nontrivial=True)
+    one = blowup_good(base, good_center(0, 1), check=False)
+    two = blowup_good(base, good_center(Fraction(1, 2), -1), check=False)
+    return iso_decide(one.spec, two.spec, bound=bound)
+
+
+def zero_structure(spec):
+    """The same atlas and bundle cocycle with D = 0."""
+    data = {pair: (zero(), zero()) for pair in canonical_spanning_pairs(spec.atlas)}
+    return DoubleSchemeSpec(spec.atlas, spec.alpha, VectorFieldCocycle(data))
+
+
 DIFFERENTIAL_CASES = {
     "coboundary/hypersurface-blowup": ("found", lambda b: coboundary_solve(
         blowup_hypersurface(make_p2(-3, nontrivial=True), LINE_X0).spec, bound=b)),
@@ -462,6 +482,11 @@ DIFFERENTIAL_CASES = {
         plane_with_pole(), bound=b)),
     "iso/distinct-carpets": ("none_within_bound", lambda b: iso_decide(
         build_carpet(0), build_carpet(1), bound=b)),
+    "iso/distinct-good-points": ("none_within_bound", distinct_good_points),
+    # only tau = 0 solves it: the pin tau = 1 must stay inconsistent
+    "iso/zero-structure": ("none_within_bound", lambda b: iso_decide(
+        build_carpet(Fraction(1, 2)),
+        zero_structure(build_carpet(Fraction(1, 2))), bound=b)),
 }
 
 
@@ -469,7 +494,7 @@ DIFFERENTIAL_CASES = {
 def test_dropping_forced_unknowns_keeps_reports(case, monkeypatch):
     """Same witness and report JSON as with one unknown per boxed exponent."""
     expected, solve = DIFFERENTIAL_CASES[case]
-    for bound in (1, 3, 5):
+    for bound in (0, 1, 3, 5):
         witness, report = solve(bound)
         with monkeypatch.context() as patch:
             patch.setattr(cohomology, "_chart_fields", full_box_fields)
@@ -479,3 +504,71 @@ def test_dropping_forced_unknowns_keeps_reports(case, monkeypatch):
             full_report, sort_keys=True
         )
     assert report["status"] == expected
+
+
+def singleton_fixpoint(rows):
+    """Row by row: delete every chart-field label that a zero-rhs row
+    mentions alone, until no such row is left."""
+    rows = [(dict(row), rhs) for row, rhs in rows]
+    forced = set()
+    while True:
+        single = {
+            z for row, rhs in rows if rhs == 0 and len(row) == 1
+            for z in row if z[0] == "T"
+        }
+        if not single:
+            return forced
+        forced |= single
+        for row, _ in rows:
+            for z in single:
+                row.pop(z, None)
+
+
+def labels_of(fields):
+    return {
+        label for comps in fields.values() for comp in comps
+        for row in comp.table.values() for label in row
+    }
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
+    """The solvers leave out exactly the row-level singleton fixpoint of the
+    ring-kept system, and hand the solver no chart-field singleton u = 0."""
+    twisted = cohomology._twisted_difference_rows
+    calls = []
+
+    def spy_twisted(atlas, fields, twist_full, target_full, extra=()):
+        calls.append((atlas, fields, twist_full, target_full, extra))
+        return twisted(atlas, fields, twist_full, target_full, extra)
+
+    def spy_solve_rows(rows):
+        rows = list(rows)
+        for row, rhs in rows:
+            assert rhs or len(row) != 1 or next(iter(row)) == ("tau",), row
+        return solve_rows(rows)
+
+    monkeypatch.setattr(cohomology, "_twisted_difference_rows", spy_twisted)
+    monkeypatch.setattr(cohomology, "solve_rows", spy_solve_rows)
+    _, solve = DIFFERENTIAL_CASES[case]
+    for bound in range(7):
+        calls.clear()
+        solve(bound)
+        assert calls
+        for atlas, fields, twist_full, target_full, extra in calls:
+            ring_kept, rows = {}, []
+            for chart in atlas.charts:
+                kept, ring = cohomology._chart_ring_rows(
+                    chart.ring.generators, atlas.nvars, bound
+                )
+                ring_kept[chart.name] = tuple(
+                    SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
+                    for v, exps in enumerate(kept)
+                )
+                rows += [
+                    ({("T", chart.name, v, e): c for (v, e), c in row.items()}, 0)
+                    for row in ring
+                ]
+            rows += twisted(atlas, ring_kept, twist_full, target_full, extra)
+            dropped = labels_of(ring_kept) - labels_of(fields)
+            assert dropped == singleton_fixpoint(rows), (case, bound)
