@@ -19,14 +19,10 @@ The module provides:
   functional, normalized by a stored calibration scale.
 
 Unknown chart vector fields carry one unknown t per boxed term
-t * x^e d/dx_v, except where the system forces t to zero.  With Z the
-dropped unknowns, if every (e_z | 0) lies in the augmented row space of the
-whole system, that space is span(e_Z) (+) (every row with the coordinates Z
-deleted, right-hand side kept), a direct sum on disjoint coordinates.  Its
-leading labels are Z together with those of the second summand, so the
-solver's particular solution (free labels zero) is zero on Z and otherwise
-equal to the one computed without Z: pivots, witnesses and "none" answers do
-not change.  Z is found in two steps.
+t * x^e d/dx_v, except where the system forces t to zero.  Dropping a set Z
+of unknowns whose unit vectors lie in the row space changes no pivot,
+witness or "none" answer (the direct-sum argument in ``pms.linear``).  Z is
+found in two steps.
 
 * The chart ring.  The ring-preservation rows of the full-box field
   (``linear.derivation_rows``, built once per chart ring and bound) have
@@ -36,17 +32,14 @@ not change.  Z is found in two steps.
   generator g at the exponent g + d mentions only unknowns of degree d, so
   a degree gives at most one row per generator, of at most nvars entries,
   and rows of different degrees share no unknown.
-* The singleton cascade.  Repeatedly, a row with zero right-hand side that
-  mentions one label z left, after deleting the labels dropped before, is
-  c e_z plus a combination of earlier dropped e_z'; by induction each e_z
-  lies in the row space, so every z deleted this way may be dropped.  Over
-  the ring rows it finds most ring-forced unknowns; over the ring rows and
-  the twisted-difference rows of a solve it removes the rows u = 0 at the
-  box edges and where the other chart's term was dropped.  It reads
-  exponent sets only: the twisted-difference row at f of the pair (i, j)
-  with twist x^a mentions the terms of F_i at f and of F_j at f - a that
-  have an unknown, and has zero right-hand side exactly when f is outside
-  the target's support, so no row is built before Z is known.
+* The singleton cascade (``linear.forced_by_singletons``).  Over the ring
+  rows it finds most ring-forced unknowns; over the ring rows and the
+  twisted-difference rows of a solve it removes the rows u = 0 at the box
+  edges and where the other chart's term was dropped.  It reads exponent
+  sets only: the twisted-difference row at f of the pair (i, j) with twist
+  x^a mentions the terms of F_i at f and of F_j at f - a that have an
+  unknown, and has zero right-hand side exactly when f is outside the
+  target's support, so no row is built before Z is known.
 
 Extra scalar unknowns (tau, and the one-form ``coeff`` labels) are never
 dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted tau would
@@ -81,7 +74,9 @@ from .laurent_core import (
     format_rational,
     poly_to_json,
 )
-from .linear import SymPoly, derivation_rows, solve_rows
+from .linear import (
+    SymPoly, derivation_rows, forced_by_singletons, solve_rows, without,
+)
 
 BOUND_CAVEAT = (
     "bounded search: coefficients were restricted to the exponent box "
@@ -348,42 +343,6 @@ def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
 # -- bounded coboundary solving -----------------------------------------
 
 
-def _forced_by_singletons(rows) -> set:
-    """The labels that a cascade of singleton rows forces to zero.
-
-    ``rows`` gives the label sets of rows with zero right-hand side whose
-    labels may all be dropped.  Repeatedly takes a row with one label left
-    and deletes that label from every row; returns the deleted labels, each
-    of whose unit vectors lies in the span of the rows (module docstring).
-    """
-    # todo holds the labels of singleton rows; only longer rows are indexed
-    where, todo = {}, []
-    for row in rows:
-        if len(row) == 1:
-            todo.extend(row)
-            continue
-        row = set(row)
-        for z in row:
-            where.setdefault(z, []).append(row)
-    forced = set()
-    while todo:
-        z = todo.pop()
-        if z in forced:
-            continue
-        forced.add(z)
-        for row in where.get(z, ()):
-            row.discard(z)
-            if len(row) == 1:
-                todo.extend(row)
-    return forced
-
-
-def _without(rows, labels) -> list[dict]:
-    """The rows with the coordinates ``labels`` deleted, empty rows left out."""
-    rows = ({z: c for z, c in row.items() if z not in labels} for row in rows)
-    return [row for row in rows if row]
-
-
 # one entry per chart ring and bound; a cocycle-search round reaches about 48
 @lru_cache(maxsize=256)
 def _chart_ring_rows(
@@ -401,18 +360,16 @@ def _chart_ring_rows(
     """
     box = list(BoundedSpace(nvars, bound).exponents())
     comps = tuple(SymPoly.unknown(nvars, (v,), box) for v in range(nvars))
-    rows = [
-        row for row, _ in derivation_rows(comps, ExponentMonoid(nvars, generators))
-    ]
-    forced = _forced_by_singletons(rows)
-    rows = _without(rows, forced)
-    solver = solve_rows((row, 0) for row in rows)
-    mentioned = {z for row in rows for z in row}
+    rows = list(derivation_rows(comps, ExponentMonoid(nvars, generators)))
+    forced = forced_by_singletons(row for row, _ in rows)
+    rows = without(rows, forced)
+    solver = solve_rows(rows)
+    mentioned = {z for row, _ in rows for z in row}
     forced |= {z for z in mentioned if solver.spans({z: 1})}
     kept = tuple(
         tuple(e for e in box if (v, e) not in forced) for v in range(nvars)
     )
-    return kept, tuple(_without(rows, forced))
+    return kept, tuple(row for row, _ in without(rows, forced))
 
 
 def _twisted_singleton_candidates(atlas: Atlas, kept: dict, twist_full,
@@ -461,11 +418,11 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
             chart.ring.generators, nvars, space.bound
         )
         ring_rows.extend(
-            {("T", chart.name, v, e): c for (v, e), c in row.items()}
+            ({("T", chart.name, v, e): c for (v, e), c in row.items()}, 0)
             for row in rows
         )
-    forced = _forced_by_singletons(itertools.chain(
-        ring_rows,
+    forced = forced_by_singletons(itertools.chain(
+        (row for row, _ in ring_rows),
         _twisted_singleton_candidates(atlas, kept, twist_full, target_full, extra),
     ))
     fields = {
@@ -477,7 +434,7 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
         )
         for name, per_var in kept.items()
     }
-    return fields, [(row, 0) for row in _without(ring_rows, forced)]
+    return fields, without(ring_rows, forced)
 
 
 def _twisted_difference_rows(

@@ -241,6 +241,8 @@ def blowup_iso_decide(
     Trivial ambient structure (derivation data normalized to zero): the two
     images in the quotient by H(m) must span the same line (or both vanish).
     """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     d1, d2 = delta_invariant(z), delta_invariant(zp)
     if d1.frame != d2.frame:
         raise ValueError("invariants carry different fiber frames")

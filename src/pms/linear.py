@@ -25,7 +25,21 @@ rows were added or on how they were scaled.
 The bounded solvers build their rows from ``SymPoly``: a Laurent polynomial
 whose coefficients are affine in named unknowns.  A condition such as "this
 polynomial vanishes" or "this polynomial lies in a chart ring" becomes one
-row per coefficient that must vanish.
+row per coefficient that must vanish.  Unknowns start with the integer
+coefficient 1, so rows built by integer monomial shifts stay integral.
+
+Before a system reaches the solver, the bounded solvers delete labels Z
+with every (e_z | 0) in its augmented row space.  That space is then
+span(e_Z | 0) (+) (the rows with the coordinates Z deleted, right-hand sides
+kept: ``without``), a direct sum on disjoint coordinates.  So the rank is
+|Z| plus that of the reduced rows, consistency is theirs, the pivots are Z
+and theirs, and the particular solution is zero on Z and theirs elsewhere.
+A reduced row left empty stays when its right-hand side is not zero: 0 = 1
+is an inconsistency.  ``forced_by_singletons`` finds such a Z by the
+singleton-row step of LP presolve (Andersen & Andersen, 1995): a row with
+zero right-hand side and one label z left, once the labels taken before are
+deleted, is c e_z plus a combination of earlier e_z', so by induction each
+e_z lies in the row space.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 from .laurent_core import Exponent, ExponentMonoid, LaurentPoly
 
 Var = Hashable
-Row = dict[Var, Fraction]
+Row = dict[Var, Fraction | int]
 IntRow = dict[Var, int]
 
 
@@ -183,6 +197,43 @@ def solve_rows(rows: Iterable[tuple[Row, Fraction]]) -> LinearSolver:
     return solver
 
 
+def forced_by_singletons(rows: Iterable[Iterable[Var]]) -> set:
+    """The labels that a cascade of singleton rows forces to zero.
+
+    ``rows`` gives the label sets of rows with zero right-hand side whose
+    labels may all be dropped (see the module docstring).
+    """
+    # todo holds the labels of singleton rows; only longer rows are indexed
+    where, todo = {}, []
+    for row in rows:
+        if len(row) == 1:
+            todo.extend(row)
+            continue
+        row = set(row)
+        for z in row:
+            where.setdefault(z, []).append(row)
+    forced = set()
+    while todo:
+        z = todo.pop()
+        if z in forced:
+            continue
+        forced.add(z)
+        for row in where.get(z, ()):
+            row.discard(z)
+            if len(row) == 1:
+                todo.extend(row)
+    return forced
+
+
+def without(rows: Iterable[tuple[Row, Fraction]],
+            labels) -> list[tuple[Row, Fraction]]:
+    """The equations with the coordinates ``labels`` deleted; one left empty
+    stays exactly when its right-hand side is not zero."""
+    rows = (({z: c for z, c in row.items() if z not in labels}, rhs)
+            for row, rhs in rows)
+    return [(row, rhs) for row, rhs in rows if row or rhs]
+
+
 # -- symbolic rows --------------------------------------------------------
 
 
@@ -216,8 +267,7 @@ class SymPoly:
     @classmethod
     def unknown(cls, nvars: int, prefix: tuple, exps) -> SymPoly:
         """One unknown coefficient, labelled ``prefix + (e,)``, per exponent e."""
-        one = Fraction(1)
-        return cls(nvars, {e: {prefix + (e,): one} for e in exps})
+        return cls(nvars, {e: {prefix + (e,): 1} for e in exps})
 
     @classmethod
     def combination(cls, nvars: int,
@@ -236,7 +286,6 @@ class SymPoly:
     def shifted(self, exp, coeff: Fraction | int = 1) -> SymPoly:
         """This polynomial times the monomial coeff * x^exp (coeff nonzero)."""
         exp = tuple(exp)
-        coeff = Fraction(coeff)
         if coeff == 1:
             table = {
                 tuple(map(add, e, exp)): row for e, row in self.table.items()

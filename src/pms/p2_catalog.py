@@ -22,8 +22,8 @@ has spanning entries
 
 with (A, B, C, D) in the rigid shape cut out by regularity along the
 exceptional direction; ``solve_pullback_family`` recomputes that shape two
-independent ways (free linear unknowns modulo gauge, and a named-coefficient
-ansatz) and cross-checks the dimensions.
+independent ways (boxed unknowns, singleton-forced ones cascaded out, modulo
+gauge, and a named-coefficient ansatz) and cross-checks the dimensions.
 
 A ribbon on the blown plane ("carpet") is the p = 1 member; its class
 decomposes against the two generating bundle classes with coefficients
@@ -65,7 +65,10 @@ from .laurent_core import (
     format_rational,
     monomial_str,
 )
-from .linear import SymPoly, derivation_rows, rank_of_vectors, solve_rows
+from .linear import (
+    SymPoly, derivation_rows, forced_by_singletons, rank_of_vectors,
+    solve_rows, without,
+)
 
 VARIABLES = ("lam", "mu")
 SYMBOL = "al"
@@ -489,13 +492,13 @@ def _pullback_rows(m: int, p: int, x_part: int, a, b, c, d) -> list:
     x_mu = lambda e: SymPoly.wrap(LaurentPoly.monomial(2, e, x_part))
 
     rows = []
-    rows += b.shifted((0, p + m), Fraction(-1)).membership_rows(poly_ring)
+    rows += b.shifted((0, p + m)).membership_rows(poly_ring)
     rows += (
         x_mu((0, p + m + 2))
         - a.shifted((0, p + m + 1))
         - b.shifted((1, p + m))
     ).membership_rows(poly_ring)
-    rows += d.shifted((p, p + m), Fraction(-1)).membership_rows(w3_ring)
+    rows += d.shifted((p, p + m)).membership_rows(w3_ring)
     rows += (
         x_mu((p, p + m + 2))
         - c.shifted((p, p + m + 1))
@@ -561,19 +564,9 @@ def _gauge_vectors(m: int, p: int, box) -> list[dict]:
             exp_a = (w[0] + 1 + shift[0], w[1] + shift[1])
             exp_b = (w[0] + shift[0], w[1] + 1 + shift[1])
             for a, b in _field_directions(ring, w):
-                vec = {}
-                ok = True
-                if a:
-                    if exp_a in boxset:
-                        vec[(la, exp_a)] = a
-                    else:
-                        ok = False
-                if b:
-                    if exp_b in boxset:
-                        vec[(lb, exp_b)] = b
-                    else:
-                        ok = False
-                if ok and vec:
+                pairs = (((la, exp_a), a), ((lb, exp_b), b))
+                vec = {label: c for label, c in pairs if c}
+                if vec and all(label[1] in boxset for label in vec):
                     vecs.append(vec)
     return vecs
 
@@ -639,10 +632,10 @@ def solve_pullback_family(
 ) -> FamilyDescription:
     """Count the family of normal-form structures for twist beta(m, p).
 
-    Route one treats all boxed coefficients of (A, B, C, D) as unknowns and
-    subtracts the rank of the reparametrization directions; route two plugs
-    in the named-coefficient ansatz (c0, c0D, R_k, S_k) and counts its free
-    parameters.  The two dimensions must agree.
+    Route one treats the boxed coefficients of (A, B, C, D) as unknowns,
+    eliminates the rows the singleton cascade leaves, and subtracts the gauge
+    rank; route two plugs in the named-coefficient ansatz (c0, c0D, R_k,
+    S_k) and counts its free parameters.  The two dimensions must agree.
 
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
@@ -663,22 +656,25 @@ def solve_pullback_family(
         name: SymPoly.unknown(2, (name,), box) for name in ("A", "B", "C", "D")
     }
     rows = _pullback_rows(m, p, x_part, *(unknowns[n] for n in "ABCD"))
+    # every label is an A/B/C/D unknown, so the cascade may drop any of them
+    forced = forced_by_singletons(row for row, rhs in rows if not rhs)
+    rows = without(rows, forced)
     solver = solve_rows(rows)
     if solver.solve() is None:  # pragma: no cover - shape always realizable
         raise AssertionError("family constraints are inconsistent")
-    kernel_dim = 4 * len(box) - solver.rank
+    generic_rank = len(forced) + solver.rank
+    kernel_dim = 4 * len(box) - generic_rank
     gauge = _gauge_vectors(m, p, box)
-    # a row sharing no label with a gauge vector pairs with it to zero
-    rows_by_label: dict[tuple, list[dict]] = {}
-    for row, _ in rows:
-        for label in row:
-            rows_by_label.setdefault(label, []).append(row)
+    # a kernel vector vanishes on the forced labels, so off them it pairs
+    # with each row as with its reduced row
     for vec in gauge:
-        touched = {
-            id(row): row for label in vec for row in rows_by_label.get(label, ())
-        }
-        for row in touched.values():
-            acc = sum(c * row[label] for label, c in vec.items() if label in row)
+        if not forced.isdisjoint(vec):  # pragma: no cover
+            raise AssertionError("gauge direction moves a forced coefficient")
+        for row, _ in rows:
+            acc = 0
+            for label, c in vec.items():
+                if label in row:
+                    acc += c * row[label]
             if acc:  # pragma: no cover - gauge directions are exact
                 raise AssertionError("gauge direction violates a constraint")
     gauge_rank = rank_of_vectors(gauge)
@@ -705,7 +701,7 @@ def solve_pullback_family(
         + [("S", k) for k in range(b + 1)]
     )
     named_solver = solve_rows(named_rows)
-    if named_solver.solve() is None:  # pragma: no cover
+    if not named_solver.is_consistent():  # pragma: no cover
         raise AssertionError("ansatz constraints are inconsistent")
     dim_named = len(named_labels) - named_solver.rank
     if dim_generic != dim_named:
@@ -714,27 +710,23 @@ def solve_pullback_family(
             f"ansatz route {dim_named}"
         )
 
-    # canonical free parameters: greedy rank-increasing pins (the rank does
-    # not depend on the right-hand sides, so the homogeneous rows suffice)
+    # canonical free parameters: greedy rank-increasing pins, each set to 0
     pins: list[tuple] = []
-    pinned = solve_rows((row, 0) for row, _ in named_rows)
     for label in named_labels:
-        before = pinned.rank
-        pinned.add_equation({label: 1}, 0)
-        if pinned.rank > before:
+        if not named_solver.spans({label: 1}):
+            named_solver.add_equation({label: 1}, 0)
             pins.append(label)
     if len(pins) != dim_named:  # pragma: no cover
         raise AssertionError("free-parameter selection failed")
 
-    def pinned_solution(one=None):
+    def pinned_solution(one):
         """The solution with pin ``one`` set to 1 and the other pins to 0."""
         pin_rows = (({lb: 1}, int(lb == one)) for lb in pins)
         return solve_rows(itertools.chain(named_rows, pin_rows)).solve()
 
-    base = pinned_solution()
+    base = named_solver.solve()
     directions = {pin: pinned_solution(pin) for pin in pins}
-    relations = []
-    zeros = []
+    relations, zeros = [], []
     for label in named_labels:
         if label in pins:
             continue
@@ -761,11 +753,11 @@ def solve_pullback_family(
         ansatz_bound=b,
         diagnostics={
             "generic_variables": 4 * len(box),
-            "generic_rank": solver.rank,
+            "generic_rank": generic_rank,
             "kernel_dim": kernel_dim,
             "gauge_rank": gauge_rank,
             "ansatz_variables": len(named_labels),
-            "ansatz_rank": named_solver.rank,
+            "ansatz_rank": len(named_labels) - dim_named,
         },
     )
     _check_against_constructor(desc)

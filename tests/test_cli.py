@@ -384,6 +384,16 @@ def test_gamma_queries(capsys):
     assert code == 0
 
     assert run(capsys, "gamma", "--coeffs", "1,0", "--query", "iso-with")[0] == 2
+
+
+@pytest.mark.parametrize("extra", [("2,0", "--trivial"), ("0,1", "--m", "0")])
+def test_gamma_iso_rejects_negative_bound_over_trivial_structure(capsys, extra):
+    code, out, err = run(
+        capsys, "gamma", "--coeffs", "1,0", "--query", "iso-with", *extra,
+        "--bound", "-1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bound must be non-negative\n"
     assert run(capsys, "gamma", "--coeffs", "1", "--query", "delta")[0] == 2
     assert run(capsys, "gamma", "--coeffs", "x,y", "--query", "delta")[0] == 2
 

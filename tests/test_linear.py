@@ -8,7 +8,14 @@ from math import gcd
 
 import pytest
 
-from pms.linear import LinearSolver, in_span, rank_of_vectors
+from pms.linear import (
+    LinearSolver,
+    forced_by_singletons,
+    in_span,
+    rank_of_vectors,
+    solve_rows,
+    without,
+)
 
 
 def reference(labels, rows):
@@ -132,3 +139,65 @@ def test_corrupted_pivot_row_fails_verification():
     solver.pivot_rows["x"]["y"] = 2
     with pytest.raises(AssertionError, match="verification failed"):
         solver.solve()
+
+
+def planted_cascade_system(rng):
+    """Sparse rows with a planted singleton chain and some nonzero rhs.
+
+    The chain row of c_k mentions c_k and some earlier chain labels and has
+    zero rhs, so the cascade forces the whole chain.  The other rows hold a
+    planted point that is zero on the chain, so their rhs is mostly nonzero;
+    about a fifth of the systems get one row shifted off that point.
+    """
+    labels = [("x", i) for i in range(rng.randint(2, 12))]
+    chain = rng.sample(labels, rng.randint(1, len(labels) - 1))
+    point = {v: 0 if v in chain else random_coeff(rng, False) for v in labels}
+    rows = []
+    for k, z in enumerate(chain):
+        support = [z] + rng.sample(chain[:k], rng.randint(0, min(2, k)))
+        rows.append(({v: random_coeff(rng, True) for v in support}, 0))
+    for _ in range(rng.randint(1, 8)):
+        support = rng.sample(labels, rng.randint(1, min(4, len(labels))))
+        row = {v: random_coeff(rng, rng.random() < 0.5) for v in support}
+        rows.append((row, sum(c * point[v] for v, c in row.items())))
+    if rng.random() < 0.2:
+        row, rhs = rows[-1]
+        rows[-1] = (row, rhs + 1)
+    rng.shuffle(rows)
+    return labels, chain, rows
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_singleton_cascade_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    labels, chain, rows = planted_cascade_system(rng)
+    forced = forced_by_singletons(row for row, rhs in rows if not rhs)
+    assert set(chain) <= forced
+    homogeneous = [(row, 0) for row, _ in rows]
+    rank, consistent, solution = reference(labels, rows)
+    # every forced unit vector lies in the row space
+    for z in forced:
+        assert reference(labels, homogeneous + [({z: 1}, 0)])[0] == rank
+    reduced = without(rows, forced)
+    assert all(forced.isdisjoint(row) for row, _ in reduced)
+    reduced_rank, reduced_consistent, reduced_solution = reference(
+        labels, reduced
+    )
+    assert rank == len(forced) + reduced_rank
+    assert consistent == reduced_consistent
+    if consistent:
+        assert solution == {**reduced_solution, **dict.fromkeys(forced, 0)}
+    assert solve_rows(reduced).solve() == reduced_solution
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_emptied_nonzero_rhs_row_stays_inconsistent(seed):
+    rng = random.Random(seed)
+    labels, chain, rows = planted_cascade_system(rng)
+    support = rng.sample(chain, rng.randint(1, len(chain)))
+    rows.append(({v: random_coeff(rng, False) for v in support}, 1))
+    forced = forced_by_singletons(row for row, rhs in rows if not rhs)
+    reduced = without(rows, forced)
+    assert ({}, 1) in reduced
+    assert not reference(labels, rows)[1]
+    assert not solve_rows(reduced).is_consistent()

@@ -1,9 +1,11 @@
 """Tests for the projective-plane and quadrilateral-cover catalogue."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from pms import p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
@@ -193,6 +195,25 @@ def test_trivial_base_family_is_detected():
     assert not fd.nontrivial
     spec = fd.instantiate({"c0": Fraction(2)})
     assert spec.D.data == build_carpet(Fraction(2), trivial=True).D.data
+
+
+FAMILY_GRID = [
+    (p, b, True) for p in range(6) for b in (3, 4, 8)
+] + [(p, b, False) for p in range(4) for b in (3, 6)]
+
+
+def test_family_json_is_unchanged_without_the_cascade(monkeypatch):
+    """Dropping the singleton-forced generic unknowns keeps every byte,
+    ``diagnostics.generic_rank`` included."""
+    def family_json():
+        return [
+            json.dumps(solve_pullback_family(-3, p, b, nontrivial=x).to_json())
+            for p, b, x in FAMILY_GRID
+        ]
+
+    cascaded = family_json()
+    monkeypatch.setattr(p2_catalog, "forced_by_singletons", lambda rows: set())
+    assert family_json() == cascaded
 
 
 def test_symbolic_bundles_extend_numeric_tables():
