@@ -308,6 +308,18 @@ class LaurentPoly:
 # -- exponent monoids ---------------------------------------------------
 
 
+def _exponent(values: Iterable[int], nvars: int) -> Exponent:
+    """``values`` as a tuple of ``nvars`` ints.  No entry is coerced: 1.5,
+    1.0 and True are ValueErrors, where ``int()`` would truncate 1.5 to 1."""
+    exp = tuple(values)
+    if len(exp) != nvars:
+        raise ValueError(f"exponent {exp} has {len(exp)} entries, not {nvars}")
+    for x in exp:
+        if type(x) is not int:
+            raise ValueError(f"exponent {exp} has a non-integer entry {x!r}")
+    return exp
+
+
 @dataclass(frozen=True)
 class ExponentMonoid:
     """A finitely generated submonoid of Z^nvars, given by its generators."""
@@ -316,23 +328,17 @@ class ExponentMonoid:
     generators: tuple[Exponent, ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
+        gens = tuple(_exponent(g, self.nvars) for g in self.generators)
         if not gens:
             raise ValueError("a monoid needs at least one generator")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate monoid generators")
-        for g in gens:
-            if len(g) != self.nvars:
-                raise ValueError(
-                    f"generator {g} has {len(g)} entries, expected {self.nvars}"
-                )
         object.__setattr__(self, "generators", gens)
 
     def contains(self, exp: Iterable[int]) -> bool:
-        target = tuple(int(x) for x in exp)
-        if len(target) != self.nvars:
-            raise ValueError("exponent length mismatch")
-        return _monoid_contains_cached(self.generators, target)
+        return _monoid_contains_cached(
+            self.generators, _exponent(exp, self.nvars)
+        )
 
     def extend_vars(self, nvars: int) -> ExponentMonoid:
         """Embed into a larger variable list, adding the new unit directions."""
@@ -580,7 +586,7 @@ def minimal_generators(m: ExponentMonoid) -> ExponentMonoid:
     membership is exact, that is, unless the bounded-search fallback misses a
     member.
     """
-    gens = sorted({tuple(int(x) for x in g) for g in m.generators if any(g)})
+    gens = sorted({g for g in m.generators if any(g)})
     if not gens:
         return ExponentMonoid(m.nvars, ((0,) * m.nvars,))
     reduced = True

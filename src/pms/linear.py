@@ -22,7 +22,8 @@ the set of leading labels of the row space, and the particular solution
 depends only on the solution set and the labels, not on the order in which
 rows were added or on how they were scaled.
 
-The bounded solvers build their rows from ``SymPoly``: a Laurent polynomial
+The bounded solvers build their rows from ``SymPoly`` (all but route one of
+the family solver, which reads its rows off exponents): a Laurent polynomial
 whose coefficients are affine in named unknowns.  A condition such as "this
 polynomial vanishes" or "this polynomial lies in a chart ring" becomes one
 row per coefficient that must vanish.  Unknowns start with the integer

@@ -148,6 +148,15 @@ def test_monoid_validation():
         ExponentMonoid(2, ((1, 0), (1, 0)))
     with pytest.raises(ValueError):
         ExponentMonoid(2, ((1, 0, 0),))
+    # no entry is coerced: int() would truncate 1.5 to 1 and -0.5 to 0
+    for gens in (((1.5, 0), (0, 1)), ((True, 0), (0, 1)), ((Fraction(1), 0),)):
+        with pytest.raises(ValueError):
+            ExponentMonoid(2, gens)
+    half = ExponentMonoid(2, ((1, 0), (0, 1)))
+    for exp in ((-0.5, 0), (1.0, 0), (True, 0), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            half.contains(exp)
+    assert half.contains([1, 2])
 
 
 def test_membership_bound_formula():

@@ -1,6 +1,8 @@
 """Tests for the projective-plane and quadrilateral-cover catalogue."""
 
+import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from pms import p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
+from pms.linear import SymPoly, forced_by_singletons, without
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
@@ -177,6 +180,8 @@ def test_family_membership_and_instantiation():
     fd = solve_pullback_family(-3, 1, ansatz_bound=4)
     assert fd.parameter_space_contains({"c0": Fraction(1, 2)})
     assert not fd.parameter_space_contains({"c0": 1, "S0": 1})
+    for bad in (float("inf"), float("-inf"), float("nan"), "abc"):
+        assert not fd.parameter_space_contains({"c0": bad})
     spec = fd.instantiate({"c0": Fraction(1, 2)})
     assert validate_double_scheme(spec).ok
     assert spec.D.data == build_carpet(Fraction(1, 2)).D.data
@@ -214,6 +219,36 @@ def test_family_json_is_unchanged_without_the_cascade(monkeypatch):
     cascaded = family_json()
     monkeypatch.setattr(p2_catalog, "forced_by_singletons", lambda rows: set())
     assert family_json() == cascaded
+
+
+def _row_multiset(rows):
+    return Counter((frozenset(row.items()), rhs) for row, rhs in rows)
+
+
+@pytest.mark.parametrize("x_part", [0, 1])
+@pytest.mark.parametrize("p", range(6))
+def test_label_pass_matches_symbolic_rows(p, x_part):
+    """Route one's forced set and reduced rows equal those of the SymPoly
+    expander on boxed unknowns, cascaded and reduced by ``without``."""
+    # a repeated (name, shift) term is merged, a cancelling pair dropped,
+    # and a known term off every shifted box leaves the row 0 = -1
+    extra = [
+        (p2_catalog._POLY_RING, {(0, 1): x_part, (-20, 0): 1},
+         (("A", (1, 0), 2), ("C", (0, 1), 1), ("A", (1, 0), -1))),
+        (None, {}, (("B", (0, 0), 1), ("D", (1, 1), 1), ("B", (0, 0), -1))),
+    ]
+    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+    for conds in (conditions, conditions + extra):
+        for b in range(3, 9):
+            box = list(itertools.product(range(-b, b + 1), repeat=2))
+            comps = {n: SymPoly.unknown(2, (n,), box) for n in "ABCD"}
+            full = p2_catalog._symbolic_rows(conds, comps)
+            forced = forced_by_singletons(r for r, rhs in full if not rhs)
+            got_forced, got_rows = p2_catalog._pullback_rows(conds, b)
+            assert got_forced == forced
+            assert _row_multiset(got_rows) == _row_multiset(
+                without(full, forced)
+            )
 
 
 def test_symbolic_bundles_extend_numeric_tables():
