@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .laurent_core import (
     ExponentMonoid,

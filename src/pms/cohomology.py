@@ -21,29 +21,26 @@ The module provides:
 Unknown chart vector fields carry one unknown t per boxed term
 t * x^e d/dx_v, except where the system forces t to zero.  Dropping a set Z
 of unknowns whose unit vectors lie in the row space changes no pivot,
-witness or "none" answer (the direct-sum argument in ``pms.linear``).  Z is
-found in two steps.
+witness or "none" answer (the direct-sum argument in ``pms.linear``).  The
+solvers state their systems in the term form of ``pms.linear`` and find Z
+in two steps.
 
-* The chart ring.  The ring-preservation rows of the full-box field
-  (``linear.derivation_rows``, built once per chart ring and bound) have
-  zero right-hand side, and z is dropped when e_z lies in their span.
-  These rows are few and short: a term x^e d/dx_v has degree e - e_v
-  (Demazure's grading of the derivations of a toric ring), and the row of a
-  generator g at the exponent g + d mentions only unknowns of degree d, so
-  a degree gives at most one row per generator, of at most nvars entries,
-  and rows of different degrees share no unknown.
-* The singleton cascade (``linear.forced_by_singletons``).  Over the ring
-  rows it finds most ring-forced unknowns; over the ring rows and the
-  twisted-difference rows of a solve it removes the rows u = 0 at the box
-  edges and where the other chart's term was dropped.  It reads exponent
-  sets only: the twisted-difference row at f of the pair (i, j) with twist
-  x^a mentions the terms of F_i at f and of F_j at f - a that have an
-  unknown, and has zero right-hand side exactly when f is outside the
-  target's support, so no row is built before Z is known.
+* The chart ring, once per chart ring and bound.  The ring-preservation
+  rows of the full-box field have zero right-hand side, and z is dropped
+  when e_z lies in their span.  These rows are few and short: a term
+  x^e d/dx_v has degree e - e_v (Demazure's grading of the derivations of a
+  toric ring), and the row of a generator g at the exponent g + d mentions
+  only unknowns of degree d, so a degree gives at most one row per
+  generator, of at most nvars entries, and rows of different degrees share
+  no unknown.  The singleton cascade finds most of these unknowns, and one
+  solver on the rows it leaves finds the rest.
+* The solve.  The singleton cascade of ``linear.term_rows`` over the cached
+  ring rows and the twisted-difference conditions removes the rows u = 0 at
+  the box edges and where the other chart's term was dropped.
 
-Extra scalar unknowns (tau, and the one-form ``coeff`` labels) are never
-dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted tau would
-make that pin consistent by mistake.
+Extra scalar unknowns (tau, and the one-form ``coeff`` and ``rho`` labels)
+are never dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted
+tau would make that pin consistent by mistake.
 """
 
 from __future__ import annotations
@@ -75,7 +72,11 @@ from .laurent_core import (
     poly_to_json,
 )
 from .linear import (
-    SymPoly, derivation_rows, forced_by_singletons, solve_rows, without,
+    derivation_conditions,
+    forced_by_singletons,
+    solve_rows,
+    term_rows,
+    without,
 )
 
 BOUND_CAVEAT = (
@@ -169,7 +170,6 @@ def canonical_class(atlas: Atlas, c: MultCocycle) -> OneFormCocycle:
 
 def frame_cocycle(atlas: Atlas) -> MultCocycle:
     """The bundle cocycle g_j / g_i of the stored top-form frames."""
-    names = atlas.chart_names()
     data = {}
     for i, j in canonical_spanning_pairs(atlas):
         data[(i, j)] = atlas.frame(j) * atlas.frame(i).power(-1)
@@ -350,19 +350,24 @@ def _chart_ring_rows(
 ) -> tuple[tuple[tuple[Exponent, ...], ...], tuple[dict, ...]]:
     """The ring-preservation rows of a boxed chart field, forced unknowns out.
 
-    Builds ``derivation_rows`` once over one unknown (v, e) per boxed term
-    x^e d/dx_v and drops every unknown whose unit vector those rows span
-    (see the module docstring).  The singleton cascade finds most of them;
-    a solver holding the few rows left decides the rest, since outside the
-    cascade's labels the two row spaces hold the same unit vectors.
-    Returns, per variable v, the kept exponents e, and the rows with the
-    dropped coordinates deleted.
+    Runs ``term_rows`` once on ``derivation_conditions`` over one unknown
+    (v, e) per boxed term x^e d/dx_v and drops every unknown whose unit
+    vector those rows span (see the module docstring).  The singleton
+    cascade finds most of them; a solver holding the few rows left decides
+    the rest, since outside the cascade's labels the two row spaces hold the
+    same unit vectors.  Returns, per variable v, the kept exponents e, and
+    the rows with the dropped coordinates deleted.
     """
     box = list(BoundedSpace(nvars, bound).exponents())
-    comps = tuple(SymPoly.unknown(nvars, (v,), box) for v in range(nvars))
-    rows = list(derivation_rows(comps, ExponentMonoid(nvars, generators)))
-    forced = forced_by_singletons(row for row, _ in rows)
-    rows = without(rows, forced)
+    zero = (0,) * nvars
+    forced, rows = term_rows(
+        derivation_conditions(
+            ExponentMonoid(nvars, generators),
+            [({}, (((v,), zero, 1),)) for v in range(nvars)],
+        ),
+        {(v,): box for v in range(nvars)},
+        forced_by_singletons,
+    )
     solver = solve_rows(rows)
     mentioned = {z for row, _ in rows for z in row}
     forced |= {z for z in mentioned if solver.spans({z: 1})}
@@ -372,102 +377,76 @@ def _chart_ring_rows(
     return kept, tuple(row for row, _ in without(rows, forced))
 
 
-def _twisted_singleton_candidates(atlas: Atlas, kept: dict, twist_full,
-                                  target_full, extra=()):
-    """Label sets of the twisted-difference rows that can force a field term.
+def _twisted_conditions(atlas: Atlas, fields: dict, twist_full, target_full,
+                        extra=()):
+    """F_i - twist_ij F_j + sum_s c_s K_s = target on spanning pairs.
 
-    These are the rows of ``_twisted_difference_rows`` over the chart fields
-    with exponents ``kept[chart][v]`` whose right-hand side is zero, read
-    from exponent sets alone.  A row that mentions an extra scalar is left
-    out: the scalar is never dropped, so the row never becomes a singleton
-    of a chart-field label.
+    ``fields[chart][v]`` is the component v of F_chart as (terms, scalars)
+    in the term form of ``pms.linear``; ``extra`` lists pairs (label,
+    K) of an unknown scalar c_s and its known ordered-pair family.  Twist
+    entries must be monomials.
     """
-    for pair in canonical_spanning_pairs(atlas):
-        i, j = pair
-        exp_a, _ = twist_full[pair].as_monomial()
-        for v in range(atlas.nvars):
-            skip = target_full[pair][v].support()
-            for _, known in extra:
-                skip |= known[pair][v].support()
-            mine = set(kept[i][v])
-            theirs = {tuple(map(add, e, exp_a)): e for e in kept[j][v]}
-            for f in mine - skip:
-                if f in theirs:
-                    yield ("T", i, v, f), ("T", j, v, theirs[f])
-                else:
-                    yield (("T", i, v, f),)
-            for f in theirs.keys() - mine - skip:
-                yield (("T", j, v, theirs[f]),)
-
-
-def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
-                  extra=()) -> tuple[dict, list]:
-    """Unknown boxed chart fields and the rows keeping each chart ring.
-
-    The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
-    unknown when its chart ring forces it to zero (``_chart_ring_rows``), or
-    when the singleton cascade over the ring rows and the twisted-difference
-    rows of F_i - twist_ij F_j + sum_s c_s K_s = target does.  The cascade
-    reads the cached ring rows and exponent sets, so no row of the solve is
-    built before it is done; the extra scalars c_s are never dropped.
-    """
-    nvars = atlas.nvars
-    kept, ring_rows = {}, []
-    for chart in atlas.charts:
-        kept[chart.name], rows = _chart_ring_rows(
-            chart.ring.generators, nvars, space.bound
-        )
-        ring_rows.extend(
-            ({("T", chart.name, v, e): c for (v, e), c in row.items()}, 0)
-            for row in rows
-        )
-    forced = forced_by_singletons(itertools.chain(
-        (row for row, _ in ring_rows),
-        _twisted_singleton_candidates(atlas, kept, twist_full, target_full, extra),
-    ))
-    fields = {
-        name: tuple(
-            SymPoly.unknown(nvars, ("T", name, v), [
-                e for e in exps if ("T", name, v, e) not in forced
-            ])
-            for v, exps in enumerate(per_var)
-        )
-        for name, per_var in kept.items()
-    }
-    return fields, without(ring_rows, forced)
-
-
-def _twisted_difference_rows(
-    atlas: Atlas, fields: dict[str, tuple], twist_full, target_full, extra=(),
-):
-    """Rows of F_i - twist_ij F_j + sum_s c_s K_s = target on spanning pairs.
-
-    ``fields`` maps each chart to symbolic components; ``extra`` lists pairs
-    (label, K) of an unknown scalar c_s and its known ordered-pair family.
-    Twist entries must be monomials.
-    """
-    nvars = atlas.nvars
     for pair in canonical_spanning_pairs(atlas):
         i, j = pair
         exp_a, coeff_a = twist_full[pair].as_monomial()
-        for v in range(nvars):
-            poly = (
-                fields[i][v]
-                - fields[j][v].shifted(exp_a, coeff_a)
-                - SymPoly.wrap(target_full[pair][v])
+        for v in range(atlas.nvars):
+            terms_i, scalars_i = fields[i][v]
+            terms_j, scalars_j = fields[j][v]
+            yield (
+                None,
+                {f: -c for f, c in target_full[pair][v].items()},
+                terms_i + tuple(
+                    (prefix, tuple(map(add, shift, exp_a)), -coeff_a * c)
+                    for prefix, shift, c in terms_j
+                ),
+                scalars_i + tuple(
+                    (label, {tuple(map(add, e, exp_a)): -coeff_a * c
+                             for e, c in poly.items()})
+                    for label, poly in scalars_j
+                ) + tuple((label, known[pair][v]) for label, known in extra),
             )
-            if extra:
-                poly = poly + SymPoly.combination(
-                    nvars, [(label, known[pair][v]) for label, known in extra]
-                )
-            yield from poly.membership_rows()
 
 
-def _read_fields(atlas: Atlas, fields: dict[str, tuple], values) -> dict:
-    """Evaluate the unknown chart fields; each must preserve its chart ring."""
+def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
+                  extra=()) -> list:
+    """The rows of F_i - twist_ij F_j + sum_s c_s K_s = target over unknown
+    boxed chart fields F that keep their chart rings.
+
+    The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
+    unknown when its chart ring forces it to zero (``_chart_ring_rows``), or
+    when the singleton cascade of ``term_rows`` over the cached ring rows and
+    the twisted-difference conditions does; the extra scalars c_s are never
+    dropped.
+    """
+    nvars = atlas.nvars
+    zero = (0,) * nvars
+    fields, boxes, ring_rows = {}, {}, []
+    for chart in atlas.charts:
+        name = chart.name
+        kept, rows = _chart_ring_rows(chart.ring.generators, nvars, space.bound)
+        ring_rows += [
+            ({("T", name, v, e): c for (v, e), c in row.items()}, 0)
+            for row in rows
+        ]
+        fields[name] = [
+            (((("T", name, v), zero, 1),), ()) for v in range(nvars)
+        ]
+        boxes.update((("T", name, v), exps) for v, exps in enumerate(kept))
+    conditions = _twisted_conditions(atlas, fields, twist_full, target_full, extra)
+    return term_rows(conditions, boxes, forced_by_singletons, ring_rows)[1]
+
+
+def _read_fields(atlas: Atlas, values) -> dict:
+    """The chart fields of the solved ("T", chart, v, e) values; each must
+    preserve its chart ring."""
+    terms = {chart.name: [{} for _ in range(atlas.nvars)] for chart in atlas.charts}
+    for label, value in values.items():
+        if label[0] == "T":
+            _, name, v, e = label
+            terms[name][v][e] = value
     out = {}
     for chart in atlas.charts:
-        comps = tuple(comp.evaluate(values) for comp in fields[chart.name])
+        comps = tuple(LaurentPoly(atlas.nvars, t) for t in terms[chart.name])
         bad = derivation_failures(comps, chart.ring, atlas.variables)
         if bad:  # pragma: no cover - solver constraints make this unreachable
             raise AssertionError(
@@ -521,13 +500,11 @@ def coboundary_solve(
     space = BoundedSpace(atlas.nvars, bound)
     alpha_full = derive_mult(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
-    fields, ring_rows = _chart_fields(atlas, space, alpha_full, sigma_full)
-    values = solve_rows(itertools.chain(
-        ring_rows, _twisted_difference_rows(atlas, fields, alpha_full, sigma_full)
-    )).solve()
+    rows = _chart_fields(atlas, space, alpha_full, sigma_full)
+    values = solve_rows(rows).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
-    witness = _read_fields(atlas, fields, values)
+    witness = _read_fields(atlas, values)
     _verify_resubstitution(atlas, witness, alpha_full, sigma_full)
     return witness, solver_report("found", bound, _fields_json(witness))
 
@@ -552,10 +529,7 @@ def iso_decide(
     s1 = derive_vector_field(atlas, alpha_full, first.D)
     s2 = derive_vector_field(atlas, alpha_full, second.D)
     extra = [(("tau",), s1)]
-    fields, ring_rows = _chart_fields(atlas, space, alpha_full, s2, extra)
-    solver = solve_rows(itertools.chain(
-        ring_rows, _twisted_difference_rows(atlas, fields, alpha_full, s2, extra),
-    ))
+    solver = solve_rows(_chart_fields(atlas, space, alpha_full, s2, extra))
     # the solution depends only on the equations, not on their order, so
     # pinning tau = 1 last gives the same witness as pinning it first
     unpinned = solver.solve()
@@ -568,7 +542,7 @@ def iso_decide(
         if not values.get(("tau",), Fraction(0)):
             return None, solver_report("none_within_bound", bound)
     tau = values[("tau",)]
-    witness = _read_fields(atlas, fields, values)
+    witness = _read_fields(atlas, values)
     _verify_resubstitution(atlas, witness, alpha_full, s2, [(tau, s1)])
     json_witness = {"tau": format_rational(tau), "fields": _fields_json(witness)}
     return (tau, witness), solver_report("found", bound, json_witness)
@@ -577,16 +551,17 @@ def iso_decide(
 # -- one-form coboundary solving ----------------------------------------
 
 
-def _oneform_unknown(chart, space: BoundedSpace) -> tuple[SymPoly, ...]:
+def _oneform_unknown(chart, space: BoundedSpace) -> tuple:
     """Unknown regular one-form on a chart: span of x^m d(x^g).
 
     m runs over the boxed exponents in the chart ring and g over its
-    generators; the coefficient of x^m d(x^g) is labelled
-    ("rho", chart, m, g).  Returns the per-variable components.
+    generators; the coefficient of x^m d(x^g) is the scalar labelled
+    ("rho", chart, m, g).  Returns the per-variable components as (terms,
+    scalars) in the term form of ``pms.linear``.
     """
     nvars = space.nvars
     ring = chart.ring
-    pairs = [[] for _ in range(nvars)]
+    scalars = [[] for _ in range(nvars)]
     for m in space.exponents():
         if not ring.contains(m):
             continue
@@ -597,8 +572,19 @@ def _oneform_unknown(chart, space: BoundedSpace) -> tuple[SymPoly, ...]:
                     continue
                 exp = tuple(a + b for a, b in zip(m, g))
                 exp = exp[:v] + (exp[v] - 1,) + exp[v + 1:]
-                pairs[v].append((label, LaurentPoly.monomial(nvars, exp, g[v])))
-    return tuple(SymPoly.combination(nvars, comp) for comp in pairs)
+                scalars[v].append((label, {exp: g[v]}))
+    return tuple(((), tuple(comp)) for comp in scalars)
+
+
+def _evaluate(nvars: int, scalars, values) -> LaurentPoly:
+    """sum(values[label] * poly) over the (label, poly) ``scalars``."""
+    terms = {}
+    for label, poly in scalars:
+        value = values.get(label)
+        if value:
+            for e, c in poly.items():
+                terms[e] = terms.get(e, 0) + c * value
+    return LaurentPoly(nvars, terms)
 
 
 def oneform_coboundary_solve(
@@ -621,10 +607,11 @@ def oneform_coboundary_solve(
         name: derive_oneform(atlas, cls) for name, cls in (extra or {}).items()
     }
     forms = {chart.name: _oneform_unknown(chart, space) for chart in atlas.charts}
-    rows = _twisted_difference_rows(
+    conditions = _twisted_conditions(
         atlas, forms, twist_full, sigma_full,
         [(("coeff", name), known) for name, known in extra_full.items()],
     )
+    _, rows = term_rows(conditions, {}, forced_by_singletons)
     values = solve_rows(rows).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
@@ -633,7 +620,7 @@ def oneform_coboundary_solve(
         name: values.get(("coeff", name), Fraction(0)) for name in extra_full
     }
     cochain = {
-        name: tuple(comp.evaluate(values) for comp in comps)
+        name: tuple(_evaluate(atlas.nvars, scalars, values) for _, scalars in comps)
         for name, comps in forms.items()
     }
     _verify_resubstitution(

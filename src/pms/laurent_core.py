@@ -76,11 +76,7 @@ class LaurentPoly:
             raise ValueError("a Laurent polynomial needs at least one variable")
         clean: dict[Exponent, Rational] = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars:
-                raise ValueError(
-                    f"exponent {exp} has {len(exp)} entries, expected {nvars}"
-                )
+            exp = _exponent(exp, nvars)
             coeff = Fraction(coeff)
             if coeff:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff

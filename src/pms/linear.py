@@ -22,12 +22,19 @@ the set of leading labels of the row space, and the particular solution
 depends only on the solution set and the labels, not on the order in which
 rows were added or on how they were scaled.
 
-The bounded solvers build their rows from ``SymPoly`` (all but route one of
-the family solver, which reads its rows off exponents): a Laurent polynomial
-whose coefficients are affine in named unknowns.  A condition such as "this
-polynomial vanishes" or "this polynomial lies in a chart ring" becomes one
-row per coefficient that must vanish.  Unknowns start with the integer
-coefficient 1, so rows built by integer monomial shifts stay integral.
+The bounded solvers state their systems as conditions in term form,
+(ring, known, terms, scalars): the ring or None, the known part
+{exponent: coefficient}, field terms (prefix, shift, c) and scalar terms
+(label, poly), poly a {exponent: coefficient} mapping or a ``LaurentPoly``.
+An unknown field F_prefix has one unknown coefficient, labelled
+``prefix + (e,)``, per exponent e of its box, and a scalar is one unknown.
+The condition says that known + sum(c * x^shift * F_prefix) +
+sum(label * poly) lies in the ring (vanishes for None): one row per exponent
+outside the ring, whose right-hand side is minus the known part there.
+``term_rows`` reads those rows off exponents; ``symbolic_rows`` expands the
+same conditions with ``SymPoly``, a Laurent polynomial whose coefficients
+are affine in named unknowns, as the reference for ``term_rows`` and for
+the family solver's named ansatz.
 
 Before a system reaches the solver, the bounded solvers delete labels Z
 with every (e_z | 0) in its augmented row space.  That space is then
@@ -40,11 +47,14 @@ is an inconsistency.  ``forced_by_singletons`` finds such a Z by the
 singleton-row step of LP presolve (Andersen & Andersen, 1995): a row with
 zero right-hand side and one label z left, once the labels taken before are
 deleted, is c e_z plus a combination of earlier e_z', so by induction each
-e_z lies in the row space.
+e_z lies in the row space.  It reads label sets only, and ``term_rows``
+reads those off exponents, with no polynomial arithmetic.  A scalar is never
+dropped, so a row that mentions one stays out of the cascade.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -235,7 +245,124 @@ def without(rows: Iterable[tuple[Row, Fraction]],
     return [(row, rhs) for row, rhs in rows if row or rhs]
 
 
-# -- symbolic rows --------------------------------------------------------
+# -- rows of term-form conditions -----------------------------------------
+
+
+def term_rows(
+    conditions: Iterable[tuple],
+    boxes: Mapping[tuple, Iterable[Exponent]],
+    cascade,
+    built: Iterable[tuple[Row, Fraction]] = (),
+) -> tuple[set, list[tuple[Row, Fraction]]]:
+    """The forced set Z of ``conditions`` and their rows with Z deleted.
+
+    F_prefix has an unknown per exponent of ``boxes[prefix]``.  At an
+    exponent f outside a condition's ring, its row holds prefix + (f - shift,)
+    for each term with f - shift in the box, and each scalar whose poly has
+    f in its support; its rhs is minus the known part at f.  This label pass
+    is exact once repeated (prefix, shift) terms are merged, scalars merged
+    by label, and zero coefficients dropped: at one f there is one label per
+    term and per scalar, each with one nonzero coefficient, so none cancels,
+    and the rhs comes from the known part alone.
+
+    ``cascade`` (``forced_by_singletons``, or one returning set() for the
+    full system) maps the label sets of the zero-rhs rows without a scalar,
+    and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
+    come back with Z deleted, as ``without`` leaves them.
+    """
+    names: dict[tuple, dict] = {}  # prefix -> {e: prefix + (e,)}
+    member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
+    # the zero-rhs rows without a scalar, and the others with their rhs
+    candidates, others = [], []
+    for ring, known, terms, scalars in conditions:
+        merged: dict[tuple, Fraction | int] = {}
+        for prefix, shift, c in terms:
+            merged[prefix, shift] = merged.get((prefix, shift), 0) + c
+        rows_at: dict[Exponent, Row] = {}  # the field part of each row
+        for (prefix, shift), c in merged.items():
+            if not c:
+                continue
+            at = names.get(prefix)
+            if at is None:
+                at = names[prefix] = {e: prefix + (e,) for e in boxes[prefix]}
+            if any(shift):
+                at = {tuple(map(add, e, shift)): lb for e, lb in at.items()}
+            for f, lb in at.items():
+                row = rows_at.get(f)
+                if row is None:
+                    rows_at[f] = {lb: c}
+                else:
+                    row[lb] = c
+        by_exp: dict[Exponent, Row] = {}
+        for label, poly in scalars:
+            for f, c in poly.items():
+                if c:
+                    _add_into(by_exp.setdefault(f, {}), label, c)
+        special = known.keys() | by_exp.keys()
+        if ring is not None:
+            inside = member.setdefault(ring, {})
+            for f in (rows_at.keys() | special) - inside.keys():
+                inside[f] = ring.contains(f)
+            rows_at = {f: row for f, row in rows_at.items() if not inside[f]}
+            special = {f for f in special if not inside[f]}
+        for f in special:
+            row = rows_at.pop(f, {})
+            extra, rhs = by_exp.get(f), -known.get(f, 0)
+            if extra or rhs:
+                others.append((row, extra, rhs))
+            elif row:
+                candidates.append(row)
+        candidates += rows_at.values()
+    built = list(built)
+    forced = cascade(itertools.chain((row for row, _ in built), candidates))
+    rows = without(built, forced)
+    others += [(row, None, 0) for row in candidates
+               if not forced.issuperset(row)]
+    for row, extra, rhs in others:
+        row = {lb: c for lb, c in row.items() if lb not in forced}
+        if extra:
+            row.update(extra)
+        rows.append((row, rhs))
+    return forced, rows
+
+
+def derivation_conditions(ring: ExponentMonoid, comps) -> list[tuple]:
+    """The field sum(comps[v] * d/dx_v) preserves ``ring``, in term form.
+
+    ``comps[v]`` is (known, field terms).  For each ring generator g, the
+    image sum(g[v] * x^(g - e_v) * comps[v]) of x^g lies in the ring.
+    """
+    out = []
+    for g in ring.generators:
+        known, terms = {}, []
+        for v, (comp_known, comp_terms) in enumerate(comps):
+            if not g[v]:
+                continue
+            d = g[:v] + (g[v] - 1,) + g[v + 1:]
+            for e, c in comp_known.items():
+                key = tuple(map(add, e, d))
+                known[key] = known.get(key, 0) + g[v] * c
+            terms += [
+                (prefix, tuple(map(add, shift, d)), g[v] * c)
+                for prefix, shift, c in comp_terms
+            ]
+        out.append((ring, known, tuple(terms), ()))
+    return out
+
+
+def symbolic_rows(nvars: int, conditions: Iterable[tuple],
+                  comps: Mapping[tuple, SymPoly]) -> list[tuple[Row, Fraction]]:
+    """The rows of ``conditions`` with each F_prefix the ``SymPoly``
+    ``comps[prefix]``, expanded term by term."""
+    rows = []
+    for ring, known, terms, scalars in conditions:
+        poly = SymPoly.wrap(LaurentPoly(nvars, known))
+        for prefix, shift, c in terms:
+            poly = poly + comps[prefix].shifted(shift, c)
+        if scalars:
+            poly = poly + SymPoly.combination(nvars, scalars)
+        rows += poly.membership_rows(ring)
+    return rows
 
 
 def _add_into(row: Row, label: Var, coeff: Fraction) -> None:
@@ -271,8 +398,7 @@ class SymPoly:
         return cls(nvars, {e: {prefix + (e,): 1} for e in exps})
 
     @classmethod
-    def combination(cls, nvars: int,
-                    pairs: Iterable[tuple[Var, LaurentPoly]]) -> SymPoly:
+    def combination(cls, nvars: int, pairs) -> SymPoly:
         """The sum of unknown scalars (labels) times known polynomials."""
         table: dict[Exponent, Row] = {}
         for label, poly in pairs:
@@ -284,20 +410,12 @@ class SymPoly:
     def wrap(cls, poly: LaurentPoly) -> SymPoly:
         return cls(poly.nvars, {}, poly)
 
-    def shifted(self, exp, coeff: Fraction | int = 1) -> SymPoly:
+    def shifted(self, exp: Exponent, coeff: Fraction | int) -> SymPoly:
         """This polynomial times the monomial coeff * x^exp (coeff nonzero)."""
-        exp = tuple(exp)
-        if coeff == 1:
-            table = {
-                tuple(map(add, e, exp)): row for e, row in self.table.items()
-            }
-        else:
-            table = {
-                tuple(map(add, e, exp)): {
-                    label: c * coeff for label, c in row.items()
-                }
-                for e, row in self.table.items()
-            }
+        table = {
+            tuple(map(add, e, exp)): {label: c * coeff for label, c in row.items()}
+            for e, row in self.table.items()
+        }
         return SymPoly(self.nvars, table, self.const.mul_monomial(exp, coeff))
 
     def __add__(self, other: SymPoly) -> SymPoly:
@@ -313,32 +431,6 @@ class SymPoly:
             table[e] = merged
         return SymPoly(self.nvars, table, self.const + other.const)
 
-    def __neg__(self) -> SymPoly:
-        table = {
-            e: {label: -c for label, c in row.items()}
-            for e, row in self.table.items()
-        }
-        return SymPoly(self.nvars, table, -self.const)
-
-    def __sub__(self, other: SymPoly) -> SymPoly:
-        return self + -other
-
-    def evaluate(self, values: Mapping[Var, Fraction]) -> LaurentPoly:
-        """The known polynomial obtained by substituting ``values``.
-
-        Unknowns missing from ``values`` count as zero.
-        """
-        terms = {}
-        for e, row in self.table.items():
-            total = 0
-            for label, c in row.items():
-                value = values.get(label)
-                if value:
-                    total += c * value
-            if total:
-                terms[e] = total
-        return self.const + LaurentPoly(self.nvars, terms)
-
     def membership_rows(
         self, ring: ExponentMonoid | None = None,
     ) -> Iterator[tuple[Row, Fraction]]:
@@ -351,22 +443,3 @@ class SymPoly:
         for f in sorted(rhs.keys() | self.table.keys()):
             if ring is None or not ring.contains(f):
                 yield dict(self.table.get(f, {})), rhs.get(f, 0)
-
-
-def derivation_rows(
-    comps: tuple[SymPoly, ...], ring: ExponentMonoid,
-) -> Iterator[tuple[Row, Fraction]]:
-    """Rows forcing the field sum(comps[v] * d/dx_v) to preserve ``ring``.
-
-    For each ring generator g the image of x^g must lie in the ring.
-    """
-    nvars = comps[0].nvars
-    for g in ring.generators:
-        image = SymPoly(nvars)
-        for v, comp in enumerate(comps):
-            if g[v] == 0:
-                continue
-            shift = list(g)
-            shift[v] -= 1
-            image = image + comp.shifted(shift, g[v])
-        yield from image.membership_rows(ring)

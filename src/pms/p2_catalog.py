@@ -66,7 +66,13 @@ from .laurent_core import (
     monomial_str,
 )
 from .linear import (
-    SymPoly, forced_by_singletons, rank_of_vectors, solve_rows,
+    SymPoly,
+    derivation_conditions,
+    forced_by_singletons,
+    rank_of_vectors,
+    solve_rows,
+    symbolic_rows,
+    term_rows,
 )
 
 VARIABLES = ("lam", "mu")
@@ -487,117 +493,43 @@ _W03_RING = ExponentMonoid(2, _W_OVERLAPS[("W0", "W3")])
 def _pullback_conditions(m: int, p: int, x_part: int) -> list[tuple]:
     """The conditions on the family shape (A, B, C, D), in term form.
 
-    Each is ``(ring, known, terms)``: known + sum(c * x^shift * name) over
-    the terms (name, shift, c), ``known`` mapping exponents to coefficients,
-    lies in ``ring`` (vanishes for None).  The exceptional-chart anchors stay
-    polynomial, the far-chart anchors stay in that chart ring, and each
-    derived entry sum(comp_v d/dx_v) preserves its overlap ring: for each
-    ring generator g, sum(g[v] x^(g - e_v) comp_v) lies in the ring.
+    The unknown fields are the prefixes ("A",) .. ("D",).  The
+    exceptional-chart anchors stay polynomial, the far-chart anchors stay in
+    that chart ring, and each derived entry sum(comp_v d/dx_v) preserves its
+    overlap ring.
     """
     s = p + m
+    a, b, c, d = ("A",), ("B",), ("C",), ("D",)
     conditions = [
-        (_POLY_RING, {}, (("B", (0, s), 1),)),
+        (_POLY_RING, {}, ((b, (0, s), 1),), ()),
         (_POLY_RING, {(0, s + 2): x_part},
-         (("A", (0, s + 1), -1), ("B", (1, s), -1))),
-        (_W3_RING, {}, (("D", (p, s), 1),)),
+         ((a, (0, s + 1), -1), (b, (1, s), -1)), ()),
+        (_W3_RING, {}, ((d, (p, s), 1),), ()),
         (_W3_RING, {(p, s + 2): x_part},
-         (("C", (p, s + 1), -1), ("D", (p + 1, s), -1))),
+         ((c, (p, s + 1), -1), (d, (p + 1, s), -1)), ()),
     ]
     # the derived entries: a ring and the (known, terms) of each component
     fields = (
-        (_W12_RING, ({}, (("A", (0, 0), 1),)), ({}, (("B", (0, 0), 1),))),
-        (_W23_RING, ({}, (("C", (0, s), 1), ("A", (0, s), -1))),
-         ({}, (("D", (0, s), 1), ("B", (0, s), -1)))),
-        (_W03_RING, ({}, (("C", (-m, 0), 1),)),
-         ({(2, 2): -x_part}, (("D", (-m, 0), 1),))),
+        (_W12_RING, ({}, ((a, (0, 0), 1),)), ({}, ((b, (0, 0), 1),))),
+        (_W23_RING, ({}, ((c, (0, s), 1), (a, (0, s), -1))),
+         ({}, ((d, (0, s), 1), (b, (0, s), -1)))),
+        (_W03_RING, ({}, ((c, (-m, 0), 1),)),
+         ({(2, 2): -x_part}, ((d, (-m, 0), 1),))),
     )
     for ring, *comps in fields:
-        for g in ring.generators:
-            known, terms = {}, []
-            for v, (comp_known, comp_terms) in enumerate(comps):
-                if not g[v]:
-                    continue
-                d0, d1 = g[0] - (v == 0), g[1] - (v == 1)
-                for (e0, e1), c in comp_known.items():
-                    key = (e0 + d0, e1 + d1)
-                    known[key] = known.get(key, 0) + g[v] * c
-                terms += [
-                    (name, (s0 + d0, s1 + d1), g[v] * c)
-                    for name, (s0, s1), c in comp_terms
-                ]
-            conditions.append((ring, known, tuple(terms)))
+        conditions += derivation_conditions(ring, comps)
     return conditions
-
-
-def _symbolic_rows(conditions: list[tuple], comps: dict[str, SymPoly]) -> list:
-    """Route two's rows: ``conditions`` with each name a ``SymPoly``."""
-    rows = []
-    for ring, known, terms in conditions:
-        poly = SymPoly.wrap(LaurentPoly(2, known))
-        for name, shift, c in terms:
-            poly = poly + comps[name].shifted(shift, c)
-        rows += poly.membership_rows(ring)
-    return rows
 
 
 def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     """Route one: the cascade's forced set Z and the rows it leaves.
 
-    Each name has an unknown (name, e) per e in [-bound, bound]^2.  At an
-    exponent f outside a condition's ring, its row holds (name, f - shift)
-    for each term with f - shift in the box, and its rhs is minus the known
-    part at f.  This label pass is exact once repeated (name, shift) pairs
-    are merged and zero coefficients dropped: at one f there is one label
-    per (name, shift), each with one nonzero integer coefficient, so none
-    cancels, and the rhs comes from the known part alone.
-    ``forced_by_singletons`` runs on the zero-rhs label sets; only the rows
-    that keep a label outside Z, or a nonzero rhs, are built, as integer
-    dicts with Z deleted (what ``without`` leaves of the full rows).
+    Each of A, B, C, D has an unknown (name, e) per e in [-bound, bound]^2;
+    ``linear.term_rows`` reads the rows off exponents.
     """
-    span = range(-bound, bound + 1)
-    member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
-    labelled = []  # (labels, terms, f, rhs) per row
-    for ring, known, terms in conditions:
-        merged: dict[tuple, int] = {}
-        for name, shift, c in terms:
-            merged[name, shift] = merged.get((name, shift), 0) + c
-        terms = [(name, shift, c) for (name, shift), c in merged.items() if c]
-        exps = set(known)
-        for _, (s0, s1), _ in terms:
-            exps.update(itertools.product(
-                range(s0 - bound, s0 + bound + 1),
-                range(s1 - bound, s1 + bound + 1),
-            ))
-        inside = None if ring is None else member.setdefault(ring, {})
-        for f in exps:
-            if inside is not None:
-                hit = inside.get(f)
-                if hit is None:
-                    hit = inside[f] = ring.contains(f)
-                if hit:
-                    continue
-            f0, f1 = f
-            labels = tuple([
-                (name, (f0 - s0, f1 - s1))
-                for name, (s0, s1), _ in terms
-                if f0 - s0 in span and f1 - s1 in span
-            ])
-            rhs = -known.get(f, 0)
-            if labels or rhs:
-                labelled.append((labels, terms, f, rhs))
-    forced = forced_by_singletons(
-        labels for labels, _, _, rhs in labelled if not rhs
-    )
-    rows = []
-    for labels, terms, f, rhs in labelled:
-        if rhs or not forced.issuperset(labels):
-            row = {}
-            for name, (s0, s1), c in terms:
-                label = (name, (f[0] - s0, f[1] - s1))
-                if label in labels and label not in forced:
-                    row[label] = c
-            rows.append((row, rhs))
-    return forced, rows
+    box = list(itertools.product(range(-bound, bound + 1), repeat=2))
+    boxes = {name: box for name in (("A",), ("B",), ("C",), ("D",))}
+    return term_rows(conditions, boxes, forced_by_singletons)
 
 
 def _field_directions(ring: ExponentMonoid, weight) -> tuple:
@@ -769,9 +701,9 @@ def solve_pullback_family(
         + [(("S", k), mono((-k - p, 2 - p), 1)) for k in range(b + 1)],
     )
     d_sym = SymPoly.combination(nv, [(("c0D",), mono((-p, 3 - p), 1))])
-    named_rows = _symbolic_rows(
-        conditions, {"A": a_sym, "B": b_sym, "C": c_sym, "D": d_sym}
-    )
+    named_rows = symbolic_rows(nv, conditions, {
+        ("A",): a_sym, ("B",): b_sym, ("C",): c_sym, ("D",): d_sym,
+    })
     named_labels = (
         [("c0",), ("R", 0), ("c0D",)]
         + [("R", k) for k in range(1, b + 1)]

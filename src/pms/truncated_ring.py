@@ -15,7 +15,6 @@ for a monomial x, which is checked elsewhere against direct composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .laurent_core import (

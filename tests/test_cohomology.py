@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,14 @@ from pms.cohomology import (
     two_cocycle_failures,
 )
 from pms.laurent_core import ExponentMonoid, LaurentPoly
-from pms.linear import SymPoly, derivation_rows, solve_rows
+from pms.linear import (
+    SymPoly,
+    derivation_conditions,
+    forced_by_singletons,
+    solve_rows,
+    symbolic_rows,
+    term_rows,
+)
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
@@ -312,13 +320,22 @@ def test_residue_raw_and_report_shape():
     assert set(report) == {"status", "bound", "caveat", "witness"}
 
 
+def ring_conditions(ring, prefix=()):
+    """Term-form ring conditions of the field with components F_(prefix, v)."""
+    zero = (0,) * ring.nvars
+    return derivation_conditions(
+        ring, [({}, ((prefix + (v,), zero, 1),)) for v in range(ring.nvars)]
+    )
+
+
 def test_derivation_rows_match_derivation_failures():
-    """The symbolic ring rows flag a boxed field exactly when it fails."""
+    """The term-form ring rows, cascaded, flag a boxed field exactly when it
+    fails: on a forced unknown or on a reduced row."""
     rng = random.Random(4417)
     box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     rings = [c.ring for c in make_p2_atlas().charts]
     rings += [c.ring for c in make_wcover_atlas().charts]
-    unknown = tuple(SymPoly.unknown(2, ("T", v), box) for v in range(2))
+    boxes = {("T", v): box for v in range(2)}
     outcomes = set()
     for trial in range(60):
         ring = rings[trial % len(rings)]
@@ -333,10 +350,12 @@ def test_derivation_rows_match_derivation_failures():
         values = {
             ("T", v, e): c for v in range(2) for e, c in comps[v].items()
         }
-        assert tuple(u.evaluate(values) for u in unknown) == comps
-        violated = any(
+        forced, rows = term_rows(
+            ring_conditions(ring, ("T",)), boxes, forced_by_singletons
+        )
+        violated = any(values.get(z) for z in forced) or any(
             sum(c * values.get(label, 0) for label, c in row.items()) != rhs
-            for row, rhs in derivation_rows(unknown, ring)
+            for row, rhs in rows
         )
         failed = bool(derivation_failures(comps, ring, ("lam", "mu")))
         assert violated == failed, (ring.generators, comps)
@@ -401,32 +420,64 @@ def test_dropped_unknowns_are_exactly_the_ring_forced_ones():
     assert min(counts.values()) > 0
 
 
+def row_multiset(rows):
+    return Counter((frozenset(row.items()), rhs) for row, rhs in rows)
+
+
 def test_chart_ring_rows_are_the_derivation_rows_of_the_kept_field():
+    """The cached rows are the ring rows of the kept field, as the reference
+    ``SymPoly`` expander builds them."""
     for ring, top in catalog_and_random_rings(random.Random(7121)):
         nvars = ring.nvars
         for bound in range(top + 1):
             kept, rows = cohomology._chart_ring_rows(ring.generators, nvars, bound)
-            comps = tuple(
-                SymPoly.unknown(nvars, (v,), exps) for v, exps in enumerate(kept)
+            comps = {
+                (v,): SymPoly.unknown(nvars, (v,), exps)
+                for v, exps in enumerate(kept)
+            }
+            assert row_multiset((row, 0) for row in rows) == row_multiset(
+                symbolic_rows(nvars, ring_conditions(ring), comps)
             )
-            assert [(row, 0) for row in rows] == list(derivation_rows(comps, ring))
 
 
-def full_box_fields(atlas, space, *_):
-    """Every boxed coefficient an unknown, with the full-box ring rows."""
-    exps = list(space.exponents())
-    fields = {
-        chart.name: tuple(
-            SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
-            for v in range(atlas.nvars)
-        )
+def term_form_fields(atlas):
+    """The unknown chart fields F_chart, component v the prefix
+    ("T", chart, v), in term form."""
+    zero = (0,) * atlas.nvars
+    return {
+        chart.name: [
+            (((("T", chart.name, v), zero, 1),), ()) for v in range(atlas.nvars)
+        ]
         for chart in atlas.charts
     }
+
+
+def unknown_fields(atlas, exps_of):
+    """``SymPoly`` unknowns for every prefix ("T", chart, v) over
+    ``exps_of(chart, v)``."""
+    return {
+        ("T", chart.name, v): SymPoly.unknown(
+            atlas.nvars, ("T", chart.name, v), exps_of(chart, v)
+        )
+        for chart in atlas.charts for v in range(atlas.nvars)
+    }
+
+
+def full_box_rows(atlas, space, twist_full, target_full, extra=()):
+    """Every boxed coefficient an unknown: the full-box ring and
+    twisted-difference rows, expanded by the reference expander."""
+    exps = list(space.exponents())
+    comps = unknown_fields(atlas, lambda chart, v: exps)
     rows = [
         row for chart in atlas.charts
-        for row in derivation_rows(fields[chart.name], chart.ring)
+        for row in symbolic_rows(
+            atlas.nvars, ring_conditions(chart.ring, ("T", chart.name)), comps
+        )
     ]
-    return fields, rows
+    conditions = cohomology._twisted_conditions(
+        atlas, term_form_fields(atlas), twist_full, target_full, extra
+    )
+    return rows + symbolic_rows(atlas.nvars, conditions, comps)
 
 
 LINE_X0 = CenterSpec("hypersurface", generators={
@@ -497,7 +548,7 @@ def test_dropping_forced_unknowns_keeps_reports(case, monkeypatch):
     for bound in (0, 1, 3, 5):
         witness, report = solve(bound)
         with monkeypatch.context() as patch:
-            patch.setattr(cohomology, "_chart_fields", full_box_fields)
+            patch.setattr(cohomology, "_chart_fields", full_box_rows)
             full_witness, full_report = solve(bound)
         assert witness == full_witness
         assert json.dumps(report, sort_keys=True) == json.dumps(
@@ -524,23 +575,17 @@ def singleton_fixpoint(rows):
                 row.pop(z, None)
 
 
-def labels_of(fields):
-    return {
-        label for comps in fields.values() for comp in comps
-        for row in comp.table.values() for label in row
-    }
-
-
 @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
 def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
     """The solvers leave out exactly the row-level singleton fixpoint of the
     ring-kept system, and hand the solver no chart-field singleton u = 0."""
-    twisted = cohomology._twisted_difference_rows
+    chart_fields = cohomology._chart_fields
     calls = []
 
-    def spy_twisted(atlas, fields, twist_full, target_full, extra=()):
-        calls.append((atlas, fields, twist_full, target_full, extra))
-        return twisted(atlas, fields, twist_full, target_full, extra)
+    def spy_fields(atlas, space, twist_full, target_full, extra=()):
+        rows = chart_fields(atlas, space, twist_full, target_full, extra)
+        calls.append((atlas, space, twist_full, target_full, extra, rows))
+        return rows
 
     def spy_solve_rows(rows):
         rows = list(rows)
@@ -548,27 +593,32 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
             assert rhs or len(row) != 1 or next(iter(row)) == ("tau",), row
         return solve_rows(rows)
 
-    monkeypatch.setattr(cohomology, "_twisted_difference_rows", spy_twisted)
+    monkeypatch.setattr(cohomology, "_chart_fields", spy_fields)
     monkeypatch.setattr(cohomology, "solve_rows", spy_solve_rows)
     _, solve = DIFFERENTIAL_CASES[case]
     for bound in range(7):
         calls.clear()
         solve(bound)
         assert calls
-        for atlas, fields, twist_full, target_full, extra in calls:
+        for atlas, space, twist_full, target_full, extra, got in calls:
             ring_kept, rows = {}, []
             for chart in atlas.charts:
                 kept, ring = cohomology._chart_ring_rows(
                     chart.ring.generators, atlas.nvars, bound
                 )
-                ring_kept[chart.name] = tuple(
-                    SymPoly.unknown(atlas.nvars, ("T", chart.name, v), exps)
-                    for v, exps in enumerate(kept)
-                )
+                ring_kept[chart.name] = kept
                 rows += [
                     ({("T", chart.name, v, e): c for (v, e), c in row.items()}, 0)
                     for row in ring
                 ]
-            rows += twisted(atlas, ring_kept, twist_full, target_full, extra)
-            dropped = labels_of(ring_kept) - labels_of(fields)
+            comps = unknown_fields(
+                atlas, lambda chart, v: ring_kept[chart.name][v]
+            )
+            conditions = cohomology._twisted_conditions(
+                atlas, term_form_fields(atlas), twist_full, target_full, extra
+            )
+            rows += symbolic_rows(atlas.nvars, conditions, comps)
+            labels = {label for row, _ in rows for label in row}
+            left = {label for row, _ in got for label in row}
+            dropped = {z for z in labels - left if z[0] == "T"}
             assert dropped == singleton_fixpoint(rows), (case, bound)

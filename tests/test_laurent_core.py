@@ -51,6 +51,10 @@ def test_variable_count_mismatch_raises():
         LAM + LaurentPoly.var(3, 0)
     with pytest.raises(ValueError):
         LaurentPoly(2, {(1, 2, 3): 1})
+    # no exponent entry is coerced: int() would truncate 0.5 to 0
+    for exp in ((0.5, 1), (1.0, 0), (True, 0), (Fraction(1), 0)):
+        with pytest.raises(ValueError):
+            LaurentPoly(2, {exp: 1})
 
 
 def test_zero_terms_are_dropped():

@@ -11,7 +11,13 @@ from pms import p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
-from pms.linear import SymPoly, forced_by_singletons, without
+from pms.linear import (
+    SymPoly,
+    forced_by_singletons,
+    symbolic_rows,
+    term_rows,
+    without,
+)
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
@@ -225,30 +231,65 @@ def _row_multiset(rows):
     return Counter((frozenset(row.items()), rhs) for row, rhs in rows)
 
 
+def _reference_rows(conds, boxes):
+    """Z and the reduced rows from the SymPoly expander on boxed unknowns:
+    the cascade runs on the zero-rhs rows that mention no scalar."""
+    comps = {n: SymPoly.unknown(2, n, box) for n, box in boxes.items()}
+    full = symbolic_rows(2, conds, comps)
+    forced = forced_by_singletons(
+        r for r, rhs in full if not rhs and all(z[:-1] in boxes for z in r)
+    )
+    return forced, _row_multiset(without(full, forced))
+
+
+A, B, C, D = ("A",), ("B",), ("C",), ("D",)
+
+
 @pytest.mark.parametrize("x_part", [0, 1])
 @pytest.mark.parametrize("p", range(6))
 def test_label_pass_matches_symbolic_rows(p, x_part):
     """Route one's forced set and reduced rows equal those of the SymPoly
-    expander on boxed unknowns, cascaded and reduced by ``without``."""
+    expander on boxed unknowns, cascaded and reduced by ``without``; so do
+    those of the shared pass with scalars, rational coefficients and a box
+    per prefix."""
     # a repeated (name, shift) term is merged, a cancelling pair dropped,
     # and a known term off every shifted box leaves the row 0 = -1
     extra = [
         (p2_catalog._POLY_RING, {(0, 1): x_part, (-20, 0): 1},
-         (("A", (1, 0), 2), ("C", (0, 1), 1), ("A", (1, 0), -1))),
-        (None, {}, (("B", (0, 0), 1), ("D", (1, 1), 1), ("B", (0, 0), -1))),
+         ((A, (1, 0), 2), (C, (0, 1), 1), (A, (1, 0), -1)), ()),
+        (None, {}, ((B, (0, 0), 1), (D, (1, 1), 1), (B, (0, 0), -1)), ()),
+    ]
+    # scalars, one cancelling at (0, -1), and rational coefficients; the
+    # ring W3 holds the exponents with a non-negative second entry
+    scalar = [
+        (p2_catalog._W3_RING, {(1, -7): Fraction(1, 3)},
+         ((A, (2, -1), Fraction(3, 2)), (D, (0, 1), Fraction(-2, 5))),
+         ((("s",), LaurentPoly(2, {(2, -1): 2, (-4, 0): Fraction(1, 2)})),
+          (("t",), {(0, -1): 1, (3, -2): -1}), (("t",), {(0, -1): -1}))),
+        (None, {(3, 3): x_part},
+         ((C, (-1, 0), 1), (B, (0, 2), Fraction(1, 7))),
+         ((("s",), {(3, 3): 5}),)),
     ]
     conditions = p2_catalog._pullback_conditions(-3, p, x_part)
-    for conds in (conditions, conditions + extra):
-        for b in range(3, 9):
-            box = list(itertools.product(range(-b, b + 1), repeat=2))
-            comps = {n: SymPoly.unknown(2, (n,), box) for n in "ABCD"}
-            full = p2_catalog._symbolic_rows(conds, comps)
-            forced = forced_by_singletons(r for r, rhs in full if not rhs)
+    for b in range(3, 9):
+        box = list(itertools.product(range(-b, b + 1), repeat=2))
+        uniform = dict.fromkeys((A, B, C, D), box)
+        for conds in (conditions, conditions + extra):
+            forced, rows = _reference_rows(conds, uniform)
             got_forced, got_rows = p2_catalog._pullback_rows(conds, b)
             assert got_forced == forced
-            assert _row_multiset(got_rows) == _row_multiset(
-                without(full, forced)
-            )
+            assert _row_multiset(got_rows) == rows
+        boxes = {
+            A: box,
+            B: list(itertools.product(range(1 - b, b), repeat=2)),
+            C: [e for e in box if e[0] >= 0 and e[1] != 1],
+            D: list(itertools.product(range(-2, 3), range(-b, b + 1))),
+        }
+        conds = conditions + extra + scalar
+        forced, rows = _reference_rows(conds, boxes)
+        got_forced, got_rows = term_rows(conds, boxes, forced_by_singletons)
+        assert got_forced == forced
+        assert _row_multiset(got_rows) == rows
 
 
 def test_symbolic_bundles_extend_numeric_tables():
