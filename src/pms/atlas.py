@@ -12,13 +12,18 @@ Both kinds of cocycle are stored on a connected spanning set of ordered pairs
 and derived to all ordered pairs by one fold (``fold_tree``): each chart gets a
 potential, the entry from the first chart r to it folded along a spanning
 tree, and the entry on (i, k) joins the reversed potential of i to that of k.
-The fold reads each tree edge in one order only, so validation checks the
-derived family against every supplied entry (a reverse-order entry that
-contradicts the reversal rule is caught there), the triple identities, and
-membership: bundle entries must be units of the overlap ring, and a
-vector-field entry must map the overlap ring into itself (it suffices to
-check the image of each monoid generator).  Cocycle data naming a chart
-outside the atlas is rejected with ``ValueError``.
+The fold is pure, so each distinct spanning data set is folded once: the
+folds behind ``derive_mult`` and ``derive_vector_field`` are memoised on the
+chart names in atlas order, the variable count and the supplied entries (and
+the twist), in bounded memos of 64 bundle and 48 vector-field families, and
+every call returns a fresh dict.  Errors are raised again on every call, and
+validation is never memoised.  The fold reads each tree edge in one order
+only, so validation checks the derived family against every supplied entry
+(a reverse-order entry that contradicts the reversal rule is caught there),
+the triple identities, and membership: bundle entries must be units of the
+overlap ring, and a vector-field entry must map the overlap ring into itself
+(it suffices to check the image of each monoid generator).  Cocycle data
+naming a chart outside the atlas is rejected with ``ValueError``.
 
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
 a twisted vector-field cocycle; its order-two transition endomorphisms feed
@@ -29,6 +34,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Sequence
 
 from .laurent_core import (
     ExponentMonoid,
@@ -239,7 +246,7 @@ def _spanning_tree(names: list[str], edges) -> list[Pair]:
     return tree
 
 
-def fold_tree(names: list[str], data: dict, reverse, start, step) -> dict:
+def fold_tree(names: Sequence[str], data: dict, reverse, start, step) -> dict:
     """Derive spanning data to every ordered chart pair, via chart potentials.
 
     ``reverse(i, j, entry_ij)`` is the entry on (j, i), and
@@ -266,14 +273,49 @@ def fold_tree(names: list[str], data: dict, reverse, start, step) -> dict:
     }
 
 
+# 25 cocycle-search rounds (seed 801) fold 15 distinct bundle cocycles in
+# 5,291 calls; an entry is one small family.
+@lru_cache(maxsize=64)
+def _fold_mult(names: tuple[str, ...], nvars: int, entries: tuple) -> dict:
+    return fold_tree(
+        names,
+        dict(entries),
+        lambda i, j, entry: entry.power(-1),
+        LaurentPoly.const(nvars, 1),
+        lambda acc, i, a, entry: acc * entry,
+    )
+
+
 def derive_mult(atlas: Atlas, c: MultCocycle) -> dict[Pair, LaurentPoly]:
     """All ordered-pair entries of a bundle cocycle: g_ik = g_ri^-1 g_rk."""
+    return dict(_fold_mult(
+        tuple(atlas.chart_names()), atlas.nvars, tuple(c.data.items())
+    ))
+
+
+# A cocycle-search round makes about 200 calls on 50-70 distinct vector
+# fields, and each later round brings 15-30 new ones (325 over 25 rounds of
+# seed 801).  Entries are the largest of these memos.  Over the warm-up and
+# ten rounds of seed 5 (2,078 calls), 48 entries miss 549 times, 64 miss 467
+# and an unbounded memo 245; 48 add about 1.1 MB to that workload's peak
+# memory (4.5%), 64 add 1.75 MB.
+@lru_cache(maxsize=48)
+def _fold_vector_field(
+    names: tuple[str, ...], nvars: int, entries: tuple, twist: tuple,
+) -> dict:
+    alpha_full = dict(twist)
+    one = LaurentPoly.const(nvars, 1)
+
+    def step(total, i, a, comps):
+        factor = one if a == i else alpha_full[(i, a)]
+        return tuple(t + factor * c for t, c in zip(total, comps))
+
     return fold_tree(
-        atlas.chart_names(),
-        c.data,
-        lambda i, j, entry: entry.power(-1),
-        LaurentPoly.const(atlas.nvars, 1),
-        lambda acc, i, a, entry: acc * entry,
+        names,
+        dict(entries),
+        lambda i, j, comps: tuple(-(alpha_full[(j, i)] * c) for c in comps),
+        tuple(LaurentPoly.zero(nvars) for _ in range(nvars)),
+        step,
     )
 
 
@@ -285,30 +327,30 @@ def derive_vector_field(
     Uses the reversal rule D_ji = -alpha_ji * D_ij and the twisted chain rule
     D_ik = D_ir + alpha_ir * D_rk through the chart potentials D_rk.
     """
-    one = LaurentPoly.const(atlas.nvars, 1)
-
-    def step(total, i, a, comps):
-        twist = one if a == i else alpha_full[(i, a)]
-        return tuple(t + twist * c for t, c in zip(total, comps))
-
-    return fold_tree(
-        atlas.chart_names(),
-        D.data,
-        lambda i, j, comps: tuple(-(alpha_full[(j, i)] * c) for c in comps),
-        tuple(LaurentPoly.zero(atlas.nvars) for _ in atlas.variables),
-        step,
-    )
+    return dict(_fold_vector_field(
+        tuple(atlas.chart_names()), atlas.nvars, tuple(D.data.items()),
+        tuple(alpha_full.items()),
+    ))
 
 
 # -- validation ---------------------------------------------------------
 
 
 def validate_mult_cocycle(atlas: Atlas, c: MultCocycle) -> ValidationReport:
-    failures: list[str] = []
+    failures = _mult_check(atlas, c)[1]
+    return ValidationReport(not failures, failures)
+
+
+def _mult_check(
+    atlas: Atlas, c: MultCocycle,
+) -> tuple[dict[Pair, LaurentPoly] | None, list[str]]:
+    """The derived family of ``c`` (None when the data do not derive one)
+    and the validation failures."""
     try:
         full = derive_mult(atlas, c)
     except ValueError as exc:
-        return ValidationReport(False, [str(exc)])
+        return None, [str(exc)]
+    failures: list[str] = []
     for (i, j), entry in c.data.items():
         if full[(i, j)] != entry:
             failures.append(
@@ -336,7 +378,7 @@ def validate_mult_cocycle(atlas: Atlas, c: MultCocycle) -> ValidationReport:
                 f"cocycle {c.name}: entry {monomial_str(exp, atlas.variables)}"
                 f" on ({i},{j}) is not a unit of the overlap ring"
             )
-    return ValidationReport(not failures, failures)
+    return full, failures
 
 
 def derivation_failures(
@@ -361,13 +403,10 @@ def derivation_failures(
 
 def validate_derivation_cocycle(spec: DoubleSchemeSpec) -> ValidationReport:
     atlas = spec.atlas
-    alpha_report = validate_mult_cocycle(atlas, spec.alpha)
-    if not alpha_report.ok:
-        return ValidationReport(
-            False, ["bundle cocycle invalid"] + alpha_report.failures
-        )
+    alpha_full, alpha_failures = _mult_check(atlas, spec.alpha)
+    if alpha_failures:
+        return ValidationReport(False, ["bundle cocycle invalid"] + alpha_failures)
     failures: list[str] = []
-    alpha_full = derive_mult(atlas, spec.alpha)
     try:
         full = derive_vector_field(atlas, alpha_full, spec.D)
     except ValueError as exc:

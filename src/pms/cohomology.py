@@ -25,9 +25,10 @@ witness or "none" answer (the direct-sum argument in ``pms.linear``).  The
 solvers state their systems in the term form of ``pms.linear`` and find Z
 in two steps.
 
-* The chart ring, once per chart ring and bound.  The ring-preservation
-  rows of the full-box field have zero right-hand side, and z is dropped
-  when e_z lies in their span.  These rows are few and short: a term
+* The chart ring, once per chart ring and bound, labelled once per chart
+  name (``_chart_unknowns``).  The ring-preservation rows of the full-box
+  field have zero right-hand side, and z is dropped when e_z lies in their
+  span.  These rows are few and short: a term
   x^e d/dx_v has degree e - e_v (Demazure's grading of the derivations of a
   toric ring), and the row of a generator g at the exponent g + d mentions
   only unknowns of degree d, so a degree gives at most one row per
@@ -72,6 +73,7 @@ from .laurent_core import (
     poly_to_json,
 )
 from .linear import (
+    box_labels,
     derivation_conditions,
     forced_by_singletons,
     solve_rows,
@@ -176,14 +178,15 @@ def frame_cocycle(atlas: Atlas) -> MultCocycle:
     return MultCocycle("frame", data)
 
 
-def _require_frame_twist(atlas: Atlas, alpha: MultCocycle) -> None:
+def _frame_twist(atlas: Atlas, alpha: MultCocycle) -> dict[Pair, LaurentPoly]:
+    """The derived family of ``alpha``, which must be the frame ratios."""
     full = derive_mult(atlas, alpha)
-    expected = derive_mult(atlas, frame_cocycle(atlas))
-    if full != expected:
+    if full != derive_mult(atlas, frame_cocycle(atlas)):
         raise ValueError(
             "operation requires the bundle of top forms: the supplied twist "
             "does not match the frame ratios"
         )
+    return full
 
 
 def sharp(atlas: Atlas, omega: OneFormCocycle) -> VectorFieldCocycle:
@@ -212,9 +215,8 @@ def flat(atlas: Atlas, spec: DoubleSchemeSpec) -> OneFormCocycle:
     chart's frame, giving an untwisted one-form cocycle on all ordered pairs
     restricted here to the canonical spanning pairs.
     """
-    _require_frame_twist(spec.atlas, spec.alpha)
     atlas = spec.atlas
-    alpha_full = derive_mult(atlas, spec.alpha)
+    alpha_full = _frame_twist(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
     data = {}
     for pair in canonical_spanning_pairs(atlas):
@@ -245,8 +247,7 @@ def contract_cup(
     frame of chart i.  The result satisfies the plain Cech 2-cocycle identity
     on quadruples.
     """
-    _require_frame_twist(atlas, alpha)
-    alpha_full = derive_mult(atlas, alpha)
+    alpha_full = _frame_twist(atlas, alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, sigma)
     omega_full = derive_oneform(atlas, omega)
     data = {}
@@ -365,7 +366,7 @@ def _chart_ring_rows(
             ExponentMonoid(nvars, generators),
             [({}, (((v,), zero, 1),)) for v in range(nvars)],
         ),
-        {(v,): box for v in range(nvars)},
+        {(v,): box_labels((v,), box) for v in range(nvars)},
         forced_by_singletons,
     )
     solver = solve_rows(rows)
@@ -375,6 +376,24 @@ def _chart_ring_rows(
         tuple(e for e in box if (v, e) not in forced) for v in range(nvars)
     )
     return kept, tuple(row for row, _ in without(rows, forced))
+
+
+# one entry per chart name, chart ring and bound; a cocycle-search run
+# reaches 84 (about 0.9 MB), all in its first round
+@lru_cache(maxsize=256)
+def _chart_unknowns(
+    name: str, generators: tuple[Exponent, ...], nvars: int, bound: int,
+) -> tuple[tuple[dict, ...], tuple[tuple[dict, int], ...]]:
+    """``_chart_ring_rows`` labelled for the chart ``name``: per variable v
+    the kept unknowns {e: ("T", name, v, e)}, and the ring rows over them
+    with zero right-hand sides."""
+    kept, rows = _chart_ring_rows(generators, nvars, bound)
+    labels = tuple(
+        box_labels(("T", name, v), exps) for v, exps in enumerate(kept)
+    )
+    return labels, tuple(
+        ({labels[v][e]: c for (v, e), c in row.items()}, 0) for row in rows
+    )
 
 
 def _twisted_conditions(atlas: Atlas, fields: dict, twist_full, target_full,
@@ -413,27 +432,26 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
     boxed chart fields F that keep their chart rings.
 
     The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
-    unknown when its chart ring forces it to zero (``_chart_ring_rows``), or
+    unknown when its chart ring forces it to zero (``_chart_unknowns``), or
     when the singleton cascade of ``term_rows`` over the cached ring rows and
     the twisted-difference conditions does; the extra scalars c_s are never
     dropped.
     """
     nvars = atlas.nvars
     zero = (0,) * nvars
-    fields, boxes, ring_rows = {}, {}, []
+    fields, labels, ring_rows = {}, {}, []
     for chart in atlas.charts:
         name = chart.name
-        kept, rows = _chart_ring_rows(chart.ring.generators, nvars, space.bound)
-        ring_rows += [
-            ({("T", name, v, e): c for (v, e), c in row.items()}, 0)
-            for row in rows
-        ]
+        chart_labels, rows = _chart_unknowns(
+            name, chart.ring.generators, nvars, space.bound
+        )
+        ring_rows += rows
         fields[name] = [
             (((("T", name, v), zero, 1),), ()) for v in range(nvars)
         ]
-        boxes.update((("T", name, v), exps) for v, exps in enumerate(kept))
+        labels.update((("T", name, v), at) for v, at in enumerate(chart_labels))
     conditions = _twisted_conditions(atlas, fields, twist_full, target_full, extra)
-    return term_rows(conditions, boxes, forced_by_singletons, ring_rows)[1]
+    return term_rows(conditions, labels, forced_by_singletons, ring_rows)[1]
 
 
 def _read_fields(atlas: Atlas, values) -> dict:

@@ -27,7 +27,8 @@ The bounded solvers state their systems as conditions in term form,
 {exponent: coefficient}, field terms (prefix, shift, c) and scalar terms
 (label, poly), poly a {exponent: coefficient} mapping or a ``LaurentPoly``.
 An unknown field F_prefix has one unknown coefficient, labelled
-``prefix + (e,)``, per exponent e of its box, and a scalar is one unknown.
+``prefix + (e,)`` (``box_labels``), per exponent e of its box, and a scalar
+is one unknown.
 The condition says that known + sum(c * x^shift * F_prefix) +
 sum(label * poly) lies in the ring (vanishes for None): one row per exponent
 outside the ring, whose right-hand side is minus the known part there.
@@ -248,29 +249,34 @@ def without(rows: Iterable[tuple[Row, Fraction]],
 # -- rows of term-form conditions -----------------------------------------
 
 
+def box_labels(prefix: tuple, exps: Iterable[Exponent]) -> dict[Exponent, tuple]:
+    """The unknowns of F_prefix over a box: e -> prefix + (e,), in box order."""
+    return {e: prefix + (e,) for e in exps}
+
+
 def term_rows(
     conditions: Iterable[tuple],
-    boxes: Mapping[tuple, Iterable[Exponent]],
+    labels: Mapping[tuple, Mapping[Exponent, Var]],
     cascade,
     built: Iterable[tuple[Row, Fraction]] = (),
 ) -> tuple[set, list[tuple[Row, Fraction]]]:
     """The forced set Z of ``conditions`` and their rows with Z deleted.
 
-    F_prefix has an unknown per exponent of ``boxes[prefix]``.  At an
-    exponent f outside a condition's ring, its row holds prefix + (f - shift,)
-    for each term with f - shift in the box, and each scalar whose poly has
-    f in its support; its rhs is minus the known part at f.  This label pass
-    is exact once repeated (prefix, shift) terms are merged, scalars merged
-    by label, and zero coefficients dropped: at one f there is one label per
-    term and per scalar, each with one nonzero coefficient, so none cancels,
-    and the rhs comes from the known part alone.
+    F_prefix has the unknown ``labels[prefix][e]`` per exponent e of its box
+    (``box_labels``; callers that solve often keep these maps).  At an
+    exponent f outside a condition's ring, its row holds the unknown at
+    f - shift for each term with f - shift in the box, and each scalar whose
+    poly has f in its support; its rhs is minus the known part at f.  This
+    label pass is exact once repeated (prefix, shift) terms are merged,
+    scalars merged by label, and zero coefficients dropped: at one f there is
+    one label per term and per scalar, each with one nonzero coefficient, so
+    none cancels, and the rhs comes from the known part alone.
 
     ``cascade`` (``forced_by_singletons``, or one returning set() for the
     full system) maps the label sets of the zero-rhs rows without a scalar,
     and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
     come back with Z deleted, as ``without`` leaves them.
     """
-    names: dict[tuple, dict] = {}  # prefix -> {e: prefix + (e,)}
     member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
     # the zero-rhs rows without a scalar, and the others with their rhs
     candidates, others = [], []
@@ -282,9 +288,7 @@ def term_rows(
         for (prefix, shift), c in merged.items():
             if not c:
                 continue
-            at = names.get(prefix)
-            if at is None:
-                at = names[prefix] = {e: prefix + (e,) for e in boxes[prefix]}
+            at = labels[prefix]
             if any(shift):
                 at = {tuple(map(add, e, shift)): lb for e, lb in at.items()}
             for f, lb in at.items():

@@ -67,6 +67,7 @@ from .laurent_core import (
 )
 from .linear import (
     SymPoly,
+    box_labels,
     derivation_conditions,
     forced_by_singletons,
     rank_of_vectors,
@@ -528,8 +529,10 @@ def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     ``linear.term_rows`` reads the rows off exponents.
     """
     box = list(itertools.product(range(-bound, bound + 1), repeat=2))
-    boxes = {name: box for name in (("A",), ("B",), ("C",), ("D",))}
-    return term_rows(conditions, boxes, forced_by_singletons)
+    labels = {
+        name: box_labels(name, box) for name in (("A",), ("B",), ("C",), ("D",))
+    }
+    return term_rows(conditions, labels, forced_by_singletons)
 
 
 def _field_directions(ring: ExponentMonoid, weight) -> tuple:

@@ -1,9 +1,11 @@
 """Tests for chart atlases, cocycle validation, and serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from pms import atlas as atlas_module
 from pms.atlas import (
     Atlas,
     AtlasDocument,
@@ -23,8 +25,15 @@ from pms.atlas import (
     validate_double_scheme,
     validate_mult_cocycle,
 )
-from pms.blowup import CenterSpec, blowup_reduced, derive_transitions, lift_double
-from pms.laurent_core import ExponentMonoid, LaurentPoly
+from pms.blowup import (
+    CenterSpec,
+    blowup_good,
+    blowup_hypersurface,
+    blowup_reduced,
+    derive_transitions,
+    lift_double,
+)
+from pms.laurent_core import ExponentMonoid, LaurentPoly, minimal_generators
 from pms.truncated_ring import compose_endo, identity_morphism
 from pms.p2_catalog import (
     beta_table,
@@ -316,3 +325,158 @@ def test_blown_plane_grid_validates():
             assert validate_double_scheme(spec).ok, (m, p)
     spec = make_blown_plane(-3, 1, Fraction(2, 3))
     assert validate_double_scheme(spec).ok
+
+
+# -- memoised folds -------------------------------------------------------
+
+
+def memo_specs():
+    """Catalog structures and blow-ups of every kind, on 3-8 charts."""
+    plane = make_p2(-3, nontrivial=True)
+    point = CenterSpec("reduced", generators={"U2": (mono((0, 1)), mono((1, 1)))})
+    good = CenterSpec("good", pairs={
+        "U2": ((mono((0, 1)), LaurentPoly.const(2, 2)),
+               (mono((1, 1)), LaurentPoly.const(2, -1))),
+    })
+    line = CenterSpec("hypersurface", generators={
+        "U0": (mono((-1, 0)),), "U1": (LaurentPoly.const(2, 1),),
+        "U2": (mono((0, 1)),),
+    })
+    return [
+        plane, make_p2(-3), build_carpet(Fraction(1, 2)), build_carpet(0),
+        make_blown_plane(-3, 1, 0), make_blown_plane(-3, 0, 2, -1, nontrivial=True),
+        blowup_reduced(plane, point).spec, blowup_good(plane, good).spec,
+        blowup_hypersurface(plane, line).spec,
+    ]
+
+
+def random_family(rng, atlas, field):
+    """Seeded random data on the canonical spanning pairs: monomials, or
+    vector-field entries of one to three terms per variable."""
+    nvars = atlas.nvars
+
+    def exp():
+        return tuple(rng.randint(-2, 2) for _ in range(nvars))
+
+    data = {}
+    for pair in canonical_spanning_pairs(atlas):
+        if rng.random() < 0.3:
+            pair = pair[::-1]  # only the reverse order is given
+        if field:
+            data[pair] = tuple(
+                LaurentPoly(nvars, {exp(): rng.randint(-3, 3)
+                                    for _ in range(rng.randint(1, 3))})
+                for _ in range(nvars)
+            )
+        else:
+            data[pair] = LaurentPoly.monomial(nvars, exp(), rng.choice((1, -2)))
+    return data
+
+
+def uncached_mult(atlas, c):
+    return atlas_module._fold_mult.__wrapped__(
+        tuple(atlas.chart_names()), atlas.nvars, tuple(c.data.items())
+    )
+
+
+def uncached_field(atlas, alpha_full, D):
+    return atlas_module._fold_vector_field.__wrapped__(
+        tuple(atlas.chart_names()), atlas.nvars, tuple(D.data.items()),
+        tuple(alpha_full.items()),
+    )
+
+
+def test_memoised_folds_equal_the_uncached_fold():
+    rng = random.Random(5521)
+    for spec in memo_specs():
+        atlas = spec.atlas
+        cases = [(spec.alpha, spec.D)] + [
+            (MultCocycle("r", random_family(rng, atlas, False)),
+             VectorFieldCocycle(random_family(rng, atlas, True)))
+            for _ in range(3)
+        ]
+        for alpha, D in cases:
+            expected = uncached_mult(atlas, alpha)
+            for _ in range(2):
+                assert derive_mult(atlas, alpha) == expected
+            field = uncached_field(atlas, expected, D)
+            for _ in range(2):
+                assert derive_vector_field(atlas, expected, D) == field
+        for ring in [c.ring for c in atlas.charts] + list(atlas.overlaps.values()):
+            expected = minimal_generators.__wrapped__(ring)
+            assert minimal_generators(ring) == expected
+            assert minimal_generators(ring) == expected
+    for _ in range(20):
+        nvars = rng.randint(1, 3)
+        gens = {tuple(rng.randint(-2, 2) for _ in range(nvars))
+                for _ in range(rng.randint(1, 5))}
+        ring = ExponentMonoid(nvars, tuple(sorted(gens)))
+        assert minimal_generators(ring) == minimal_generators.__wrapped__(ring)
+
+
+def test_a_returned_family_cannot_corrupt_the_memo():
+    spec = make_p2(-3, nontrivial=True)
+    atlas = spec.atlas
+    alpha = derive_mult(atlas, spec.alpha)
+    field = derive_vector_field(atlas, alpha, spec.D)
+    kept_alpha, kept_field = dict(alpha), dict(field)
+    alpha[("U0", "U1")] = mono((7, 7))
+    del alpha[("U1", "U2")]
+    field.clear()
+    assert derive_mult(atlas, spec.alpha) == kept_alpha
+    assert derive_vector_field(atlas, kept_alpha, spec.D) == kept_field
+
+
+def test_changed_data_gives_the_new_family():
+    spec = make_p2(-3, nontrivial=True)
+    atlas = spec.atlas
+    c = MultCocycle("c", dict(spec.alpha.data))
+    D = VectorFieldCocycle(dict(spec.D.data))
+    before = derive_mult(atlas, c)
+    field_before = derive_vector_field(atlas, before, D)
+    c.data[("U0", "U1")] = mono((1, 0))
+    D.data[("U0", "U1")] = (mono((0, 1)), LaurentPoly.zero(2))
+    after = derive_mult(atlas, c)
+    assert after != before
+    assert after == uncached_mult(atlas, c)
+    assert after[("U0", "U1")] == mono((1, 0))
+    field = derive_vector_field(atlas, after, D)
+    assert field != field_before
+    assert field == uncached_field(atlas, after, D)
+
+
+def test_errors_are_raised_on_every_call():
+    spec = make_p2(-3, nontrivial=True)
+    atlas = spec.atlas
+    zero = LaurentPoly.zero(2)
+    alpha = MultCocycle("alpha", {**spec.alpha.data, ("U0", "X9"): mono((1, 0))})
+    field = VectorFieldCocycle({**spec.D.data, ("X9", "U0"): (zero, zero)})
+    alpha_full = derive_mult(atlas, spec.alpha)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside the atlas"):
+            derive_mult(atlas, alpha)
+        with pytest.raises(ValueError, match="outside the atlas"):
+            derive_vector_field(atlas, alpha_full, field)
+        with pytest.raises(ValueError, match="does not connect"):
+            derive_mult(make_wcover_atlas(),
+                        MultCocycle("c", {("W0", "W1"): mono((1, 0))}))
+
+
+def test_validation_is_not_memoised():
+    """A reverse entry contradicting the reversal rule still fails once the
+    same spanning data has been derived and memoised."""
+    spec = make_p2(-3, nontrivial=True)
+    atlas = spec.atlas
+    derive_mult(atlas, spec.alpha)
+    assert validate_mult_cocycle(atlas, spec.alpha).ok
+    bad = MultCocycle("alpha", {
+        **spec.alpha.data, ("U1", "U0"): spec.alpha.data[("U0", "U1")]
+    })
+    assert derive_mult(atlas, bad) == derive_mult(atlas, spec.alpha)
+    for _ in range(2):
+        report = validate_mult_cocycle(atlas, bad)
+        assert not report.ok
+        assert any("(U1,U0) is inconsistent" in f for f in report.failures)
+        report = validate_double_scheme(DoubleSchemeSpec(atlas, bad, spec.D))
+        assert not report.ok
+        assert report.failures[0] == "bundle cocycle invalid"

@@ -40,6 +40,7 @@ from pms.cohomology import (
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.linear import (
     SymPoly,
+    box_labels,
     derivation_conditions,
     forced_by_singletons,
     solve_rows,
@@ -335,7 +336,7 @@ def test_derivation_rows_match_derivation_failures():
     box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     rings = [c.ring for c in make_p2_atlas().charts]
     rings += [c.ring for c in make_wcover_atlas().charts]
-    boxes = {("T", v): box for v in range(2)}
+    labels = {("T", v): box_labels(("T", v), box) for v in range(2)}
     outcomes = set()
     for trial in range(60):
         ring = rings[trial % len(rings)]
@@ -351,7 +352,7 @@ def test_derivation_rows_match_derivation_failures():
             ("T", v, e): c for v in range(2) for e, c in comps[v].items()
         }
         forced, rows = term_rows(
-            ring_conditions(ring, ("T",)), boxes, forced_by_singletons
+            ring_conditions(ring, ("T",)), labels, forced_by_singletons
         )
         violated = any(values.get(z) for z in forced) or any(
             sum(c * values.get(label, 0) for label, c in row.items()) != rhs
@@ -422,6 +423,26 @@ def test_dropped_unknowns_are_exactly_the_ring_forced_ones():
 
 def row_multiset(rows):
     return Counter((frozenset(row.items()), rhs) for row, rhs in rows)
+
+
+def test_chart_unknowns_label_the_cached_ring_rows_in_order():
+    """The labelled chart step keeps the kept exponents' order and the ring
+    rows' order and entries, with each label ("T", chart, v, e)."""
+    for ring, top in catalog_and_random_rings(random.Random(7121)):
+        nvars = ring.nvars
+        for bound in range(0, top + 1, 2):
+            kept, rows = cohomology._chart_ring_rows(ring.generators, nvars, bound)
+            labels, labelled = cohomology._chart_unknowns(
+                "U", ring.generators, nvars, bound
+            )
+            assert [list(at.items()) for at in labels] == [
+                [(e, ("T", "U", v, e)) for e in exps]
+                for v, exps in enumerate(kept)
+            ]
+            assert [(list(row.items()), rhs) for row, rhs in labelled] == [
+                ([(("T", "U", v, e), c) for (v, e), c in row.items()], 0)
+                for row in rows
+            ]
 
 
 def test_chart_ring_rows_are_the_derivation_rows_of_the_kept_field():

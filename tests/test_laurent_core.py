@@ -346,8 +346,12 @@ def test_every_cache_is_bounded():
             if callable(getattr(obj, "cache_info", None)):
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert {
+        "atlas._fold_mult",
+        "atlas._fold_vector_field",
         "cohomology._chart_ring_rows",
+        "cohomology._chart_unknowns",
         "laurent_core._monoid_contains_cached",
+        "laurent_core.minimal_generators",
         "truncated_ring._image_power",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches

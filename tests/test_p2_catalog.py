@@ -13,6 +13,7 @@ from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
 from pms.linear import (
     SymPoly,
+    box_labels,
     forced_by_singletons,
     symbolic_rows,
     term_rows,
@@ -287,7 +288,8 @@ def test_label_pass_matches_symbolic_rows(p, x_part):
         }
         conds = conditions + extra + scalar
         forced, rows = _reference_rows(conds, boxes)
-        got_forced, got_rows = term_rows(conds, boxes, forced_by_singletons)
+        labels = {n: box_labels(n, box) for n, box in boxes.items()}
+        got_forced, got_rows = term_rows(conds, labels, forced_by_singletons)
         assert got_forced == forced
         assert _row_multiset(got_rows) == rows
 
