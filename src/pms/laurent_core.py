@@ -106,7 +106,10 @@ class LaurentPoly:
 
     @staticmethod
     def const(nvars: int, value: Rational | int) -> LaurentPoly:
-        return LaurentPoly(nvars, {(0,) * nvars: Fraction(value)})
+        if nvars < 1:
+            raise ValueError("a Laurent polynomial needs at least one variable")
+        value = Fraction(value)
+        return LaurentPoly._wrap(nvars, {(0,) * nvars: value} if value else {})
 
     @staticmethod
     def monomial(nvars: int, exp: Iterable[int], coeff: Rational | int = 1) -> LaurentPoly:
@@ -225,15 +228,25 @@ class LaurentPoly:
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         self._check_same(other)
+        return LaurentPoly.sum_of_products(self.nvars, ((self, other),))
+
+    @classmethod
+    def sum_of_products(
+        cls, nvars: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]
+    ) -> LaurentPoly:
+        """``sum(a * b for a, b in pairs)``, accumulated in one term dict.
+
+        The one product loop of the package; ``__mul__`` is its one-pair
+        case.  Every polynomial must have ``nvars`` variables (unchecked).
+        """
         terms: dict[Exponent, Rational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(map(add, e1, e2))
-                old = terms.get(exp)
-                terms[exp] = c1 * c2 if old is None else old + c1 * c2
-        return LaurentPoly._wrap(
-            self.nvars, {e: c for e, c in terms.items() if c}
-        )
+        for a, b in pairs:
+            for e1, c1 in a._terms.items():
+                for e2, c2 in b._terms.items():
+                    exp = tuple(map(add, e1, e2))
+                    old = terms.get(exp)
+                    terms[exp] = c1 * c2 if old is None else old + c1 * c2
+        return cls._wrap(nvars, {e: c for e, c in terms.items() if c})
 
     def scale(self, factor: Rational | int) -> LaurentPoly:
         factor = Fraction(factor)

@@ -288,10 +288,10 @@ def term_rows(
         for (prefix, shift), c in merged.items():
             if not c:
                 continue
-            at = labels[prefix]
+            at = labels[prefix].items()
             if any(shift):
-                at = {tuple(map(add, e, shift)): lb for e, lb in at.items()}
-            for f, lb in at.items():
+                at = ((tuple(map(add, e, shift)), lb) for e, lb in at)
+            for f, lb in at:
                 row = rows_at.get(f)
                 if row is None:
                     rows_at[f] = {lb: c}

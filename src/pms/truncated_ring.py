@@ -10,6 +10,27 @@ The module provides exact arithmetic, element and endomorphism classification,
 substitution of a multiple of t into the t-expansion (the bracket operation),
 and the closed-form conjugation of an endomorphism by the rescaling t -> x*t
 for a monomial x, which is checked elsewhere against direct composition.
+
+Every routine builds only the t-coefficients it keeps.  Each cut rests on one
+fact: coefficient k of a product a*b reads only orders 0..k of a and b, and
+coefficient k of theta(u) reads only orders 0..k of theta (its variable images
+and epsilon) and of u, so that
+
+    truncate_down(apply_endo(theta, u), k)
+        == apply_endo(truncate_morphism(theta, k), truncate_down(u, k)).
+
+The fact holds by induction on k.  theta(u) is the sum over i of
+phi(u_i) * epsilon^i * t^i, and coefficient k of that slice is coefficient
+k - i of phi(u_i) * epsilon^i.  A power of a variable image, and epsilon^i,
+is built one product at a time, and by the product rule its coefficient j
+reads orders 0..j of its factors alone; phi(u_i) is a sum of products of such
+powers.  Hence slice i is built only below order n - i (in ``apply_endo``
+and, for a^i, in ``bracket_subst``), and ``_mul_to`` stops a product at the
+order its caller keeps.  ``endo_inverse`` corrects its candidate order by
+order: once the candidate agrees with the inverse below order k, the defect
+at order k is coefficient k of the image truncated to order k + 1, and the
+correction at t^k leaves every lower coefficient as it was, so step k reads
+orders 0..k alone.
 """
 
 from __future__ import annotations
@@ -129,27 +150,40 @@ class TruncElement:
 def trunc_mul(a: TruncElement, b: TruncElement) -> TruncElement:
     """Product in R[t]/(t^order) by truncated convolution."""
     a._check(b)
-    n = a.order
-    zero = LaurentPoly.zero(a.nvars)
-    out = [zero] * n
-    for i, ai in enumerate(a.coeffs):
-        if ai.is_zero():
-            continue
-        for j in range(n - i):
-            bj = b.coeffs[j]
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return TruncElement(n, tuple(out))
+    return _mul_to(a, b, a.order)
 
 
-def trunc_pow(a: TruncElement, k: int) -> TruncElement:
-    if k < 0:
-        raise ValueError("negative powers go through invert_unit")
-    out = TruncElement.one(a.order, a.nvars)
-    for _ in range(k):
-        out = trunc_mul(out, a)
-    return out
+def _mul_to(a: TruncElement, b: TruncElement, order: int) -> TruncElement:
+    """The product of ``a`` and ``b`` in R[t]/(t^order).
+
+    Both factors need at least ``order`` coefficients; only those below
+    ``order`` are read.
+    """
+    sums = [[] for _ in range(order)]
+    _convolve_into(sums, a.coeffs, b.coeffs)
+    return _summed(sums, a.nvars)
+
+
+def _convolve_into(sums: list[list], a: tuple[LaurentPoly, ...],
+                   b: tuple[LaurentPoly, ...], shift: int = 0) -> None:
+    """Append each product a_j * b_l to ``sums[shift + j + l]``.
+
+    ``sums[k]`` collects the products that make coefficient k of a truncated
+    element; products at or beyond ``len(sums)`` are neither formed nor kept.
+    """
+    room = len(sums) - shift
+    for j, aj in enumerate(a[:room]):
+        if aj:
+            for l, bl in enumerate(b[: room - j]):
+                if bl:
+                    sums[shift + j + l].append((aj, bl))
+
+
+def _summed(sums: list[list], nvars: int) -> TruncElement:
+    """The truncated element whose coefficient k is the sum of ``sums[k]``."""
+    return TruncElement(len(sums), tuple(
+        LaurentPoly.sum_of_products(nvars, pairs) for pairs in sums
+    ))
 
 
 def truncate_down(a: TruncElement, order: int) -> TruncElement:
@@ -195,17 +229,20 @@ def invert_unit(u: TruncElement) -> TruncElement:
 
 
 def bracket_subst(l: TruncElement, a: TruncElement) -> TruncElement:
-    """Substitute a*t for t in the t-expansion: sum of l_i * a^i * t^i."""
+    """Substitute a*t for t in the t-expansion: sum of l_i * a^i * t^i.
+
+    Only orders below n - i of a^i survive the shift by t^i, so a^i is built
+    only that far.
+    """
     l._check(a)
     n = l.order
-    out = TruncElement.zero(n, l.nvars)
+    sums = [[] for _ in range(n)]
     apow = TruncElement.one(n, l.nvars)
     for i, li in enumerate(l.coeffs):
-        if not li.is_zero():
-            out = out + apow.scale_poly(li).shift_up(i)
-        if i + 1 < n:
-            apow = trunc_mul(apow, a)
-    return out
+        if i:
+            apow = a if i == 1 else _mul_to(apow, a, n - i)
+        _convolve_into(sums, (li,), apow.coeffs, i)
+    return _summed(sums, l.nvars)
 
 
 # -- endomorphisms ------------------------------------------------------
@@ -230,6 +267,11 @@ class RingMorphism:
         if not self.variable_images:
             raise ValueError("need at least one variable image")
         nvars = self.variable_images[0].nvars
+        if len(self.variable_images) != nvars:
+            raise ValueError(
+                f"expected {nvars} variable images, got "
+                f"{len(self.variable_images)}"
+            )
         for v, img in enumerate(self.variable_images):
             if img.order != self.order or img.nvars != nvars:
                 raise ValueError("variable image has wrong order or variables")
@@ -272,23 +314,61 @@ def chi_morphism(order: int, y: TruncElement) -> RingMorphism:
 # powers are reused within one computation; fresh morphisms evict old ones
 @lru_cache(maxsize=4096)
 def _image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
+    """theta(x_v)^k as one product of two cached powers.
+
+    Up to |k| = 64 the factors are the power k - 1 (k + 1 for k < 0) and the
+    image (its inverse); beyond that, two halves, which bounds the recursion.
+    """
     if k == 0:
         return TruncElement.one(theta.order, theta.nvars)
-    if k < 0:
-        return trunc_pow(invert_unit(theta.variable_images[v]), -k)
-    return trunc_pow(theta.variable_images[v], k)
+    if k == 1:
+        return theta.variable_images[v]
+    if k == -1:
+        return invert_unit(theta.variable_images[v])
+    part = k // 2 if abs(k) > 64 else k - (1 if k > 0 else -1)
+    return trunc_mul(_image_power(theta, v, part),
+                     _image_power(theta, v, k - part))
 
 
-def _phi_poly(theta: RingMorphism, p: LaurentPoly) -> TruncElement:
-    """Apply the function part of the morphism to a Laurent polynomial."""
-    out = TruncElement.zero(theta.order, theta.nvars)
+def _phi_poly(theta: RingMorphism, p: LaurentPoly,
+              order: int | None = None) -> TruncElement:
+    """Apply the function part of the morphism to a Laurent polynomial.
+
+    The image lives in R[t]/(t^order), by default the morphism's order.
+    """
+    n = theta.order if order is None else order
+    sums = [[] for _ in range(n)]
     for exp, coeff in p.items():
-        term = TruncElement.one(theta.order, theta.nvars)
+        term = None  # the product of the variable images' powers
         for v, e in enumerate(exp):
             if e:
-                term = trunc_mul(term, _image_power(theta, v, e))
-        out = out + term.scale(coeff)
-    return out
+                power = _image_power(theta, v, e)
+                term = power if term is None else _mul_to(term, power, n)
+        if term is None:
+            term = TruncElement.one(n, theta.nvars)
+        scalar = LaurentPoly.const(theta.nvars, coeff)
+        _convolve_into(sums, term.coeffs, (scalar,))
+    return _summed(sums, theta.nvars)
+
+
+def _apply_to(theta: RingMorphism, u: TruncElement, order: int) -> TruncElement:
+    """``apply_endo(theta, u)`` truncated to R[t]/(t^order).
+
+    theta(u) is the sum over i of phi(u_i) * epsilon^i * t^i, so slice i is
+    built only below order - i; coefficient k of the image is one sum of
+    products over all slices.  Only orders below ``order`` of theta and u are
+    read.
+    """
+    sums = [[] for _ in range(order)]
+    eps_pow = TruncElement.one(order, theta.nvars)
+    for i in range(order):
+        if i:
+            eps_pow = (theta.epsilon if i == 1
+                       else _mul_to(eps_pow, theta.epsilon, order - i))
+        if u.coeffs[i]:
+            phi = _phi_poly(theta, u.coeffs[i], order - i)
+            _convolve_into(sums, phi.coeffs, eps_pow.coeffs, i)
+    return _summed(sums, theta.nvars)
 
 
 def apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
@@ -297,16 +377,7 @@ def apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
         raise ValueError("element and morphism orders differ")
     if u.nvars != theta.nvars:
         raise ValueError("variable count mismatch")
-    n = theta.order
-    eps = theta.epsilon.lift(n)
-    out = TruncElement.zero(n, u.nvars)
-    eps_pow = TruncElement.one(n, u.nvars)
-    for i, ui in enumerate(u.coeffs):
-        if not ui.is_zero():
-            out = out + trunc_mul(_phi_poly(theta, ui), eps_pow).shift_up(i)
-        if i + 1 < n:
-            eps_pow = trunc_mul(eps_pow, eps)
-    return out
+    return _apply_to(theta, u, theta.order)
 
 
 def compose_endo(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
@@ -363,35 +434,28 @@ def endo_inverse(theta: RingMorphism) -> RingMorphism:
     eps0 = theta.epsilon.coeffs[0]
     zero = LaurentPoly.zero(nvars)
 
+    # before step k, theta(psi_v) equals x_v and theta(x) * epsilon equals 1
+    # below order k; coefficient k of either reads orders 0..k alone
     images = []
     for v in range(nvars):
-        target = TruncElement.from_poly(n, LaurentPoly.var(nvars, v))
-        psi_v = target
+        psi_v = [LaurentPoly.var(nvars, v)] + [zero] * (n - 1)
         for k in range(1, n):
-            err = apply_endo(theta, psi_v) - target
-            ek = err.coeffs[k]
-            if ek.is_zero():
-                continue
-            delta = [zero] * n
-            delta[k] = ek * eps0.power(-k)
-            psi_v = psi_v - TruncElement(n, tuple(delta))
-        images.append(psi_v)
+            low = TruncElement(k + 1, tuple(psi_v[: k + 1]))
+            ek = _apply_to(theta, low, k + 1).coeffs[k]
+            if ek:
+                psi_v[k] = -ek * eps0.power(-k)
+        images.append(TruncElement(n, tuple(psi_v)))
 
     m = n - 1
-    one_low = TruncElement.one(m, nvars)
-    theta_low = truncate_morphism(theta, m) if m >= 2 else None
-    x = TruncElement.from_poly(m, eps0.power(-1))
+    x = [eps0.power(-1)] + [zero] * (m - 1)
     for k in range(1, m):
-        imaged = apply_endo(theta_low, x) if theta_low else x
-        err = trunc_mul(imaged, theta.epsilon) - one_low
-        ek = err.coeffs[k]
-        if ek.is_zero():
-            continue
-        delta = [zero] * m
-        delta[k] = ek * eps0.power(-(k + 1))
-        x = x - TruncElement(m, tuple(delta))
+        low = TruncElement(k + 1, tuple(x[: k + 1]))
+        ek = _mul_to(_apply_to(theta, low, k + 1), theta.epsilon,
+                     k + 1).coeffs[k]
+        if ek:
+            x[k] = -ek * eps0.power(-(k + 1))
 
-    psi = RingMorphism(n, tuple(images), x)
+    psi = RingMorphism(n, tuple(images), TruncElement(m, tuple(x)))
     ident = identity_morphism(n, nvars)
     if compose_endo(theta, psi) != ident or compose_endo(psi, theta) != ident:
         raise ValueError("inverse iteration failed to converge")

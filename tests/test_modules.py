@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "pms").glob("*.py"))
+# the trees whose code may call a pms function
+CALLERS = ("src", "tests", "perfbench")
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -26,6 +28,44 @@ def unused_imports(tree: ast.Module) -> list[str]:
                   if name not in used)
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, as attributes too, or imported anywhere in ``tree``.
+
+    A reference inside a function's own body (recursion) does not count for
+    that function's name.
+    """
+    found = set()
+
+    def visit(node, inside: frozenset):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name.rsplit(".", 1)[-1]
+            else:
+                name = None
+            if name is not None and name not in inside:
+                found.add(name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside | {child.name})
+            else:
+                visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unreferenced_functions(defined: ast.Module, sources) -> list[str]:
+    """Module-level defs of ``defined`` that no tree in ``sources`` names."""
+    names = {node.name: node.lineno for node in defined.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    used = set().union(*(referenced_names(tree) for tree in sources))
+    return sorted(f"{name} (line {line})" for name, line in names.items()
+                  if name not in used)
+
+
 def test_unused_import_finder_flags_only_unread_names():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -39,6 +79,33 @@ def test_unused_import_finder_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unreferenced_function_finder():
+    module = ast.parse(
+        "import math\n"
+        "def power(a, k):\n    return a * power(a, k - 1) if k else 1\n"
+        "def helper(x):\n    return math.floor(x)\n"
+        "def used_by_attribute():\n    pass\n"
+        "def imported():\n    pass\n"
+        "class C:\n    def method(self):\n        return helper(1)\n"
+    )
+    caller = ast.parse(
+        "from m import imported\nimport m\nm.used_by_attribute()\n"
+    )
+    assert unreferenced_functions(module, [module, caller]) == [
+        "power (line 2)"
+    ]
+
+
+def test_every_module_function_is_referenced():
+    sources = [ast.parse(path.read_text())
+               for top in CALLERS for path in (ROOT / top).rglob("*.py")]
+    unreferenced = {
+        path.name: unreferenced_functions(ast.parse(path.read_text()), sources)
+        for path in MODULES
+    }
+    assert {k: v for k, v in unreferenced.items() if v} == {}
 
 
 def test_traced_private_functions_resolve():

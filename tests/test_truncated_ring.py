@@ -11,6 +11,8 @@ from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.truncated_ring import (
     RingMorphism,
     TruncElement,
+    _image_power,
+    _phi_poly,
     apply_endo,
     bracket_subst,
     chi_morphism,
@@ -27,6 +29,7 @@ from pms.truncated_ring import (
     trunc_mul,
     trunc_to_json,
     truncate_down,
+    truncate_morphism,
 )
 
 LAM = LaurentPoly.var(2, 0)
@@ -300,3 +303,202 @@ def test_serialization_round_trip():
     ):
         with pytest.raises(ValueError):
             trunc_from_json(bad, 2)
+
+
+def test_morphism_needs_one_image_per_variable():
+    x, y = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+    eps = TruncElement.one(1, 2)
+    with pytest.raises(ValueError, match="expected 2 variable images, got 1"):
+        RingMorphism(2, (el(x, ZERO),), eps)
+    z = LaurentPoly.var(3, 2)
+    with pytest.raises(ValueError, match="expected 3 variable images, got 2"):
+        RingMorphism(2, (el(LaurentPoly.var(3, 0), LaurentPoly.zero(3)),
+                         el(LaurentPoly.var(3, 1), z)), TruncElement.one(1, 3))
+    assert RingMorphism(2, (el(x, y), el(y, x)), eps).nvars == 2
+
+
+# -- the full-order calculus, kept as the reference for the truncated one --
+
+
+def ref_trunc_mul(a: TruncElement, b: TruncElement) -> TruncElement:
+    n = a.order
+    out = [LaurentPoly.zero(a.nvars)] * n
+    for i, ai in enumerate(a.coeffs):
+        if ai.is_zero():
+            continue
+        for j in range(n - i):
+            bj = b.coeffs[j]
+            if bj.is_zero():
+                continue
+            out[i + j] = out[i + j] + ai * bj
+    return TruncElement(n, tuple(out))
+
+
+def ref_trunc_pow(a: TruncElement, k: int) -> TruncElement:
+    out = TruncElement.one(a.order, a.nvars)
+    for _ in range(k):
+        out = ref_trunc_mul(out, a)
+    return out
+
+
+def ref_invert_unit(u: TruncElement) -> TruncElement:
+    n, nvars = u.order, u.nvars
+    inv0 = TruncElement.from_poly(n, u.coeffs[0].power(-1))
+    w = TruncElement.one(n, nvars) - ref_trunc_mul(inv0, u)
+    acc = power = TruncElement.one(n, nvars)
+    for _ in range(1, n):
+        power = ref_trunc_mul(power, w)
+        acc = acc + power
+    return ref_trunc_mul(inv0, acc)
+
+
+def ref_image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
+    if k < 0:
+        return ref_trunc_pow(ref_invert_unit(theta.variable_images[v]), -k)
+    return ref_trunc_pow(theta.variable_images[v], k)
+
+
+def ref_phi_poly(theta: RingMorphism, p: LaurentPoly) -> TruncElement:
+    out = TruncElement.zero(theta.order, theta.nvars)
+    for exp, coeff in p.items():
+        term = TruncElement.one(theta.order, theta.nvars)
+        for v, e in enumerate(exp):
+            if e:
+                term = ref_trunc_mul(term, ref_image_power(theta, v, e))
+        out = out + term.scale(coeff)
+    return out
+
+
+def ref_apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
+    n = theta.order
+    eps = theta.epsilon.lift(n)
+    out = TruncElement.zero(n, u.nvars)
+    eps_pow = TruncElement.one(n, u.nvars)
+    for i, ui in enumerate(u.coeffs):
+        if not ui.is_zero():
+            slice_i = ref_trunc_mul(ref_phi_poly(theta, ui), eps_pow)
+            out = out + slice_i.shift_up(i)
+        if i + 1 < n:
+            eps_pow = ref_trunc_mul(eps_pow, eps)
+    return out
+
+
+def ref_bracket_subst(l: TruncElement, a: TruncElement) -> TruncElement:
+    n = l.order
+    out = TruncElement.zero(n, l.nvars)
+    apow = TruncElement.one(n, l.nvars)
+    for i, li in enumerate(l.coeffs):
+        if not li.is_zero():
+            out = out + apow.scale_poly(li).shift_up(i)
+        if i + 1 < n:
+            apow = ref_trunc_mul(apow, a)
+    return out
+
+
+def ref_endo_inverse(theta: RingMorphism) -> RingMorphism:
+    """The order-by-order iteration on full-order images, unchecked."""
+    n, nvars = theta.order, theta.nvars
+    eps0 = theta.epsilon.coeffs[0]
+    zero = LaurentPoly.zero(nvars)
+    images = []
+    for v in range(nvars):
+        target = TruncElement.from_poly(n, LaurentPoly.var(nvars, v))
+        psi_v = target
+        for k in range(1, n):
+            ek = (ref_apply_endo(theta, psi_v) - target).coeffs[k]
+            if ek.is_zero():
+                continue
+            delta = [zero] * n
+            delta[k] = ek * eps0.power(-k)
+            psi_v = psi_v - TruncElement(n, tuple(delta))
+        images.append(psi_v)
+    m = n - 1
+    one_low = TruncElement.one(m, nvars)
+    theta_low = truncate_morphism(theta, m) if m >= 2 else None
+    x = TruncElement.from_poly(m, eps0.power(-1))
+    for k in range(1, m):
+        imaged = ref_apply_endo(theta_low, x) if theta_low else x
+        ek = (ref_trunc_mul(imaged, theta.epsilon) - one_low).coeffs[k]
+        if ek.is_zero():
+            continue
+        delta = [zero] * m
+        delta[k] = ek * eps0.power(-(k + 1))
+        x = x - TruncElement(m, tuple(delta))
+    return RingMorphism(n, tuple(images), x)
+
+
+def sparse_poly(rng: random.Random, nvars: int, terms: int = 2) -> LaurentPoly:
+    """A polynomial of up to ``terms`` terms, exponents in [-2, 2]."""
+    return LaurentPoly(nvars, {
+        tuple(rng.randint(-2, 2) for _ in range(nvars)):
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+        for _ in range(rng.randint(0, terms))
+    })
+
+
+def sparse_element(rng: random.Random, order: int, nvars: int) -> TruncElement:
+    return TruncElement(order, tuple(sparse_poly(rng, nvars)
+                                     for _ in range(order)))
+
+
+def sparse_morphism(rng: random.Random, order: int, nvars: int,
+                    eps_kind: str) -> RingMorphism:
+    """Multi-term images with negative exponents; a unit, zero or regular
+    epsilon head."""
+    images = tuple(
+        TruncElement(order, (LaurentPoly.var(nvars, v),) + tuple(
+            sparse_poly(rng, nvars) for _ in range(order - 1)))
+        for v in range(nvars)
+    )
+    if eps_kind == "unit":
+        head = LaurentPoly.monomial(
+            nvars, [rng.randint(-1, 1) for _ in range(nvars)],
+            rng.choice([1, -1, 2, Fraction(1, 3)]))
+    elif eps_kind == "zero":
+        head = LaurentPoly.zero(nvars)
+    else:  # regular but not a unit
+        head = LaurentPoly.const(nvars, 1) + LaurentPoly.var(
+            nvars, rng.randrange(nvars))
+    eps = TruncElement(order - 1, (head,) + tuple(
+        sparse_poly(rng, nvars) for _ in range(order - 2)))
+    return RingMorphism(order, images, eps)
+
+
+DIFFERENTIAL_CASES = [
+    (seed, 2 + seed % 5, 1 + seed // 10, ("unit", "zero", "reg")[seed % 3])
+    for seed in range(30)
+]
+
+
+@pytest.mark.parametrize("seed,order,nvars,eps_kind", DIFFERENTIAL_CASES)
+def test_truncated_calculus_matches_full_order_reference(
+        seed, order, nvars, eps_kind):
+    rng = random.Random(f"truncated-calculus:{seed}")
+    theta = sparse_morphism(rng, order, nvars, eps_kind)
+    u, w = (sparse_element(rng, order, nvars) for _ in range(2))
+    assert trunc_mul(u, w) == ref_trunc_mul(u, w)
+    image = apply_endo(theta, u)
+    assert image == ref_apply_endo(theta, u)
+    assert bracket_subst(u, w) == ref_bracket_subst(u, w)
+    p = sparse_poly(rng, nvars, terms=3)
+    for k in range(1, order + 1):
+        assert _phi_poly(theta, p, k) == truncate_down(ref_phi_poly(theta, p), k)
+    # the truncation fact: order k of theta(u) reads orders 0..k-1 alone
+    for k in range(2, order + 1):
+        assert truncate_down(image, k) == apply_endo(
+            truncate_morphism(theta, k), truncate_down(u, k))
+    for v in range(nvars):
+        for k in range(-4, 5):
+            assert _image_power(theta, v, k) == ref_image_power(theta, v, k)
+    if eps_kind == "unit":
+        assert endo_inverse(theta) == ref_endo_inverse(theta)
+
+
+def test_image_powers_beyond_the_halving_threshold():
+    rng = random.Random(5)
+    theta = sparse_morphism(rng, 3, 1, "unit")
+    for k in (65, 70, -66):
+        assert _image_power(theta, 0, k) == ref_image_power(theta, 0, k)
+    # deep exponents stay within the recursion limit
+    x = LaurentPoly.monomial(2, (3000, -2000))
+    assert _phi_poly(identity_morphism(3, 2), x) == TruncElement.from_poly(3, x)
