@@ -72,8 +72,7 @@ class LaurentPoly:
     __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Rational] | None = None):
-        if nvars < 1:
-            raise ValueError("a Laurent polynomial needs at least one variable")
+        _check_nvars(nvars)
         clean: dict[Exponent, Rational] = {}
         for exp, coeff in (terms or {}).items():
             exp = _exponent(exp, nvars)
@@ -100,14 +99,12 @@ class LaurentPoly:
 
     @staticmethod
     def zero(nvars: int) -> LaurentPoly:
-        if nvars < 1:
-            raise ValueError("a Laurent polynomial needs at least one variable")
+        _check_nvars(nvars)
         return LaurentPoly._wrap(nvars, {})
 
     @staticmethod
     def const(nvars: int, value: Rational | int) -> LaurentPoly:
-        if nvars < 1:
-            raise ValueError("a Laurent polynomial needs at least one variable")
+        _check_nvars(nvars)
         value = Fraction(value)
         return LaurentPoly._wrap(nvars, {(0,) * nvars: value} if value else {})
 
@@ -315,6 +312,11 @@ class LaurentPoly:
 
 
 # -- exponent monoids ---------------------------------------------------
+
+
+def _check_nvars(nvars: int) -> None:
+    if nvars < 1:
+        raise ValueError("a Laurent polynomial needs at least one variable")
 
 
 def _exponent(values: Iterable[int], nvars: int) -> Exponent:

@@ -314,10 +314,9 @@ def chi_morphism(order: int, y: TruncElement) -> RingMorphism:
 # powers are reused within one computation; fresh morphisms evict old ones
 @lru_cache(maxsize=4096)
 def _image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
-    """theta(x_v)^k as one product of two cached powers.
+    """theta(x_v)^k as one product of its two cached halves.
 
-    Up to |k| = 64 the factors are the power k - 1 (k + 1 for k < 0) and the
-    image (its inverse); beyond that, two halves, which bounds the recursion.
+    Negative powers build on the cached inverse; the recursion is log |k| deep.
     """
     if k == 0:
         return TruncElement.one(theta.order, theta.nvars)
@@ -325,7 +324,7 @@ def _image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
         return theta.variable_images[v]
     if k == -1:
         return invert_unit(theta.variable_images[v])
-    part = k // 2 if abs(k) > 64 else k - (1 if k > 0 else -1)
+    part = k // 2
     return trunc_mul(_image_power(theta, v, part),
                      _image_power(theta, v, k - part))
 

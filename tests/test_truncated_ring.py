@@ -494,7 +494,7 @@ def test_truncated_calculus_matches_full_order_reference(
         assert endo_inverse(theta) == ref_endo_inverse(theta)
 
 
-def test_image_powers_beyond_the_halving_threshold():
+def test_high_image_powers_match_the_repeated_product():
     rng = random.Random(5)
     theta = sparse_morphism(rng, 3, 1, "unit")
     for k in (65, 70, -66):
