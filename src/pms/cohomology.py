@@ -37,7 +37,13 @@ in two steps.
   solver on the rows it leaves finds the rest.
 * The solve.  The singleton cascade of ``linear.term_rows`` over the cached
   ring rows and the twisted-difference conditions removes the rows u = 0 at
-  the box edges and where the other chart's term was dropped.
+  the box edges and where the other chart's term was dropped.  That plan
+  reads exponents only, so it is made once per exponent structure: the
+  label maps enter its key as the charts' names and rings and the bound,
+  the conditions as their twist exponents and the supports of the target
+  and of the extras.  A repeated structure only fills in the coefficients
+  and right-hand sides of the few rows the cascade leaves
+  (``linear.planned_rows``).
 
 Extra scalar unknowns (tau, and the one-form ``coeff`` and ``rho`` labels)
 are never dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted
@@ -76,6 +82,7 @@ from .linear import (
     box_labels,
     derivation_conditions,
     forced_by_singletons,
+    planned_rows,
     solve_rows,
     term_rows,
     without,
@@ -368,6 +375,7 @@ def _chart_ring_rows(
         ),
         {(v,): box_labels((v,), box) for v in range(nvars)},
         forced_by_singletons,
+        labels_key=("chart ring box", nvars, bound),
     )
     solver = solve_rows(rows)
     mentioned = {z for row, _ in rows for z in row}
@@ -378,8 +386,17 @@ def _chart_ring_rows(
     return kept, tuple(row for row, _ in without(rows, forced))
 
 
+# one table per chart name and variable count; a cocycle-search run makes 11,
+# holding 1,845 labels for the 8,014 entries of its per-bound maps
+@lru_cache(maxsize=64)
+def _chart_labels(name: str, nvars: int) -> tuple[dict, ...]:
+    """Per variable v, the label ("T", name, v, e) of every exponent e that
+    some bound has kept, built once and shared by each bound's map."""
+    return tuple({} for _ in range(nvars))
+
+
 # one entry per chart name, chart ring and bound; a cocycle-search run
-# reaches 84 (about 0.9 MB), all in its first round
+# reaches 84, all in its first round
 @lru_cache(maxsize=256)
 def _chart_unknowns(
     name: str, generators: tuple[Exponent, ...], nvars: int, bound: int,
@@ -388,10 +405,13 @@ def _chart_unknowns(
     the kept unknowns {e: ("T", name, v, e)}, and the ring rows over them
     with zero right-hand sides."""
     kept, rows = _chart_ring_rows(generators, nvars, bound)
-    labels = tuple(
-        box_labels(("T", name, v), exps) for v, exps in enumerate(kept)
-    )
-    return labels, tuple(
+    labels = []
+    for v, (exps, shared) in enumerate(zip(kept, _chart_labels(name, nvars))):
+        for e in exps:
+            if e not in shared:
+                shared[e] = ("T", name, v, e)
+        labels.append({e: shared[e] for e in exps})
+    return tuple(labels), tuple(
         ({labels[v][e]: c for (v, e), c in row.items()}, 0) for row in rows
     )
 
@@ -451,7 +471,11 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
         ]
         labels.update((("T", name, v), at) for v, at in enumerate(chart_labels))
     conditions = _twisted_conditions(atlas, fields, twist_full, target_full, extra)
-    return term_rows(conditions, labels, forced_by_singletons, ring_rows)[1]
+    charts = tuple((chart.name, chart.ring.generators) for chart in atlas.charts)
+    return planned_rows(
+        conditions, labels, forced_by_singletons, ring_rows,
+        ("chart fields", nvars, space.bound, charts),
+    )[1]
 
 
 def _read_fields(atlas: Atlas, values) -> dict:

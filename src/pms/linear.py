@@ -32,10 +32,10 @@ is one unknown.
 The condition says that known + sum(c * x^shift * F_prefix) +
 sum(label * poly) lies in the ring (vanishes for None): one row per exponent
 outside the ring, whose right-hand side is minus the known part there.
-``term_rows`` reads those rows off exponents; ``symbolic_rows`` expands the
-same conditions with ``SymPoly``, a Laurent polynomial whose coefficients
-are affine in named unknowns, as the reference for ``term_rows`` and for
-the family solver's named ansatz.
+``term_rows`` reads those rows off exponents (see below); ``symbolic_rows``
+expands the same conditions with ``SymPoly``, a Laurent polynomial whose
+coefficients are affine in named unknowns, as the reference for
+``term_rows`` and for the family solver's named ansatz.
 
 Before a system reaches the solver, the bounded solvers delete labels Z
 with every (e_z | 0) in its augmented row space.  That space is then
@@ -51,16 +51,33 @@ deleted, is c e_z plus a combination of earlier e_z', so by induction each
 e_z lies in the row space.  It reads label sets only, and ``term_rows``
 reads those off exponents, with no polynomial arithmetic.  A scalar is never
 dropped, so a row that mentions one stays out of the cascade.
+
+``term_rows`` therefore works in two steps.  The plan reads exponents only:
+the label pass and the cascade give Z, the (condition, exponent) places
+whose rows survive it with the labels each keeps, and the labels each
+already-built row keeps.  The fill puts the coefficients and right-hand
+sides in at those places only.  Plans sit in a bounded memo keyed on every
+input the label pass reads: each condition's ring, the support of its
+nonzero known part, its merged (prefix, shift) list with zero sums dropped
+and its merged scalar supports by label; the label maps, by what built
+them; the labels of the built rows; and the cascade.  A coefficient value
+cannot change a plan once the cancelling merges are in the key: every label
+left then has a nonzero coefficient in its row, so no row gains or loses a
+label, and a right-hand side is nonzero exactly on the known part's support.
+The bounded solvers repeat a few hundred structures with new coefficients,
+so most calls only fill.  A plan keeps Z as one bit per label of each map;
+``term_rows`` reads Z back out, ``planned_rows`` (rows alone) does not.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .laurent_core import Exponent, ExponentMonoid, LaurentPoly
 
@@ -254,80 +271,223 @@ def box_labels(prefix: tuple, exps: Iterable[Exponent]) -> dict[Exponent, tuple]
     return {e: prefix + (e,) for e in exps}
 
 
+class _Keyed:
+    """Label maps as a memo argument, hashed and compared by ``key``, the
+    inputs that built them; never by ``id``, which CPython reuses once an
+    object is freed.  The memo keeps the key, not the maps: ``take`` hands
+    them out once."""
+
+    __slots__ = ("key", "maps")
+
+    def __init__(self, key, maps: Mapping[tuple, Mapping[Exponent, Var]]):
+        self.key, self.maps = key, maps
+
+    def take(self) -> Mapping[tuple, Mapping[Exponent, Var]]:
+        maps, self.maps = self.maps, None
+        return maps
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+class TermPlan(NamedTuple):
+    """What the label pass and cascade of ``term_rows`` leave of one
+    exponent structure."""
+
+    # the forced set Z: per label map, 1 then a bit per label in map order,
+    # read as a binary number; and the labels of Z in no map
+    masks: tuple[int, ...]
+    outside: tuple
+    built: tuple  # per ``built`` row, the labels it keeps
+    # per row left: (condition, exponent, merged-term indices, their labels);
+    # a row with neither rhs nor scalar has the exponent None
+    places: tuple
+
+    def forced_labels(
+        self, labels: Mapping[tuple, Mapping[Exponent, Var]],
+    ) -> set:
+        """Z, read off the label maps the plan was made with."""
+        forced = set(self.outside)
+        for mask, at in zip(self.masks, labels.values()):
+            if mask > 1:
+                bits = bin(mask)[3:].encode().translate(_FLAGS)
+                forced.update(itertools.compress(at.values(), bits))
+        return forced
+
+
+# the digits of a mask, b"0" and b"1", to the flags 0 and 1, and back
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def term_rows(
     conditions: Iterable[tuple],
     labels: Mapping[tuple, Mapping[Exponent, Var]],
     cascade,
     built: Iterable[tuple[Row, Fraction]] = (),
+    labels_key: Hashable = None,
 ) -> tuple[set, list[tuple[Row, Fraction]]]:
-    """The forced set Z of ``conditions`` and their rows with Z deleted.
+    """The forced set Z of ``conditions`` and their rows with Z deleted:
+    ``planned_rows`` with Z read out of the plan."""
+    plan, rows = planned_rows(conditions, labels, cascade, built, labels_key)
+    return plan.forced_labels(labels), rows
+
+
+def planned_rows(
+    conditions: Iterable[tuple],
+    labels: Mapping[tuple, Mapping[Exponent, Var]],
+    cascade,
+    built: Iterable[tuple[Row, Fraction]] = (),
+    labels_key: Hashable = None,
+) -> tuple[TermPlan, list[tuple[Row, Fraction]]]:
+    """The plan of ``conditions`` and their rows with its forced set Z deleted.
 
     F_prefix has the unknown ``labels[prefix][e]`` per exponent e of its box
-    (``box_labels``; callers that solve often keep these maps).  At an
-    exponent f outside a condition's ring, its row holds the unknown at
-    f - shift for each term with f - shift in the box, and each scalar whose
-    poly has f in its support; its rhs is minus the known part at f.  This
-    label pass is exact once repeated (prefix, shift) terms are merged,
-    scalars merged by label, and zero coefficients dropped: at one f there is
-    one label per term and per scalar, each with one nonzero coefficient, so
-    none cancels, and the rhs comes from the known part alone.
+    (``box_labels``).  At an exponent f outside a condition's ring, its row
+    holds the unknown at f - shift for each term with f - shift in the box,
+    and each scalar whose poly has f in its support; its rhs is minus the
+    known part at f.  This label pass is exact once repeated (prefix, shift)
+    terms are merged, scalars merged by label, and zero coefficients
+    dropped: at one f there is one label per term and per scalar, each with
+    one nonzero coefficient, so none cancels, and the rhs comes from the
+    known part alone.
 
     ``cascade`` (``forced_by_singletons``, or one returning set() for the
     full system) maps the label sets of the zero-rhs rows without a scalar,
     and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
     come back with Z deleted, as ``without`` leaves them.
+
+    Two steps build them.  The plan (``_term_plan``) runs the label pass and
+    the cascade on exponents alone; the fill puts the coefficients and
+    right-hand sides in at the places the plan keeps.  The plan is memoised
+    on every input the label pass reads: each condition's ring, the support
+    of its nonzero known part, its merged (prefix, shift) list with zero
+    sums dropped, its merged scalar supports by label; the label maps; the
+    labels of the ``built`` rows; and ``cascade``.  Once the zero merges are
+    part of the key, a coefficient value decides nothing but the entry it
+    fills, so systems that differ only in their nonzero coefficients share
+    one plan.  The label maps enter the key as ``labels_key``, which names
+    what built them, by default their content: maps with equal keys must be
+    equal, in the same order, since the plan keeps Z as bits in map order.
     """
-    member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
-    # the zero-rhs rows without a scalar, and the others with their rhs
-    candidates, others = [], []
+    structure, values = [], []
     for ring, known, terms, scalars in conditions:
         merged: dict[tuple, Fraction | int] = {}
         for prefix, shift, c in terms:
             merged[prefix, shift] = merged.get((prefix, shift), 0) + c
-        rows_at: dict[Exponent, Row] = {}  # the field part of each row
-        for (prefix, shift), c in merged.items():
-            if not c:
-                continue
-            at = labels[prefix].items()
-            if any(shift):
-                at = ((tuple(map(add, e, shift)), lb) for e, lb in at)
-            for f, lb in at:
+        by_label: dict[Var, dict] = {}
+        for label, poly in scalars:
+            at = by_label.setdefault(label, {})
+            for f, c in poly.items():
+                at[f] = at.get(f, 0) + c
+        by_exp: dict[Exponent, Row] = {}  # the scalar part of each row
+        for label, at in by_label.items():
+            for f, c in at.items():
+                if c:
+                    by_exp.setdefault(f, {})[label] = c
+        structure.append((
+            ring,
+            tuple(f for f, c in known.items() if c),
+            tuple(key for key, c in merged.items() if c),
+            tuple((label, tuple(f for f, c in at.items() if c))
+                  for label, at in by_label.items()),
+        ))
+        values.append(
+            (tuple(c for c in merged.values() if c), known, by_exp)
+        )
+    if labels_key is None:
+        labels_key = tuple((prefix, tuple(at.items()))
+                           for prefix, at in labels.items())
+    built = list(built)
+    plan = _term_plan(
+        tuple(structure), _Keyed(labels_key, labels),
+        tuple(tuple(row) for row, _ in built), cascade,
+    )
+    rows = [({lb: row[lb] for lb in kept}, rhs)
+            for (row, rhs), kept in zip(built, plan.built) if kept or rhs]
+    for k, f, terms, kept in plan.places:
+        coeffs, known, by_exp = values[k]
+        row = {lb: coeffs[t] for t, lb in zip(terms, kept)}
+        if f is not None:
+            extra = by_exp.get(f)
+            if extra:
+                row.update(extra)
+            rows.append((row, -known.get(f, 0)))
+        else:
+            rows.append((row, 0))
+    return plan, rows
+
+
+# one entry per exponent structure; a cocycle-search run (warm-up and 37
+# rounds) makes 222, chart-ring systems included, and 2,279 of its 2,501
+# calls hit; a family-sweep run makes 20
+@lru_cache(maxsize=512)
+def _term_plan(structure: tuple, labels: _Keyed, built: tuple,
+               cascade) -> TermPlan:
+    """The label pass and cascade of ``planned_rows`` on the key alone."""
+    maps = labels.take()
+    member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
+    # the rows with a rhs or a scalar, then the candidates: the cascade's
+    # zero-rhs rows, each {label: merged-term index}, and their conditions
+    places, candidates, owners = [], [], []
+    for k, (ring, known, fields, scalars) in enumerate(structure):
+        rows_at: dict[Exponent, dict] = {}
+        for t, (prefix, shift) in enumerate(fields):
+            for f, lb in _shifted(maps[prefix].items(), shift):
                 row = rows_at.get(f)
                 if row is None:
-                    rows_at[f] = {lb: c}
+                    rows_at[f] = {lb: t}
                 else:
-                    row[lb] = c
-        by_exp: dict[Exponent, Row] = {}
-        for label, poly in scalars:
-            for f, c in poly.items():
-                if c:
-                    _add_into(by_exp.setdefault(f, {}), label, c)
-        special = known.keys() | by_exp.keys()
+                    row[lb] = t
+        special = {f for _, support in scalars for f in support}
+        special.update(known)
         if ring is not None:
             inside = member.setdefault(ring, {})
             for f in (rows_at.keys() | special) - inside.keys():
                 inside[f] = ring.contains(f)
             rows_at = {f: row for f, row in rows_at.items() if not inside[f]}
             special = {f for f in special if not inside[f]}
-        for f in special:
-            row = rows_at.pop(f, {})
-            extra, rhs = by_exp.get(f), -known.get(f, 0)
-            if extra or rhs:
-                others.append((row, extra, rhs))
-            elif row:
-                candidates.append(row)
+        places += [(k, f, rows_at.pop(f, {})) for f in special]
         candidates += rows_at.values()
-    built = list(built)
-    forced = cascade(itertools.chain((row for row, _ in built), candidates))
-    rows = without(built, forced)
-    others += [(row, None, 0) for row in candidates
+        owners += [k] * len(rows_at)
+    forced = cascade(itertools.chain(built, candidates))
+    # a candidate has neither rhs nor scalar, so its fill needs no exponent
+    places += [(k, None, row) for k, row in zip(owners, candidates)
                if not forced.issuperset(row)]
-    for row, extra, rhs in others:
-        row = {lb: c for lb, c in row.items() if lb not in forced}
-        if extra:
-            row.update(extra)
-        rows.append((row, rhs))
-    return forced, rows
+    masks = tuple(
+        int(b"1" + bytes(map(forced.__contains__, at.values()))
+            .translate(_DIGITS), 2)
+        for at in maps.values()
+    )
+    outside = ()  # no two maps share a label (``box_labels``)
+    if sum(mask.bit_count() - 1 for mask in masks) < len(forced):
+        outside = tuple(forced.difference(
+            lb for at in maps.values() for lb in at.values()
+        ))
+    return TermPlan(
+        masks,
+        outside,
+        tuple(tuple(lb for lb in row if lb not in forced) for row in built),
+        tuple(
+            (k, f, tuple(t for lb, t in row.items() if lb not in forced),
+             tuple(lb for lb in row if lb not in forced))
+            for k, f, row in places
+        ),
+    )
+
+
+def _shifted(items, shift: Exponent):
+    """The (exponent, label) ``items`` with each exponent moved by ``shift``;
+    two variables, the common case, skip the per-exponent ``map``."""
+    if not any(shift):
+        return items
+    if len(shift) == 2:
+        s0, s1 = shift
+        return (((a + s0, b + s1), lb) for (a, b), lb in items)
+    return ((tuple(map(add, e, shift)), lb) for e, lb in items)
 
 
 def derivation_conditions(ring: ExponentMonoid, comps) -> list[tuple]:

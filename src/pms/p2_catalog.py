@@ -532,7 +532,8 @@ def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     labels = {
         name: box_labels(name, box) for name in (("A",), ("B",), ("C",), ("D",))
     }
-    return term_rows(conditions, labels, forced_by_singletons)
+    return term_rows(conditions, labels, forced_by_singletons,
+                     labels_key=("family box", bound))
 
 
 def _field_directions(ring: ExponentMonoid, weight) -> tuple:

@@ -489,9 +489,10 @@ def conjugate_chi(theta: RingMorphism, x: LaurentPoly,
     mu = TruncElement(n - 1, phi_x.coeffs[1:])      # (phi(x) - x) / t
     eps_b = bracket_subst(theta.epsilon, y)
     mu_b = bracket_subst(mu, y)
-    denom = TruncElement.one(n - 1, theta.nvars) + trunc_mul(
-        mu_b, alpha
-    ).shift_up(1)
+    # t * mu_b * alpha at order n - 1 reads mu_b * alpha below t^(n-2) only
+    sums = [[] for _ in range(n - 1)]
+    _convolve_into(sums, mu_b.coeffs, alpha.coeffs, 1)
+    denom = TruncElement.one(n - 1, theta.nvars) + _summed(sums, theta.nvars)
     eps = trunc_mul(trunc_mul(alpha, eps_b), invert_unit(denom))
     return RingMorphism(n, images, eps)
 

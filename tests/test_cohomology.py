@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pms import cohomology
+from pms import cohomology, linear, p2_catalog
 from pms.atlas import (
     DoubleSchemeSpec,
     VectorFieldCocycle,
@@ -445,6 +445,19 @@ def test_chart_unknowns_label_the_cached_ring_rows_in_order():
             ]
 
 
+def test_chart_labels_are_shared_across_bounds():
+    """Each bound's label map takes its tuples from one table per chart:
+    a label kept at two bounds is one object."""
+    for ring, top in catalog_and_random_rings(random.Random(7121)):
+        nvars = ring.nvars
+        maps = [cohomology._chart_unknowns("U", ring.generators, nvars, bound)[0]
+                for bound in range(top + 1)]
+        for small, large in zip(maps, maps[1:]):
+            for at_small, at_large in zip(small, large):
+                assert all(at_large[e] is label for e, label in at_small.items()
+                           if e in at_large)
+
+
 def test_chart_ring_rows_are_the_derivation_rows_of_the_kept_field():
     """The cached rows are the ring rows of the kept field, as the reference
     ``SymPoly`` expander builds them."""
@@ -643,3 +656,82 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
             left = {label for row, _ in got for label in row}
             dropped = {z for z in labels - left if z[0] == "T"}
             assert dropped == singleton_fixpoint(rows), (case, bound)
+
+
+def captured_systems(kind, monkeypatch):
+    """The arguments of every row-pass call that the solvers of ``kind``
+    make, conditions and built rows as lists."""
+    calls = []
+
+    def spy(through):
+        def call(conditions, labels, cascade, built=(), labels_key=None):
+            args = (list(conditions), labels, cascade, list(built), labels_key)
+            calls.append(args)
+            return through(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "planned_rows", spy(linear.planned_rows))
+        patch.setattr(cohomology, "term_rows", spy(linear.term_rows))
+        patch.setattr(p2_catalog, "term_rows", spy(linear.term_rows))
+        if kind == "cocycle":
+            cohomology._chart_unknowns.cache_clear()
+            cohomology._chart_ring_rows.cache_clear()
+            for _, solve in DIFFERENTIAL_CASES.values():
+                for bound in range(8):
+                    solve(bound)
+        elif kind == "chart-ring":
+            for ring, top in catalog_and_random_rings(random.Random(7121)):
+                for bound in range(top + 1):
+                    cohomology._chart_ring_rows.__wrapped__(
+                        ring.generators, ring.nvars, bound
+                    )
+        elif kind == "family":
+            for p in range(6):
+                for x_part in (0, 1):
+                    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+                    for b in range(3, 9):
+                        p2_catalog._pullback_rows(conditions, b)
+        else:
+            atlas = make_wcover_atlas()
+            u_cls, v_cls = wcover_unit_classes()
+            u, v = canonical_class(atlas, u_cls), canonical_class(atlas, v_cls)
+            combo = OneFormCocycle({
+                pair: tuple(a.scale(3) + b.scale(-2)
+                            for a, b in zip(u.data[pair], v.data[pair]))
+                for pair in u.data
+            })
+            for bound in (2, 3):
+                oneform_coboundary_solve(atlas, combo, bound, {"u": u, "v": v})
+                oneform_coboundary_solve(
+                    atlas, canonical_class(atlas, beta_table(1, 0)), bound
+                )
+    return calls
+
+
+def planned(args):
+    """The forced-set size and the rows, each row's entries in order."""
+    forced, rows = linear.term_rows(*args)
+    return len(forced), [(list(row.items()), rhs) for row, rhs in rows]
+
+
+@pytest.mark.parametrize("kind", ["cocycle", "chart-ring", "family", "oneform"])
+def test_memoised_plans_match_fresh_ones(kind, monkeypatch):
+    """``term_rows`` gives the same forced-set size and the same rows, in
+    the same order with the same right-hand sides, with a cold memo, with a
+    memo warmed by the other systems, and with every plan built afresh."""
+    calls = captured_systems(kind, monkeypatch)
+    assert calls
+    cold = []
+    for args in calls:
+        linear._term_plan.cache_clear()
+        cold.append(planned(args))
+    linear._term_plan.cache_clear()
+    warm = [planned(args) for args in calls]
+    hits = linear._term_plan.cache_info().hits
+    assert [planned(args) for args in calls] == warm
+    assert linear._term_plan.cache_info().hits == hits + len(calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
+        fresh = [planned(args) for args in calls]
+    assert cold == warm == fresh

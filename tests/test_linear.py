@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from pms import linear
+from pms.laurent_core import ExponentMonoid
 from pms.linear import (
     LinearSolver,
+    box_labels,
     forced_by_singletons,
     in_span,
     rank_of_vectors,
     solve_rows,
+    term_rows,
     without,
 )
 
@@ -201,3 +206,80 @@ def test_emptied_nonzero_rhs_row_stays_inconsistent(seed):
     assert ({}, 1) in reduced
     assert not reference(labels, rows)[1]
     assert not solve_rows(reduced).is_consistent()
+
+
+A, B = ("A",), ("B",)
+POLY = ExponentMonoid(2, ((1, 0), (0, 1)))
+LAM_LAURENT = ExponentMonoid(2, ((1, 0), (-1, 0), (0, 1)))
+BASE = {"twist": (1, 0), "known": (0, 1), "merge": 1, "scalar": (2, -2),
+        "ring": POLY, "bound": 2, "built": (0, 0)}
+
+
+def term_system(twist, known, merge, scalar, ring, bound, built, scale=1):
+    """A small term-form system; each keyword is one input of the label
+    pass, and ``scale`` multiplies every coefficient."""
+    box = list(itertools.product(range(-bound, bound + 1), repeat=2))
+    labels = {A: box_labels(A, box), B: box_labels(B, box)}
+    c = Fraction(scale)
+    conditions = [
+        (None, {known: c / 2},
+         ((A, (0, 0), c), (B, twist, -3 * c)), ((("s",), {scalar: 2 * c}),)),
+        (ring, {},
+         ((A, (0, 1), c), (B, (1, 1), c), (B, (1, 1), merge * c)), ()),
+    ]
+    built_rows = [({("A", built): c, ("B", (0, 0)): -c}, 0)]
+    return conditions, labels, forced_by_singletons, built_rows, ("box", bound)
+
+
+def planned(args):
+    """The plan and rows of ``args``, each row's entries in order."""
+    plan, rows = linear.planned_rows(*args)
+    return plan, [(list(row.items()), rhs) for row, rhs in rows]
+
+
+def fresh(args, monkeypatch):
+    """``planned`` with the memo bypassed."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
+        return planned(args)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("twist", (1, 1)), ("known", (0, 2)), ("merge", -1), ("scalar", (2, -1)),
+    ("ring", LAM_LAURENT), ("bound", 3), ("built", (1, 0)),
+])
+def test_plan_key_covers_each_label_pass_input(name, value, monkeypatch):
+    """Two systems that differ in one input the label pass reads get
+    different plans; after the first, the second still gets its own."""
+    first = term_system(**BASE)
+    second = term_system(**{**BASE, name: value})
+    expected = fresh(second, monkeypatch)
+    assert fresh(first, monkeypatch)[0] != expected[0]
+    linear._term_plan.cache_clear()
+    planned(first)
+    assert planned(second) == expected
+    assert term_rows(*second)[0] == expected[0].forced_labels(second[1])
+
+
+def test_plans_are_shared_across_coefficient_values(monkeypatch):
+    """The same structure with other nonzero coefficients hits the memo and
+    gets its own coefficients and right-hand sides."""
+    linear._term_plan.cache_clear()
+    base = planned(term_system(**BASE))
+    hits = linear._term_plan.cache_info().hits
+    scaled = term_system(**BASE, scale=Fraction(-5, 7))
+    got = planned(scaled)
+    assert linear._term_plan.cache_info().hits == hits + 1
+    assert got[0] == base[0] and got[1] != base[1]
+    assert fresh(scaled, monkeypatch) == got
+
+
+def test_forced_labels_include_built_labels_outside_the_maps():
+    """A built row's label that no map holds is read back out of the plan
+    like the others once the cascade forces it."""
+    labels = {A: box_labels(A, [(0, 0), (1, 0)])}
+    conditions = [(None, {}, ((A, (0, 0), 1),), ())]
+    built = [({("X",): 2, ("A", (0, 0)): 1}, 0)]
+    forced, rows = term_rows(conditions, labels, forced_by_singletons, built)
+    assert forced == {("A", (0, 0)), ("A", (1, 0)), ("X",)}
+    assert rows == []
