@@ -330,20 +330,7 @@ def term_rows(
     built: Iterable[tuple[Row, Fraction]] = (),
     labels_key: Hashable = None,
 ) -> tuple[set, list[tuple[Row, Fraction]]]:
-    """The forced set Z of ``conditions`` and their rows with Z deleted:
-    ``planned_rows`` with Z read out of the plan."""
-    plan, rows = planned_rows(conditions, labels, cascade, built, labels_key)
-    return plan.forced_labels(labels), rows
-
-
-def planned_rows(
-    conditions: Iterable[tuple],
-    labels: Mapping[tuple, Mapping[Exponent, Var]],
-    cascade,
-    built: Iterable[tuple[Row, Fraction]] = (),
-    labels_key: Hashable = None,
-) -> tuple[TermPlan, list[tuple[Row, Fraction]]]:
-    """The plan of ``conditions`` and their rows with its forced set Z deleted.
+    """The forced set Z of ``conditions`` and their rows with Z deleted.
 
     F_prefix has the unknown ``labels[prefix][e]`` per exponent e of its box
     (``box_labels``).  At an exponent f outside a condition's ring, its row
@@ -360,19 +347,33 @@ def planned_rows(
     and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
     come back with Z deleted, as ``without`` leaves them.
 
-    Two steps build them.  The plan (``_term_plan``) runs the label pass and
-    the cascade on exponents alone; the fill puts the coefficients and
-    right-hand sides in at the places the plan keeps.  The plan is memoised
-    on every input the label pass reads: each condition's ring, the support
-    of its nonzero known part, its merged (prefix, shift) list with zero
-    sums dropped, its merged scalar supports by label; the label maps; the
-    labels of the ``built`` rows; and ``cascade``.  Once the zero merges are
-    part of the key, a coefficient value decides nothing but the entry it
-    fills, so systems that differ only in their nonzero coefficients share
-    one plan.  The label maps enter the key as ``labels_key``, which names
-    what built them, by default their content: maps with equal keys must be
-    equal, in the same order, since the plan keeps Z as bits in map order.
+    Two steps build them (``planned_rows``).  The plan (``_term_plan``)
+    runs the label pass and the cascade on exponents alone; the fill puts
+    the coefficients and right-hand sides in at the places the plan keeps,
+    and Z is read back out of the plan.  The plan is memoised on every input
+    the label pass reads: each condition's ring, the support of its nonzero
+    known part, its merged (prefix, shift) list with zero sums dropped, its
+    merged scalar supports by label; the label maps; the labels of the
+    ``built`` rows; and ``cascade``.  Once the zero merges are part of the
+    key, a coefficient value decides nothing but the entry it fills, so
+    systems that differ only in their nonzero coefficients share one plan.
+    The label maps enter the key as ``labels_key``, which names what built
+    them, by default their content: maps with equal keys must be equal, in
+    the same order, since the plan keeps Z as bits in map order.
     """
+    plan, rows = planned_rows(conditions, labels, cascade, built, labels_key)
+    return plan.forced_labels(labels), rows
+
+
+def planned_rows(
+    conditions: Iterable[tuple],
+    labels: Mapping[tuple, Mapping[Exponent, Var]],
+    cascade,
+    built: Iterable[tuple[Row, Fraction]] = (),
+    labels_key: Hashable = None,
+) -> tuple[TermPlan, list[tuple[Row, Fraction]]]:
+    """``term_rows`` without reading Z back out: the plan of ``conditions``
+    and their rows with its forced set deleted."""
     structure, values = [], []
     for ring, known, terms, scalars in conditions:
         merged: dict[tuple, Fraction | int] = {}
@@ -427,7 +428,7 @@ def planned_rows(
 @lru_cache(maxsize=512)
 def _term_plan(structure: tuple, labels: _Keyed, built: tuple,
                cascade) -> TermPlan:
-    """The label pass and cascade of ``planned_rows`` on the key alone."""
+    """The label pass and cascade of ``term_rows`` on the key alone."""
     maps = labels.take()
     member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
     # the rows with a rhs or a scalar, then the candidates: the cascade's
