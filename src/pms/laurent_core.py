@@ -1,16 +1,25 @@
 """Exact sparse Laurent polynomials and finitely generated exponent monoids.
 
-A Laurent polynomial is stored as a mapping from integer exponent vectors
-(one entry per variable) to nonzero rational coefficients.  All arithmetic is
-exact over the rationals.  The canonical term order is lexicographic on
-exponent vectors.
+A Laurent polynomial is stored as integer numerators over one common
+denominator: a mapping from integer exponent vectors (one entry per variable)
+to nonzero ``int`` numerators, and one positive ``int`` denominator, the
+layout of FLINT's ``fmpq_poly``.  All arithmetic is exact over the rationals,
+and products and sums of integral polynomials (the common case) touch no
+denominator at all.  The canonical term order is lexicographic on exponent
+vectors; the public accessors return each coefficient as a ``Fraction``.
 
 Canonical form: every key of the term dict is a tuple of ``nvars`` ints,
-every value is a nonzero ``Fraction``, and no zero term is stored.  Public
-input goes through ``LaurentPoly.__init__``, which checks and normalizes it.
-The arithmetic methods build dicts that already satisfy the invariant and wrap
-them with the internal ``LaurentPoly._wrap``, which skips re-normalization and
-therefore accepts only canonical dicts.
+every value is a nonzero ``int``, the denominator is an ``int`` > 0, and
+``gcd(denominator, *numerators) == 1``; the zero polynomial has no terms and
+denominator 1.  Each polynomial therefore has exactly one form, and
+``__eq__`` and ``__hash__`` compare ``(nvars, denominator, terms)``.
+Coefficients enter only through ``_rational``, which takes an ``int`` or a
+``Fraction`` and refuses floats and bools.  Public input goes through
+``LaurentPoly.__init__``, which checks and normalizes it.  The arithmetic
+methods build numerator dicts over a common denominator and wrap them with
+the internal ``LaurentPoly._wrap``, which skips re-normalization and
+therefore accepts only canonical data; ``_reduced`` divides out the common
+factor first where one can appear, and is free when the denominator is 1.
 
 A chart ring is described by the monoid of exponents it contains, given by a
 finite generator list.  Membership of an exponent vector e is decided through
@@ -65,31 +74,36 @@ def parse_rational(text: str) -> Rational:
 class LaurentPoly:
     """An exact sparse Laurent polynomial in a fixed number of variables.
 
-    The term dict is always in canonical form (see the module docstring).
+    Integer numerators over one denominator, always in canonical form (see
+    the module docstring).
     """
 
     # ``_hash`` is filled in by the first ``__hash__`` call
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_den", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Rational] | None = None):
         _check_nvars(nvars)
-        clean: dict[Exponent, Rational] = {}
-        for exp, coeff in (terms or {}).items():
-            exp = _exponent(exp, nvars)
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
-                if not clean[exp]:
-                    del clean[exp]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        split = [
+            (_exponent(exp, nvars), *_rational(coeff))
+            for exp, coeff in (terms or {}).items()
+        ]
+        den = math.lcm(*(d for _, _, d in split))
+        nums: dict[Exponent, int] = {}
+        for exp, num, d in split:
+            nums[exp] = nums.get(exp, 0) + num * (den // d)
+        nums, den = _reduced({e: c for e, c in nums.items() if c}, den)
+        _set_nvars(self, nvars)
+        _set_terms(self, nums)
+        _set_den(self, den)
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: dict[Exponent, Rational]) -> LaurentPoly:
-        """Internal: take ownership of ``terms``, which must be canonical."""
+    def _wrap(cls, nvars: int, terms: dict[Exponent, int], den: int = 1) -> LaurentPoly:
+        """Internal: take ownership of ``terms`` over ``den``, which must be
+        canonical."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "_terms", terms)
+        _set_nvars(poly, nvars)
+        _set_terms(poly, terms)
+        _set_den(poly, den)
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -105,33 +119,36 @@ class LaurentPoly:
     @staticmethod
     def const(nvars: int, value: Rational | int) -> LaurentPoly:
         _check_nvars(nvars)
-        value = Fraction(value)
-        return LaurentPoly._wrap(nvars, {(0,) * nvars: value} if value else {})
+        num, den = _rational(value)
+        if not num:
+            return LaurentPoly._wrap(nvars, {})
+        return LaurentPoly._wrap(nvars, {(0,) * nvars: num}, den)
 
     @staticmethod
     def monomial(nvars: int, exp: Iterable[int], coeff: Rational | int = 1) -> LaurentPoly:
-        return LaurentPoly(nvars, {tuple(exp): Fraction(coeff)})
+        return LaurentPoly(nvars, {tuple(exp): coeff})
 
     @staticmethod
     def var(nvars: int, index: int) -> LaurentPoly:
         exp = [0] * nvars
         exp[index] = 1
-        return LaurentPoly(nvars, {tuple(exp): Fraction(1)})
+        return LaurentPoly(nvars, {tuple(exp): 1})
 
     # -- basic queries --------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponent, Rational]]:
         """Iterate terms in the canonical (lexicographic) order."""
-        return iter(sorted(self._terms.items()))
+        den = self._den
+        return ((e, _fraction(c, den)) for e, c in sorted(self._terms.items()))
 
     def support(self) -> set[Exponent]:
         return set(self._terms)
 
     def coefficient(self, exp: Iterable[int]) -> Rational:
-        return self._terms.get(tuple(exp), Fraction(0))
+        return _fraction(self._terms.get(tuple(exp), 0), self._den)
 
     def constant_coefficient(self) -> Rational:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
+        return _fraction(self._terms.get((0,) * self.nvars, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -140,8 +157,16 @@ class LaurentPoly:
         """Return (exponent, coefficient) if this is a single term, else None."""
         if len(self._terms) != 1:
             return None
-        [(exp, coeff)] = self._terms.items()
-        return exp, coeff
+        [(exp, num)] = self._terms.items()
+        return exp, _fraction(num, self._den)
+
+    def _scalar_terms(self) -> Iterator[tuple[Exponent, LaurentPoly]]:
+        """Internal: each term as its exponent and its coefficient as a
+        constant polynomial, in term-dict order."""
+        zero, den = (0,) * self.nvars, self._den
+        for exp, num in self._terms.items():
+            g = math.gcd(num, den)
+            yield exp, LaurentPoly._wrap(self.nvars, {zero: num // g}, den // g)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -153,6 +178,7 @@ class LaurentPoly:
         return (
             isinstance(other, LaurentPoly)
             and self.nvars == other.nvars
+            and self._den == other._den
             and self._terms == other._terms
         )
 
@@ -160,7 +186,9 @@ class LaurentPoly:
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.nvars, tuple(sorted(self._terms.items()))))
+            value = hash(
+                (self.nvars, self._den, tuple(sorted(self._terms.items())))
+            )
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -194,8 +222,24 @@ class LaurentPoly:
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         self._check_same(other)
-        terms = dict(self._terms)
+        return self._combined(other, 1)
+
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
+        self._check_same(other)
+        return self._combined(other, -1)
+
+    def _combined(self, other: LaurentPoly, sign: int) -> LaurentPoly:
+        """``self + sign * other`` over the lcm of the two denominators."""
+        den, db = self._den, other._den
+        if den == db:
+            terms, factor = dict(self._terms), sign
+        else:
+            den = math.lcm(den, db)
+            scale = den // self._den
+            terms = {e: c * scale for e, c in self._terms.items()}
+            factor = sign * (den // db)
         for exp, coeff in other._terms.items():
+            coeff *= factor
             old = terms.get(exp)
             if old is None:
                 terms[exp] = coeff
@@ -203,24 +247,11 @@ class LaurentPoly:
                 terms[exp] = total
             else:
                 del terms[exp]
-        return LaurentPoly._wrap(self.nvars, terms)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        self._check_same(other)
-        terms = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            old = terms.get(exp)
-            if old is None:
-                terms[exp] = -coeff
-            elif total := old - coeff:
-                terms[exp] = total
-            else:
-                del terms[exp]
-        return LaurentPoly._wrap(self.nvars, terms)
+        return LaurentPoly._wrap(self.nvars, *_reduced(terms, den))
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly._wrap(
-            self.nvars, {e: -c for e, c in self._terms.items()}
+            self.nvars, {e: -c for e, c in self._terms.items()}, self._den
         )
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
@@ -234,39 +265,48 @@ class LaurentPoly:
         """``sum(a * b for a, b in pairs)``, accumulated in one term dict.
 
         The one product loop of the package; ``__mul__`` is its one-pair
-        case.  Every polynomial must have ``nvars`` variables (unchecked).
+        case.  The sum is formed over the lcm of the pairs' denominator
+        products, so each pair is scaled by one ``int`` factor and the inner
+        loop multiplies ``int``s; the result is reduced once, and not at all
+        when every factor is integral.  Every polynomial must have ``nvars``
+        variables (unchecked).
         """
-        terms: dict[Exponent, Rational] = {}
+        pairs = tuple(pairs)  # read twice: the denominators, then the terms
+        den = 1
         for a, b in pairs:
+            if (d := a._den * b._den) != 1:
+                den = math.lcm(den, d)
+        terms: dict[Exponent, int] = {}
+        for a, b in pairs:
+            factor = den // (a._den * b._den)
+            b_terms = b._terms.items()
             for e1, c1 in a._terms.items():
-                for e2, c2 in b._terms.items():
+                c1 *= factor
+                for e2, c2 in b_terms:
                     exp = tuple(map(add, e1, e2))
                     old = terms.get(exp)
                     terms[exp] = c1 * c2 if old is None else old + c1 * c2
-        return cls._wrap(nvars, {e: c for e, c in terms.items() if c})
-
-    def scale(self, factor: Rational | int) -> LaurentPoly:
-        factor = Fraction(factor)
-        if not factor:
-            return LaurentPoly._wrap(self.nvars, {})
-        return LaurentPoly._wrap(
-            self.nvars, {e: c * factor for e, c in self._terms.items()}
+        return cls._wrap(
+            nvars, *_reduced({e: c for e, c in terms.items() if c}, den)
         )
 
+    def scale(self, factor: Rational | int) -> LaurentPoly:
+        return self._times(None, *_rational(factor))
+
     def mul_monomial(self, exp: Iterable[int], coeff: Rational | int = 1) -> LaurentPoly:
-        shift = tuple(int(a) for a in exp)
-        if len(shift) != self.nvars:
-            raise ValueError("monomial exponent length mismatch")
-        coeff = Fraction(coeff)
-        if not coeff:
+        return self._times(_exponent(exp, self.nvars), *_rational(coeff))
+
+    def _times(self, shift: Exponent | None, num: int, den: int) -> LaurentPoly:
+        """``self * (num / den) * x^shift``; ``shift=None`` is no shift."""
+        if not num:
             return LaurentPoly._wrap(self.nvars, {})
-        # a shift is injective on exponents, so no two terms collide
+        terms = self._terms.items()
+        if shift is not None:
+            # a shift is injective on exponents, so no two terms collide
+            terms = ((tuple(map(add, e, shift)), c) for e, c in terms)
         return LaurentPoly._wrap(
             self.nvars,
-            {
-                tuple(a + b for a, b in zip(e, shift)): c * coeff
-                for e, c in self._terms.items()
-            },
+            *_reduced({e: c * num for e, c in terms}, self._den * den),
         )
 
     def power(self, k: int) -> LaurentPoly:
@@ -294,21 +334,60 @@ class LaurentPoly:
     def partial_derivative(self, var: int) -> LaurentPoly:
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        terms: dict[Exponent, Rational] = {}
+        terms: dict[Exponent, int] = {}
         for exp, coeff in self._terms.items():
             if exp[var] == 0:
                 continue
             new = list(exp)
             new[var] -= 1
             terms[tuple(new)] = coeff * exp[var]
-        return LaurentPoly(self.nvars, terms)
+        return LaurentPoly._wrap(self.nvars, *_reduced(terms, self._den))
 
     def extend_vars(self, nvars: int) -> LaurentPoly:
         """Reinterpret in a larger variable list (new exponents zero)."""
         if nvars < self.nvars:
             raise ValueError("cannot shrink the variable list")
         pad = (0,) * (nvars - self.nvars)
-        return LaurentPoly(nvars, {e + pad: c for e, c in self._terms.items()})
+        return LaurentPoly._wrap(
+            nvars, {e + pad: c for e, c in self._terms.items()}, self._den
+        )
+
+
+# ``__setattr__`` refuses every write; construction sets the slots through
+# their descriptors, which costs about half of ``object.__setattr__``
+_set_nvars, _set_terms, _set_den = (
+    getattr(LaurentPoly, name).__set__ for name in ("nvars", "_terms", "_den")
+)
+
+
+def _rational(value: Rational | int) -> tuple[int, int]:
+    """A coefficient as ``(numerator, denominator)``, denominator > 0.
+
+    The one way coefficients enter a ``LaurentPoly``.  Only an ``int`` or a
+    ``Fraction`` is taken: 0.1, 1.0 and True are ValueErrors, where
+    ``Fraction()`` would take a float's binary expansion and a bool as 1.
+    """
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise ValueError(f"coefficient {value!r} is not an int or a Fraction")
+
+
+def _reduced(terms: dict[Exponent, int], den: int) -> tuple[dict[Exponent, int], int]:
+    """Nonzero numerators over ``den`` > 0, with their common factor divided
+    out (canonical form).  Free when ``den`` is 1."""
+    if den == 1 or not terms:
+        return terms, 1
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {e: c // g for e, c in terms.items()}, den // g
+
+
+def _fraction(num: int, den: int) -> Rational:
+    """``num / den`` as a reduced ``Fraction``."""
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 # -- exponent monoids ---------------------------------------------------

@@ -337,7 +337,7 @@ def _phi_poly(theta: RingMorphism, p: LaurentPoly,
     """
     n = theta.order if order is None else order
     sums = [[] for _ in range(n)]
-    for exp, coeff in p.items():
+    for exp, scalar in p._scalar_terms():
         term = None  # the product of the variable images' powers
         for v, e in enumerate(exp):
             if e:
@@ -345,7 +345,6 @@ def _phi_poly(theta: RingMorphism, p: LaurentPoly,
                 term = power if term is None else _mul_to(term, power, n)
         if term is None:
             term = TruncElement.one(n, theta.nvars)
-        scalar = LaurentPoly.const(theta.nvars, coeff)
         _convolve_into(sums, term.coeffs, (scalar,))
     return _summed(sums, theta.nvars)
 

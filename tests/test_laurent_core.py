@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
 import pkgutil
 import random
 from fractions import Fraction
@@ -75,14 +76,25 @@ def test_ring_axioms_random():
 
 
 def assert_canonical(p: LaurentPoly) -> None:
-    """Arithmetic results must already be in the public constructor's form."""
+    """Arithmetic results must already be in the public constructor's form.
+
+    That form is nonzero ``int`` numerators keyed by tuples of ``nvars``
+    ints, over one ``int`` denominator > 0 with
+    ``gcd(denominator, *numerators) == 1``, and denominator 1 for zero.  The
+    public accessors give each coefficient as a nonzero ``Fraction``.
+    """
     renormalized = LaurentPoly(p.nvars, dict(p.items()))
     assert list(p.items()) == list(renormalized.items())
     assert p == renormalized
     assert hash(p) == hash(renormalized)
-    for exp, coeff in p.items():
+    assert type(p._den) is int and p._den > 0
+    assert math.gcd(p._den, *p._terms.values()) == 1
+    assert p._terms or p._den == 1
+    for exp, num in p._terms.items():
         assert type(exp) is tuple and len(exp) == p.nvars
         assert all(type(e) is int for e in exp)
+        assert type(num) is int and num != 0
+    for exp, coeff in p.items():
         assert type(coeff) is Fraction and coeff != 0
 
 
@@ -97,6 +109,7 @@ def test_arithmetic_results_are_canonical():
             a + b, a - b, -a, a * b, a.scale(factor), a.scale(0),
             a.mul_monomial(shift, factor), a.mul_monomial(shift, 0),
             a + (-a), a - a, (a + b) * (a - b) - (a * a - b * b),
+            LaurentPoly.sum_of_products(2, [(a, b), (b, a.scale(factor))]),
         ]
         for p in results:
             assert_canonical(p)
@@ -104,6 +117,167 @@ def test_arithmetic_results_are_canonical():
         assert a.scale(0).is_zero() and a.mul_monomial(shift, 0).is_zero()
     assert_canonical(LaurentPoly.zero(3))
     assert_canonical((LAM + MU) * (LAM - MU))
+
+    # mixed denominators share one: 1/2, 1/3 and 2/3 over 6
+    half, third, two_thirds = Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)
+    a = LaurentPoly(2, {(1, 0): half, (0, 1): third, (0, 0): two_thirds})
+    assert (a._terms, a._den) == ({(1, 0): 3, (0, 1): 2, (0, 0): 4}, 6)
+    b = LaurentPoly(2, {(1, 0): third, (0, -1): Fraction(-3, 4)})
+    for p in (a, b, a + b, a - b, a * b, b.scale(two_thirds)):
+        assert_canonical(p)
+    assert (a + b).coefficient((1, 0)) == Fraction(5, 6)
+    # equal numerators over different denominators are different polynomials
+    assert LAM.scale(half) != LAM and a.scale(6) != a
+
+    # a sum of products whose pairs have different denominators
+    c = LaurentPoly.const(2, Fraction(-5, 2))
+    pairs = [(a, b), (c, LAM), (LAM, MU), (b, c)]
+    total = LaurentPoly.sum_of_products(2, pairs)
+    assert_canonical(total)
+    assert total == a * b + c * LAM + LAM * MU + b * c
+    assert total.coefficient((2, 0)) == Fraction(1, 6)
+    assert total.coefficient((1, 1)) == Fraction(10, 9)  # 1/3 * 1/3 + 1
+
+    # results that become integral get denominator 1
+    for p in (
+        LaurentPoly.const(2, half) * LaurentPoly.const(2, 2),
+        LAM.scale(half) + LAM.scale(half),
+        a.scale(6),
+        a.mul_monomial((1, 1), 12),
+        LaurentPoly.sum_of_products(2, [(a, LaurentPoly.const(2, 3)),
+                                        (a, LaurentPoly.const(2, 3))]),
+        LaurentPoly(2, {(2, 0): half}).partial_derivative(0),
+    ):
+        assert_canonical(p)
+        assert p._den == 1
+    assert LAM.scale(half) + LAM.scale(half) == LAM
+
+    # cancellation to zero leaves denominator 1
+    for p in (
+        a - a,
+        a + (-a),
+        a.scale(third) - a.scale(third),
+        LaurentPoly.sum_of_products(2, [(a, b), (-a, b)]),
+        LaurentPoly.sum_of_products(2, [(a.scale(half), b), (a, b.scale(-half))]),
+        LaurentPoly(2, {(0, 0): third}).partial_derivative(1),
+    ):
+        assert_canonical(p)
+        assert p.is_zero() and p._den == 1
+    assert a - a == LaurentPoly.zero(2)
+    assert hash(a - a) == hash(LaurentPoly.zero(2))
+
+
+def test_mul_monomial_takes_only_int_shifts():
+    # int() would read 1.5 as 1 and True as 1
+    for shift in ((1.5, 0), (True, 0), (1.0, 0), (Fraction(1), 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            LAM.mul_monomial(shift)
+    assert LAM.mul_monomial([1, -1], 2) == LaurentPoly.monomial(2, (2, -1), 2)
+    assert LAM.mul_monomial((0, 0)) == LAM
+
+
+def test_coefficients_are_only_ints_and_fractions():
+    # Fraction(0.1) would take the float's binary expansion, and True is 1
+    for bad in (0.1, 1.0, 0.0, True, False, "1/2", None):
+        for build in (
+            lambda c: LaurentPoly(2, {(1, 0): c}),
+            lambda c: LaurentPoly.const(2, c),
+            lambda c: LaurentPoly.monomial(2, (1, 0), c),
+            lambda c: LAM.scale(c),
+            lambda c: LAM.mul_monomial((1, 0), c),
+        ):
+            with pytest.raises(ValueError):
+                build(bad)
+    third = Fraction(1, 3)
+    assert LaurentPoly(2, {(1, 0): third}) == LAM.scale(third)
+    assert LaurentPoly.const(2, -2) == LaurentPoly.monomial(2, (0, 0), -2)
+    assert LAM.mul_monomial((0, 1), third) == LaurentPoly.monomial(2, (1, 1), third)
+
+
+# -- a plain dict-of-Fraction reference for the differential test --------
+
+
+def ref_terms(rng: random.Random, nvars: int, span: int = 2) -> dict:
+    """Random nonzero ``Fraction`` terms; about half the sets are integral."""
+    dens = (1,) if rng.random() < 0.5 else (1, 2, 3, 4, 6)
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        exp = tuple(rng.randint(-span, span) for _ in range(nvars))
+        terms[exp] = terms.get(exp, 0) + Fraction(rng.randint(-7, 7), rng.choice(dens))
+    return ref_clean(terms)
+
+
+def ref_clean(terms: dict) -> dict:
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_times(a: dict, shift: tuple, c: Fraction) -> dict:
+    return ref_clean({tuple(x + y for x, y in zip(e, shift)): v * c
+                      for e, v in a.items()})
+
+
+def ref_power(a: dict, k: int, nvars: int) -> dict:
+    if k < 0:
+        [(e, c)] = a.items()
+        return {tuple(k * x for x in e): c ** k}
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a: dict, v: int) -> dict:
+    return ref_clean({e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v]
+                      for e, c in a.items()})
+
+
+def test_arithmetic_matches_the_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        nvars = rng.choice((1, 2, 3))
+        ra, rb, rc = (ref_terms(rng, nvars) for _ in range(3))
+        a, b, c = (LaurentPoly(nvars, r) for r in (ra, rb, rc))
+        shift = tuple(rng.randint(-2, 2) for _ in range(nvars))
+        factor = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+        v = rng.randrange(nvars)
+        k = rng.randrange(4)
+        mono = LaurentPoly.monomial(nvars, shift, factor or 1)
+        checks = [
+            (a + b, ref_add(ra, rb)),
+            (a - b, ref_add(ra, rb, -1)),
+            (-a, ref_add({}, ra, -1)),
+            (a * b, ref_mul(ra, rb)),
+            (LaurentPoly.sum_of_products(nvars, [(a, b), (b, c), (c, a)]),
+             ref_add(ref_add(ref_mul(ra, rb), ref_mul(rb, rc)), ref_mul(rc, ra))),
+            (LaurentPoly.sum_of_products(nvars, []), {}),
+            (a.scale(factor), ref_times(ra, (0,) * nvars, factor)),
+            (a.mul_monomial(shift, factor), ref_times(ra, shift, factor)),
+            (a.mul_monomial(shift), ref_times(ra, shift, Fraction(1))),
+            (a.power(k), ref_power(ra, k, nvars)),
+            (mono.power(-k - 1), ref_power(dict(mono.items()), -k - 1, nvars)),
+            (a.partial_derivative(v), ref_derivative(ra, v)),
+            (a.extend_vars(nvars + 1), {e + (0,): x for e, x in ra.items()}),
+        ]
+        for got, want in checks:
+            assert dict(got.items()) == want
+            assert list(got.items()) == sorted(want.items())
+            assert_canonical(got)
 
 
 def test_partial_derivative_example():

@@ -11,6 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "pms").glob("*.py"))
 # the trees whose code may call a pms function
 CALLERS = ("src", "tests", "perfbench")
+# the fields of LaurentPoly that only laurent_core may touch
+LAURENT_REPRESENTATION = {"_terms", "_den"}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -79,6 +81,30 @@ def test_unused_import_finder_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def representation_reads(tree: ast.Module) -> list[str]:
+    """Attribute accesses of ``LaurentPoly``'s private representation."""
+    return sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in LAURENT_REPRESENTATION)
+
+
+def test_representation_finder_flags_attribute_reads():
+    tree = ast.parse(
+        "def f(p, _terms):\n    q = p._terms\n"
+        "    return p._den + len(_terms) + p.terms + q.den\n"
+    )
+    assert representation_reads(tree) == ["_den (line 3)", "_terms (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "laurent_core.py"],
+    ids=lambda p: p.name,
+)
+def test_laurent_representation_stays_in_laurent_core(path):
+    """Only ``laurent_core`` keeps the numerator/denominator invariant."""
+    assert representation_reads(ast.parse(path.read_text())) == []
 
 
 def test_unreferenced_function_finder():
