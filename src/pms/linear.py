@@ -32,10 +32,10 @@ is one unknown.
 The condition says that known + sum(c * x^shift * F_prefix) +
 sum(label * poly) lies in the ring (vanishes for None): one row per exponent
 outside the ring, whose right-hand side is minus the known part there.
-``term_rows`` reads those rows off exponents (see below); ``symbolic_rows``
-expands the same conditions with ``SymPoly``, a Laurent polynomial whose
-coefficients are affine in named unknowns, as the reference for
-``term_rows`` and for the family solver's named ansatz.
+``term_rows`` reads those rows off exponents (see below) for every bounded
+solver.  The tests keep ``symbolic_rows``, which expands the same conditions
+with a Laurent polynomial whose coefficients are affine in named unknowns,
+as the independent reference for it.
 
 Before a system reaches the solver, the bounded solvers delete labels Z
 with every (e_z | 0) in its augmented row space.  That space is then
@@ -77,9 +77,9 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
-from .laurent_core import Exponent, ExponentMonoid, LaurentPoly
+from .laurent_core import Exponent, ExponentMonoid
 
 Var = Hashable
 Row = dict[Var, Fraction | int]
@@ -424,7 +424,7 @@ def planned_rows(
 
 # one entry per exponent structure; a cocycle-search run (warm-up and 37
 # rounds) makes 222, chart-ring systems included, and 2,279 of its 2,501
-# calls hit; a family-sweep run makes 20
+# calls hit; a family-sweep run makes 40, one per family route and (p, bound)
 @lru_cache(maxsize=512)
 def _term_plan(structure: tuple, labels: _Keyed, built: tuple,
                cascade) -> TermPlan:
@@ -513,98 +513,3 @@ def derivation_conditions(ring: ExponentMonoid, comps) -> list[tuple]:
             ]
         out.append((ring, known, tuple(terms), ()))
     return out
-
-
-def symbolic_rows(nvars: int, conditions: Iterable[tuple],
-                  comps: Mapping[tuple, SymPoly]) -> list[tuple[Row, Fraction]]:
-    """The rows of ``conditions`` with each F_prefix the ``SymPoly``
-    ``comps[prefix]``, expanded term by term."""
-    rows = []
-    for ring, known, terms, scalars in conditions:
-        poly = SymPoly.wrap(LaurentPoly(nvars, known))
-        for prefix, shift, c in terms:
-            poly = poly + comps[prefix].shifted(shift, c)
-        if scalars:
-            poly = poly + SymPoly.combination(nvars, scalars)
-        rows += poly.membership_rows(ring)
-    return rows
-
-
-def _add_into(row: Row, label: Var, coeff: Fraction) -> None:
-    """row[label] += coeff, dropping the entry when it cancels."""
-    old = row.get(label)
-    if old is None:
-        row[label] = coeff
-    elif total := old + coeff:
-        row[label] = total
-    else:
-        del row[label]
-
-
-class SymPoly:
-    """Laurent polynomial whose coefficients are affine in named unknowns.
-
-    ``table`` maps an exponent to its linear part {label: coefficient};
-    ``const`` holds the known part.  Instances are immutable, and rows of
-    ``table`` may be shared between instances, so no row is changed in place.
-    """
-
-    __slots__ = ("nvars", "table", "const")
-
-    def __init__(self, nvars: int, table: dict[Exponent, Row] | None = None,
-                 const: LaurentPoly | None = None):
-        self.nvars = nvars
-        self.table = table if table is not None else {}
-        self.const = const if const is not None else LaurentPoly.zero(nvars)
-
-    @classmethod
-    def unknown(cls, nvars: int, prefix: tuple, exps) -> SymPoly:
-        """One unknown coefficient, labelled ``prefix + (e,)``, per exponent e."""
-        return cls(nvars, {e: {prefix + (e,): 1} for e in exps})
-
-    @classmethod
-    def combination(cls, nvars: int, pairs) -> SymPoly:
-        """The sum of unknown scalars (labels) times known polynomials."""
-        table: dict[Exponent, Row] = {}
-        for label, poly in pairs:
-            for e, c in poly.items():
-                _add_into(table.setdefault(e, {}), label, c)
-        return cls(nvars, table)
-
-    @classmethod
-    def wrap(cls, poly: LaurentPoly) -> SymPoly:
-        return cls(poly.nvars, {}, poly)
-
-    def shifted(self, exp: Exponent, coeff: Fraction | int) -> SymPoly:
-        """This polynomial times the monomial coeff * x^exp (coeff nonzero)."""
-        table = {
-            tuple(map(add, e, exp)): {label: c * coeff for label, c in row.items()}
-            for e, row in self.table.items()
-        }
-        return SymPoly(self.nvars, table, self.const.mul_monomial(exp, coeff))
-
-    def __add__(self, other: SymPoly) -> SymPoly:
-        table = dict(self.table)
-        for e, row in other.table.items():
-            mine = table.get(e)
-            if mine is None:
-                table[e] = row
-                continue
-            merged = dict(mine)
-            for label, c in row.items():
-                _add_into(merged, label, c)
-            table[e] = merged
-        return SymPoly(self.nvars, table, self.const + other.const)
-
-    def membership_rows(
-        self, ring: ExponentMonoid | None = None,
-    ) -> Iterator[tuple[Row, Fraction]]:
-        """Rows forcing every coefficient outside ``ring`` to vanish.
-
-        Without a ring, every coefficient must vanish.
-        """
-        # the right-hand side is almost always zero: negate only stored terms
-        rhs = {f: -c for f, c in self.const.items()}
-        for f in sorted(rhs.keys() | self.table.keys()):
-            if ring is None or not ring.contains(f):
-                yield dict(self.table.get(f, {})), rhs.get(f, 0)

@@ -66,13 +66,11 @@ from .laurent_core import (
     monomial_str,
 )
 from .linear import (
-    SymPoly,
     box_labels,
     derivation_conditions,
     forced_by_singletons,
     rank_of_vectors,
     solve_rows,
-    symbolic_rows,
     term_rows,
 )
 
@@ -536,6 +534,39 @@ def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
                      labels_key=("family box", bound))
 
 
+def _ansatz_conditions(conditions: list[tuple], p: int, b: int,
+                       x_part: int) -> list[tuple]:
+    """Route two: ``conditions`` with the named ansatz put in for (A, B, C, D).
+
+    Each component is a fixed part plus named scalars times monomials:
+    A = [X] mu - sum R_k lam^k mu^(2-p), B = 0,
+    C = [X] mu - c0 lam^(1-p) mu^(2-p) + sum S_k lam^(-k-p) mu^(2-p) and
+    D = c0D lam^-p mu^(3-p), k in 0..b.  A field term c x^shift F then adds
+    c x^shift times the fixed part to the known part and one scalar term per
+    named monomial; no field term is left.
+    """
+    fixed = {(0, 1): x_part}
+    ansatz = {
+        ("A",): (fixed, [(("R", k), (k, 2 - p), -1) for k in range(b + 1)]),
+        ("B",): ({}, []),
+        ("C",): (fixed, [(("c0",), (1 - p, 2 - p), -1)]
+                 + [(("S", k), (-k - p, 2 - p), 1) for k in range(b + 1)]),
+        ("D",): ({}, [(("c0D",), (-p, 3 - p), 1)]),
+    }
+    out = []
+    for ring, known, terms, scalars in conditions:
+        known, scalars = dict(known), list(scalars)
+        for prefix, (s0, s1), c in terms:
+            part, named = ansatz[prefix]
+            for (e0, e1), v in part.items():
+                f = (e0 + s0, e1 + s1)
+                known[f] = known.get(f, 0) + c * v
+            scalars += [(label, {(e0 + s0, e1 + s1): c * v})
+                        for label, (e0, e1), v in named]
+        out.append((ring, known, (), tuple(scalars)))
+    return out
+
+
 def _field_directions(ring: ExponentMonoid, weight) -> tuple:
     """Vector-field directions of one torus weight preserving a chart ring.
 
@@ -548,12 +579,12 @@ def _field_directions(ring: ExponentMonoid, weight) -> tuple:
         if not ring.contains((g[0] + weight[0], g[1] + weight[1]))
     ]
     if not rows:
-        return ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        return ((1, 0), (0, 1))
     first = rows[0]
     for other in rows[1:]:
         if first[0] * other[1] != first[1] * other[0]:
             return ()
-    return ((Fraction(first[1]), Fraction(-first[0])),)
+    return ((first[1], -first[0]),)
 
 
 def _gauge_vectors(m: int, p: int, box) -> list[dict]:
@@ -651,6 +682,8 @@ def solve_pullback_family(
     eliminates the rows the singleton cascade leaves, and subtracts the gauge
     rank; route two plugs in the named-coefficient ansatz (c0, c0D, R_k,
     S_k) and counts its free parameters.  The two dimensions must agree.
+    Both routes build their rows with ``linear.term_rows``; the tests
+    expand route two's ansatz with the ``symbolic_rows`` reference too.
 
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
@@ -691,23 +724,10 @@ def solve_pullback_family(
     gauge_rank = rank_of_vectors(gauge)
     dim_generic = kernel_dim - gauge_rank
 
-    # route two: named-coefficient ansatz
-    nv = 2
-    x_mu = SymPoly.wrap(LaurentPoly.monomial(nv, (0, 1), x_part))
-    mono = lambda e, c: LaurentPoly.monomial(nv, e, c)
-    a_sym = x_mu + SymPoly.combination(
-        nv, [(("R", k), mono((k, 2 - p), -1)) for k in range(b + 1)]
-    )
-    b_sym = SymPoly(nv)
-    c_sym = x_mu + SymPoly.combination(
-        nv,
-        [(("c0",), mono((1 - p, 2 - p), -1))]
-        + [(("S", k), mono((-k - p, 2 - p), 1)) for k in range(b + 1)],
-    )
-    d_sym = SymPoly.combination(nv, [(("c0D",), mono((-p, 3 - p), 1))])
-    named_rows = symbolic_rows(nv, conditions, {
-        ("A",): a_sym, ("B",): b_sym, ("C",): c_sym, ("D",): d_sym,
-    })
+    # route two: named-coefficient ansatz; no label map, so the cascade
+    # sees no row and drops no scalar
+    _, named_rows = term_rows(_ansatz_conditions(conditions, p, b, x_part),
+                              {}, forced_by_singletons)
     named_labels = (
         [("c0",), ("R", 0), ("c0D",)]
         + [("R", k) for k in range(1, b + 1)]

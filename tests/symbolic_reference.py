@@ -1,0 +1,112 @@
+"""The ``SymPoly`` expander: the independent reference for ``term_rows``.
+
+``pms.linear.term_rows`` reads the rows of term-form conditions off
+exponents.  ``symbolic_rows`` expands the same conditions with ``SymPoly``,
+a Laurent polynomial whose coefficients are affine in named unknowns, term
+by term, and reads each coefficient outside the ring as one row.  The tests
+compare the two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import add
+from typing import Iterable, Iterator, Mapping
+
+from pms.laurent_core import Exponent, ExponentMonoid, LaurentPoly
+from pms.linear import Row, Var
+
+
+def symbolic_rows(nvars: int, conditions: Iterable[tuple],
+                  comps: Mapping[tuple, SymPoly]) -> list[tuple[Row, Fraction]]:
+    """The rows of ``conditions`` with each F_prefix the ``SymPoly``
+    ``comps[prefix]``, expanded term by term."""
+    rows = []
+    for ring, known, terms, scalars in conditions:
+        poly = SymPoly.wrap(LaurentPoly(nvars, known))
+        for prefix, shift, c in terms:
+            poly = poly + comps[prefix].shifted(shift, c)
+        if scalars:
+            poly = poly + SymPoly.combination(nvars, scalars)
+        rows += poly.membership_rows(ring)
+    return rows
+
+
+def _add_into(row: Row, label: Var, coeff: Fraction) -> None:
+    """row[label] += coeff, dropping the entry when it cancels."""
+    old = row.get(label)
+    if old is None:
+        row[label] = coeff
+    elif total := old + coeff:
+        row[label] = total
+    else:
+        del row[label]
+
+
+class SymPoly:
+    """Laurent polynomial whose coefficients are affine in named unknowns.
+
+    ``table`` maps an exponent to its linear part {label: coefficient};
+    ``const`` holds the known part.  Instances are immutable, and rows of
+    ``table`` may be shared between instances, so no row is changed in place.
+    """
+
+    __slots__ = ("nvars", "table", "const")
+
+    def __init__(self, nvars: int, table: dict[Exponent, Row] | None = None,
+                 const: LaurentPoly | None = None):
+        self.nvars = nvars
+        self.table = table if table is not None else {}
+        self.const = const if const is not None else LaurentPoly.zero(nvars)
+
+    @classmethod
+    def unknown(cls, nvars: int, prefix: tuple, exps) -> SymPoly:
+        """One unknown coefficient, labelled ``prefix + (e,)``, per exponent e."""
+        return cls(nvars, {e: {prefix + (e,): 1} for e in exps})
+
+    @classmethod
+    def combination(cls, nvars: int, pairs) -> SymPoly:
+        """The sum of unknown scalars (labels) times known polynomials."""
+        table: dict[Exponent, Row] = {}
+        for label, poly in pairs:
+            for e, c in poly.items():
+                _add_into(table.setdefault(e, {}), label, c)
+        return cls(nvars, table)
+
+    @classmethod
+    def wrap(cls, poly: LaurentPoly) -> SymPoly:
+        return cls(poly.nvars, {}, poly)
+
+    def shifted(self, exp: Exponent, coeff: Fraction | int) -> SymPoly:
+        """This polynomial times the monomial coeff * x^exp (coeff nonzero)."""
+        table = {
+            tuple(map(add, e, exp)): {label: c * coeff for label, c in row.items()}
+            for e, row in self.table.items()
+        }
+        return SymPoly(self.nvars, table, self.const.mul_monomial(exp, coeff))
+
+    def __add__(self, other: SymPoly) -> SymPoly:
+        table = dict(self.table)
+        for e, row in other.table.items():
+            mine = table.get(e)
+            if mine is None:
+                table[e] = row
+                continue
+            merged = dict(mine)
+            for label, c in row.items():
+                _add_into(merged, label, c)
+            table[e] = merged
+        return SymPoly(self.nvars, table, self.const + other.const)
+
+    def membership_rows(
+        self, ring: ExponentMonoid | None = None,
+    ) -> Iterator[tuple[Row, Fraction]]:
+        """Rows forcing every coefficient outside ``ring`` to vanish.
+
+        Without a ring, every coefficient must vanish.
+        """
+        # the right-hand side is almost always zero: negate only stored terms
+        rhs = {f: -c for f, c in self.const.items()}
+        for f in sorted(rhs.keys() | self.table.keys()):
+            if ring is None or not ring.contains(f):
+                yield dict(self.table.get(f, {})), rhs.get(f, 0)

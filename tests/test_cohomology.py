@@ -39,12 +39,10 @@ from pms.cohomology import (
 )
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.linear import (
-    SymPoly,
     box_labels,
     derivation_conditions,
     forced_by_singletons,
     solve_rows,
-    symbolic_rows,
     term_rows,
 )
 from pms.p2_catalog import (
@@ -57,6 +55,8 @@ from pms.p2_catalog import (
     make_wcover_atlas,
     wcover_unit_classes,
 )
+
+from symbolic_reference import SymPoly, symbolic_rows
 
 
 def mono(exp, coeff=1):

@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "pms").glob("*.py"))
+# the test-side reference code, held to the same import and use checks
+REFERENCES = [ROOT / "tests" / "symbolic_reference.py"]
 # the trees whose code may call a pms function
 CALLERS = ("src", "tests", "perfbench")
 # the fields of LaurentPoly that only laurent_core may touch
@@ -78,7 +80,8 @@ def test_unused_import_finder_flags_only_unread_names():
     assert unused_imports(tree) == ["lcm (line 5)", "regex (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + REFERENCES,
+                         ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
@@ -129,7 +132,7 @@ def test_every_module_function_is_referenced():
                for top in CALLERS for path in (ROOT / top).rglob("*.py")]
     unreferenced = {
         path.name: unreferenced_functions(ast.parse(path.read_text()), sources)
-        for path in MODULES
+        for path in MODULES + REFERENCES
     }
     assert {k: v for k, v in unreferenced.items() if v} == {}
 

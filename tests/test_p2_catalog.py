@@ -12,10 +12,8 @@ from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
 from pms.linear import (
-    SymPoly,
     box_labels,
     forced_by_singletons,
-    symbolic_rows,
     term_rows,
     without,
 )
@@ -37,6 +35,8 @@ from pms.p2_catalog import (
     solve_pullback_family,
     wcover_unit_classes,
 )
+
+from symbolic_reference import SymPoly, symbolic_rows
 
 
 def test_atlas_structures_are_clean():
@@ -292,6 +292,37 @@ def test_label_pass_matches_symbolic_rows(p, x_part):
         got_forced, got_rows = term_rows(conds, labels, forced_by_singletons)
         assert got_forced == forced
         assert _row_multiset(got_rows) == rows
+
+
+@pytest.mark.parametrize("x_part", [0, 1])
+@pytest.mark.parametrize("p", range(6))
+def test_ansatz_rows_match_symbolic_rows(p, x_part):
+    """Route two's term-form ansatz gives the rows that the SymPoly
+    expander gives for the named-ansatz components, as a multiset."""
+    mono = lambda e, c: LaurentPoly.monomial(2, e, c)
+    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+    for b in range(3, 9):
+        x_mu = SymPoly.wrap(mono((0, 1), x_part))
+        comps = {
+            A: x_mu + SymPoly.combination(
+                2, [(("R", k), mono((k, 2 - p), -1)) for k in range(b + 1)]
+            ),
+            B: SymPoly(2),
+            C: x_mu + SymPoly.combination(
+                2,
+                [(("c0",), mono((1 - p, 2 - p), -1))]
+                + [(("S", k), mono((-k - p, 2 - p), 1)) for k in range(b + 1)],
+            ),
+            D: SymPoly.combination(2, [(("c0D",), mono((-p, 3 - p), 1))]),
+        }
+        forced, rows = term_rows(
+            p2_catalog._ansatz_conditions(conditions, p, b, x_part),
+            {}, forced_by_singletons,
+        )
+        assert forced == set()
+        assert _row_multiset(rows) == _row_multiset(
+            symbolic_rows(2, conditions, comps)
+        )
 
 
 def test_symbolic_bundles_extend_numeric_tables():
