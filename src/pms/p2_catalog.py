@@ -587,14 +587,16 @@ def _field_directions(ring: ExponentMonoid, weight) -> tuple:
     return ((first[1], -first[0]),)
 
 
-def _gauge_vectors(m: int, p: int, box) -> list[dict]:
+def _gauge_vectors(m: int, p: int, bound: int) -> list[dict]:
     """Coefficient directions of reparametrizations fixing the family shape.
 
     Type one moves the middle entry by mu^(-p-m) times a field regular on
     the exceptional chart; type two moves (C, D) by lam^-p mu^(-p-m) times a
     field regular on the far chart.  Directions are enumerated weight by
-    weight; only those fully supported inside the box are returned.
+    weight; only those fully supported inside the box [-bound, bound]^2 are
+    returned.
     """
+    box = list(itertools.product(range(-bound, bound + 1), repeat=2))
     boxset = set(box)
     vecs = []
     specs = (
@@ -615,6 +617,25 @@ def _gauge_vectors(m: int, p: int, box) -> list[dict]:
                 if vec and all(label[1] in boxset for label in vec):
                     vecs.append(vec)
     return vecs
+
+
+# one entry per (m, p, bound); family-sweep's grid (p 0-3, bound 3-7) holds
+# 20 of them, about 0.61 MB by tracemalloc (the vector dicts alone take
+# 0.87 MB), and p 0-5, bound 3-8 holds 36
+@lru_cache(maxsize=64)
+def _gauge(m: int, p: int, bound: int) -> tuple[dict, int]:
+    """The gauge of (m, p, bound) as a label index, and its rank.
+
+    The index maps each label of a ``_gauge_vectors`` direction to the
+    (vector index, coefficient) pairs that hold it; the vectors themselves
+    are not kept.
+    """
+    vecs = _gauge_vectors(m, p, bound)
+    index: dict = {}
+    for i, vec in enumerate(vecs):
+        for label, c in vec.items():
+            index[label] = index.get(label, ()) + ((i, c),)
+    return index, rank_of_vectors(vecs)
 
 
 def _label_str(label) -> str:
@@ -685,6 +706,14 @@ def solve_pullback_family(
     Both routes build their rows with ``linear.term_rows``; the tests
     expand route two's ansatz with the ``symbolic_rows`` reference too.
 
+    The gauge and its rank depend only on (m, p, ansatz_bound), so they are
+    built once per key (``_gauge``, kept as a label index).  Every call
+    still checks the gauge against its own reduced rows, through the index.
+    The check is exact: a gauge vector pairs with a row only through the
+    labels both hold, so a row that mentions neither of a vector's labels
+    pairs with it to 0, and summing c * row[label] per vector over each
+    row's labels reads every pairing that a full scan would.
+
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
     p); other inputs raise ValueError.
@@ -697,7 +726,7 @@ def solve_pullback_family(
         raise ValueError("the ansatz bound must be at least 3")
     x_part = 1 if nontrivial else 0
     b = ansatz_bound
-    box = list(itertools.product(range(-b, b + 1), repeat=2))
+    generic_variables = 4 * (2 * b + 1) ** 2
     conditions = _pullback_conditions(m, p, x_part)
 
     # route one: generic boxed coefficients modulo gauge; every label is an
@@ -707,21 +736,20 @@ def solve_pullback_family(
     if solver.solve() is None:  # pragma: no cover - shape always realizable
         raise AssertionError("family constraints are inconsistent")
     generic_rank = len(forced) + solver.rank
-    kernel_dim = 4 * len(box) - generic_rank
-    gauge = _gauge_vectors(m, p, box)
-    # a kernel vector vanishes on the forced labels, so off them it pairs
-    # with each row as with its reduced row
-    for vec in gauge:
-        if not forced.isdisjoint(vec):  # pragma: no cover
-            raise AssertionError("gauge direction moves a forced coefficient")
-        for row, _ in rows:
-            acc = 0
-            for label, c in vec.items():
-                if label in row:
-                    acc += c * row[label]
-            if acc:  # pragma: no cover - gauge directions are exact
-                raise AssertionError("gauge direction violates a constraint")
-    gauge_rank = rank_of_vectors(gauge)
+    kernel_dim = generic_variables - generic_rank
+    # the gauge is memoised, its check is not; a kernel vector vanishes on
+    # the forced labels, so off them it pairs with each row as with its
+    # reduced row
+    index, gauge_rank = _gauge(m, p, b)
+    if not forced.isdisjoint(index):
+        raise AssertionError("gauge direction moves a forced coefficient")
+    for row, _ in rows:
+        acc: dict = {}
+        for label, v in row.items():
+            for i, c in index.get(label, ()):
+                acc[i] = acc.get(i, 0) + c * v
+        if any(acc.values()):
+            raise AssertionError("gauge direction violates a constraint")
     dim_generic = kernel_dim - gauge_rank
 
     # route two: named-coefficient ansatz; no label map, so the cascade
@@ -785,7 +813,7 @@ def solve_pullback_family(
         relations=tuple(relations),
         ansatz_bound=b,
         diagnostics={
-            "generic_variables": 4 * len(box),
+            "generic_variables": generic_variables,
             "generic_rank": generic_rank,
             "kernel_dim": kernel_dim,
             "gauge_rank": gauge_rank,

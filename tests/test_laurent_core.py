@@ -526,6 +526,7 @@ def test_every_cache_is_bounded():
         "cohomology._chart_unknowns",
         "laurent_core._monoid_contains_cached",
         "laurent_core.minimal_generators",
+        "p2_catalog._gauge",
         "truncated_ring._image_power",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches

@@ -1,5 +1,6 @@
 """Tests for the projective-plane and quadrilateral-cover catalogue."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -14,6 +15,7 @@ from pms.laurent_core import LaurentPoly
 from pms.linear import (
     box_labels,
     forced_by_singletons,
+    rank_of_vectors,
     term_rows,
     without,
 )
@@ -226,6 +228,78 @@ def test_family_json_is_unchanged_without_the_cascade(monkeypatch):
     cascaded = family_json()
     monkeypatch.setattr(p2_catalog, "forced_by_singletons", lambda rows: set())
     assert family_json() == cascaded
+
+
+# one sha256 over the 72 family JSONs (p 0-5, bound 3-8, both classes, in
+# that order, each followed by a newline), taken before the gauge memo
+FAMILY_GOLDEN_SHA256 = (
+    "412ada6b0924a6b26854bd82ca45ef0765a0381db016214946850b4ce16393e8"
+)
+
+
+def test_family_json_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for p, b, x in itertools.product(range(6), range(3, 9), (True, False)):
+        fd = solve_pullback_family(-3, p, b, nontrivial=x)
+        digest.update(json.dumps(fd.to_json(), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == FAMILY_GOLDEN_SHA256
+
+
+GAUGE_KEYS = list(itertools.product(range(6), range(3, 9)))
+
+
+def _fresh_gauge(p, b):
+    """The label index and rank of a fresh ``_gauge_vectors`` build."""
+    vecs = p2_catalog._gauge_vectors(-3, p, b)
+    labels = {label for vec in vecs for label in vec}
+    index = {
+        label: tuple((i, vec[label]) for i, vec in enumerate(vecs)
+                     if label in vec)
+        for label in labels
+    }
+    return index, rank_of_vectors(vecs)
+
+
+@pytest.mark.parametrize("p, b", GAUGE_KEYS)
+def test_gauge_memo_matches_a_fresh_build_cold(p, b):
+    p2_catalog._gauge.cache_clear()
+    assert p2_catalog._gauge(-3, p, b) == _fresh_gauge(p, b)
+    assert p2_catalog._gauge.cache_info().misses == 1
+
+
+def test_gauge_memo_matches_a_fresh_build_warm():
+    """Each entry, read back once every other key is in the memo, equals a
+    fresh build."""
+    p2_catalog._gauge.cache_clear()
+    for p, b in reversed(GAUGE_KEYS):
+        p2_catalog._gauge(-3, p, b)
+    for p, b in GAUGE_KEYS:
+        assert p2_catalog._gauge(-3, p, b) == _fresh_gauge(p, b)
+    info = p2_catalog._gauge.cache_info()
+    assert (info.hits, info.misses) == (len(GAUGE_KEYS), len(GAUGE_KEYS))
+
+
+def test_gauge_check_runs_on_every_call(monkeypatch):
+    """A memo entry that breaks a constraint, or moves a forced label, is
+    caught by the check each call makes against its own rows."""
+    p, b = 0, 4
+    index, rank = p2_catalog._gauge(-3, p, b)
+    conditions = p2_catalog._pullback_conditions(-3, p, 1)
+    forced, rows = p2_catalog._pullback_rows(conditions, b)
+    in_rows = {label for row, _ in rows for label in row}
+    label = next(lb for lb in index if lb in in_rows)
+    (i, c), *rest = index[label]
+    perturbed = {**index, label: ((i, c + 1), *rest)}
+    monkeypatch.setattr(p2_catalog, "_gauge", lambda *key: (perturbed, rank))
+    with pytest.raises(AssertionError,
+                       match="gauge direction violates a constraint"):
+        solve_pullback_family(-3, p, b)
+
+    moved = {**index, min(forced): ((0, 1),)}
+    monkeypatch.setattr(p2_catalog, "_gauge", lambda *key: (moved, rank))
+    with pytest.raises(AssertionError, match="moves a forced coefficient"):
+        solve_pullback_family(-3, p, b)
 
 
 def _row_multiset(rows):
