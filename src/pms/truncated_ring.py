@@ -28,9 +28,15 @@ powers.  Hence slice i is built only below order n - i (in ``apply_endo``
 and, for a^i, in ``bracket_subst``), and ``_mul_to`` stops a product at the
 order its caller keeps.  ``endo_inverse`` corrects its candidate order by
 order: once the candidate agrees with the inverse below order k, the defect
-at order k is coefficient k of the image truncated to order k + 1, and the
-correction at t^k leaves every lower coefficient as it was, so step k reads
-orders 0..k alone.
+at order k is what slices 0..k-1 put at order k (slice k starts at t^k), and
+the correction at t^k leaves every lower coefficient as it was, so each slice
+is built once, as soon as its coefficient is known.
+
+Division obeys the same fact: if q * d = s with d_0 a monomial, then
+q_k = (s_k - sum_{j<k} q_j d_(k-j)) / d_0 (``_divide``, as FLINT's
+``fmpq_poly_div_series``), so coefficient k of s/d reads orders 0..k of s and
+d alone.  Hence ``conjugate_chi``'s epsilon, the quotient alpha * eps_b /
+denom, and the phi(x) that denom reads are built only below t^(n-1).
 """
 
 from __future__ import annotations
@@ -212,20 +218,27 @@ def classify_element(u: TruncElement, ring: ExponentMonoid) -> str:
 
 
 def invert_unit(u: TruncElement) -> TruncElement:
-    """Inverse of an element whose constant coefficient is a monomial."""
-    mono = u.coeffs[0].as_monomial()
-    if mono is None:
+    """Inverse of an element whose constant coefficient is a monomial: the
+    quotient 1/u of ``_divide``.  Raises ValueError for any other head."""
+    one = LaurentPoly.const(u.nvars, 1)
+    return _divide([[(one, one)]] + [[] for _ in range(u.order - 1)], u)
+
+
+def _divide(sums: list[list], d: TruncElement) -> TruncElement:
+    """The quotient s/d in R[t]/(t^len(sums)), where s_k is the sum of the
+    products in ``sums[k]`` (consumed) and d_0 is a monomial: q_k is one sum
+    of products, scaled by 1/d_0 (see the module docstring)."""
+    if (mono := d.coeffs[0].as_monomial()) is None:
         raise ValueError("constant coefficient is not a monomial unit")
-    n, nvars = u.order, u.nvars
-    inv0 = TruncElement.from_poly(n, u.coeffs[0].power(-1))
-    # u = u0 (1 - w) with w nilpotent; inverse is u0^{-1} (1 + w + w^2 + ...)
-    w = TruncElement.one(n, nvars) - trunc_mul(inv0, u)
-    acc = TruncElement.one(n, nvars)
-    power = TruncElement.one(n, nvars)
-    for _ in range(1, n):
-        power = trunc_mul(power, w)
-        acc = acc + power
-    return trunc_mul(inv0, acc)
+    exp, head = mono
+    inv = None if head == 1 and not any(exp) else ([-e for e in exp], 1 / head)
+    minus, q = [-dj for dj in d.coeffs[:len(sums)]], []
+    for k, pairs in enumerate(sums):
+        pairs.extend((q[j], minus[k - j]) for j in range(k)
+                     if q[j] and minus[k - j])
+        qk = LaurentPoly.sum_of_products(d.nvars, pairs)
+        q.append(qk if inv is None else qk.mul_monomial(*inv))
+    return TruncElement(len(sums), tuple(q))
 
 
 def bracket_subst(l: TruncElement, a: TruncElement) -> TruncElement:
@@ -290,6 +303,16 @@ class RingMorphism:
     def nvars(self) -> int:
         return self.variable_images[0].nvars
 
+    def __hash__(self) -> int:
+        # the fields' hash, kept by the first call as ``LaurentPoly._hash``
+        # is; ``_hash`` is no field, so repr, == and the JSON never see it
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.order, self.variable_images, self.epsilon))
+            object.__setattr__(self, "_hash", value)
+            return value
+
 
 def identity_morphism(order: int, nvars: int) -> RingMorphism:
     images = tuple(
@@ -311,7 +334,8 @@ def chi_morphism(order: int, y: TruncElement) -> RingMorphism:
     return RingMorphism(order, images, y)
 
 
-# powers are reused within one computation; fresh morphisms evict old ones
+# powers are reused within one computation; fresh morphisms evict old ones,
+# and a key's morphism hashes its coefficients once (``RingMorphism._hash``)
 @lru_cache(maxsize=4096)
 def _image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
     """theta(x_v)^k as one product of its two cached halves.
@@ -349,33 +373,28 @@ def _phi_poly(theta: RingMorphism, p: LaurentPoly,
     return _summed(sums, theta.nvars)
 
 
-def _apply_to(theta: RingMorphism, u: TruncElement, order: int) -> TruncElement:
-    """``apply_endo(theta, u)`` truncated to R[t]/(t^order).
+def apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
+    """Image of a truncated element under the endomorphism.
 
     theta(u) is the sum over i of phi(u_i) * epsilon^i * t^i, so slice i is
-    built only below order - i; coefficient k of the image is one sum of
-    products over all slices.  Only orders below ``order`` of theta and u are
-    read.
+    built only below order n - i; coefficient k of the image is one sum of
+    products over all slices.
     """
-    sums = [[] for _ in range(order)]
-    eps_pow = TruncElement.one(order, theta.nvars)
-    for i in range(order):
-        if i:
-            eps_pow = (theta.epsilon if i == 1
-                       else _mul_to(eps_pow, theta.epsilon, order - i))
-        if u.coeffs[i]:
-            phi = _phi_poly(theta, u.coeffs[i], order - i)
-            _convolve_into(sums, phi.coeffs, eps_pow.coeffs, i)
-    return _summed(sums, theta.nvars)
-
-
-def apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
-    """Image of a truncated element under the endomorphism."""
     if u.order != theta.order:
         raise ValueError("element and morphism orders differ")
     if u.nvars != theta.nvars:
         raise ValueError("variable count mismatch")
-    return _apply_to(theta, u, theta.order)
+    n = theta.order
+    sums = [[] for _ in range(n)]
+    eps_pow = TruncElement.one(n, theta.nvars)
+    for i in range(n):
+        if i:
+            eps_pow = (theta.epsilon if i == 1
+                       else _mul_to(eps_pow, theta.epsilon, n - i))
+        if u.coeffs[i]:
+            phi = _phi_poly(theta, u.coeffs[i], n - i)
+            _convolve_into(sums, phi.coeffs, eps_pow.coeffs, i)
+    return _summed(sums, theta.nvars)
 
 
 def compose_endo(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
@@ -421,43 +440,45 @@ def classify_endo(theta: RingMorphism, ring: ExponentMonoid | None = None) -> st
 def endo_inverse(theta: RingMorphism) -> RingMorphism:
     """Two-sided inverse of an invertible endomorphism.
 
-    Solves order by order in t: a defect of order t^k in the candidate is
+    Solves order by order in t (``_inverse_part``, each power of epsilon and
+    each slice built once): a defect of order t^k in the candidate is
     repaired by a correction divided by the k-th power of epsilon's leading
-    monomial, which cancels it without touching lower orders.  Raises
+    monomial, which cancels it without touching lower orders.  Both
+    compositions with theta are then checked against the identity.  Raises
     ValueError if epsilon's constant coefficient is not a monomial unit.
     """
     if classify_endo(theta) != "iso":
         raise ValueError("endomorphism is not invertible")
     n, nvars = theta.order, theta.nvars
-    eps0 = theta.epsilon.coeffs[0]
-    zero = LaurentPoly.zero(nvars)
-
-    # before step k, theta(psi_v) equals x_v and theta(x) * epsilon equals 1
-    # below order k; coefficient k of either reads orders 0..k alone
-    images = []
-    for v in range(nvars):
-        psi_v = [LaurentPoly.var(nvars, v)] + [zero] * (n - 1)
-        for k in range(1, n):
-            low = TruncElement(k + 1, tuple(psi_v[: k + 1]))
-            ek = _apply_to(theta, low, k + 1).coeffs[k]
-            if ek:
-                psi_v[k] = -ek * eps0.power(-k)
-        images.append(TruncElement(n, tuple(psi_v)))
-
-    m = n - 1
-    x = [eps0.power(-1)] + [zero] * (m - 1)
-    for k in range(1, m):
-        low = TruncElement(k + 1, tuple(x[: k + 1]))
-        ek = _mul_to(_apply_to(theta, low, k + 1), theta.epsilon,
-                     k + 1).coeffs[k]
-        if ek:
-            x[k] = -ek * eps0.power(-(k + 1))
-
-    psi = RingMorphism(n, tuple(images), TruncElement(m, tuple(x)))
+    # eps_pows[i] is epsilon^i below order n - i, as far as slice i is read
+    eps_pows = [TruncElement.one(n, nvars), theta.epsilon]
+    for i in range(2, n - 1):
+        eps_pows.append(_mul_to(eps_pows[-1], theta.epsilon, n - i))
+    images = tuple(_inverse_part(theta, eps_pows, LaurentPoly.var(nvars, v),
+                                 0, n) for v in range(nvars))
+    # theta(x) * epsilon = 1: slice i of x is phi(x_i) * epsilon^(i + 1)
+    x = _inverse_part(theta, eps_pows, theta.epsilon.coeffs[0].power(-1),
+                      1, n - 1)
+    psi = RingMorphism(n, images, x)
     ident = identity_morphism(n, nvars)
     if compose_endo(theta, psi) != ident or compose_endo(psi, theta) != ident:
         raise ValueError("inverse iteration failed to converge")
     return psi
+
+
+def _inverse_part(theta: RingMorphism, eps_pows: list[TruncElement],
+                  head: LaurentPoly, shift: int, order: int) -> TruncElement:
+    """The p with p_0 = ``head`` at which coefficients 1..order-1 of
+    sum_i phi(p_i) * epsilon^(i + shift) * t^i vanish.  Slice i is queued
+    once p_i is known; slice k starts with p_k * eps0^(k + shift)."""
+    eps0, sums, p = theta.epsilon.coeffs[0], [[] for _ in range(order)], [head]
+    for i in range(order - 1):
+        if p[i]:
+            phi = _phi_poly(theta, p[i], order - i)
+            _convolve_into(sums, phi.coeffs, eps_pows[i + shift].coeffs, i)
+        ek = LaurentPoly.sum_of_products(theta.nvars, sums[i + 1])
+        p.append(-ek * eps0.power(-(i + 1 + shift)) if ek else ek)
+    return TruncElement(order, tuple(p))
 
 
 def conjugate_chi(theta: RingMorphism, x: LaurentPoly,
@@ -475,7 +496,7 @@ def conjugate_chi(theta: RingMorphism, x: LaurentPoly,
         raise ValueError("alpha must live one truncation order lower")
     if alpha.coeffs[0].as_monomial() is None:
         raise ValueError("alpha must be a unit")
-    n = theta.order
+    n, nvars = theta.order, theta.nvars
 
     y = alpha.scale_poly(x)            # the combined rescaling, order n-1
     y_n = y.lift(n)
@@ -484,16 +505,18 @@ def conjugate_chi(theta: RingMorphism, x: LaurentPoly,
         bracket_subst(img, y_n) for img in theta.variable_images
     )
 
-    phi_x = _phi_poly(theta, x)
-    mu = TruncElement(n - 1, phi_x.coeffs[1:])      # (phi(x) - x) / t
+    # mu = (phi(x) - x) / t is read below t^(n-2): its top stays zero
+    phi_x = _phi_poly(theta, x, n - 1)
+    mu = TruncElement(n - 1, phi_x.coeffs[1:] + (LaurentPoly.zero(nvars),))
     eps_b = bracket_subst(theta.epsilon, y)
     mu_b = bracket_subst(mu, y)
     # t * mu_b * alpha at order n - 1 reads mu_b * alpha below t^(n-2) only
     sums = [[] for _ in range(n - 1)]
     _convolve_into(sums, mu_b.coeffs, alpha.coeffs, 1)
-    denom = TruncElement.one(n - 1, theta.nvars) + _summed(sums, theta.nvars)
-    eps = trunc_mul(trunc_mul(alpha, eps_b), invert_unit(denom))
-    return RingMorphism(n, images, eps)
+    denom = TruncElement.one(n - 1, nvars) + _summed(sums, nvars)
+    sums = [[] for _ in range(n - 1)]  # eps * denom = alpha * eps_b
+    _convolve_into(sums, alpha.coeffs, eps_b.coeffs)
+    return RingMorphism(n, images, _divide(sums, denom))
 
 
 def conjugate_chi_composed(theta: RingMorphism, x: LaurentPoly,

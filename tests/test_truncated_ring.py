@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -122,8 +123,9 @@ def test_invert_unit():
         inv = invert_unit(u)
         assert trunc_mul(u, inv) == TruncElement.one(order, 2)
         assert trunc_mul(inv, u) == TruncElement.one(order, 2)
-    with pytest.raises(ValueError):
-        invert_unit(el(LAM + MU, ZERO))
+    for head in (LAM + MU, ZERO, LAM.scale(Fraction(1, 2)) + ONE):
+        with pytest.raises(ValueError, match="not a monomial unit"):
+            invert_unit(el(head, ONE, MU))
 
 
 def test_bracket_subst_is_t_rescaling():
@@ -492,6 +494,26 @@ def test_truncated_calculus_matches_full_order_reference(
             assert _image_power(theta, v, k) == ref_image_power(theta, v, k)
     if eps_kind == "unit":
         assert endo_inverse(theta) == ref_endo_inverse(theta)
+    # the closed-form conjugation against the composed oracle, and the
+    # series division against the geometric series, at every order
+    x = LaurentPoly.monomial(
+        nvars, [rng.randint(-2, 2) for _ in range(nvars)],
+        Fraction(rng.choice([1, -1, 2]), rng.choice([1, 3])))
+    alpha = TruncElement(order - 1, (fraction_head(rng, nvars),) + tuple(
+        sparse_poly(rng, nvars, terms=3) for _ in range(order - 2)))
+    assert conjugate_chi(theta, x, alpha) == conjugate_chi_composed(
+        theta, x, alpha)
+    for k in range(1, order + 1):
+        unit = TruncElement(k, (fraction_head(rng, nvars),) + tuple(
+            sparse_poly(rng, nvars) for _ in range(k - 1)))
+        assert invert_unit(unit) == ref_invert_unit(unit)
+
+
+def fraction_head(rng: random.Random, nvars: int) -> LaurentPoly:
+    """A monomial unit with a non-integral coefficient."""
+    return LaurentPoly.monomial(
+        nvars, [rng.randint(-1, 1) for _ in range(nvars)],
+        Fraction(rng.choice([1, -2, 3]), rng.choice([2, 3])))
 
 
 def test_high_image_powers_match_the_repeated_product():
@@ -502,3 +524,35 @@ def test_high_image_powers_match_the_repeated_product():
     # deep exponents stay within the recursion limit
     x = LaurentPoly.monomial(2, (3000, -2000))
     assert _phi_poly(identity_morphism(3, 2), x) == TruncElement.from_poly(3, x)
+
+
+def test_morphism_hash_is_cached_out_of_sight():
+    """Equal morphisms built apart hash alike, hashed first or not, and the
+    cached hash shows in no field, repr, comparison or JSON."""
+
+    def built() -> RingMorphism:  # new objects on every call
+        return sparse_morphism(random.Random(404), 4, 2, "unit")
+
+    def as_json(theta: RingMorphism) -> dict:
+        return {"order": theta.order,
+                "variable_images": [trunc_to_json(u)
+                                    for u in theta.variable_images],
+                "epsilon": trunc_to_json(theta.epsilon)}
+
+    a, b = built(), built()
+    assert a is not b and a == b
+    before = (repr(a), as_json(a))
+    assert hash(a) == hash((a.order, a.variable_images, a.epsilon))
+    assert hash(b) == hash(a)  # b hashed second
+    c, d = built(), built()
+    assert hash(d) == hash(c) == hash(a)  # d hashed first
+    assert (repr(a), as_json(a)) == before == (repr(b), as_json(b))
+    assert "_hash" not in repr(a) and a == b == c == d
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "order", "variable_images", "epsilon"]
+    _image_power.cache_clear()
+    for v in range(2):
+        for k in (-3, -1, 2, 5):
+            power = _image_power(a, v, k)
+            assert _image_power(built(), v, k) == power
+            assert power == ref_image_power(built(), v, k)
