@@ -57,7 +57,7 @@ from .laurent_core import (
 from .truncated_ring import (
     RingMorphism,
     TruncElement,
-    _phi_poly,
+    apply_endo,
     compose_endo,
     conjugate_chi,
     endo_inverse,
@@ -215,7 +215,9 @@ def validate_transition_spec(spec: TransitionSpec) -> ValidationReport:
         if not monomial_is_unit(theta.epsilon.coeffs[0], ring):
             failures.append(f"{where}: epsilon is not a unit of the overlap ring")
         for g in ring.generators:
-            image = _phi_poly(theta, LaurentPoly.monomial(theta.nvars, g))
+            # theta(g) is phi(g): an element with no t-part has one slice
+            image = apply_endo(theta, TruncElement.from_poly(
+                theta.order, LaurentPoly.monomial(theta.nvars, g)))
             for k, coeff in enumerate(image.coeffs):
                 if not poly_in_ring(coeff, ring):
                     failures.append(

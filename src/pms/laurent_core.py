@@ -21,6 +21,9 @@ the internal ``LaurentPoly._wrap``, which skips re-normalization and
 therefore accepts only canonical data; ``_reduced`` divides out the common
 factor first where one can appear, and is free when the denominator is 1.
 
+``Packing`` and ``PackedSeries`` are the packed form of the truncated
+calculus, kept beside the representation they read (see ``truncated_ring``).
+
 A chart ring is described by the monoid of exponents it contains, given by a
 finite generator list.  Membership of an exponent vector e is decided through
 the cone and lattice view of affine monoids (Bruns-Gubeladze, "Polytopes,
@@ -48,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
@@ -160,14 +163,6 @@ class LaurentPoly:
         [(exp, num)] = self._terms.items()
         return exp, _fraction(num, self._den)
 
-    def _scalar_terms(self) -> Iterator[tuple[Exponent, LaurentPoly]]:
-        """Internal: each term as its exponent and its coefficient as a
-        constant polynomial, in term-dict order."""
-        zero, den = (0,) * self.nvars, self._den
-        for exp, num in self._terms.items():
-            g = math.gcd(num, den)
-            yield exp, LaurentPoly._wrap(self.nvars, {zero: num // g}, den // g)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -264,12 +259,13 @@ class LaurentPoly:
     ) -> LaurentPoly:
         """``sum(a * b for a, b in pairs)``, accumulated in one term dict.
 
-        The one product loop of the package; ``__mul__`` is its one-pair
-        case.  The sum is formed over the lcm of the pairs' denominator
-        products, so each pair is scaled by one ``int`` factor and the inner
-        loop multiplies ``int``s; the result is reduced once, and not at all
-        when every factor is integral.  Every polynomial must have ``nvars``
-        variables (unchecked).
+        The product loop of the polynomial layer; ``__mul__`` is its one-pair
+        case, and the truncated calculus has its own packed loop
+        (``PackedSeries.add_product``).  The sum is formed over the lcm of the
+        pairs' denominator products, so each pair is scaled by one ``int``
+        factor and the inner loop multiplies ``int``s; the result is reduced
+        once, and not at all when every factor is integral.  Every polynomial
+        must have ``nvars`` variables (unchecked).
         """
         pairs = tuple(pairs)  # read twice: the denominators, then the terms
         den = 1
@@ -388,6 +384,144 @@ def _reduced(terms: dict[Exponent, int], den: int) -> tuple[dict[Exponent, int],
 def _fraction(num: int, den: int) -> Rational:
     """``num / den`` as a reduced ``Fraction``."""
     return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+# -- packed truncated series --------------------------------------------
+
+
+class Packing:
+    """One ``int`` key per monomial t^k x^e, ``k * span + sum(e[v] *
+    2^(width * v))`` with ``span = 2^(width * nvars)`` (Kronecker
+    substitution, as in FLINT's packed ``fmpz_mpoly`` monomials)."""
+
+    __slots__ = ("nvars", "span", "half", "places", "_bias", "_shifts",
+                 "_mask", "_low")
+
+    def __init__(self, nvars: int, width: int):
+        self.nvars, self.span = nvars, 1 << (width * nvars)
+        self.half, self._mask = self.span >> 1, (1 << width) - 1
+        self._shifts = tuple(width * v for v in range(nvars))
+        self.places = tuple(1 << s for s in self._shifts)
+        # adding 2^(width-1) to each digit makes all digits non-negative
+        self._low = 1 << (width - 1)
+        self._bias = self._low * sum(self.places)
+
+    def pack(self, coeffs: tuple[LaurentPoly, ...]) -> PackedSeries:
+        """The element whose coefficient of t^k is ``coeffs[k]``."""
+        den = math.lcm(*(c._den for c in coeffs))
+        places, terms = self.places, {}
+        for k, c in enumerate(coeffs):
+            base, scale = k * self.span, den // c._den
+            for exp, num in c._terms.items():
+                terms[base + sum(map(mul, exp, places))] = num * scale
+        return PackedSeries(self, len(coeffs), terms, den)
+
+    def one(self, order: int) -> PackedSeries:
+        return PackedSeries(self, order, {0: 1})
+
+    def scalar_terms(self, p: LaurentPoly) -> Iterator[tuple[Exponent, PackedSeries]]:
+        """Each term of ``p`` as its exponent and its coefficient as a packed
+        constant, in term-dict order."""
+        den = p._den
+        for exp, num in p._terms.items():
+            g = math.gcd(num, den)
+            yield exp, PackedSeries(self, 1, {0: num // g}, den // g)
+
+    def decode(self, key: int) -> tuple[int, Exponent]:
+        """The t-degree and the exponent vector of a key."""
+        x, mask, low = key + self._bias, self._mask, self._low
+        return x // self.span, tuple([(x >> s & mask) - low for s in self._shifts])
+
+
+# the calculus asks for a few widths per variable count
+shared_packing = lru_cache(maxsize=64)(Packing)
+
+
+def largest_exponent(polys: Iterable[LaurentPoly]) -> int:
+    """The largest |e[v]| over every exponent of ``polys`` (0 for none)."""
+    return max(map(abs, itertools.chain.from_iterable(
+        itertools.chain.from_iterable(p._terms for p in polys))), default=0)
+
+
+class PackedSeries:
+    """An element of R[t]/(t^order): ``int`` numerators over ``den``, keyed
+    by the ``Packing`` keys of their monomials, all below t^order.  Zero
+    numerators and a factor shared with ``den`` may stay until ``finished``
+    (``unpack`` is canonical either way); a finished series never changes."""
+
+    __slots__ = ("packing", "order", "terms", "den")
+
+    def __init__(self, packing: Packing, order: int, terms: dict[int, int],
+                 den: int = 1):
+        self.packing, self.order, self.terms, self.den = packing, order, terms, den
+
+    def add_product(self, a: PackedSeries, b: PackedSeries, shift: int = 0,
+                    sign: int = 1) -> None:
+        """Add sign * a * b * t^shift below t^order.  The loop of the
+        truncated calculus: a term product adds two keys, and one comparison
+        with the key limit truncates it."""
+        lift = shift * self.packing.span
+        room = self.order * self.packing.span - self.packing.half - lift
+        factor = sign * self._share(a.den * b.den)
+        terms, b_items = self.terms, b.terms.items()
+        get = terms.get
+        for ka, ca in a.terms.items():
+            ca *= factor
+            top, ka = room - ka, ka + lift
+            for kb, cb in b_items:
+                if kb < top:
+                    key = ka + kb
+                    terms[key] = get(key, 0) + ca * cb
+
+    def _share(self, den: int) -> int:
+        """Make ``self.den`` a multiple of ``den``; return their ratio."""
+        if self.den % den:
+            common = math.lcm(self.den, den)
+            scale = common // self.den
+            self.terms = {k: c * scale for k, c in self.terms.items()}
+            self.den = common
+        return self.den // den
+
+    def finished(self) -> PackedSeries:
+        """Drop zero numerators and the common factor; return ``self``."""
+        self.terms, self.den = _reduced(
+            {k: c for k, c in self.terms.items() if c}, self.den)
+        return self
+
+    def times(self, other: PackedSeries, order: int) -> PackedSeries:
+        """The product in R[t]/(t^order), finished."""
+        out = PackedSeries(self.packing, order, {})
+        out.add_product(self, other)
+        return out.finished()
+
+    def degree(self, k: int, stop: int | None = None) -> PackedSeries:
+        """The monomials of t^k, ..., t^(stop-1) (of t^k alone by default),
+        keys unchanged."""
+        span, half = self.packing.span, self.packing.half
+        lo, hi = k * span - half, (k + 1 if stop is None else stop) * span - half
+        terms = {key: c for key, c in self.terms.items() if c and lo <= key < hi}
+        return PackedSeries(self.packing, self.order, terms, self.den)
+
+    def head_inverse(self) -> PackedSeries | None:
+        """1/a_0 when the coefficient a_0 of t^0 is a monomial, else None."""
+        head = self.degree(0).terms
+        if len(head) != 1:
+            return None
+        [(key, num)] = head.items()
+        den, num = (self.den, num) if num > 0 else (-self.den, -num)
+        g = math.gcd(num, den)
+        return PackedSeries(self.packing, self.order, {-key: den // g}, num // g)
+
+    def unpack(self) -> tuple[LaurentPoly, ...]:
+        """The coefficients of t^0, ..., t^(order-1)."""
+        parts = [{} for _ in range(self.order)]
+        decode = self.packing.decode
+        for key, num in self.terms.items():
+            if num:
+                k, exp = decode(key)
+                parts[k][exp] = num
+        nvars, den = self.packing.nvars, self.den
+        return tuple(LaurentPoly._wrap(nvars, *_reduced(p, den)) for p in parts)
 
 
 # -- exponent monoids ---------------------------------------------------

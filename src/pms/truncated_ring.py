@@ -24,19 +24,53 @@ phi(u_i) * epsilon^i * t^i, and coefficient k of that slice is coefficient
 k - i of phi(u_i) * epsilon^i.  A power of a variable image, and epsilon^i,
 is built one product at a time, and by the product rule its coefficient j
 reads orders 0..j of its factors alone; phi(u_i) is a sum of products of such
-powers.  Hence slice i is built only below order n - i (in ``apply_endo``
-and, for a^i, in ``bracket_subst``), and ``_mul_to`` stops a product at the
-order its caller keeps.  ``endo_inverse`` corrects its candidate order by
-order: once the candidate agrees with the inverse below order k, the defect
-at order k is what slices 0..k-1 put at order k (slice k starts at t^k), and
-the correction at t^k leaves every lower coefficient as it was, so each slice
-is built once, as soon as its coefficient is known.
+powers.  Hence slice i is built only below order n - i (``_powers`` builds
+epsilon^i, and the a^i of a bracket, only that far), and every product stops
+at the order its caller keeps.  ``endo_inverse`` corrects its candidate order by order: once
+the candidate agrees with the inverse below order k, the defect at order k is
+what slices 0..k-1 put at order k (slice k starts at t^k), and the correction
+at t^k leaves every lower coefficient as it was, so each slice is built once,
+as soon as its coefficient is known.
 
 Division obeys the same fact: if q * d = s with d_0 a monomial, then
 q_k = (s_k - sum_{j<k} q_j d_(k-j)) / d_0 (``_divide``, as FLINT's
 ``fmpq_poly_div_series``), so coefficient k of s/d reads orders 0..k of s and
 d alone.  Hence ``conjugate_chi``'s epsilon, the quotient alpha * eps_b /
 denom, and the phi(x) that denom reads are built only below t^(n-1).
+
+Each public routine packs its input elements once on entry and unpacks its
+result once on exit (``laurent_core.Packing``); in between an element is one
+``PackedSeries``, a dict from one ``int`` key per monomial t^k x^e to an
+``int`` numerator over one common denominator.  In m variables at digit
+width W the key is k * 2^(Wm) + sum_v e_v * 2^(Wv): the exponents are signed
+base-2^W digits and the t-degree is the top digit.  While every |e_v| <
+2^(W-1), adding keys multiplies monomials, and a monomial lies below t^n
+exactly when its key is below n * 2^(Wm) - 2^(Wm-1), so one comparison
+truncates a term product.
+
+Width rule.  For a call at order n, let M be m times the largest |e_v| of any
+input exponent (for ``_image_power``, also of the power k), so every input
+exponent has |e|_1 = sum_v |e_v| <= M.  The call packs at W = max(12,
+bit_length(S) + 1) with S = (n + 1)^2 (M + 2); as |e_v| <= |e|_1, every digit
+fits once each exponent the call forms has |e|_1 <= S.  Proof: call an
+element (h, c)-bounded when each exponent of its t^k coefficient has |e|_1 <=
+h + kc.  A product of (h1, c)- and (h2, c)-bounded elements, and each term
+product formed on the way, is (h1 + h2, c)-bounded, also after a shift by
+t^i; a sum keeps the larger h.  If d is (h_d, c)-bounded and d_0 a monomial of
+norm g, then s/d for an (h_s, c)-bounded s, and each product q_j d_i of the
+recurrence, are (h_s + g, c + h_d + g)-bounded, by induction on k.  Inputs
+are (M, 0)-bounded and a variable image (1, M)-bounded, so its inverse is
+(1, c)-bounded for c = M + 2 and theta(x_v)^j is (|j|, c)-bounded.  Below t^n,
+``trunc_mul`` then forms norms <= 2M, ``bracket_subst`` <= nM and
+``invert_unit`` (M, 2M)-bounded ones.  In ``apply_endo`` phi(u_i) is
+(M, c)- and epsilon^i (iM, 0)-bounded, so theta(u) stays within
+M + (n - 1)c.  In ``conjugate_chi`` alpha * x is (2M, 0)-bounded and the
+denominator (0, 3M + 2)-bounded, so the quotient is (2M, 3M + 2)-bounded.  In
+``endo_inverse``, induction on i bounds coefficient i of psi's variable images
+by 1 + ic + i^2 M and of its epsilon by ic + (i + 1)^2 M, and a power of such
+an exponent built at order n adds at most (n - 1)c.  Each bound is at most
+S.  A wider packing is as exact, so the floor of 12 only lets calls share the
+``_image_power`` memo, which is keyed on the packing.
 """
 
 from __future__ import annotations
@@ -47,14 +81,22 @@ from functools import lru_cache
 from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
+    PackedSeries,
+    Packing,
     Rational,
     json_int,
     json_shape,
+    largest_exponent,
     monomial_is_unit,
     poly_from_json,
     poly_in_ring,
     poly_to_json,
+    shared_packing,
 )
+
+# the narrowest digit width; two-variable keys below t^64 then stay below
+# 2^30, one digit of a CPython int
+MIN_DIGIT_WIDTH = 12
 
 
 def full_laurent_ring(nvars: int) -> ExponentMonoid:
@@ -156,40 +198,21 @@ class TruncElement:
 def trunc_mul(a: TruncElement, b: TruncElement) -> TruncElement:
     """Product in R[t]/(t^order) by truncated convolution."""
     a._check(b)
-    return _mul_to(a, b, a.order)
+    packing = _packing(a.order, a.nvars, a.coeffs + b.coeffs)
+    return _unpack(packing.pack(a.coeffs).times(packing.pack(b.coeffs), a.order))
 
 
-def _mul_to(a: TruncElement, b: TruncElement, order: int) -> TruncElement:
-    """The product of ``a`` and ``b`` in R[t]/(t^order).
-
-    Both factors need at least ``order`` coefficients; only those below
-    ``order`` are read.
-    """
-    sums = [[] for _ in range(order)]
-    _convolve_into(sums, a.coeffs, b.coeffs)
-    return _summed(sums, a.nvars)
+def _packing(order: int, nvars: int, polys, power: int = 0) -> Packing:
+    """The packing of a call at ``order`` whose inputs are ``polys`` and, for
+    ``_image_power``, the exponent ``power`` (the width rule of the module
+    docstring)."""
+    bound = nvars * max(largest_exponent(polys), abs(power))
+    width = ((order + 1) ** 2 * (bound + 2)).bit_length() + 1
+    return shared_packing(nvars, max(MIN_DIGIT_WIDTH, width))
 
 
-def _convolve_into(sums: list[list], a: tuple[LaurentPoly, ...],
-                   b: tuple[LaurentPoly, ...], shift: int = 0) -> None:
-    """Append each product a_j * b_l to ``sums[shift + j + l]``.
-
-    ``sums[k]`` collects the products that make coefficient k of a truncated
-    element; products at or beyond ``len(sums)`` are neither formed nor kept.
-    """
-    room = len(sums) - shift
-    for j, aj in enumerate(a[:room]):
-        if aj:
-            for l, bl in enumerate(b[: room - j]):
-                if bl:
-                    sums[shift + j + l].append((aj, bl))
-
-
-def _summed(sums: list[list], nvars: int) -> TruncElement:
-    """The truncated element whose coefficient k is the sum of ``sums[k]``."""
-    return TruncElement(len(sums), tuple(
-        LaurentPoly.sum_of_products(nvars, pairs) for pairs in sums
-    ))
+def _unpack(s: PackedSeries) -> TruncElement:
+    return TruncElement(s.order, s.unpack())
 
 
 def truncate_down(a: TruncElement, order: int) -> TruncElement:
@@ -220,42 +243,54 @@ def classify_element(u: TruncElement, ring: ExponentMonoid) -> str:
 def invert_unit(u: TruncElement) -> TruncElement:
     """Inverse of an element whose constant coefficient is a monomial: the
     quotient 1/u of ``_divide``.  Raises ValueError for any other head."""
-    one = LaurentPoly.const(u.nvars, 1)
-    return _divide([[(one, one)]] + [[] for _ in range(u.order - 1)], u)
+    packing = _packing(u.order, u.nvars, u.coeffs)
+    return _unpack(_divide(packing.one(u.order), packing.pack(u.coeffs)))
 
 
-def _divide(sums: list[list], d: TruncElement) -> TruncElement:
-    """The quotient s/d in R[t]/(t^len(sums)), where s_k is the sum of the
-    products in ``sums[k]`` (consumed) and d_0 is a monomial: q_k is one sum
-    of products, scaled by 1/d_0 (see the module docstring)."""
-    if (mono := d.coeffs[0].as_monomial()) is None:
+def _divide(s: PackedSeries, d: PackedSeries) -> PackedSeries:
+    """The quotient s/d in R[t]/(t^n), n the order of ``s`` (consumed), where
+    d_0 is a monomial: q_k is the coefficient of t^k in s - sum_{j<k} q_j d,
+    divided by d_0 (see the module docstring)."""
+    inv = d.head_inverse()
+    if inv is None:
         raise ValueError("constant coefficient is not a monomial unit")
-    exp, head = mono
-    inv = None if head == 1 and not any(exp) else ([-e for e in exp], 1 / head)
-    minus, q = [-dj for dj in d.coeffs[:len(sums)]], []
-    for k, pairs in enumerate(sums):
-        pairs.extend((q[j], minus[k - j]) for j in range(k)
-                     if q[j] and minus[k - j])
-        qk = LaurentPoly.sum_of_products(d.nvars, pairs)
-        q.append(qk if inv is None else qk.mul_monomial(*inv))
-    return TruncElement(len(sums), tuple(q))
+    n = s.order
+    tail = inv.times(d.degree(1, n), n)  # (d - d_0) / d_0
+    q = PackedSeries(s.packing, n, {})
+    for k in range(n):
+        sk = s.degree(k)
+        q.add_product(sk, inv)
+        s.add_product(sk, tail, sign=-1)  # q_k d_j at t^(k+j)
+    return q.finished()
 
 
 def bracket_subst(l: TruncElement, a: TruncElement) -> TruncElement:
-    """Substitute a*t for t in the t-expansion: sum of l_i * a^i * t^i.
-
-    Only orders below n - i of a^i survive the shift by t^i, so a^i is built
-    only that far.
-    """
+    """Substitute a*t for t in the t-expansion: sum of l_i * a^i * t^i."""
     l._check(a)
-    n = l.order
-    sums = [[] for _ in range(n)]
-    apow = TruncElement.one(n, l.nvars)
-    for i, li in enumerate(l.coeffs):
-        if i:
-            apow = a if i == 1 else _mul_to(apow, a, n - i)
-        _convolve_into(sums, (li,), apow.coeffs, i)
-    return _summed(sums, l.nvars)
+    packing = _packing(l.order, l.nvars, l.coeffs + a.coeffs)
+    apows = _powers(packing.pack(a.coeffs), l.order)
+    return _unpack(_bracket(packing.pack(l.coeffs), apows, l.order))
+
+
+def _powers(a: PackedSeries, order: int) -> list[PackedSeries]:
+    """a^0, ..., a^(order-1), each a^i built only below t^(order-i): only
+    those orders survive a shift by t^i."""
+    pows = [a.packing.one(order), a]
+    for i in range(2, order):
+        pows.append(pows[-1].times(a, order - i))
+    return pows[:order]
+
+
+def _bracket(l: PackedSeries, apows: list[PackedSeries], order: int,
+             lag: int = 0) -> PackedSeries:
+    """The sum over i >= lag of l_i * a^(i - lag) * t^i below t^order, for
+    the powers ``apows`` of a (``_powers`` at this order or above).  Lag 0 is
+    the bracket of ``bracket_subst``; lag 1 is t times the bracket of
+    (l - l_0) / t."""
+    out = PackedSeries(l.packing, order, {})
+    for i in range(lag, order):
+        out.add_product(l.degree(i), apows[i - lag])
+    return out.finished()
 
 
 # -- endomorphisms ------------------------------------------------------
@@ -334,67 +369,78 @@ def chi_morphism(order: int, y: TruncElement) -> RingMorphism:
     return RingMorphism(order, images, y)
 
 
+def _coefficients(theta: RingMorphism) -> tuple[LaurentPoly, ...]:
+    """Every coefficient of the variable images and of epsilon."""
+    return sum((img.coeffs for img in theta.variable_images),
+               theta.epsilon.coeffs)
+
+
 # powers are reused within one computation; fresh morphisms evict old ones,
 # and a key's morphism hashes its coefficients once (``RingMorphism._hash``)
 @lru_cache(maxsize=4096)
-def _image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
-    """theta(x_v)^k as one product of its two cached halves.
+def _image_power(theta: RingMorphism, v: int, k: int,
+                 packing: Packing | None = None) -> PackedSeries:
+    """theta(x_v)^k as one product of its two cached halves, packed with
+    ``packing`` (by default, the packing of theta and k).
 
     Negative powers build on the cached inverse; the recursion is log |k| deep.
     """
+    if packing is None:
+        packing = _packing(theta.order, theta.nvars, _coefficients(theta), k)
+        return _image_power(theta, v, k, packing)
+    n = theta.order
     if k == 0:
-        return TruncElement.one(theta.order, theta.nvars)
-    if k == 1:
-        return theta.variable_images[v]
-    if k == -1:
-        return invert_unit(theta.variable_images[v])
+        return packing.one(n)
+    if k in (1, -1):
+        image = packing.pack(theta.variable_images[v].coeffs)
+        return image if k == 1 else _divide(packing.one(n), image)
     part = k // 2
-    return trunc_mul(_image_power(theta, v, part),
-                     _image_power(theta, v, k - part))
+    return _image_power(theta, v, part, packing).times(
+        _image_power(theta, v, k - part, packing), n)
 
 
-def _phi_poly(theta: RingMorphism, p: LaurentPoly,
-              order: int | None = None) -> TruncElement:
+def _phi_poly(theta: RingMorphism, p: LaurentPoly, order: int | None = None,
+              packing: Packing | None = None) -> PackedSeries:
     """Apply the function part of the morphism to a Laurent polynomial.
 
-    The image lives in R[t]/(t^order), by default the morphism's order.
+    The image lives in R[t]/(t^order), by default the morphism's order, and
+    is packed with ``packing`` (by default, the packing of theta and p).
     """
+    if p.nvars != theta.nvars:
+        raise ValueError("variable count mismatch")
     n = theta.order if order is None else order
-    sums = [[] for _ in range(n)]
-    for exp, scalar in p._scalar_terms():
+    if packing is None:
+        packing = _packing(theta.order, theta.nvars, _coefficients(theta) + (p,))
+    out = PackedSeries(packing, n, {})
+    for exp, scalar in packing.scalar_terms(p):
         term = None  # the product of the variable images' powers
         for v, e in enumerate(exp):
             if e:
-                power = _image_power(theta, v, e)
-                term = power if term is None else _mul_to(term, power, n)
-        if term is None:
-            term = TruncElement.one(n, theta.nvars)
-        _convolve_into(sums, term.coeffs, (scalar,))
-    return _summed(sums, theta.nvars)
+                power = _image_power(theta, v, e, packing)
+                term = power if term is None else term.times(power, n)
+        out.add_product(packing.one(n) if term is None else term, scalar)
+    return out.finished()
 
 
 def apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
     """Image of a truncated element under the endomorphism.
 
     theta(u) is the sum over i of phi(u_i) * epsilon^i * t^i, so slice i is
-    built only below order n - i; coefficient k of the image is one sum of
-    products over all slices.
+    built only below order n - i; the slices are summed in one packed element.
     """
     if u.order != theta.order:
         raise ValueError("element and morphism orders differ")
     if u.nvars != theta.nvars:
         raise ValueError("variable count mismatch")
     n = theta.order
-    sums = [[] for _ in range(n)]
-    eps_pow = TruncElement.one(n, theta.nvars)
-    for i in range(n):
-        if i:
-            eps_pow = (theta.epsilon if i == 1
-                       else _mul_to(eps_pow, theta.epsilon, n - i))
-        if u.coeffs[i]:
-            phi = _phi_poly(theta, u.coeffs[i], n - i)
-            _convolve_into(sums, phi.coeffs, eps_pow.coeffs, i)
-    return _summed(sums, theta.nvars)
+    packing = _packing(n, theta.nvars, _coefficients(theta) + u.coeffs)
+    eps_pows = _powers(packing.pack(theta.epsilon.coeffs), n)
+    out = PackedSeries(packing, n, {})
+    for i, ui in enumerate(u.coeffs):
+        if ui:
+            phi = _phi_poly(theta, ui, n - i, packing)
+            out.add_product(phi, eps_pows[i], i)
+    return _unpack(out.finished())
 
 
 def compose_endo(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
@@ -450,10 +496,9 @@ def endo_inverse(theta: RingMorphism) -> RingMorphism:
     if classify_endo(theta) != "iso":
         raise ValueError("endomorphism is not invertible")
     n, nvars = theta.order, theta.nvars
-    # eps_pows[i] is epsilon^i below order n - i, as far as slice i is read
-    eps_pows = [TruncElement.one(n, nvars), theta.epsilon]
-    for i in range(2, n - 1):
-        eps_pows.append(_mul_to(eps_pows[-1], theta.epsilon, n - i))
+    packing = _packing(n, nvars, _coefficients(theta))
+    # epsilon^i below order n - i, as far as slice i is read
+    eps_pows = _powers(packing.pack(theta.epsilon.coeffs), n)
     images = tuple(_inverse_part(theta, eps_pows, LaurentPoly.var(nvars, v),
                                  0, n) for v in range(nvars))
     # theta(x) * epsilon = 1: slice i of x is phi(x_i) * epsilon^(i + 1)
@@ -466,17 +511,18 @@ def endo_inverse(theta: RingMorphism) -> RingMorphism:
     return psi
 
 
-def _inverse_part(theta: RingMorphism, eps_pows: list[TruncElement],
+def _inverse_part(theta: RingMorphism, eps_pows: list[PackedSeries],
                   head: LaurentPoly, shift: int, order: int) -> TruncElement:
     """The p with p_0 = ``head`` at which coefficients 1..order-1 of
-    sum_i phi(p_i) * epsilon^(i + shift) * t^i vanish.  Slice i is queued
+    sum_i phi(p_i) * epsilon^(i + shift) * t^i vanish.  Slice i is added
     once p_i is known; slice k starts with p_k * eps0^(k + shift)."""
-    eps0, sums, p = theta.epsilon.coeffs[0], [[] for _ in range(order)], [head]
+    packing, eps0 = eps_pows[0].packing, theta.epsilon.coeffs[0]
+    slices, p = PackedSeries(packing, order, {}), [head]
     for i in range(order - 1):
         if p[i]:
-            phi = _phi_poly(theta, p[i], order - i)
-            _convolve_into(sums, phi.coeffs, eps_pows[i + shift].coeffs, i)
-        ek = LaurentPoly.sum_of_products(theta.nvars, sums[i + 1])
+            phi = _phi_poly(theta, p[i], order - i, packing)
+            slices.add_product(phi, eps_pows[i + shift], i)
+        ek = slices.degree(i + 1).unpack()[i + 1]
         p.append(-ek * eps0.power(-(i + 1 + shift)) if ek else ek)
     return TruncElement(order, tuple(p))
 
@@ -486,37 +532,37 @@ def conjugate_chi(theta: RingMorphism, x: LaurentPoly,
     """Conjugate by the t-rescalings: chi_(alpha*x) o theta o chi_(1/x).
 
     ``x`` must be a single monomial and ``alpha`` a unit one order below the
-    morphism.  Returns the closed-form result; callers can cross-check it
-    against the literal three-fold composition.
+    morphism, both in the morphism's variables.  Returns the closed-form
+    result; callers can cross-check it against the literal three-fold
+    composition.
     """
     mono = x.as_monomial()
     if mono is None:
         raise ValueError("conjugation requires a monomial rescaling")
+    if x.nvars != theta.nvars or alpha.nvars != theta.nvars:
+        raise ValueError("variable count mismatch")
     if alpha.order != theta.order - 1:
         raise ValueError("alpha must live one truncation order lower")
     if alpha.coeffs[0].as_monomial() is None:
         raise ValueError("alpha must be a unit")
-    n, nvars = theta.order, theta.nvars
-
-    y = alpha.scale_poly(x)            # the combined rescaling, order n-1
-    y_n = y.lift(n)
-
-    images = tuple(
-        bracket_subst(img, y_n) for img in theta.variable_images
-    )
-
-    # mu = (phi(x) - x) / t is read below t^(n-2): its top stays zero
-    phi_x = _phi_poly(theta, x, n - 1)
-    mu = TruncElement(n - 1, phi_x.coeffs[1:] + (LaurentPoly.zero(nvars),))
-    eps_b = bracket_subst(theta.epsilon, y)
-    mu_b = bracket_subst(mu, y)
-    # t * mu_b * alpha at order n - 1 reads mu_b * alpha below t^(n-2) only
-    sums = [[] for _ in range(n - 1)]
-    _convolve_into(sums, mu_b.coeffs, alpha.coeffs, 1)
-    denom = TruncElement.one(n - 1, nvars) + _summed(sums, nvars)
-    sums = [[] for _ in range(n - 1)]  # eps * denom = alpha * eps_b
-    _convolve_into(sums, alpha.coeffs, eps_b.coeffs)
-    return RingMorphism(n, images, _divide(sums, denom))
+    n = theta.order
+    packing = _packing(n, theta.nvars,
+                       _coefficients(theta) + alpha.coeffs + (x,))
+    a = packing.pack(alpha.coeffs)
+    # the powers of the combined rescaling y = alpha * x, shared by every
+    # bracket below
+    ypows = _powers(a.times(packing.pack((x,)), n - 1), n)
+    images = tuple(_unpack(_bracket(packing.pack(img.coeffs), ypows, n))
+                   for img in theta.variable_images)
+    eps_b = _bracket(packing.pack(theta.epsilon.coeffs), ypows, n - 1)
+    # mu = (phi(x) - x) / t, and t * mu_b is the lag-1 bracket of phi(x);
+    # at order n - 1 it reads phi(x) below t^(n-1) alone
+    t_mu_b = _bracket(_phi_poly(theta, x, n - 1, packing), ypows, n - 1, 1)
+    denom = packing.one(n - 1)  # 1 + t * mu_b * alpha
+    denom.add_product(t_mu_b, a)
+    s = PackedSeries(packing, n - 1, {})  # eps * denom = alpha * eps_b
+    s.add_product(a, eps_b)
+    return RingMorphism(n, images, _unpack(_divide(s, denom.finished())))
 
 
 def conjugate_chi_composed(theta: RingMorphism, x: LaurentPoly,

@@ -359,6 +359,32 @@ def order3_family():
     )
 
 
+def test_transition_leaving_its_overlap_ring_is_reported():
+    """The failure strings name the generator, the pair and the first order
+    at which its image leaves the overlap ring."""
+    atlas = order3_family().atlas
+    lam, mu = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+    zero = LaurentPoly.zero(2)
+    theta01 = RingMorphism(3, (
+        TruncElement(3, (lam, mono((-4, 1)), zero)),
+        TruncElement(3, (mu, zero, mono((3, -5)))),
+    ), TruncElement(2, (mono((3, 0)), zero)))
+    theta12 = RingMorphism(3, (
+        TruncElement(3, (lam, zero, mono((-2, 0)))),
+        TruncElement(3, (mu, zero, zero)),
+    ), TruncElement(2, (mono((0, 3)) + mono((1, 0)), mono((0, 4)))))
+    report = validate_transition_spec(TransitionSpec(
+        atlas, {("U0", "U1"): theta01, ("U1", "U2"): theta12}))
+    assert not report.ok
+    assert report.failures == [
+        "transition on (U0,U1): image of lam leaves the overlap ring at order 1",
+        "transition on (U0,U1): image of lam^-1 leaves the overlap ring at "
+        "order 1",
+        "transition on (U1,U2): epsilon is not a unit of the overlap ring",
+        "transition on (U1,U2): image of lam leaves the overlap ring at order 2",
+    ]
+
+
 def test_order_three_reduced_blowup():
     ts = order3_family()
     assert validate_transition_spec(ts).ok

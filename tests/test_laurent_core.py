@@ -16,6 +16,7 @@ from pms import laurent_core as lc
 from pms.laurent_core import (
     ExponentMonoid,
     LaurentPoly,
+    PackedSeries,
     format_rational,
     json_int,
     json_shape,
@@ -28,6 +29,7 @@ from pms.laurent_core import (
     poly_from_json,
     poly_in_ring,
     poly_to_json,
+    shared_packing,
 )
 
 LAM = LaurentPoly.var(2, 0)
@@ -278,6 +280,34 @@ def test_arithmetic_matches_the_fraction_reference():
             assert dict(got.items()) == want
             assert list(got.items()) == sorted(want.items())
             assert_canonical(got)
+
+
+def test_packed_products_match_sum_of_products():
+    """The packed product loop against ``sum_of_products``: coefficient k of
+    a * b + sign * c * d * t^shift below t^order is one sum of products over
+    the index pairs that reach k.  At width 4 a digit holds |e[v]| <= 7, and
+    the products reach |e[v]| = 6."""
+    rng = random.Random(20261019)
+    for case in range(150):
+        nvars, order = 1 + case % 3, rng.randint(1, 3)
+        packing = shared_packing(nvars, 4)
+        a, b, c, d = ([LaurentPoly(nvars, ref_terms(rng, nvars, span=3))
+                       for _ in range(order)] for _ in range(4))
+        shift, sign = rng.randrange(order), rng.choice((1, -1))
+        if case % 5 == 0:  # a sum that cancels to zero
+            c, d, shift, sign = a, b, 0, -1
+        acc = PackedSeries(packing, order, {})
+        acc.add_product(packing.pack(tuple(a)), packing.pack(tuple(b)))
+        acc.add_product(packing.pack(tuple(c)), packing.pack(tuple(d)),
+                        shift, sign)
+        for k, got in enumerate(acc.finished().unpack()):
+            pairs = [(a[j], b[k - j]) for j in range(k + 1)]
+            pairs += [(c[j].scale(sign), d[k - shift - j])
+                      for j in range(k - shift + 1)]
+            assert got == LaurentPoly.sum_of_products(nvars, pairs)
+            assert_canonical(got)
+            if case % 5 == 0:
+                assert got.is_zero() and got._den == 1
 
 
 def test_partial_derivative_example():

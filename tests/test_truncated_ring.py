@@ -14,6 +14,7 @@ from pms.truncated_ring import (
     TruncElement,
     _image_power,
     _phi_poly,
+    _unpack,
     apply_endo,
     bracket_subst,
     chi_morphism,
@@ -273,6 +274,27 @@ def test_conjugate_chi_rejects_bad_input():
         conjugate_chi(theta, LAM, el(LAM + ONE, ZERO))
 
 
+def test_variable_count_mismatches_raise():
+    """Each entry point refuses inputs in another variable count before it
+    computes anything, and phi refuses a polynomial of another count."""
+    theta = random_morphism(random.Random(1), 3)  # two variables
+    alpha = el(LAM, MU + ONE)
+    lam3 = LaurentPoly.var(3, 0)
+    one3 = TruncElement.one(3, 3)
+    assert conjugate_chi(theta, MU, alpha).nvars == 2  # the valid call
+    mismatched = [
+        lambda: conjugate_chi(theta, lam3, alpha),
+        lambda: conjugate_chi(theta, MU, TruncElement(2, (lam3, lam3))),
+        lambda: apply_endo(theta, one3),
+        lambda: trunc_mul(el(LAM, MU, ONE), one3),
+        lambda: bracket_subst(el(LAM, MU, ONE), one3),
+        lambda: _phi_poly(theta, lam3),
+    ]
+    for call in mismatched:
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            call()
+
+
 def test_chi_morphism_is_bracket():
     rng = random.Random(3)
     y = random_element(rng, 2)
@@ -484,14 +506,16 @@ def test_truncated_calculus_matches_full_order_reference(
     assert bracket_subst(u, w) == ref_bracket_subst(u, w)
     p = sparse_poly(rng, nvars, terms=3)
     for k in range(1, order + 1):
-        assert _phi_poly(theta, p, k) == truncate_down(ref_phi_poly(theta, p), k)
+        assert _unpack(_phi_poly(theta, p, k)) == truncate_down(
+            ref_phi_poly(theta, p), k)
     # the truncation fact: order k of theta(u) reads orders 0..k-1 alone
     for k in range(2, order + 1):
         assert truncate_down(image, k) == apply_endo(
             truncate_morphism(theta, k), truncate_down(u, k))
     for v in range(nvars):
         for k in range(-4, 5):
-            assert _image_power(theta, v, k) == ref_image_power(theta, v, k)
+            assert _unpack(_image_power(theta, v, k)) == ref_image_power(
+                theta, v, k)
     if eps_kind == "unit":
         assert endo_inverse(theta) == ref_endo_inverse(theta)
     # the closed-form conjugation against the composed oracle, and the
@@ -520,10 +544,51 @@ def test_high_image_powers_match_the_repeated_product():
     rng = random.Random(5)
     theta = sparse_morphism(rng, 3, 1, "unit")
     for k in (65, 70, -66):
-        assert _image_power(theta, 0, k) == ref_image_power(theta, 0, k)
+        assert _unpack(_image_power(theta, 0, k)) == ref_image_power(
+            theta, 0, k)
     # deep exponents stay within the recursion limit
     x = LaurentPoly.monomial(2, (3000, -2000))
-    assert _phi_poly(identity_morphism(3, 2), x) == TruncElement.from_poly(3, x)
+    assert _unpack(_phi_poly(identity_morphism(3, 2), x)) == (
+        TruncElement.from_poly(3, x))
+
+
+def test_wide_exponents_keep_their_digits():
+    """Three-variable images with exponents near +-2^40: the products' digits
+    pass 2^40, so at a digit width of 32 or 41 their keys would carry or
+    borrow into the next variable.  The calculus still matches the reference,
+    for the powers -3..3 of every image."""
+    rng = random.Random(2 ** 40)
+
+    def wide(coeff=1) -> LaurentPoly:
+        exp = [rng.choice((2 ** 40 - rng.randint(0, 2), 1 - 2 ** 40,
+                           rng.randint(-2, 2))) for _ in range(3)]
+        return LaurentPoly.monomial(3, exp, coeff)
+
+    def small() -> LaurentPoly:
+        return sparse_poly(rng, 3, terms=3).mul_monomial(
+            (rng.randint(-1, 1),) * 3)
+
+    images = tuple(TruncElement(3, (LaurentPoly.var(3, v), wide(-2),
+                                    wide() + wide(Fraction(1, 3))))
+                   for v in range(3))
+    theta = RingMorphism(3, images, TruncElement(2, (wide(Fraction(2, 3)),
+                                                     wide())))
+    u = TruncElement(3, (small(), small(), small()))
+    assert apply_endo(theta, u) == ref_apply_endo(theta, u)
+    for v in range(3):
+        for k in range(-3, 4):
+            assert _unpack(_image_power(theta, v, k)) == ref_image_power(
+                theta, v, k)
+        assert invert_unit(images[v]) == ref_invert_unit(images[v])
+    assert invert_unit(theta.epsilon) == ref_invert_unit(theta.epsilon)
+    # the reference inverse applies theta to its candidate, so its wide
+    # exponents sit where no candidate coefficient feeds back: t^2 of the
+    # images and t^1 of epsilon
+    theta = RingMorphism(3, tuple(
+        TruncElement(3, (LaurentPoly.var(3, v), small(), wide() + small()))
+        for v in range(3)), TruncElement(2, (
+            LaurentPoly.monomial(3, (1, -1, 0), Fraction(2, 3)), wide())))
+    assert endo_inverse(theta) == ref_endo_inverse(theta)
 
 
 def test_morphism_hash_is_cached_out_of_sight():
@@ -553,6 +618,6 @@ def test_morphism_hash_is_cached_out_of_sight():
     _image_power.cache_clear()
     for v in range(2):
         for k in (-3, -1, 2, 5):
-            power = _image_power(a, v, k)
-            assert _image_power(built(), v, k) == power
+            power = _unpack(_image_power(a, v, k))
+            assert _unpack(_image_power(built(), v, k)) == power
             assert power == ref_image_power(built(), v, k)
