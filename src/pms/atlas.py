@@ -25,6 +25,16 @@ overlap ring, and a vector-field entry must map the overlap ring into itself
 (it suffices to check the image of each monoid generator).  Cocycle data
 naming a chart outside the atlas is rejected with ``ValueError``.
 
+These checks read supports and monomial data in one pass and build no
+polynomial.  Every bundle entry is a monomial c x^e, so a triple identity
+is checked on exponent sums and on cross-multiplied numerators and
+denominators.  The image of a generator x^g under a vector-field entry has
+its support among the shifted supports e + g - e_v of the entry's
+coefficients (``derivation_failures``); an exact coefficient is summed only
+at a shifted exponent outside the ring, where terms may cancel.  Membership
+of the int tuples built here goes through ``ExponentMonoid._has``, which
+skips the re-validation of the public ``contains``.
+
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
 a twisted vector-field cocycle; its order-two transition endomorphisms feed
 the truncated-ring calculus.
@@ -35,6 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, sub
 from typing import Sequence
 
 from .laurent_core import (
@@ -148,7 +159,7 @@ class Atlas:
                 ov = self.overlap(c.name, d.name)
                 for side in (c, d):
                     for g in side.ring.generators:
-                        if not ov.contains(g):
+                        if not ov._has(g):
                             out.append(
                                 f"overlap {c.name},{d.name} does not contain "
                                 f"generator {list(g)} of chart {side.name}"
@@ -357,23 +368,36 @@ def _mult_check(
                 f"cocycle {c.name}: entry on ({i},{j}) is inconsistent with "
                 f"the rest of the data"
             )
+    # every entry is a monomial c x^e (``MultCocycle`` and the fold keep
+    # them so), as (e, numerator, denominator) with the denominator > 0
+    mono = {}
+    for pair, entry in full.items():
+        exp, coeff = entry.as_monomial()
+        mono[pair] = exp, coeff.numerator, coeff.denominator
     names = atlas.chart_names()
     for i in names:
         for j in names:
+            if j == i:
+                continue
+            e1, n1, d1 = mono[(i, j)]
             for k in names:
-                if len({i, j, k}) == 3:
-                    if full[(i, j)] * full[(j, k)] != full[(i, k)]:
-                        failures.append(
-                            f"cocycle {c.name}: triple identity fails on "
-                            f"({i},{j},{k})"
-                        )
-    for (i, j), entry in full.items():
+                if k == i or k == j:
+                    continue
+                # c x^e c' x^e' = c'' x^e'': exponent sums, and the
+                # coefficients cross-multiplied
+                e2, n2, d2 = mono[(j, k)]
+                e3, n3, d3 = mono[(i, k)]
+                if n1 * n2 * d3 != n3 * d1 * d2 or tuple(map(add, e1, e2)) != e3:
+                    failures.append(
+                        f"cocycle {c.name}: triple identity fails on "
+                        f"({i},{j},{k})"
+                    )
+    for (i, j), (exp, _, _) in mono.items():
         if i > j:
             continue
         ring = atlas.overlap(i, j)
-        exp, _ = entry.as_monomial()
         neg = tuple(-x for x in exp)
-        if not (ring.contains(exp) and ring.contains(neg)):
+        if not (ring._has(exp) and ring._has(neg)):
             failures.append(
                 f"cocycle {c.name}: entry {monomial_str(exp, atlas.variables)}"
                 f" on ({i},{j}) is not a unit of the overlap ring"
@@ -385,19 +409,30 @@ def derivation_failures(
     comps: tuple[LaurentPoly, ...], ring: ExponentMonoid,
     variables: tuple[str, ...],
 ) -> list[str]:
-    """Generators of ``ring`` not preserved by sum(comps[v] * d/dv)."""
-    bad = []
+    """Generators of ``ring`` not preserved by sum(comps[v] * d/dv).
+
+    The image of x^g, sum(g[v] * x^(g - e_v) * comps[v]), has its support
+    among the shifted supports e + g - e_v of the comps.  A shifted exponent
+    inside the ring needs nothing more; only at one outside it is the image's
+    coefficient summed, since the terms landing there may cancel.
+    """
     nvars = len(variables)
+    if (ring.nvars != nvars or len(comps) != nvars
+            or any(comp.nvars != nvars for comp in comps)):
+        raise ValueError(
+            "variable count mismatch between field, ring and variables"
+        )
+    supports = [comp.support() for comp in comps]
+    bad = []
     for g in ring.generators:
-        image = LaurentPoly.zero(nvars)
-        for v in range(nvars):
-            if g[v] == 0:
-                continue
-            shift = list(g)
-            shift[v] -= 1
-            image = image + comps[v].mul_monomial(tuple(shift), g[v])
-        if not all(ring.contains(e) for e in image.support()):
-            bad.append(monomial_str(g, variables))
+        moves = [(v, g[:v] + (g[v] - 1,) + g[v + 1:])
+                 for v in range(nvars) if g[v]]
+        for f in {tuple(map(add, e, d)) for v, d in moves for e in supports[v]}:
+            if not ring._has(f) and sum(
+                g[v] * comps[v].coefficient(map(sub, f, d)) for v, d in moves
+            ):
+                bad.append(monomial_str(g, variables))
+                break
     return bad
 
 

@@ -564,6 +564,11 @@ class ExponentMonoid:
             self.generators, _exponent(exp, self.nvars)
         )
 
+    def _has(self, exp: Exponent) -> bool:
+        """``contains`` for internal callers: ``exp`` must already be a tuple
+        of ``nvars`` ints (unchecked)."""
+        return _monoid_contains_cached(self.generators, exp)
+
     def extend_vars(self, nvars: int) -> ExponentMonoid:
         """Embed into a larger variable list, adding the new unit directions."""
         if nvars < self.nvars:

@@ -116,6 +116,24 @@ class LinearSolver:
     def rank(self) -> int:
         return len(self.pivot_order)
 
+    def copy(self) -> LinearSolver:
+        """A solver holding the same rows, to which rows can be added apart.
+
+        Stored rows are never modified (see the module docstring), so the
+        copy shares them and copies only the containers: adding rows to one
+        solver leaves the other's pivots, rank and ``originals`` as they
+        were, and each ``solve`` still re-verifies against all its own
+        originals.
+        """
+        other = LinearSolver()
+        other.pivot_rows = dict(self.pivot_rows)
+        other.pivot_rhs = dict(self.pivot_rhs)
+        other.pivot_order = list(self.pivot_order)
+        other.pivot_index = dict(self.pivot_index)
+        other.originals = list(self.originals)
+        other.inconsistent = self.inconsistent
+        return other
+
     def _reduce(self, row: IntRow, rhs: int) -> tuple[IntRow, int]:
         # pivots go in creation order; a pivot row only brings in later
         # pivots, so each is eliminated at most once

@@ -66,6 +66,7 @@ from .laurent_core import (
     monomial_str,
 )
 from .linear import (
+    LinearSolver,
     box_labels,
     derivation_conditions,
     forced_by_singletons,
@@ -714,6 +715,15 @@ def solve_pullback_family(
     pairs with it to 0, and summing c * row[label] per vector over each
     row's labels reads every pairing that a full scan would.
 
+    Route two's free parameters and the relations among its named
+    coefficients come from ``_free_parameters``: one solve for the base
+    solution and one per free parameter, each on a copy of route two's
+    reduced solver with the pin rows added, and each re-verified against
+    every row.  When every free parameter is c0 or R0, the family is then
+    checked against ``make_blown_plane`` (``_check_against_constructor``):
+    its member at canonical parameter values must pass
+    ``validate_double_scheme``, on every call.
+
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
     p); other inputs raise ValueError.
@@ -771,22 +781,9 @@ def solve_pullback_family(
             f"ansatz route {dim_named}"
         )
 
-    # canonical free parameters: greedy rank-increasing pins, each set to 0
-    pins: list[tuple] = []
-    for label in named_labels:
-        if not named_solver.spans({label: 1}):
-            named_solver.add_equation({label: 1}, 0)
-            pins.append(label)
+    pins, base, directions = _free_parameters(named_solver, named_labels)
     if len(pins) != dim_named:  # pragma: no cover
         raise AssertionError("free-parameter selection failed")
-
-    def pinned_solution(one):
-        """The solution with pin ``one`` set to 1 and the other pins to 0."""
-        pin_rows = (({lb: 1}, int(lb == one)) for lb in pins)
-        return solve_rows(itertools.chain(named_rows, pin_rows)).solve()
-
-    base = named_solver.solve()
-    directions = {pin: pinned_solution(pin) for pin in pins}
     relations, zeros = [], []
     for label in named_labels:
         if label in pins:
@@ -823,6 +820,34 @@ def solve_pullback_family(
     )
     _check_against_constructor(desc)
     return desc
+
+
+def _free_parameters(
+    solver: LinearSolver, labels: list[tuple],
+) -> tuple[list[tuple], dict, dict]:
+    """Canonical free parameters of ``solver``'s system and its solutions.
+
+    The pins are the greedy rank-increasing ``labels``.  Returns the pins,
+    the solution with every pin 0, and per pin the solution with that pin 1
+    and the others 0.  Each solution solves a copy of ``solver`` with the pin
+    rows added; ``solver`` itself is left as it was.  Stored rows are never
+    modified, so the copies share them instead of eliminating the system
+    again, and each ``solve`` still re-verifies against every original row,
+    the system's and the pins'.
+    """
+    pinned = solver.copy()
+    pins = []
+    for label in labels:
+        if not pinned.spans({label: 1}):
+            pinned.add_equation({label: 1}, 0)
+            pins.append(label)
+    directions = {}
+    for one in pins:
+        direction = solver.copy()
+        for label in pins:
+            direction.add_equation({label: 1}, int(label == one))
+        directions[one] = direction.solve()
+    return pins, pinned.solve(), directions
 
 
 def _check_against_constructor(desc: FamilyDescription) -> None:

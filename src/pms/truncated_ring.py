@@ -323,8 +323,8 @@ class RingMorphism:
         for v, img in enumerate(self.variable_images):
             if img.order != self.order or img.nvars != nvars:
                 raise ValueError("variable image has wrong order or variables")
-            expected = LaurentPoly.var(nvars, v)
-            if img.coeffs[0] != expected:
+            unit = (0,) * v + (1,) + (0,) * (nvars - v - 1)
+            if img.coeffs[0].as_monomial() != (unit, 1):
                 raise ValueError(
                     f"image of variable {v} must have constant coefficient "
                     f"equal to the variable"

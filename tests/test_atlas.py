@@ -480,3 +480,195 @@ def test_validation_is_not_memoised():
         report = validate_double_scheme(DoubleSchemeSpec(atlas, bad, spec.D))
         assert not report.ok
         assert report.failures[0] == "bundle cocycle invalid"
+
+
+# -- failure reports on a fixed corpus of broken inputs ------------------
+
+
+def triple_failures(name, triples):
+    return [f"cocycle {name}: triple identity fails on ({t})"
+            for t in triples.split()]
+
+
+def broken_fold(real):
+    """``_fold_mult`` with (r1, r0) scaled by 2/3 and the entry on (r2, r3),
+    (r2, r0) on three charts, shifted by the first variable."""
+    def fold(names, nvars, entries):
+        full = dict(real(names, nvars, entries))
+        full[names[1], names[0]] = full[names[1], names[0]].scale(Fraction(2, 3))
+        pair = (names[2], names[3] if len(names) > 3 else names[0])
+        full[pair] = full[pair].mul_monomial((1,) + (0,) * (nvars - 1))
+        return full
+    return fold
+
+
+BLOWN_TRIPLES = (
+    ["bundle cocycle invalid",
+     "cocycle beta_-3_1: entry on (W2,W3) is inconsistent with the rest of "
+     "the data"]
+    + triple_failures(
+        "beta_-3_1",
+        "W0,W2,W3 W1,W0,W2 W1,W0,W3 W1,W2,W0 W1,W2,W3 W1,W3,W0 W2,W0,W3 "
+        "W2,W1,W0 W2,W1,W3 W2,W3,W0 W2,W3,W1 W3,W1,W0",
+    )
+)
+
+
+def corpus_reports():
+    """Each broken input of the corpus, with its ``validate_double_scheme``
+    report's failures."""
+    plane = make_p2(-3, nontrivial=True)
+    blown = make_blown_plane(-3, 1, Fraction(2, 3))
+    carpet = build_carpet("symbolic")
+    zero = LaurentPoly.zero(2)
+    out = {}
+    alpha = MultCocycle("alpha", {**plane.alpha.data, ("U0", "U2"): mono((1, 0))})
+    out["bundle entry"] = DoubleSchemeSpec(plane.atlas, alpha, plane.D)
+    field = VectorFieldCocycle({**plane.D.data, ("U0", "U2"): (mono((1, 1)), zero)})
+    out["field entry"] = DoubleSchemeSpec(plane.atlas, plane.alpha, field)
+    field = VectorFieldCocycle({
+        **plane.D.data,
+        ("U0", "U1"): (mono((0, 2)), mono((-2, 3), Fraction(-1, 2))),
+    })
+    out["non-preserving"] = DoubleSchemeSpec(plane.atlas, plane.alpha, field)
+    c = MultCocycle("c", {("U0", "U1"): mono((0, 3)),
+                          ("U1", "U2"): mono((0, 3), 2)})
+    out["non-unit"] = DoubleSchemeSpec(plane.atlas, c, plane.D)
+    at = blown.atlas
+    overlaps = {
+        **at.overlaps,
+        ("W0", "W3"): ExponentMonoid(2, ((-1, 0), (-1, -1))),
+        ("W1", "W2"): ExponentMonoid(2, ((1, 0), (0, -1))),
+    }
+    small = Atlas(at.variables, at.truncation_order, at.charts, overlaps,
+                  at.frames, at.residue_scale)
+    out["small overlap"] = DoubleSchemeSpec(small, blown.alpha, blown.D)
+    charts = tuple(
+        Chart(ch.name, ExponentMonoid(2, ch.ring.generators + ((-1, 2),)))
+        if ch.name == "W2" else ch
+        for ch in at.charts
+    )
+    wide = Atlas(at.variables, at.truncation_order, charts, dict(at.overlaps),
+                 at.frames, at.residue_scale)
+    out["wide chart"] = DoubleSchemeSpec(wide, blown.alpha, blown.D)
+    key = sorted(carpet.D.data)[0]
+    a, b, s = carpet.D.data[key]
+    b = b + LaurentPoly.monomial(3, (0, 3, 1), 5)
+    field = VectorFieldCocycle({**carpet.D.data, key: (a, b, s)})
+    out["symbolic field"] = DoubleSchemeSpec(carpet.atlas, carpet.alpha, field)
+    return {name: validate_double_scheme(spec).failures
+            for name, spec in out.items()}
+
+
+def test_broken_inputs_report_the_same_failures():
+    """Failure strings and their order, pinned on a fixed corpus."""
+    u12 = "vector-field entry on (U1,U2) does not preserve the overlap ring"
+    u01 = "vector-field entry on (U0,U1) does not preserve the overlap ring"
+    u02 = "vector-field entry on (U0,U2) does not preserve the overlap ring"
+    assert corpus_reports() == {
+        "bundle entry": [
+            "bundle cocycle invalid",
+            "cocycle alpha: entry on (U1,U2) is inconsistent with the rest of "
+            "the data",
+            "cocycle alpha: entry lam on (U0,U2) is not a unit of the overlap "
+            "ring",
+            "cocycle alpha: entry lam^-2 on (U1,U2) is not a unit of the "
+            "overlap ring",
+        ],
+        "field entry": [
+            "vector-field entry on (U1,U2) is inconsistent with the rest of "
+            "the data",
+            f"{u12}: image of lam falls outside",
+            f"{u12}: image of mu falls outside",
+            f"{u12}: image of mu^-1 falls outside",
+        ],
+        "non-preserving": [
+            f"{u01}: image of lam falls outside",
+            f"{u01}: image of lam^-1 falls outside",
+            f"{u01}: image of mu^-1 falls outside",
+            f"{u02}: image of lam^-1*mu^-1 falls outside",
+            f"{u02}: image of lam*mu falls outside",
+        ],
+        "non-unit": [
+            "bundle cocycle invalid",
+            "cocycle c: entry mu^3 on (U0,U1) is not a unit of the overlap ring",
+            "cocycle c: entry mu^6 on (U0,U2) is not a unit of the overlap ring",
+        ],
+        "small overlap": [
+            "overlap W0,W3 does not contain generator [1, 1] of chart W3",
+            "overlap W1,W2 does not contain generator [0, 1] of chart W2",
+            "bundle cocycle invalid",
+            "cocycle beta_-3_1: entry lam^2*mu^2 on (W0,W3) is not a unit of "
+            "the overlap ring",
+            "cocycle beta_-3_1: entry mu^2 on (W1,W2) is not a unit of the "
+            "overlap ring",
+        ],
+        "wide chart": [
+            "overlap W1,W2 does not contain generator [-1, 2] of chart W2",
+        ],
+        "symbolic field": [
+            "vector-field entry on (W0,W1) does not preserve the overlap ring: "
+            "image of mu^-1 falls outside",
+        ],
+    }
+
+
+def test_a_broken_fold_fails_the_triple_identities(monkeypatch):
+    """A family that breaks the triple identity by a coefficient or by an
+    exponent, on three charts and on four in two and three variables."""
+    monkeypatch.setattr(atlas_module, "_fold_mult",
+                        broken_fold(atlas_module._fold_mult))
+    plane = make_p2(-3, nontrivial=True)
+    plane_failures = triple_failures(
+        "O_-3", "U1,U0,U2 U1,U2,U0 U2,U0,U1 U2,U1,U0"
+    )
+    assert validate_mult_cocycle(plane.atlas, plane.alpha).failures == (
+        plane_failures
+    )
+    assert validate_double_scheme(plane).failures == (
+        ["bundle cocycle invalid"] + plane_failures
+    )
+    for spec in (make_blown_plane(-3, 1, Fraction(2, 3)),
+                 build_carpet("symbolic")):
+        assert validate_double_scheme(spec).failures == BLOWN_TRIPLES
+        assert validate_mult_cocycle(spec.atlas, spec.alpha).failures == (
+            BLOWN_TRIPLES[1:]
+        )
+
+
+def test_an_image_that_cancels_outside_the_ring_is_not_flagged():
+    """d/dlam - lam^-1 mu d/dmu preserves k[lam, lam mu]: both shifted
+    supports of lam mu's image reach mu, outside the ring, and cancel there."""
+    ring = ExponentMonoid(2, ((1, 0), (1, 1)))
+    names = ("lam", "mu")
+    for half in (Fraction(1), Fraction(1, 2)):
+        comps = (LaurentPoly.const(2, half), mono((-1, 1), -half))
+        assert atlas_module.derivation_failures(comps, ring, names) == []
+        comps = (LaurentPoly.const(2, half), mono((-1, 1), -2 * half))
+        assert atlas_module.derivation_failures(comps, ring, names) == [
+            "lam*mu"
+        ]
+
+
+def test_a_broken_spec_fails_on_every_call():
+    spec = make_p2(-3, nontrivial=True)
+    field = VectorFieldCocycle({
+        **spec.D.data, ("U0", "U1"): (mono((0, 2)), LaurentPoly.zero(2)),
+    })
+    broken = DoubleSchemeSpec(spec.atlas, spec.alpha, field)
+    first = validate_double_scheme(broken)
+    second = validate_double_scheme(broken)
+    assert not first.ok and not second.ok
+    assert first.failures == second.failures != []
+    assert validate_double_scheme(spec).ok
+
+
+def test_derivation_failures_rejects_mismatched_variable_counts():
+    ring = ExponentMonoid(2, ((1, 0), (0, 1)))
+    comps = (LaurentPoly.const(2, 1), LaurentPoly.zero(2))
+    assert atlas_module.derivation_failures(comps, ring, ("lam", "mu")) == []
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        atlas_module.derivation_failures(comps, ring.extend_vars(3),
+                                         ("lam", "mu", "al"))
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        atlas_module.derivation_failures(comps[:1], ring, ("lam", "mu"))

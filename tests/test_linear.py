@@ -283,3 +283,35 @@ def test_forced_labels_include_built_labels_outside_the_maps():
     forced, rows = term_rows(conditions, labels, forced_by_singletons, built)
     assert forced == {("A", (0, 0)), ("A", (1, 0)), ("X",)}
     assert rows == []
+
+
+def snapshot(solver):
+    return (
+        {v: dict(row) for v, row in solver.pivot_rows.items()},
+        dict(solver.pivot_rhs), list(solver.pivot_order),
+        dict(solver.pivot_index),
+        [(dict(row), rhs) for row, rhs in solver.originals],
+        solver.rank, solver.inconsistent,
+    )
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_rows_added_to_a_copy_leave_the_original(seed):
+    """A copy shares the stored rows; adding rows to either solver changes
+    neither the other's pivots, rank nor ``originals``."""
+    rng = random.Random(seed)
+    labels, rows = random_system(rng)
+    half = rng.randint(0, len(rows))
+    solver = solve_rows(rows[:half])
+    before = snapshot(solver)
+    copy = solver.copy()
+    for row, rhs in rows[half:]:
+        copy.add_equation(row, rhs)
+    assert snapshot(solver) == before
+    assert snapshot(copy) == snapshot(solve_rows(rows))
+    assert copy.solve() == reference(labels, rows)[2]
+    extra = {rng.choice(labels): 1}
+    kept = snapshot(copy)
+    solver.add_equation(extra, 1)
+    assert snapshot(copy) == kept
+    assert snapshot(solver) == snapshot(solve_rows(rows[:half] + [(extra, 1)]))

@@ -16,6 +16,7 @@ from pms.linear import (
     box_labels,
     forced_by_singletons,
     rank_of_vectors,
+    solve_rows,
     term_rows,
     without,
 )
@@ -407,3 +408,37 @@ def test_symbolic_bundles_extend_numeric_tables():
         assert sym.data[pair] == LaurentPoly.monomial(3, exp + (0,), coeff)
     named = extension_bundle(2, 1, symbolic=True)
     assert named.name == "F_2_1"
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_pinned_directions_match_a_fresh_elimination(p):
+    """Route two's solutions, read from copies of its reduced solver, equal
+    those of eliminating its rows and the pin rows from scratch."""
+    for b in range(3, 8):
+        conditions = p2_catalog._pullback_conditions(-3, p, 1)
+        _, rows = term_rows(
+            p2_catalog._ansatz_conditions(conditions, p, b, 1), {},
+            forced_by_singletons,
+        )
+        labels = ([("c0",), ("R", 0), ("c0D",)]
+                  + [("R", k) for k in range(1, b + 1)]
+                  + [("S", k) for k in range(b + 1)])
+        solver = solve_rows(rows)
+        rank, originals = solver.rank, list(solver.originals)
+        pins, base, directions = p2_catalog._free_parameters(solver, labels)
+        assert solver.rank == rank and solver.originals == originals
+
+        fresh_pins = []
+        for label in labels:
+            if rank_of_vectors([row for row, _ in rows]
+                               + [{lb: 1} for lb in fresh_pins + [label]]) > (
+                    rank + len(fresh_pins)):
+                fresh_pins.append(label)
+        assert pins == fresh_pins
+
+        def fresh(one):
+            pin_rows = (({lb: 1}, int(lb == one)) for lb in pins)
+            return solve_rows(itertools.chain(rows, pin_rows)).solve()
+
+        assert base == fresh(None)
+        assert directions == {pin: fresh(pin) for pin in pins}
