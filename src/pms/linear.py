@@ -17,6 +17,16 @@ variables set to zero.  Every particular solution is re-verified against every o
 equation in integer arithmetic, with the values scaled by the lcm of their
 denominators.
 
+Rows come in through one integer entry, ``LinearSolver._add_integer``,
+which takes a row whose entries are nonzero ``int``s and an ``int``
+right-hand side and keeps the row itself as an original.  ``add_equation``
+is ``_integer_row`` plus that entry, so every row is eliminated on one code
+path.  A caller whose rows are ``int`` already and fixed (the family
+solver's cached rows) checks them once and feeds them in directly; a solver
+never modifies a row handed in, so many solvers can share one.  Span tests
+work the same way: ``spans`` clears a row and hands it to
+``_spans_integer``.
+
 Since each pivot is the smallest label of its reduced row, the pivot set is
 the set of leading labels of the row space, and the particular solution
 depends only on the solution set and the labels, not on the order in which
@@ -104,6 +114,14 @@ def _integer_row(coeffs: Mapping[Var, Fraction | int],
 
 
 class LinearSolver:
+    """Incremental elimination of integer rows (see the module docstring).
+
+    ``add_equation`` and ``spans`` take ``Fraction`` or ``int`` rows and
+    clear them with ``_integer_row``; ``_add_integer`` and
+    ``_spans_integer`` take rows whose entries are nonzero ``int``s as they
+    are.  ``solve`` re-verifies its solution against every original row.
+    """
+
     def __init__(self) -> None:
         self.pivot_rows: dict[Var, IntRow] = {}
         self.pivot_rhs: dict[Var, int] = {}
@@ -169,7 +187,16 @@ class LinearSolver:
     def add_equation(self, coeffs: Mapping[Var, Fraction | int],
                      rhs: Fraction | int = 0) -> None:
         """Add sum(coeffs[v] * x_v) = rhs."""
-        row, rhs = _integer_row(coeffs, rhs)
+        self._add_integer(*_integer_row(coeffs, rhs))
+
+    def _add_integer(self, row: IntRow, rhs: int) -> None:
+        """Add sum(row[v] * x_v) = rhs, every entry a nonzero ``int``.
+
+        The integer entry (see the module docstring): ``add_equation`` is
+        ``_integer_row`` then this.  ``row`` is kept as an original as it
+        is, so a caller can hand the same row to many solvers; none of them
+        modifies it.
+        """
         self.originals.append((row, rhs))
         if self.inconsistent:
             return
@@ -222,7 +249,11 @@ class LinearSolver:
         Reads only the pivot rows, so it holds for a consistent solver.
         """
         row, _ = _integer_row(coeffs, 0)
-        return not self._reduce(row, 0)[0]
+        return self._spans_integer(row)
+
+    def _spans_integer(self, row: IntRow) -> bool:
+        """``spans`` for a row of nonzero ``int`` entries, left as it was."""
+        return not self._reduce(dict(row), 0)[0]
 
 
 def rank_of_vectors(vectors: Iterable[Mapping[Var, Fraction]]) -> int:

@@ -38,6 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .atlas import (
     Atlas,
@@ -71,7 +72,6 @@ from .linear import (
     derivation_conditions,
     forced_by_singletons,
     rank_of_vectors,
-    solve_rows,
     term_rows,
 )
 
@@ -524,15 +524,23 @@ def _pullback_conditions(m: int, p: int, x_part: int) -> list[tuple]:
 def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     """Route one: the cascade's forced set Z and the rows it leaves.
 
-    Each of A, B, C, D has an unknown (name, e) per e in [-bound, bound]^2;
-    ``linear.term_rows`` reads the rows off exponents.
+    Each of A, B, C, D has an unknown (name, e) per e in [-bound, bound]^2
+    (``_family_box``); ``linear.term_rows`` reads the rows off exponents.
     """
+    return term_rows(conditions, _family_box(bound), forced_by_singletons,
+                     labels_key=("family box", bound))
+
+
+# one entry per bound; the forced sets of ``_family_rows`` and the keys of
+# ``_gauge`` share these labels.  Bounds 3-7 take 0.26 MB by tracemalloc
+@lru_cache(maxsize=16)
+def _family_box(bound: int) -> dict:
+    """Route one's label maps over [-bound, bound]^2, built once per bound
+    and shared by every (m, p, x_part); nothing modifies them."""
     box = list(itertools.product(range(-bound, bound + 1), repeat=2))
-    labels = {
+    return {
         name: box_labels(name, box) for name in (("A",), ("B",), ("C",), ("D",))
     }
-    return term_rows(conditions, labels, forced_by_singletons,
-                     labels_key=("family box", bound))
 
 
 def _ansatz_conditions(conditions: list[tuple], p: int, b: int,
@@ -621,22 +629,72 @@ def _gauge_vectors(m: int, p: int, bound: int) -> list[dict]:
 
 
 # one entry per (m, p, bound); family-sweep's grid (p 0-3, bound 3-7) holds
-# 20 of them, about 0.61 MB by tracemalloc (the vector dicts alone take
-# 0.87 MB), and p 0-5, bound 3-8 holds 36
+# 20 of them, about 0.49 MB by tracemalloc besides the shared box labels
+# (the vector dicts alone take 0.87 MB), and p 0-5, bound 3-8 holds 36
 @lru_cache(maxsize=64)
 def _gauge(m: int, p: int, bound: int) -> tuple[dict, int]:
     """The gauge of (m, p, bound) as a label index, and its rank.
 
     The index maps each label of a ``_gauge_vectors`` direction to the
     (vector index, coefficient) pairs that hold it; the vectors themselves
-    are not kept.
+    are not kept.  Every such label lies in the box, and the index keys are
+    the equal label objects of ``_family_box``, which the memo shares.
     """
     vecs = _gauge_vectors(m, p, bound)
+    box = _family_box(bound)
     index: dict = {}
     for i, vec in enumerate(vecs):
-        for label, c in vec.items():
+        for (name, e), c in vec.items():
+            label = box[name,][e]
             index[label] = index.get(label, ()) + ((i, c),)
     return index, rank_of_vectors(vecs)
+
+
+class _FamilyRows(NamedTuple):
+    """Both routes' systems of one (m, p, x_part, bound): each row is
+    (IntRow, int), every entry a nonzero ``int``, in ``term_rows`` order."""
+
+    forced: tuple  # route one's forced set Z, sorted
+    rows: tuple  # route one's rows with Z deleted
+    named_rows: tuple  # route two's rows
+
+
+# one entry per (m, p, x_part, bound); family-sweep's grid (p 0-3, bound
+# 3-7, x_part 1) holds 20, about 0.31 MB by tracemalloc besides the shared
+# box labels, and p 0-5, x_part 0/1, bound 3-8 holds 72
+@lru_cache(maxsize=128)
+def _family_rows(m: int, p: int, x_part: int, bound: int) -> _FamilyRows:
+    """The rows of both routes of ``solve_pullback_family``, built once per
+    key and checked once to have ``int`` entries; nothing modifies them."""
+    conditions = _pullback_conditions(m, p, x_part)
+    forced, rows = _pullback_rows(conditions, bound)
+    # no label map, so the cascade sees no row and drops no scalar
+    _, named_rows = term_rows(
+        _ansatz_conditions(conditions, p, bound, x_part), {},
+        forced_by_singletons,
+    )
+    return _FamilyRows(tuple(sorted(forced)), _integer_rows(rows),
+                       _integer_rows(named_rows))
+
+
+def _integer_rows(rows: list) -> tuple:
+    """``rows`` as a tuple, once each entry and right-hand side is checked
+    to be an ``int`` and each entry nonzero (``LinearSolver._add_integer``)."""
+    for row, rhs in rows:
+        if type(rhs) is not int or not all(
+            type(c) is int and c for c in row.values()
+        ):  # pragma: no cover - the family conditions have int coefficients
+            raise AssertionError("family row with a non-integer entry")
+    return tuple(rows)
+
+
+def _integer_solver(rows: tuple) -> LinearSolver:
+    """A solver holding ``rows`` of ``_integer_rows``, fed through the
+    integer entry; the solver shares the rows and never modifies them."""
+    solver = LinearSolver()
+    for row, rhs in rows:
+        solver._add_integer(row, rhs)
+    return solver
 
 
 def _label_str(label) -> str:
@@ -667,6 +725,14 @@ class FamilyDescription:
         return True
 
     def instantiate(self, assignment: dict | None = None) -> DoubleSchemeSpec:
+        c0, r0 = self._member_values(assignment)
+        return make_blown_plane(
+            self.m, self.p, c0, r0, nontrivial=self.nontrivial
+        )
+
+    def _member_values(self, assignment: dict | None) -> tuple:
+        """(c0, R0) of ``assignment``, once it passes ``instantiate``'s
+        checks."""
         assignment = dict(assignment or {})
         if not self.parameter_space_contains(assignment):
             raise ValueError("assignment is outside the parameter space")
@@ -675,11 +741,8 @@ class FamilyDescription:
             raise ValueError(
                 f"no constructor for free parameters {sorted(unsupported)}"
             )
-        c0 = Fraction(assignment.get("c0", 0))
-        r0 = Fraction(assignment.get("R0", 0))
-        return make_blown_plane(
-            self.m, self.p, c0, r0, nontrivial=self.nontrivial
-        )
+        return (Fraction(assignment.get("c0", 0)),
+                Fraction(assignment.get("R0", 0)))
 
     def to_json(self) -> dict:
         return {
@@ -707,22 +770,30 @@ def solve_pullback_family(
     Both routes build their rows with ``linear.term_rows``; the tests
     expand route two's ansatz with the ``symbolic_rows`` reference too.
 
-    The gauge and its rank depend only on (m, p, ansatz_bound), so they are
-    built once per key (``_gauge``, kept as a label index).  Every call
-    still checks the gauge against its own reduced rows, through the index.
-    The check is exact: a gauge vector pairs with a row only through the
-    labels both hold, so a row that mentions neither of a vector's labels
-    pairs with it to 0, and summing c * row[label] per vector over each
-    row's labels reads every pairing that a full scan would.
+    Built once per key, in bounded memos, since nothing else enters them:
+    both routes' rows and route one's forced set Z, per (m, p, x_part,
+    ansatz_bound) (``_family_rows``, rows checked once to be ``int``); the
+    gauge and its rank, per (m, p, ansatz_bound) (``_gauge``, kept as a
+    label index); and the constructor member, per (m, p, c0, R0, class)
+    (``_constructor_member``).  Nothing else is memoised, neither a solver
+    nor the description.  Every call still:
 
-    Route two's free parameters and the relations among its named
-    coefficients come from ``_free_parameters``: one solve for the base
-    solution and one per free parameter, each on a copy of route two's
-    reduced solver with the pin rows added, and each re-verified against
-    every row.  When every free parameter is c0 or R0, the family is then
-    checked against ``make_blown_plane`` (``_check_against_constructor``):
-    its member at canonical parameter values must pass
-    ``validate_double_scheme``, on every call.
+    * eliminates both routes, feeding the cached rows to fresh solvers
+      through ``LinearSolver``'s integer entry, and re-verifies each
+      ``solve`` against every original row;
+    * checks the gauge against Z and route one's rows, through the index.
+      The check is exact: a gauge vector pairs with a row only through the
+      labels both hold, so a row that mentions neither of a vector's labels
+      pairs with it to 0, and summing c * row[label] per vector over each
+      row's labels reads every pairing that a full scan would;
+    * picks the free parameters and solves for the relations among the
+      named coefficients (``_free_parameters``): one solve for the base
+      solution and one per free parameter, each on a copy of route two's
+      solver with the pin rows added;
+    * when every free parameter is c0 or R0, checks the family against
+      ``make_blown_plane`` (``_check_against_constructor``): the sample
+      passes ``instantiate``'s checks, and the member at those values passes
+      ``validate_double_scheme``.
 
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
@@ -737,23 +808,22 @@ def solve_pullback_family(
     x_part = 1 if nontrivial else 0
     b = ansatz_bound
     generic_variables = 4 * (2 * b + 1) ** 2
-    conditions = _pullback_conditions(m, p, x_part)
+    system = _family_rows(m, p, x_part, b)
 
     # route one: generic boxed coefficients modulo gauge; every label is an
     # A/B/C/D unknown, so the cascade may drop any of them
-    forced, rows = _pullback_rows(conditions, b)
-    solver = solve_rows(rows)
+    solver = _integer_solver(system.rows)
     if solver.solve() is None:  # pragma: no cover - shape always realizable
         raise AssertionError("family constraints are inconsistent")
-    generic_rank = len(forced) + solver.rank
+    generic_rank = len(system.forced) + solver.rank
     kernel_dim = generic_variables - generic_rank
     # the gauge is memoised, its check is not; a kernel vector vanishes on
     # the forced labels, so off them it pairs with each row as with its
     # reduced row
     index, gauge_rank = _gauge(m, p, b)
-    if not forced.isdisjoint(index):
+    if not index.keys().isdisjoint(system.forced):
         raise AssertionError("gauge direction moves a forced coefficient")
-    for row, _ in rows:
+    for row, _ in system.rows:
         acc: dict = {}
         for label, v in row.items():
             for i, c in index.get(label, ()):
@@ -762,16 +832,13 @@ def solve_pullback_family(
             raise AssertionError("gauge direction violates a constraint")
     dim_generic = kernel_dim - gauge_rank
 
-    # route two: named-coefficient ansatz; no label map, so the cascade
-    # sees no row and drops no scalar
-    _, named_rows = term_rows(_ansatz_conditions(conditions, p, b, x_part),
-                              {}, forced_by_singletons)
+    # route two: named-coefficient ansatz
     named_labels = (
         [("c0",), ("R", 0), ("c0D",)]
         + [("R", k) for k in range(1, b + 1)]
         + [("S", k) for k in range(b + 1)]
     )
-    named_solver = solve_rows(named_rows)
+    named_solver = _integer_solver(system.named_rows)
     if not named_solver.is_consistent():  # pragma: no cover
         raise AssertionError("ansatz constraints are inconsistent")
     dim_named = len(named_labels) - named_solver.rank
@@ -833,25 +900,32 @@ def _free_parameters(
     rows added; ``solver`` itself is left as it was.  Stored rows are never
     modified, so the copies share them instead of eliminating the system
     again, and each ``solve`` still re-verifies against every original row,
-    the system's and the pins'.
+    the system's and the pins'.  The one-label pin rows {label: 1} are
+    ``int`` rows, so they are tested (``_spans_integer``) and added
+    (``_add_integer``) through the integer entry, uncleared.
     """
     pinned = solver.copy()
     pins = []
     for label in labels:
-        if not pinned.spans({label: 1}):
-            pinned.add_equation({label: 1}, 0)
+        pin = {label: 1}
+        if not pinned._spans_integer(pin):
+            pinned._add_integer(pin, 0)
             pins.append(label)
     directions = {}
     for one in pins:
         direction = solver.copy()
         for label in pins:
-            direction.add_equation({label: 1}, int(label == one))
+            direction._add_integer({label: 1}, int(label == one))
         directions[one] = direction.solve()
     return pins, pinned.solve(), directions
 
 
 def _check_against_constructor(desc: FamilyDescription) -> None:
-    """The ansatz at canonical parameter values must match the constructor."""
+    """The ansatz at canonical parameter values must match the constructor.
+
+    The sample passes ``instantiate``'s checks and the member, built once
+    per key (``_constructor_member``), is validated on every call.
+    """
     if set(desc.free_parameters) - {"c0", "R0"}:
         return
     sample = {}
@@ -859,7 +933,8 @@ def _check_against_constructor(desc: FamilyDescription) -> None:
         sample["c0"] = Fraction(1)
     if "R0" in desc.free_parameters:
         sample["R0"] = Fraction(5)
-    spec = desc.instantiate(sample)
+    spec = _constructor_member(desc.m, desc.p, *desc._member_values(sample),
+                               desc.nontrivial)
     from .atlas import validate_double_scheme
 
     report = validate_double_scheme(spec)
@@ -867,3 +942,15 @@ def _check_against_constructor(desc: FamilyDescription) -> None:
         raise AssertionError(
             f"instantiated family member invalid: {report.failures}"
         )
+
+
+# one entry per (m, p, c0, r0, nontrivial); the family solver's samples give
+# two per p, one per class
+@lru_cache(maxsize=32)
+def _constructor_member(m: int, p: int, c0: Fraction, r0: Fraction,
+                        nontrivial: bool) -> DoubleSchemeSpec:
+    """``make_blown_plane``'s member, built once per key for
+    ``_check_against_constructor`` alone.  ``DoubleSchemeSpec`` is mutable,
+    so it is never handed out: ``instantiate`` and ``make_blown_plane``
+    build a fresh one on every call."""
+    return make_blown_plane(m, p, c0, r0, nontrivial=nontrivial)

@@ -556,6 +556,9 @@ def test_every_cache_is_bounded():
         "cohomology._chart_unknowns",
         "laurent_core._monoid_contains_cached",
         "laurent_core.minimal_generators",
+        "p2_catalog._constructor_member",
+        "p2_catalog._family_box",
+        "p2_catalog._family_rows",
         "p2_catalog._gauge",
         "truncated_ring._image_power",
     } <= set(caches)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +317,53 @@ def test_rows_added_to_a_copy_leave_the_original(seed):
     solver.add_equation(extra, 1)
     assert snapshot(copy) == kept
     assert snapshot(solver) == snapshot(solve_rows(rows[:half] + [(extra, 1)]))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_integer_entry_matches_add_equation(seed):
+    """``int`` rows fed through the integer entry leave the solver as
+    ``add_equation`` leaves it, and span tests agree; the rows handed in are
+    kept as originals, unmodified."""
+    rng = random.Random(seed)
+    labels, rows = random_system(rng)
+    rows = [linear._integer_row(row, rhs) for row, rhs in rows]
+    kept = [(dict(row), rhs) for row, rhs in rows]
+    public, private = LinearSolver(), LinearSolver()
+    for row, rhs in rows:
+        public.add_equation(row, rhs)
+        private._add_integer(row, rhs)
+    assert snapshot(private) == snapshot(public)
+    assert private.is_consistent() == public.is_consistent()
+    assert private.solve() == public.solve() == reference(labels, rows)[2]
+    assert rows == kept
+    assert all(a is b for (a, _), (b, _) in zip(private.originals, rows))
+    for _ in range(5):
+        probe = {v: random_coeff(rng, True)
+                 for v in rng.sample(labels, rng.randint(1, len(labels)))}
+        assert private._spans_integer(probe) == public.spans(probe)
+
+
+def _integer_row_callers(tree) -> set:
+    """The functions of ``tree`` that call ``_integer_row`` by any name."""
+    callers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and (
+                    getattr(call.func, "id", None) == "_integer_row"
+                    or getattr(call.func, "attr", None) == "_integer_row"
+                ):
+                    callers.add(node.name)
+    return callers
+
+
+def test_integer_row_is_cleared_only_by_the_public_entries():
+    """Rows with ``Fraction`` entries are cleared where they come in, by
+    ``add_equation`` and ``spans``; every other path hands the solver
+    ``int`` rows (``LinearSolver._add_integer``)."""
+    src = Path(linear.__file__).parent
+    callers = {
+        path.name: found for path in sorted(src.glob("*.py"))
+        if (found := _integer_row_callers(ast.parse(path.read_text())))
+    }
+    assert callers == {"linear.py": {"add_equation", "spans"}}

@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pms import p2_catalog
+from pms import atlas, linear, p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
@@ -228,6 +230,9 @@ def test_family_json_is_unchanged_without_the_cascade(monkeypatch):
 
     cascaded = family_json()
     monkeypatch.setattr(p2_catalog, "forced_by_singletons", lambda rows: set())
+    # the row memo holds the cascaded rows: build each system afresh
+    monkeypatch.setattr(p2_catalog, "_family_rows",
+                        p2_catalog._family_rows.__wrapped__)
     assert family_json() == cascaded
 
 
@@ -442,3 +447,102 @@ def test_pinned_directions_match_a_fresh_elimination(p):
 
         assert base == fresh(None)
         assert directions == {pin: fresh(pin) for pin in pins}
+
+
+FAMILY_KEYS = list(itertools.product(range(6), (0, 1), range(3, 9)))
+
+
+def _entries(rows):
+    """Each row's entries in order, with its right-hand side."""
+    return [(list(row.items()), rhs) for row, rhs in rows]
+
+
+@pytest.mark.parametrize("x_part", [0, 1])
+@pytest.mark.parametrize("p", range(6))
+def test_family_row_memo_matches_a_fresh_build(p, x_part, monkeypatch):
+    """The memo's Z and both routes' rows equal those of a fresh build with
+    no plan memo: same rows, same order, same entry order, same right-hand
+    sides; every entry and right-hand side an ``int``."""
+    p2_catalog._family_rows.cache_clear()
+    cached = {b: p2_catalog._family_rows(-3, p, x_part, b) for b in range(3, 9)}
+    monkeypatch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
+    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+    for b, system in cached.items():
+        forced, rows = p2_catalog._pullback_rows(conditions, b)
+        _, named_rows = term_rows(
+            p2_catalog._ansatz_conditions(conditions, p, b, x_part), {},
+            forced_by_singletons,
+        )
+        assert system.forced == tuple(sorted(forced))
+        assert _entries(system.rows) == _entries(rows)
+        assert _entries(system.named_rows) == _entries(named_rows)
+        for row, rhs in system.rows + system.named_rows:
+            assert type(rhs) is int
+            assert all(type(c) is int and c for c in row.values())
+
+
+def test_a_second_family_call_hits_the_row_memo():
+    """Repeated calls read every system from the memo and leave its rows as
+    they were."""
+    def solve_all():
+        for p, x_part, b in FAMILY_KEYS:
+            solve_pullback_family(-3, p, b, nontrivial=bool(x_part))
+
+    p2_catalog._family_rows.cache_clear()
+    solve_all()
+    info = p2_catalog._family_rows.cache_info()
+    assert info.misses == info.currsize == len(FAMILY_KEYS)
+    before = deepcopy([p2_catalog._family_rows(-3, *key)
+                       for key in FAMILY_KEYS])
+    solve_all()
+    again = p2_catalog._family_rows.cache_info()
+    assert again.misses == info.misses
+    assert again.hits == info.hits + 2 * len(FAMILY_KEYS)
+    assert [p2_catalog._family_rows(-3, *key) for key in FAMILY_KEYS] == before
+
+
+def test_family_json_is_the_same_cold_and_warm():
+    memos = (p2_catalog._family_rows, p2_catalog._family_box,
+             p2_catalog._gauge, p2_catalog._constructor_member,
+             linear._term_plan)
+
+    def family_json(p, x_part, b):
+        fd = solve_pullback_family(-3, p, b, nontrivial=bool(x_part))
+        return json.dumps(fd.to_json(), sort_keys=True)
+
+    cold = []
+    for key in FAMILY_KEYS:
+        for memo in memos:
+            memo.cache_clear()
+        cold.append(family_json(*key))
+    assert [family_json(*key) for key in FAMILY_KEYS] == cold
+
+
+def test_constructor_member_is_validated_on_every_call(monkeypatch):
+    """The member is built once per key but validated on every call, and
+    the memoised spec never escapes: ``instantiate`` and
+    ``make_blown_plane`` build fresh ones."""
+    p2_catalog._constructor_member.cache_clear()
+    fd = solve_pullback_family(-3, 1, 4)
+    member = p2_catalog._constructor_member(-3, 1, Fraction(1), Fraction(0),
+                                            True)
+    assert p2_catalog._constructor_member.cache_info().hits == 1
+    specs = [fd.instantiate({"c0": 1}), fd.instantiate({"c0": 1}),
+             make_blown_plane(-3, 1, 1)]
+    assert len({id(spec) for spec in specs + [member]}) == 4
+    assert all(spec.D.data == member.D.data for spec in specs)
+
+    validated = []
+    check = atlas.validate_double_scheme
+    monkeypatch.setattr(atlas, "validate_double_scheme",
+                        lambda spec: validated.append(spec) or check(spec))
+    solve_pullback_family(-3, 1, 4)
+    solve_pullback_family(-3, 1, 5)
+    assert validated == [member, member]
+
+    broken = replace(member, alpha=beta_table(-3, 2))
+    monkeypatch.setattr(p2_catalog, "_constructor_member",
+                        lambda *key: broken)
+    with pytest.raises(AssertionError,
+                       match="instantiated family member invalid"):
+        solve_pullback_family(-3, 1, 4)
