@@ -28,12 +28,17 @@ naming a chart outside the atlas is rejected with ``ValueError``.
 These checks read supports and monomial data in one pass and build no
 polynomial.  Every bundle entry is a monomial c x^e, so a triple identity
 is checked on exponent sums and on cross-multiplied numerators and
-denominators.  The image of a generator x^g under a vector-field entry has
-its support among the shifted supports e + g - e_v of the entry's
-coefficients (``derivation_failures``); an exact coefficient is summed only
-at a shifted exponent outside the ring, where terms may cancel.  Membership
-of the int tuples built here goes through ``ExponentMonoid._has``, which
-skips the re-validation of the public ``contains``.
+denominators.  Ring preservation is stated once, by
+``derivation_conditions``: for each generator g of the ring, the image
+sum(g[v] * x^(g - e_v) * comps[v]) of x^g lies in the ring, one condition
+in the term form of ``pms.linear`` (a known part plus terms in unknown
+fields).  The bounded solvers impose it on their unknown chart fields;
+``derivation_failures`` reads it for a given entry, the entry's ``int``
+numerators over one common denominator as the known parts, and reports each
+generator whose image is nonzero at an exponent outside the ring.
+Membership of the int tuples built here goes through
+``ExponentMonoid._has``, which skips the re-validation of the public
+``contains``.
 
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
 a twisted vector-field cocycle; its order-two transition endomorphisms feed
@@ -45,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 from typing import Sequence
 
 from .laurent_core import (
@@ -57,6 +62,7 @@ from .laurent_core import (
     json_shape,
     monomial_str,
     monoids_equal,
+    numerators,
     parse_rational,
     poly_from_json,
     poly_to_json,
@@ -405,16 +411,41 @@ def _mult_check(
     return full, failures
 
 
+def derivation_conditions(ring: ExponentMonoid, comps) -> list[tuple]:
+    """The field sum(comps[v] * d/dx_v) preserves ``ring``, in the term form
+    of ``pms.linear``: one condition per ring generator.
+
+    ``comps[v]`` is (known, field terms).  For each ring generator g, the
+    image sum(g[v] * x^(g - e_v) * comps[v]) of x^g lies in the ring.
+    """
+    out = []
+    for g in ring.generators:
+        known, terms = {}, []
+        for v, (comp_known, comp_terms) in enumerate(comps):
+            if not g[v]:
+                continue
+            d = g[:v] + (g[v] - 1,) + g[v + 1:]
+            for e, c in comp_known.items():
+                key = tuple(map(add, e, d))
+                known[key] = known.get(key, 0) + g[v] * c
+            terms += [
+                (prefix, tuple(map(add, shift, d)), g[v] * c)
+                for prefix, shift, c in comp_terms
+            ]
+        out.append((ring, known, tuple(terms), ()))
+    return out
+
+
 def derivation_failures(
     comps: tuple[LaurentPoly, ...], ring: ExponentMonoid,
     variables: tuple[str, ...],
 ) -> list[str]:
     """Generators of ``ring`` not preserved by sum(comps[v] * d/dv).
 
-    The image of x^g, sum(g[v] * x^(g - e_v) * comps[v]), has its support
-    among the shifted supports e + g - e_v of the comps.  A shifted exponent
-    inside the ring needs nothing more; only at one outside it is the image's
-    coefficient summed, since the terms landing there may cancel.
+    Reads ``derivation_conditions`` with the comps' numerators over one
+    common denominator as the known parts and no unknown: a generator fails
+    when the known part of its condition, the image of x^g, is nonzero at an
+    exponent outside the ring.
     """
     nvars = len(variables)
     if (ring.nvars != nvars or len(comps) != nvars
@@ -422,18 +453,14 @@ def derivation_failures(
         raise ValueError(
             "variable count mismatch between field, ring and variables"
         )
-    supports = [comp.support() for comp in comps]
-    bad = []
-    for g in ring.generators:
-        moves = [(v, g[:v] + (g[v] - 1,) + g[v + 1:])
-                 for v in range(nvars) if g[v]]
-        for f in {tuple(map(add, e, d)) for v, d in moves for e in supports[v]}:
-            if not ring._has(f) and sum(
-                g[v] * comps[v].coefficient(map(sub, f, d)) for v, d in moves
-            ):
-                bad.append(monomial_str(g, variables))
-                break
-    return bad
+    conditions = derivation_conditions(
+        ring, [(known, ()) for known in numerators(comps)]
+    )
+    return [
+        monomial_str(g, variables)
+        for g, (_, known, _, _) in zip(ring.generators, conditions)
+        if any(c and not ring._has(f) for f, c in known.items())
+    ]
 
 
 def validate_derivation_cocycle(spec: DoubleSchemeSpec) -> ValidationReport:

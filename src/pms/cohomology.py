@@ -27,23 +27,25 @@ in two steps.
 
 * The chart ring, once per chart ring and bound, labelled once per chart
   name (``_chart_unknowns``).  The ring-preservation rows of the full-box
-  field have zero right-hand side, and z is dropped when e_z lies in their
-  span.  These rows are few and short: a term
-  x^e d/dx_v has degree e - e_v (Demazure's grading of the derivations of a
-  toric ring), and the row of a generator g at the exponent g + d mentions
-  only unknowns of degree d, so a degree gives at most one row per
-  generator, of at most nvars entries, and rows of different degrees share
-  no unknown.  The singleton cascade finds most of these unknowns, and one
-  solver on the rows it leaves finds the rest.
-* The solve.  The singleton cascade of ``linear.term_rows`` over the cached
-  ring rows and the twisted-difference conditions removes the rows u = 0 at
-  the box edges and where the other chart's term was dropped.  That plan
-  reads exponents only, so it is made once per exponent structure: the
-  label maps enter its key as the charts' names and rings and the bound,
-  the conditions as their twist exponents and the supports of the target
-  and of the extras.  A repeated structure only fills in the coefficients
-  and right-hand sides of the few rows the cascade leaves
-  (``linear.planned_rows``).
+  field (``atlas.derivation_conditions``, the statement that
+  ``derivation_failures`` checks each witness field against) have zero
+  right-hand side, and z is dropped when e_z lies in their span.  These
+  rows are few and short: a term x^e d/dx_v has degree e - e_v (Demazure's
+  grading of the derivations of a toric ring), and the row of a generator g
+  at the exponent g + d mentions only unknowns of degree d, so a degree
+  gives at most one row per generator, of at most nvars entries, and rows
+  of different degrees share no unknown.  The singleton cascade finds most
+  of these unknowns, and one solver on the rows it leaves finds the rest.
+* The solve.  The singleton cascade over the cached ring rows and the
+  twisted-difference conditions removes the rows u = 0 at the box edges and
+  where the other chart's term was dropped.  That plan reads exponents
+  only, so ``linear.planned_rows`` makes it once per exponent structure:
+  the label maps enter its key as the charts' names and rings and the
+  bound, the conditions as their twist exponents and the supports of the
+  target and of the extras.  A repeated structure only fills in the
+  coefficients and right-hand sides of the few rows the cascade leaves.
+  The chart ring rows are cached here and one-form systems do not repeat,
+  so both go through the unmemoised ``linear.term_rows``.
 
 Extra scalar unknowns (tau, and the one-form ``coeff`` and ``rho`` labels)
 are never dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted
@@ -65,6 +67,7 @@ from .atlas import (
     Pair,
     VectorFieldCocycle,
     canonical_spanning_pairs,
+    derivation_conditions,
     derivation_failures,
     derive_mult,
     derive_vector_field,
@@ -80,7 +83,6 @@ from .laurent_core import (
 )
 from .linear import (
     box_labels,
-    derivation_conditions,
     forced_by_singletons,
     planned_rows,
     solve_rows,
@@ -375,7 +377,6 @@ def _chart_ring_rows(
         ),
         {(v,): box_labels((v,), box) for v in range(nvars)},
         forced_by_singletons,
-        labels_key=("chart ring box", nvars, bound),
     )
     solver = solve_rows(rows)
     mentioned = {z for row, _ in rows for z in row}
@@ -453,9 +454,9 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
 
     The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
     unknown when its chart ring forces it to zero (``_chart_unknowns``), or
-    when the singleton cascade of ``term_rows`` over the cached ring rows and
-    the twisted-difference conditions does; the extra scalars c_s are never
-    dropped.
+    when the singleton cascade of ``planned_rows`` over the cached ring rows
+    and the twisted-difference conditions does; the extra scalars c_s are
+    never dropped.
     """
     nvars = atlas.nvars
     zero = (0,) * nvars

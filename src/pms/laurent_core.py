@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
@@ -435,6 +436,18 @@ class Packing:
 
 # the calculus asks for a few widths per variable count
 shared_packing = lru_cache(maxsize=64)(Packing)
+
+
+def numerators(polys: tuple[LaurentPoly, ...]) -> tuple[Mapping[Exponent, int], ...]:
+    """Read-only {exponent: numerator} maps of ``polys`` over one common
+    denominator, so an ``int`` combination of the maps is zero where the
+    same combination of the polys is."""
+    den = math.lcm(*(p._den for p in polys))
+    return tuple(
+        MappingProxyType(p._terms) if p._den == den
+        else {e: c * (den // p._den) for e, c in p._terms.items()}
+        for p in polys
+    )
 
 
 def largest_exponent(polys: Iterable[LaurentPoly]) -> int:

@@ -66,17 +66,19 @@ dropped, so a row that mentions one stays out of the cascade.
 the label pass and the cascade give Z, the (condition, exponent) places
 whose rows survive it with the labels each keeps, and the labels each
 already-built row keeps.  The fill puts the coefficients and right-hand
-sides in at those places only.  Plans sit in a bounded memo keyed on every
-input the label pass reads: each condition's ring, the support of its
-nonzero known part, its merged (prefix, shift) list with zero sums dropped
-and its merged scalar supports by label; the label maps, by what built
-them; the labels of the built rows; and the cascade.  A coefficient value
-cannot change a plan once the cancelling merges are in the key: every label
-left then has a nonzero coefficient in its row, so no row gains or loses a
-label, and a right-hand side is nonzero exactly on the known part's support.
-The bounded solvers repeat a few hundred structures with new coefficients,
-so most calls only fill.  A plan keeps Z as one bit per label of each map;
-``term_rows`` reads Z back out, ``planned_rows`` (rows alone) does not.
+sides in at those places only.  Most systems are built once and cached by
+their caller, or never repeat, so ``term_rows`` plans afresh and returns Z.
+The twisted-difference systems of ``cohomology._chart_fields`` repeat a few
+hundred structures with new coefficients, so they go through
+``planned_rows``, which keeps the plans, without Z, in a bounded memo keyed
+on every input the label pass reads: each condition's ring, the support of
+its nonzero known part, its merged (prefix, shift) list with zero sums
+dropped and its merged scalar supports by label; the label maps, by what
+built them (``labels_key``); the labels of the built rows; and the cascade.
+A coefficient value cannot change a plan once the cancelling merges are in
+the key: every label left then has a nonzero coefficient in its row, so no
+row gains or loses a label, and a right-hand side is nonzero exactly on the
+known part's support.  Most of those calls only fill.
 """
 
 from __future__ import annotations
@@ -344,32 +346,12 @@ class _Keyed:
 
 class TermPlan(NamedTuple):
     """What the label pass and cascade of ``term_rows`` leave of one
-    exponent structure."""
+    exponent structure, besides the forced set."""
 
-    # the forced set Z: per label map, 1 then a bit per label in map order,
-    # read as a binary number; and the labels of Z in no map
-    masks: tuple[int, ...]
-    outside: tuple
     built: tuple  # per ``built`` row, the labels it keeps
     # per row left: (condition, exponent, merged-term indices, their labels);
     # a row with neither rhs nor scalar has the exponent None
     places: tuple
-
-    def forced_labels(
-        self, labels: Mapping[tuple, Mapping[Exponent, Var]],
-    ) -> set:
-        """Z, read off the label maps the plan was made with."""
-        forced = set(self.outside)
-        for mask, at in zip(self.masks, labels.values()):
-            if mask > 1:
-                bits = bin(mask)[3:].encode().translate(_FLAGS)
-                forced.update(itertools.compress(at.values(), bits))
-        return forced
-
-
-# the digits of a mask, b"0" and b"1", to the flags 0 and 1, and back
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def term_rows(
@@ -377,7 +359,6 @@ def term_rows(
     labels: Mapping[tuple, Mapping[Exponent, Var]],
     cascade,
     built: Iterable[tuple[Row, Fraction]] = (),
-    labels_key: Hashable = None,
 ) -> tuple[set, list[tuple[Row, Fraction]]]:
     """The forced set Z of ``conditions`` and their rows with Z deleted.
 
@@ -396,33 +377,40 @@ def term_rows(
     and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
     come back with Z deleted, as ``without`` leaves them.
 
-    Two steps build them (``planned_rows``).  The plan (``_term_plan``)
-    runs the label pass and the cascade on exponents alone; the fill puts
-    the coefficients and right-hand sides in at the places the plan keeps,
-    and Z is read back out of the plan.  The plan is memoised on every input
-    the label pass reads: each condition's ring, the support of its nonzero
-    known part, its merged (prefix, shift) list with zero sums dropped, its
-    merged scalar supports by label; the label maps; the labels of the
-    ``built`` rows; and ``cascade``.  Once the zero merges are part of the
-    key, a coefficient value decides nothing but the entry it fills, so
-    systems that differ only in their nonzero coefficients share one plan.
-    The label maps enter the key as ``labels_key``, which names what built
-    them, by default their content: maps with equal keys must be equal, in
-    the same order, since the plan keeps Z as bits in map order.
+    The plan (``_label_pass``) runs the label pass and the cascade on
+    exponents alone, and the fill puts the coefficients and right-hand sides
+    in at the places it keeps.  Nothing is memoised; see ``planned_rows``.
     """
-    plan, rows = planned_rows(conditions, labels, cascade, built, labels_key)
-    return plan.forced_labels(labels), rows
+    structure, values = _split(conditions)
+    built = list(built)
+    forced, plan = _label_pass(
+        structure, labels, tuple(tuple(row) for row, _ in built), cascade
+    )
+    return forced, _fill(plan, values, built)
 
 
 def planned_rows(
     conditions: Iterable[tuple],
     labels: Mapping[tuple, Mapping[Exponent, Var]],
     cascade,
-    built: Iterable[tuple[Row, Fraction]] = (),
-    labels_key: Hashable = None,
+    built: Iterable[tuple[Row, Fraction]],
+    labels_key: Hashable,
 ) -> tuple[TermPlan, list[tuple[Row, Fraction]]]:
-    """``term_rows`` without reading Z back out: the plan of ``conditions``
-    and their rows with its forced set deleted."""
+    """``term_rows`` for a structure that repeats with new coefficients:
+    the plan and the rows, with the plan memoised (``_term_plan``) on every
+    input the label pass reads (see the module docstring) and without Z.
+    ``labels_key`` names what built the label maps: maps with equal keys
+    must be equal."""
+    structure, values = _split(conditions)
+    built = list(built)
+    plan = _term_plan(tuple(structure), _Keyed(labels_key, labels),
+                      tuple(tuple(row) for row, _ in built), cascade)
+    return plan, _fill(plan, values, built)
+
+
+def _split(conditions: Iterable[tuple]) -> tuple[list, list]:
+    """The label-pass inputs of each condition (the key of ``_term_plan``)
+    and the values the fill reads."""
     structure, values = [], []
     for ring, known, terms, scalars in conditions:
         merged: dict[tuple, Fraction | int] = {}
@@ -448,14 +436,12 @@ def planned_rows(
         values.append(
             (tuple(c for c in merged.values() if c), known, by_exp)
         )
-    if labels_key is None:
-        labels_key = tuple((prefix, tuple(at.items()))
-                           for prefix, at in labels.items())
-    built = list(built)
-    plan = _term_plan(
-        tuple(structure), _Keyed(labels_key, labels),
-        tuple(tuple(row) for row, _ in built), cascade,
-    )
+    return structure, values
+
+
+def _fill(plan: TermPlan, values: list,
+          built: list[tuple[Row, Fraction]]) -> list[tuple[Row, Fraction]]:
+    """The rows at the places ``plan`` keeps, ``built`` first."""
     rows = [({lb: row[lb] for lb in kept}, rhs)
             for (row, rhs), kept in zip(built, plan.built) if kept or rhs]
     for k, f, terms, kept in plan.places:
@@ -468,17 +454,24 @@ def planned_rows(
             rows.append((row, -known.get(f, 0)))
         else:
             rows.append((row, 0))
-    return plan, rows
+    return rows
 
 
-# one entry per exponent structure; a cocycle-search run (warm-up and 37
-# rounds) makes 222, chart-ring systems included, and 2,279 of its 2,501
-# calls hit; a family-sweep run makes 40, one per family route and (p, bound)
+# one entry per exponent structure of ``_chart_fields``, its only caller; a
+# cocycle-search run (warm-up and 37 rounds) makes 174, and 2,279 of its
+# 2,453 calls hit
 @lru_cache(maxsize=512)
 def _term_plan(structure: tuple, labels: _Keyed, built: tuple,
                cascade) -> TermPlan:
-    """The label pass and cascade of ``term_rows`` on the key alone."""
-    maps = labels.take()
+    """The plan of ``_label_pass`` on the key alone; Z is not kept."""
+    return _label_pass(structure, labels.take(), built, cascade)[1]
+
+
+def _label_pass(
+    structure, maps: Mapping[tuple, Mapping[Exponent, Var]], built: tuple,
+    cascade,
+) -> tuple[set, TermPlan]:
+    """The label pass and cascade of ``term_rows``: Z and the plan."""
     member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
     # the rows with a rhs or a scalar, then the candidates: the cascade's
     # zero-rhs rows, each {label: merged-term index}, and their conditions
@@ -507,19 +500,7 @@ def _term_plan(structure: tuple, labels: _Keyed, built: tuple,
     # a candidate has neither rhs nor scalar, so its fill needs no exponent
     places += [(k, None, row) for k, row in zip(owners, candidates)
                if not forced.issuperset(row)]
-    masks = tuple(
-        int(b"1" + bytes(map(forced.__contains__, at.values()))
-            .translate(_DIGITS), 2)
-        for at in maps.values()
-    )
-    outside = ()  # no two maps share a label (``box_labels``)
-    if sum(mask.bit_count() - 1 for mask in masks) < len(forced):
-        outside = tuple(forced.difference(
-            lb for at in maps.values() for lb in at.values()
-        ))
-    return TermPlan(
-        masks,
-        outside,
+    return forced, TermPlan(
         tuple(tuple(lb for lb in row if lb not in forced) for row in built),
         tuple(
             (k, f, tuple(t for lb, t in row.items() if lb not in forced),
@@ -538,27 +519,3 @@ def _shifted(items, shift: Exponent):
         s0, s1 = shift
         return (((a + s0, b + s1), lb) for (a, b), lb in items)
     return ((tuple(map(add, e, shift)), lb) for e, lb in items)
-
-
-def derivation_conditions(ring: ExponentMonoid, comps) -> list[tuple]:
-    """The field sum(comps[v] * d/dx_v) preserves ``ring``, in term form.
-
-    ``comps[v]`` is (known, field terms).  For each ring generator g, the
-    image sum(g[v] * x^(g - e_v) * comps[v]) of x^g lies in the ring.
-    """
-    out = []
-    for g in ring.generators:
-        known, terms = {}, []
-        for v, (comp_known, comp_terms) in enumerate(comps):
-            if not g[v]:
-                continue
-            d = g[:v] + (g[v] - 1,) + g[v + 1:]
-            for e, c in comp_known.items():
-                key = tuple(map(add, e, d))
-                known[key] = known.get(key, 0) + g[v] * c
-            terms += [
-                (prefix, tuple(map(add, shift, d)), g[v] * c)
-                for prefix, shift, c in comp_terms
-            ]
-        out.append((ring, known, tuple(terms), ()))
-    return out

@@ -46,6 +46,7 @@ from .atlas import (
     DoubleSchemeSpec,
     MultCocycle,
     VectorFieldCocycle,
+    derivation_conditions,
 )
 from .cohomology import (
     BOUND_CAVEAT,
@@ -69,7 +70,6 @@ from .laurent_core import (
 from .linear import (
     LinearSolver,
     box_labels,
-    derivation_conditions,
     forced_by_singletons,
     rank_of_vectors,
     term_rows,
@@ -527,8 +527,7 @@ def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     Each of A, B, C, D has an unknown (name, e) per e in [-bound, bound]^2
     (``_family_box``); ``linear.term_rows`` reads the rows off exponents.
     """
-    return term_rows(conditions, _family_box(bound), forced_by_singletons,
-                     labels_key=("family box", bound))
+    return term_rows(conditions, _family_box(bound), forced_by_singletons)
 
 
 # one entry per bound; the forced sets of ``_family_rows`` and the keys of

@@ -33,7 +33,13 @@ from pms.blowup import (
     derive_transitions,
     lift_double,
 )
-from pms.laurent_core import ExponentMonoid, LaurentPoly, minimal_generators
+from pms.laurent_core import (
+    ExponentMonoid,
+    LaurentPoly,
+    minimal_generators,
+    monomial_str,
+    poly_in_ring,
+)
 from pms.truncated_ring import compose_endo, identity_morphism
 from pms.p2_catalog import (
     beta_table,
@@ -648,6 +654,91 @@ def test_an_image_that_cancels_outside_the_ring_is_not_flagged():
         assert atlas_module.derivation_failures(comps, ring, names) == [
             "lam*mu"
         ]
+
+
+def generator_images(comps, ring):
+    """Each generator g of ``ring`` with its image sum(g[v] * x^(g - e_v) *
+    comps[v]), in ``LaurentPoly`` arithmetic."""
+    for g in ring.generators:
+        image = LaurentPoly.zero(ring.nvars)
+        for v, comp in enumerate(comps):
+            if g[v]:
+                image = image + comp.mul_monomial(
+                    g[:v] + (g[v] - 1,) + g[v + 1:], g[v]
+                )
+        yield g, image
+
+
+def seeded_field(ring, rng):
+    """Random rational pieces on ``ring``: a weighted Euler field x^m sum
+    w_v x_v d/dx_v with m in the ring, which preserves it; sometimes a pair
+    of terms whose images under one generator cancel outside the ring;
+    sometimes one random term."""
+    n = ring.nvars
+
+    def frac():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+
+    comps = [LaurentPoly.zero(n) for _ in range(n)]
+    m = [0] * n
+    for _ in range(rng.randint(0, 2)):
+        m = [a + b for a, b in zip(m, rng.choice(ring.generators))]
+    for v in range(n):
+        e = tuple(a + (u == v) for u, a in enumerate(m))
+        comps[v] = comps[v] + LaurentPoly.monomial(n, e, frac())
+    pairs = [g for g in ring.generators if sum(map(bool, g)) > 1]
+    if pairs and rng.random() < 0.6:
+        g = rng.choice(pairs)
+        v, w = rng.sample([u for u in range(n) if g[u]], 2)
+        f = tuple(rng.randint(-3, 3) for _ in range(n))
+        c = frac()
+        for u, coeff in ((v, c * g[w]), (w, -c * g[v])):
+            d = g[:u] + (g[u] - 1,) + g[u + 1:]
+            e = tuple(a - b for a, b in zip(f, d))
+            comps[u] = comps[u] + LaurentPoly.monomial(n, e, coeff)
+    if rng.random() < 0.4:
+        e = tuple(rng.randint(-2, 2) for _ in range(n))
+        v = rng.randrange(n)
+        comps[v] = comps[v] + LaurentPoly.monomial(n, e, frac())
+    return tuple(comps)
+
+
+def test_derivation_failures_match_the_image_oracle():
+    """``derivation_failures`` lists exactly the generators whose image,
+    built with ``LaurentPoly`` arithmetic, fails ``poly_in_ring``: on the
+    catalog chart and overlap rings and on one 3-variable ring."""
+    rings = {}
+    for atlas in (make_p2_atlas(), make_wcover_atlas(),
+                  make_blown_plane(-3, 1, 0).atlas):
+        charts = [c.ring for c in atlas.charts]
+        for ring in charts + list(atlas.overlaps.values()):
+            rings[ring.generators] = (ring, atlas.variables)
+    ring3 = ExponentMonoid(3, ((1, 0, 0), (-1, 1, 0), (0, 1, 1), (0, 0, -1)))
+    rings[ring3.generators] = (ring3, ("x", "y", "z"))
+    rng = random.Random(9173)
+    seen = set()
+    for ring, names in rings.values():
+        for _ in range(12):
+            comps = seeded_field(ring, rng)
+            expected = [monomial_str(g, names)
+                        for g, image in generator_images(comps, ring)
+                        if not poly_in_ring(image, ring)]
+            assert atlas_module.derivation_failures(comps, ring, names) == (
+                expected
+            ), (ring.generators, comps)
+            seen.add(bool(expected))
+            # a generator held although a term of comps lands outside
+            for g, image in generator_images(comps, ring):
+                shifted = [
+                    tuple(a + b - (u == v)
+                          for u, (a, b) in enumerate(zip(e, g)))
+                    for v, comp in enumerate(comps) if g[v]
+                    for e in comp.support()
+                ]
+                if poly_in_ring(image, ring) and not all(
+                        ring.contains(f) for f in shifted):
+                    seen.add("cancelled")
+    assert seen == {False, True, "cancelled"}
 
 
 def test_a_broken_spec_fails_on_every_call():

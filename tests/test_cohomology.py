@@ -12,6 +12,7 @@ from pms.atlas import (
     DoubleSchemeSpec,
     VectorFieldCocycle,
     canonical_spanning_pairs,
+    derivation_conditions,
     derivation_failures,
     derive_mult,
 )
@@ -40,7 +41,6 @@ from pms.cohomology import (
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.linear import (
     box_labels,
-    derivation_conditions,
     forced_by_singletons,
     solve_rows,
     term_rows,
@@ -660,14 +660,17 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
 
 def captured_systems(kind, monkeypatch):
     """The arguments of every row-pass call that the solvers of ``kind``
-    make, conditions and built rows as lists."""
+    make, conditions and built rows as lists, with the label maps' memo key:
+    the one a ``planned_rows`` caller names, else the maps' content."""
     calls = []
 
     def spy(through):
-        def call(conditions, labels, cascade, built=(), labels_key=None):
-            args = (list(conditions), labels, cascade, list(built), labels_key)
-            calls.append(args)
-            return through(*args)
+        def call(conditions, labels, cascade, built=(), *labels_key):
+            args = (list(conditions), labels, cascade, list(built))
+            key = labels_key or (tuple((prefix, tuple(at.items()))
+                                       for prefix, at in labels.items()),)
+            calls.append(args + key)
+            return through(*args, *labels_key)
         return call
 
     with monkeypatch.context() as patch:
@@ -710,16 +713,21 @@ def captured_systems(kind, monkeypatch):
 
 
 def planned(args):
-    """The forced-set size and the rows, each row's entries in order."""
-    forced, rows = linear.term_rows(*args)
-    return len(forced), [(list(row.items()), rhs) for row, rhs in rows]
+    """The Z of ``term_rows`` and the rows of ``planned_rows``, each row's
+    entries in order, which must be the rows of ``term_rows``."""
+    forced, rows = linear.term_rows(*args[:4])
+    _, got = linear.planned_rows(*args)
+    got = [(list(row.items()), rhs) for row, rhs in got]
+    assert got == [(list(row.items()), rhs) for row, rhs in rows]
+    return forced, got
 
 
 @pytest.mark.parametrize("kind", ["cocycle", "chart-ring", "family", "oneform"])
 def test_memoised_plans_match_fresh_ones(kind, monkeypatch):
-    """``term_rows`` gives the same forced-set size and the same rows, in
-    the same order with the same right-hand sides, with a cold memo, with a
-    memo warmed by the other systems, and with every plan built afresh."""
+    """``planned_rows`` gives the rows of ``term_rows``, in the same order
+    with the same right-hand sides, and ``term_rows`` the same Z, with a
+    cold memo, with a memo warmed by the other systems, and with every plan
+    built afresh."""
     calls = captured_systems(kind, monkeypatch)
     assert calls
     cold = []
@@ -735,3 +743,35 @@ def test_memoised_plans_match_fresh_ones(kind, monkeypatch):
         patch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
         fresh = [planned(args) for args in calls]
     assert cold == warm == fresh
+
+
+def test_only_repeated_structures_enter_the_plan_memo():
+    """The family grid from a cold row memo, the chart-ring rows and a
+    one-form solve, each built once at its own level, leave the plan memo
+    as it was; a repeated ``coboundary_solve`` plans from it."""
+    p2_catalog._family_rows.cache_clear()
+    info = linear._term_plan.cache_info()
+    for p in range(6):
+        for x_part in (0, 1):
+            for b in range(3, 9):
+                p2_catalog.solve_pullback_family(
+                    -3, p, b, nontrivial=bool(x_part)
+                )
+    assert linear._term_plan.cache_info() == info
+    for ring, _ in catalog_and_random_rings(random.Random(7121)):
+        for bound in range(4):
+            cohomology._chart_ring_rows.__wrapped__(
+                ring.generators, ring.nvars, bound
+            )
+    assert linear._term_plan.cache_info() == info
+    atlas = make_wcover_atlas()
+    oneform_coboundary_solve(
+        atlas, canonical_class(atlas, beta_table(1, 0)), 3
+    )
+    assert linear._term_plan.cache_info() == info
+
+    spec = build_carpet(Fraction(1, 2))
+    coboundary_solve(spec, bound=4)
+    hits = linear._term_plan.cache_info().hits
+    coboundary_solve(spec, bound=4)
+    assert linear._term_plan.cache_info().hits > hits

@@ -252,7 +252,9 @@ def fresh(args, monkeypatch):
 ])
 def test_plan_key_covers_each_label_pass_input(name, value, monkeypatch):
     """Two systems that differ in one input the label pass reads get
-    different plans; after the first, the second still gets its own."""
+    different plans; after the first, the second still gets its own, with
+    the rows of ``term_rows``, whose Z is what the cascade deletes from the
+    full system's rows."""
     first = term_system(**BASE)
     second = term_system(**{**BASE, name: value})
     expected = fresh(second, monkeypatch)
@@ -260,7 +262,11 @@ def test_plan_key_covers_each_label_pass_input(name, value, monkeypatch):
     linear._term_plan.cache_clear()
     planned(first)
     assert planned(second) == expected
-    assert term_rows(*second)[0] == expected[0].forced_labels(second[1])
+    conditions, labels, cascade, built, _ = second
+    forced, rows = term_rows(conditions, labels, cascade, built)
+    assert [(list(row.items()), rhs) for row, rhs in rows] == expected[1]
+    full = term_rows(conditions, labels, lambda rows: set(), built)[1]
+    assert forced and without(full, forced) == rows
 
 
 def test_plans_are_shared_across_coefficient_values(monkeypatch):
@@ -277,8 +283,8 @@ def test_plans_are_shared_across_coefficient_values(monkeypatch):
 
 
 def test_forced_labels_include_built_labels_outside_the_maps():
-    """A built row's label that no map holds is read back out of the plan
-    like the others once the cascade forces it."""
+    """A built row's label that no map holds is in Z like the others once
+    the cascade forces it."""
     labels = {A: box_labels(A, [(0, 0), (1, 0)])}
     conditions = [(None, {}, ((A, (0, 0), 1),), ())]
     built = [({("X",): 2, ("A", (0, 0)): 1}, 0)]

@@ -138,7 +138,11 @@ def test_every_module_function_is_referenced():
 
 
 def test_traced_private_functions_resolve():
-    """The benchmark tracer wraps these private names; each must exist."""
+    """The benchmark tracer wraps these private names; each must exist.
+
+    So must every span name its per-layer metrics group (a renamed function
+    would read 0 there) and every class method it wraps (a renamed one
+    would stop a traced run)."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
@@ -149,3 +153,15 @@ def test_traced_private_functions_resolve():
         module = importlib.import_module(f"pms.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    assert tracing.GROUPS
+    for span in {s for spans in tracing.GROUPS.values() for s in spans}:
+        layer, *path = span.split(".")
+        target = importlib.import_module(f"pms.{layer}")
+        for name in path:
+            target = getattr(target, name, None)
+        assert callable(target), span
+    assert tracing.CLASS_METHODS
+    for (layer, cls), methods in tracing.CLASS_METHODS.items():
+        owner = getattr(importlib.import_module(f"pms.{layer}"), cls)
+        for name in methods:
+            assert callable(getattr(owner, name, None)), (layer, cls, name)
