@@ -39,13 +39,14 @@ in two steps.
 * The solve.  The singleton cascade over the cached ring rows and the
   twisted-difference conditions removes the rows u = 0 at the box edges and
   where the other chart's term was dropped.  That plan reads exponents
-  only, so ``linear.planned_rows`` makes it once per exponent structure:
-  the label maps enter its key as the charts' names and rings and the
-  bound, the conditions as their twist exponents and the supports of the
-  target and of the extras.  A repeated structure only fills in the
-  coefficients and right-hand sides of the few rows the cascade leaves.
-  The chart ring rows are cached here and one-form systems do not repeat,
-  so both go through the unmemoised ``linear.term_rows``.
+  only (``linear.plan_rows``), and the searches repeat a few hundred
+  structures with new coefficients, so ``_chart_plan`` keeps it per
+  structure, keyed on the charts' names and rings, the bound and the split
+  conditions: their twist exponents and the supports of the target and of
+  the extras.  A repeated structure only fills in the coefficients and
+  right-hand sides of the few rows the cascade leaves.  The chart ring rows
+  are cached here and one-form systems do not repeat, so both go through
+  ``linear.term_rows``.
 
 Extra scalar unknowns (tau, and the one-form ``coeff`` and ``rho`` labels)
 are never dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted
@@ -82,10 +83,13 @@ from .laurent_core import (
     poly_to_json,
 )
 from .linear import (
+    TermPlan,
     box_labels,
+    fill_rows,
     forced_by_singletons,
-    planned_rows,
+    plan_rows,
     solve_rows,
+    split_conditions,
     term_rows,
     without,
 )
@@ -454,29 +458,49 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
 
     The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
     unknown when its chart ring forces it to zero (``_chart_unknowns``), or
-    when the singleton cascade of ``planned_rows`` over the cached ring rows
-    and the twisted-difference conditions does; the extra scalars c_s are
-    never dropped.
+    when the singleton cascade over the cached ring rows and the
+    twisted-difference conditions does; the extra scalars c_s are never
+    dropped.  The conditions are split and their plan read from
+    ``_chart_plan``, so a repeated structure only fills.
     """
     nvars = atlas.nvars
     zero = (0,) * nvars
-    fields, labels, ring_rows = {}, {}, []
-    for chart in atlas.charts:
-        name = chart.name
-        chart_labels, rows = _chart_unknowns(
-            name, chart.ring.generators, nvars, space.bound
-        )
-        ring_rows += rows
-        fields[name] = [
-            (((("T", name, v), zero, 1),), ()) for v in range(nvars)
-        ]
-        labels.update((("T", name, v), at) for v, at in enumerate(chart_labels))
-    conditions = _twisted_conditions(atlas, fields, twist_full, target_full, extra)
+    fields = {
+        chart.name: [(((("T", chart.name, v), zero, 1),), ())
+                     for v in range(nvars)]
+        for chart in atlas.charts
+    }
+    shape, values = split_conditions(
+        _twisted_conditions(atlas, fields, twist_full, target_full, extra)
+    )
     charts = tuple((chart.name, chart.ring.generators) for chart in atlas.charts)
-    return planned_rows(
-        conditions, labels, forced_by_singletons, ring_rows,
-        ("chart fields", nvars, space.bound, charts),
-    )[1]
+    plan, ring_rows = _chart_plan(charts, nvars, space.bound, shape)
+    return fill_rows(plan, values, ring_rows)
+
+
+# one entry per exponent structure of the chart-field systems; a
+# cocycle-search run (seed 5, warm-up and 37 rounds) makes 174, and 2,279
+# of its 2,453 calls hit
+@lru_cache(maxsize=512)
+def _chart_plan(
+    charts: tuple[tuple[str, tuple[Exponent, ...]], ...], nvars: int,
+    bound: int, shape: tuple,
+) -> tuple[TermPlan, tuple[tuple[dict, int], ...]]:
+    """The plan of the split chart-field conditions ``shape`` over the
+    charts' (name, generators), and their ring rows.
+
+    The key holds every input of the label pass: the label maps and the
+    ring rows are ``_chart_unknowns`` of each chart at the bound, and the
+    cascade is ``forced_by_singletons``.
+    """
+    labels, ring_rows = {}, []
+    for name, generators in charts:
+        chart_labels, rows = _chart_unknowns(name, generators, nvars, bound)
+        ring_rows += rows
+        labels.update((("T", name, v), at) for v, at in enumerate(chart_labels))
+    _, plan = plan_rows(shape, labels, [row for row, _ in ring_rows],
+                        forced_by_singletons)
+    return plan, tuple(ring_rows)
 
 
 def _read_fields(atlas: Atlas, values) -> dict:

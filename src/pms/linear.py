@@ -62,30 +62,27 @@ e_z lies in the row space.  It reads label sets only, and ``term_rows``
 reads those off exponents, with no polynomial arithmetic.  A scalar is never
 dropped, so a row that mentions one stays out of the cascade.
 
-``term_rows`` therefore works in two steps.  The plan reads exponents only:
-the label pass and the cascade give Z, the (condition, exponent) places
-whose rows survive it with the labels each keeps, and the labels each
-already-built row keeps.  The fill puts the coefficients and right-hand
-sides in at those places only.  Most systems are built once and cached by
-their caller, or never repeat, so ``term_rows`` plans afresh and returns Z.
-The twisted-difference systems of ``cohomology._chart_fields`` repeat a few
-hundred structures with new coefficients, so they go through
-``planned_rows``, which keeps the plans, without Z, in a bounded memo keyed
-on every input the label pass reads: each condition's ring, the support of
-its nonzero known part, its merged (prefix, shift) list with zero sums
-dropped and its merged scalar supports by label; the label maps, by what
-built them (``labels_key``); the labels of the built rows; and the cascade.
-A coefficient value cannot change a plan once the cancelling merges are in
-the key: every label left then has a nonzero coefficient in its row, so no
-row gains or loses a label, and a right-hand side is nonzero exactly on the
-known part's support.  Most of those calls only fill.
+``term_rows`` therefore runs three stages.  ``split_conditions`` reduces
+each condition to what the label pass reads (its structure) and to the
+values the fill reads.  ``plan_rows`` runs the label pass and the cascade on
+the structure alone and gives Z, the (condition, exponent) places whose rows
+survive with the labels each keeps, and the labels each built row keeps.
+``fill_rows`` puts the coefficients and right-hand sides in at those places
+only.  The structure of a condition is its ring, the support of its nonzero
+known part, its merged (prefix, shift) list with zero sums dropped and its
+merged scalar supports by label.  A coefficient value cannot change a plan
+once the cancelling merges are in the structure: every label left then has a
+nonzero coefficient in its row, so no row gains or loses a label, and a
+right-hand side is nonzero exactly on the known part's support.  So a caller
+whose structures repeat with new coefficients can keep its plans, keyed on
+the structures and on whatever built its label maps and built rows, and only
+fill (``cohomology._chart_plan``).  This module keeps no memo.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
@@ -322,28 +319,6 @@ def box_labels(prefix: tuple, exps: Iterable[Exponent]) -> dict[Exponent, tuple]
     return {e: prefix + (e,) for e in exps}
 
 
-class _Keyed:
-    """Label maps as a memo argument, hashed and compared by ``key``, the
-    inputs that built them; never by ``id``, which CPython reuses once an
-    object is freed.  The memo keeps the key, not the maps: ``take`` hands
-    them out once."""
-
-    __slots__ = ("key", "maps")
-
-    def __init__(self, key, maps: Mapping[tuple, Mapping[Exponent, Var]]):
-        self.key, self.maps = key, maps
-
-    def take(self) -> Mapping[tuple, Mapping[Exponent, Var]]:
-        maps, self.maps = self.maps, None
-        return maps
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
 class TermPlan(NamedTuple):
     """What the label pass and cascade of ``term_rows`` leave of one
     exponent structure, besides the forced set."""
@@ -377,40 +352,20 @@ def term_rows(
     and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
     come back with Z deleted, as ``without`` leaves them.
 
-    The plan (``_label_pass``) runs the label pass and the cascade on
-    exponents alone, and the fill puts the coefficients and right-hand sides
-    in at the places it keeps.  Nothing is memoised; see ``planned_rows``.
+    It runs ``split_conditions``, ``plan_rows`` and ``fill_rows`` in turn
+    and keeps nothing; a caller whose structures repeat runs them itself and
+    keeps its plans (see the module docstring).
     """
-    structure, values = _split(conditions)
+    structure, values = split_conditions(conditions)
     built = list(built)
-    forced, plan = _label_pass(
-        structure, labels, tuple(tuple(row) for row, _ in built), cascade
-    )
-    return forced, _fill(plan, values, built)
+    forced, plan = plan_rows(structure, labels, [row for row, _ in built],
+                             cascade)
+    return forced, fill_rows(plan, values, built)
 
 
-def planned_rows(
-    conditions: Iterable[tuple],
-    labels: Mapping[tuple, Mapping[Exponent, Var]],
-    cascade,
-    built: Iterable[tuple[Row, Fraction]],
-    labels_key: Hashable,
-) -> tuple[TermPlan, list[tuple[Row, Fraction]]]:
-    """``term_rows`` for a structure that repeats with new coefficients:
-    the plan and the rows, with the plan memoised (``_term_plan``) on every
-    input the label pass reads (see the module docstring) and without Z.
-    ``labels_key`` names what built the label maps: maps with equal keys
-    must be equal."""
-    structure, values = _split(conditions)
-    built = list(built)
-    plan = _term_plan(tuple(structure), _Keyed(labels_key, labels),
-                      tuple(tuple(row) for row, _ in built), cascade)
-    return plan, _fill(plan, values, built)
-
-
-def _split(conditions: Iterable[tuple]) -> tuple[list, list]:
-    """The label-pass inputs of each condition (the key of ``_term_plan``)
-    and the values the fill reads."""
+def split_conditions(conditions: Iterable[tuple]) -> tuple[tuple, list]:
+    """The structure of each condition, what ``plan_rows`` reads, and the
+    values ``fill_rows`` reads (see the module docstring)."""
     structure, values = [], []
     for ring, known, terms, scalars in conditions:
         merged: dict[tuple, Fraction | int] = {}
@@ -436,42 +391,17 @@ def _split(conditions: Iterable[tuple]) -> tuple[list, list]:
         values.append(
             (tuple(c for c in merged.values() if c), known, by_exp)
         )
-    return structure, values
+    return tuple(structure), values
 
 
-def _fill(plan: TermPlan, values: list,
-          built: list[tuple[Row, Fraction]]) -> list[tuple[Row, Fraction]]:
-    """The rows at the places ``plan`` keeps, ``built`` first."""
-    rows = [({lb: row[lb] for lb in kept}, rhs)
-            for (row, rhs), kept in zip(built, plan.built) if kept or rhs]
-    for k, f, terms, kept in plan.places:
-        coeffs, known, by_exp = values[k]
-        row = {lb: coeffs[t] for t, lb in zip(terms, kept)}
-        if f is not None:
-            extra = by_exp.get(f)
-            if extra:
-                row.update(extra)
-            rows.append((row, -known.get(f, 0)))
-        else:
-            rows.append((row, 0))
-    return rows
-
-
-# one entry per exponent structure of ``_chart_fields``, its only caller; a
-# cocycle-search run (warm-up and 37 rounds) makes 174, and 2,279 of its
-# 2,453 calls hit
-@lru_cache(maxsize=512)
-def _term_plan(structure: tuple, labels: _Keyed, built: tuple,
-               cascade) -> TermPlan:
-    """The plan of ``_label_pass`` on the key alone; Z is not kept."""
-    return _label_pass(structure, labels.take(), built, cascade)[1]
-
-
-def _label_pass(
-    structure, maps: Mapping[tuple, Mapping[Exponent, Var]], built: tuple,
-    cascade,
+def plan_rows(
+    structure: tuple, maps: Mapping[tuple, Mapping[Exponent, Var]],
+    built: list, cascade,
 ) -> tuple[set, TermPlan]:
-    """The label pass and cascade of ``term_rows``: Z and the plan."""
+    """The label pass and cascade of ``term_rows``: Z and the plan.
+
+    ``built`` holds the label set of each built row, in order.
+    """
     member: dict[ExponentMonoid, dict] = {}  # ring -> {exponent: in ring}
     # the rows with a rhs or a scalar, then the candidates: the cascade's
     # zero-rhs rows, each {label: merged-term index}, and their conditions
@@ -508,6 +438,24 @@ def _label_pass(
             for k, f, row in places
         ),
     )
+
+
+def fill_rows(plan: TermPlan, values: list,
+              built: list[tuple[Row, Fraction]]) -> list[tuple[Row, Fraction]]:
+    """The rows at the places ``plan`` keeps, ``built`` first."""
+    rows = [({lb: row[lb] for lb in kept}, rhs)
+            for (row, rhs), kept in zip(built, plan.built) if kept or rhs]
+    for k, f, terms, kept in plan.places:
+        coeffs, known, by_exp = values[k]
+        row = {lb: coeffs[t] for t, lb in zip(terms, kept)}
+        if f is not None:
+            extra = by_exp.get(f)
+            if extra:
+                row.update(extra)
+            rows.append((row, -known.get(f, 0)))
+        else:
+            rows.append((row, 0))
+    return rows
 
 
 def _shifted(items, shift: Exponent):

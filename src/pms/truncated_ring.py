@@ -428,32 +428,44 @@ def apply_endo(theta: RingMorphism, u: TruncElement) -> TruncElement:
     theta(u) is the sum over i of phi(u_i) * epsilon^i * t^i, so slice i is
     built only below order n - i; the slices are summed in one packed element.
     """
-    if u.order != theta.order:
-        raise ValueError("element and morphism orders differ")
-    if u.nvars != theta.nvars:
-        raise ValueError("variable count mismatch")
+    return _apply_all(theta, (u,))[0]
+
+
+def _apply_all(theta: RingMorphism,
+               elements: tuple[TruncElement, ...]) -> tuple[TruncElement, ...]:
+    """``apply_endo`` of theta on each of ``elements``, all packed with one
+    packing and sharing one list of epsilon's powers."""
     n = theta.order
-    packing = _packing(n, theta.nvars, _coefficients(theta) + u.coeffs)
+    for u in elements:
+        if u.order != n:
+            raise ValueError("element and morphism orders differ")
+        if u.nvars != theta.nvars:
+            raise ValueError("variable count mismatch")
+    packing = _packing(n, theta.nvars, sum((u.coeffs for u in elements),
+                                           _coefficients(theta)))
     eps_pows = _powers(packing.pack(theta.epsilon.coeffs), n)
-    out = PackedSeries(packing, n, {})
-    for i, ui in enumerate(u.coeffs):
-        if ui:
-            phi = _phi_poly(theta, ui, n - i, packing)
-            out.add_product(phi, eps_pows[i], i)
-    return _unpack(out.finished())
+    images = []
+    for u in elements:
+        out = PackedSeries(packing, n, {})
+        for i, ui in enumerate(u.coeffs):
+            if ui:
+                phi = _phi_poly(theta, ui, n - i, packing)
+                out.add_product(phi, eps_pows[i], i)
+        images.append(_unpack(out.finished()))
+    return tuple(images)
 
 
 def compose_endo(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
-    """The endomorphism u -> outer(inner(u))."""
+    """The endomorphism u -> outer(inner(u)): outer applied to inner's
+    variable images and to its t-image epsilon * t in one ``_apply_all``."""
     if outer.order != inner.order or outer.nvars != inner.nvars:
         raise ValueError("morphism order or variable mismatch")
     n = outer.order
-    images = tuple(
-        apply_endo(outer, img) for img in inner.variable_images
+    *images, t_image = _apply_all(
+        outer, inner.variable_images + (inner.epsilon.lift(n).shift_up(1),)
     )
-    t_image = apply_endo(outer, inner.epsilon.lift(n).shift_up(1))
     eps = TruncElement(n - 1, t_image.coeffs[1:])
-    return RingMorphism(n, images, eps)
+    return RingMorphism(n, tuple(images), eps)
 
 
 def truncate_morphism(theta: RingMorphism, order: int) -> RingMorphism:

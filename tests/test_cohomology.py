@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from pms.atlas import (
     derivation_conditions,
     derivation_failures,
     derive_mult,
+    derive_vector_field,
 )
 from pms.blowup import CenterSpec, blowup_good, blowup_hypersurface
 from pms.cohomology import (
@@ -658,25 +660,44 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
             assert dropped == singleton_fixpoint(rows), (case, bound)
 
 
+def chart_system(charts, nvars, bound):
+    """The label maps and ring rows that ``term_rows`` takes for the
+    chart-field system over ``charts``, pairs (name, generators)."""
+    labels, built = {}, []
+    for name, generators in charts:
+        kept, rows = cohomology._chart_unknowns(name, generators, nvars, bound)
+        labels.update((("T", name, v), at) for v, at in enumerate(kept))
+        built += rows
+    return labels, built
+
+
 def captured_systems(kind, monkeypatch):
     """The arguments of every row-pass call that the solvers of ``kind``
-    make, conditions and built rows as lists, with the label maps' memo key:
-    the one a ``planned_rows`` caller names, else the maps' content."""
-    calls = []
+    make, conditions and built rows as lists, then the ``_chart_plan`` key
+    (charts, variable count, bound) of a chart-field system, else None."""
+    calls, split = [], []
+    chart_plan = cohomology._chart_plan
 
-    def spy(through):
-        def call(conditions, labels, cascade, built=(), *labels_key):
-            args = (list(conditions), labels, cascade, list(built))
-            key = labels_key or (tuple((prefix, tuple(at.items()))
-                                       for prefix, at in labels.items()),)
-            calls.append(args + key)
-            return through(*args, *labels_key)
-        return call
+    def spy(conditions, labels, cascade, built=()):
+        args = (list(conditions), labels, cascade, list(built))
+        calls.append(args + (None,))
+        return linear.term_rows(*args)
+
+    def spy_split(conditions):
+        split.append(list(conditions))
+        return linear.split_conditions(split[-1])
+
+    def spy_plan(charts, nvars, bound, shape):
+        labels, built = chart_system(charts, nvars, bound)
+        calls.append((split.pop(), labels, forced_by_singletons, built,
+                      (charts, nvars, bound)))
+        return chart_plan(charts, nvars, bound, shape)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "planned_rows", spy(linear.planned_rows))
-        patch.setattr(cohomology, "term_rows", spy(linear.term_rows))
-        patch.setattr(p2_catalog, "term_rows", spy(linear.term_rows))
+        patch.setattr(cohomology, "split_conditions", spy_split)
+        patch.setattr(cohomology, "_chart_plan", spy_plan)
+        patch.setattr(cohomology, "term_rows", spy)
+        patch.setattr(p2_catalog, "term_rows", spy)
         if kind == "cocycle":
             cohomology._chart_unknowns.cache_clear()
             cohomology._chart_ring_rows.cache_clear()
@@ -712,35 +733,46 @@ def captured_systems(kind, monkeypatch):
     return calls
 
 
+def entries(rows):
+    """Each row's entries in order, with its right-hand side."""
+    return [(list(row.items()), rhs) for row, rhs in rows]
+
+
 def planned(args):
-    """The Z of ``term_rows`` and the rows of ``planned_rows``, each row's
-    entries in order, which must be the rows of ``term_rows``."""
-    forced, rows = linear.term_rows(*args[:4])
-    _, got = linear.planned_rows(*args)
-    got = [(list(row.items()), rhs) for row, rhs in got]
-    assert got == [(list(row.items()), rhs) for row, rhs in rows]
-    return forced, got
+    """The Z and rows of ``term_rows``, each row's entries in order; a
+    chart-field system gets the same rows from its ``_chart_plan`` plan."""
+    conditions, labels, cascade, built, key = args
+    forced, rows = linear.term_rows(conditions, labels, cascade, built)
+    rows = entries(rows)
+    if key is not None:
+        shape, values = linear.split_conditions(conditions)
+        plan, ring_rows = cohomology._chart_plan(*key, shape)
+        assert entries(linear.fill_rows(plan, values, ring_rows)) == rows
+    return forced, rows
 
 
 @pytest.mark.parametrize("kind", ["cocycle", "chart-ring", "family", "oneform"])
 def test_memoised_plans_match_fresh_ones(kind, monkeypatch):
-    """``planned_rows`` gives the rows of ``term_rows``, in the same order
-    with the same right-hand sides, and ``term_rows`` the same Z, with a
-    cold memo, with a memo warmed by the other systems, and with every plan
-    built afresh."""
+    """``_chart_plan`` gives the rows of ``term_rows``, in the same order
+    with the same right-hand sides, with a cold memo, with a memo warmed by
+    the other systems, and with every plan built afresh; only the
+    chart-field systems of the cocycle solvers reach it."""
     calls = captured_systems(kind, monkeypatch)
     assert calls
+    charted = [args for args in calls if args[4] is not None]
+    assert bool(charted) == (kind == "cocycle")
     cold = []
     for args in calls:
-        linear._term_plan.cache_clear()
+        cohomology._chart_plan.cache_clear()
         cold.append(planned(args))
-    linear._term_plan.cache_clear()
+    cohomology._chart_plan.cache_clear()
     warm = [planned(args) for args in calls]
-    hits = linear._term_plan.cache_info().hits
+    hits = cohomology._chart_plan.cache_info().hits
     assert [planned(args) for args in calls] == warm
-    assert linear._term_plan.cache_info().hits == hits + len(calls)
+    assert cohomology._chart_plan.cache_info().hits == hits + len(charted)
     with monkeypatch.context() as patch:
-        patch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
+        patch.setattr(cohomology, "_chart_plan",
+                      cohomology._chart_plan.__wrapped__)
         fresh = [planned(args) for args in calls]
     assert cold == warm == fresh
 
@@ -750,28 +782,132 @@ def test_only_repeated_structures_enter_the_plan_memo():
     one-form solve, each built once at its own level, leave the plan memo
     as it was; a repeated ``coboundary_solve`` plans from it."""
     p2_catalog._family_rows.cache_clear()
-    info = linear._term_plan.cache_info()
+    info = cohomology._chart_plan.cache_info()
     for p in range(6):
         for x_part in (0, 1):
             for b in range(3, 9):
                 p2_catalog.solve_pullback_family(
                     -3, p, b, nontrivial=bool(x_part)
                 )
-    assert linear._term_plan.cache_info() == info
+    assert cohomology._chart_plan.cache_info() == info
     for ring, _ in catalog_and_random_rings(random.Random(7121)):
         for bound in range(4):
             cohomology._chart_ring_rows.__wrapped__(
                 ring.generators, ring.nvars, bound
             )
-    assert linear._term_plan.cache_info() == info
+    assert cohomology._chart_plan.cache_info() == info
     atlas = make_wcover_atlas()
     oneform_coboundary_solve(
         atlas, canonical_class(atlas, beta_table(1, 0)), 3
     )
-    assert linear._term_plan.cache_info() == info
+    assert cohomology._chart_plan.cache_info() == info
 
     spec = build_carpet(Fraction(1, 2))
     coboundary_solve(spec, bound=4)
-    hits = linear._term_plan.cache_info().hits
+    hits = cohomology._chart_plan.cache_info().hits
     coboundary_solve(spec, bound=4)
-    assert linear._term_plan.cache_info().hits > hits
+    assert cohomology._chart_plan.cache_info().hits > hits
+
+
+def carpet_system(alpha, bound=3, tau=True):
+    """The ``_chart_fields`` arguments of the carpet at ``alpha``: its
+    derived family as the target and, with ``tau``, as the extra."""
+    spec = build_carpet(alpha)
+    atlas = spec.atlas
+    twist = derive_mult(atlas, spec.alpha)
+    target = derive_vector_field(atlas, twist, spec.D)
+    extra = [(("tau",), target)] if tau else []
+    return atlas, BoundedSpace(atlas.nvars, bound), twist, target, extra
+
+
+def varied(system, name):
+    """``system`` with one input of the label pass changed: the bound, the
+    ring or the name of one chart, the twist exponent of one spanning pair,
+    or the support of the target or of the extra there."""
+    atlas, space, twist, target, extra = system
+    pair, far = ("W0", "W1"), mono((7, 7))
+    if name == "bound":
+        space = BoundedSpace(atlas.nvars, space.bound + 1)
+        return atlas, space, twist, target, extra
+    if name == "ring":
+        charts = tuple(
+            replace(c, ring=ExponentMonoid(2, ((1, 0), (0, 1))))
+            if c.name == "W1" else c for c in atlas.charts
+        )
+        return replace(atlas, charts=charts), space, twist, target, extra
+    if name == "name":
+        def rename(n):
+            return "W4" if n == "W3" else n
+
+        def moved(family):
+            return {tuple(map(rename, key)): value
+                    for key, value in family.items()}
+
+        atlas = replace(
+            atlas,
+            charts=tuple(replace(c, name=rename(c.name)) for c in atlas.charts),
+            overlaps=moved(atlas.overlaps),
+            frames={rename(n): f for n, f in atlas.frames.items()},
+        )
+        return (atlas, space, moved(twist), moved(target),
+                [(label, moved(known)) for label, known in extra])
+    if name == "twist":
+        twist = {**twist, pair: twist[pair] * mono((1, 0))}
+        return atlas, space, twist, target, extra
+    widened = {**target, pair: (target[pair][0] + far,) + target[pair][1:]}
+    if name == "target":
+        return atlas, space, twist, widened, extra
+    assert name == "extra"
+    return atlas, space, twist, target, [(("tau",), widened)]
+
+
+def chart_field_rows(atlas, space, twist, target, extra):
+    """``term_rows`` over ``_twisted_conditions`` and the ring rows of
+    ``_chart_unknowns``, each row's entries in order."""
+    charts = tuple((c.name, c.ring.generators) for c in atlas.charts)
+    labels, built = chart_system(charts, atlas.nvars, space.bound)
+    conditions = cohomology._twisted_conditions(
+        atlas, term_form_fields(atlas), twist, target, extra
+    )
+    return entries(term_rows(conditions, labels, forced_by_singletons, built)[1])
+
+
+def test_each_chart_field_input_gets_its_own_plan(monkeypatch):
+    """Chart-field systems that differ in one input of the label pass each
+    get their own ``_chart_plan`` entry, and their rows, cold, warm and
+    planned afresh, are those of ``term_rows`` in the same order; a carpet
+    at another alpha plans from the memo and fills its own coefficients."""
+    base = carpet_system(Fraction(1, 2))
+    systems = [base] + [
+        varied(base, name)
+        for name in ("bound", "ring", "name", "twist", "target", "extra")
+    ]
+    expected = [chart_field_rows(*system) for system in systems]
+
+    def rows_of_all():
+        return [entries(cohomology._chart_fields(*system))
+                for system in systems]
+
+    cohomology._chart_plan.cache_clear()
+    cold = rows_of_all()
+    info = cohomology._chart_plan.cache_info()
+    assert info.misses == info.currsize == len(systems)
+    warm = rows_of_all()
+    again = cohomology._chart_plan.cache_info()
+    assert (again.hits, again.misses) == (info.hits + len(systems), info.misses)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_chart_plan",
+                      cohomology._chart_plan.__wrapped__)
+        fresh = rows_of_all()
+    assert cold == warm == fresh == expected
+
+    cohomology._chart_plan.cache_clear()
+    coboundary_solve(build_carpet(Fraction(1, 2)), bound=4)
+    info = cohomology._chart_plan.cache_info()
+    coboundary_solve(build_carpet(Fraction(1, 3)), bound=4)
+    again = cohomology._chart_plan.cache_info()
+    assert (again.hits, again.misses) == (info.hits + 1, info.misses)
+    half, third = (carpet_system(Fraction(alpha), 4, tau=False)
+                   for alpha in ("1/2", "1/3"))
+    rows = entries(cohomology._chart_fields(*third))
+    assert rows == chart_field_rows(*third) != chart_field_rows(*half)

@@ -552,6 +552,7 @@ def test_every_cache_is_bounded():
     assert {
         "atlas._fold_mult",
         "atlas._fold_vector_field",
+        "cohomology._chart_plan",
         "cohomology._chart_ring_rows",
         "cohomology._chart_unknowns",
         "laurent_core._monoid_contains_cached",
@@ -562,4 +563,5 @@ def test_every_cache_is_bounded():
         "p2_catalog._gauge",
         "truncated_ring._image_power",
     } <= set(caches)
+    assert not any(name.startswith("linear.") for name in caches), caches
     assert all(size is not None for size in caches.values()), caches

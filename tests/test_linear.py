@@ -16,10 +16,13 @@ from pms.laurent_core import ExponentMonoid
 from pms.linear import (
     LinearSolver,
     box_labels,
+    fill_rows,
     forced_by_singletons,
     in_span,
+    plan_rows,
     rank_of_vectors,
     solve_rows,
+    split_conditions,
     term_rows,
     without,
 )
@@ -230,56 +233,64 @@ def term_system(twist, known, merge, scalar, ring, bound, built, scale=1):
          ((A, (0, 1), c), (B, (1, 1), c), (B, (1, 1), merge * c)), ()),
     ]
     built_rows = [({("A", built): c, ("B", (0, 0)): -c}, 0)]
-    return conditions, labels, forced_by_singletons, built_rows, ("box", bound)
+    return conditions, labels, forced_by_singletons, built_rows
+
+
+def entries(rows):
+    """Each row's entries in order, with its right-hand side."""
+    return [(list(row.items()), rhs) for row, rhs in rows]
+
+
+def plan_inputs(args):
+    """What ``plan_rows`` reads of ``args``: the structure, the label maps,
+    the built rows' labels and the cascade."""
+    conditions, labels, cascade, built = args
+    return (split_conditions(conditions)[0],
+            tuple((prefix, tuple(at.items())) for prefix, at in labels.items()),
+            tuple(tuple(row) for row, _ in built), cascade)
 
 
 def planned(args):
-    """The plan and rows of ``args``, each row's entries in order."""
-    plan, rows = linear.planned_rows(*args)
-    return plan, [(list(row.items()), rhs) for row, rhs in rows]
-
-
-def fresh(args, monkeypatch):
-    """``planned`` with the memo bypassed."""
-    with monkeypatch.context() as patch:
-        patch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
-        return planned(args)
+    """The plan of ``args`` and the rows ``fill_rows`` puts in."""
+    conditions, labels, cascade, built = args
+    structure, values = split_conditions(conditions)
+    _, plan = plan_rows(structure, labels, [row for row, _ in built], cascade)
+    return plan, entries(fill_rows(plan, values, built))
 
 
 @pytest.mark.parametrize("name,value", [
     ("twist", (1, 1)), ("known", (0, 2)), ("merge", -1), ("scalar", (2, -1)),
     ("ring", LAM_LAURENT), ("bound", 3), ("built", (1, 0)),
 ])
-def test_plan_key_covers_each_label_pass_input(name, value, monkeypatch):
-    """Two systems that differ in one input the label pass reads get
-    different plans; after the first, the second still gets its own, with
-    the rows of ``term_rows``, whose Z is what the cascade deletes from the
-    full system's rows."""
+def test_plan_key_covers_each_label_pass_input(name, value):
+    """Two systems that differ in one input the label pass reads differ in
+    what ``plan_rows`` reads and get different plans; the second's stages
+    give the rows of ``term_rows``, whose Z is what the cascade deletes from
+    the full system's rows."""
     first = term_system(**BASE)
     second = term_system(**{**BASE, name: value})
-    expected = fresh(second, monkeypatch)
-    assert fresh(first, monkeypatch)[0] != expected[0]
-    linear._term_plan.cache_clear()
-    planned(first)
-    assert planned(second) == expected
-    conditions, labels, cascade, built, _ = second
-    forced, rows = term_rows(conditions, labels, cascade, built)
-    assert [(list(row.items()), rhs) for row, rhs in rows] == expected[1]
+    assert plan_inputs(first) != plan_inputs(second)
+    plan, rows = planned(second)
+    assert planned(first)[0] != plan
+    forced, expected = term_rows(*second)
+    assert entries(expected) == rows
+    conditions, labels, _, built = second
     full = term_rows(conditions, labels, lambda rows: set(), built)[1]
-    assert forced and without(full, forced) == rows
+    assert forced and without(full, forced) == expected
 
 
-def test_plans_are_shared_across_coefficient_values(monkeypatch):
-    """The same structure with other nonzero coefficients hits the memo and
-    gets its own coefficients and right-hand sides."""
-    linear._term_plan.cache_clear()
-    base = planned(term_system(**BASE))
-    hits = linear._term_plan.cache_info().hits
+def test_plans_are_shared_across_coefficient_values():
+    """The same structure with other nonzero coefficients has the same plan
+    inputs and plan, and that plan filled with its values gives its own
+    ``term_rows``."""
+    base = term_system(**BASE)
     scaled = term_system(**BASE, scale=Fraction(-5, 7))
-    got = planned(scaled)
-    assert linear._term_plan.cache_info().hits == hits + 1
-    assert got[0] == base[0] and got[1] != base[1]
-    assert fresh(scaled, monkeypatch) == got
+    assert plan_inputs(scaled) == plan_inputs(base)
+    plan, rows = planned(base)
+    assert planned(scaled)[0] == plan
+    _, values = split_conditions(scaled[0])
+    got = entries(fill_rows(plan, values, scaled[3]))
+    assert got == entries(term_rows(*scaled)[1]) != rows
 
 
 def test_forced_labels_include_built_labels_outside_the_maps():

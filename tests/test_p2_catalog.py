@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from pms import atlas, linear, p2_catalog
+from pms import atlas, p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
@@ -459,13 +459,12 @@ def _entries(rows):
 
 @pytest.mark.parametrize("x_part", [0, 1])
 @pytest.mark.parametrize("p", range(6))
-def test_family_row_memo_matches_a_fresh_build(p, x_part, monkeypatch):
-    """The memo's Z and both routes' rows equal those of a fresh build with
-    no plan memo: same rows, same order, same entry order, same right-hand
-    sides; every entry and right-hand side an ``int``."""
+def test_family_row_memo_matches_a_fresh_build(p, x_part):
+    """The memo's Z and both routes' rows equal those of a fresh build:
+    same rows, same order, same entry order, same right-hand sides; every
+    entry and right-hand side an ``int``."""
     p2_catalog._family_rows.cache_clear()
     cached = {b: p2_catalog._family_rows(-3, p, x_part, b) for b in range(3, 9)}
-    monkeypatch.setattr(linear, "_term_plan", linear._term_plan.__wrapped__)
     conditions = p2_catalog._pullback_conditions(-3, p, x_part)
     for b, system in cached.items():
         forced, rows = p2_catalog._pullback_rows(conditions, b)
@@ -503,8 +502,7 @@ def test_a_second_family_call_hits_the_row_memo():
 
 def test_family_json_is_the_same_cold_and_warm():
     memos = (p2_catalog._family_rows, p2_catalog._family_box,
-             p2_catalog._gauge, p2_catalog._constructor_member,
-             linear._term_plan)
+             p2_catalog._gauge, p2_catalog._constructor_member)
 
     def family_json(p, x_part, b):
         fd = solve_pullback_family(-3, p, b, nontrivial=bool(x_part))

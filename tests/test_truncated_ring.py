@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from pms import truncated_ring
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.truncated_ring import (
     RingMorphism,
@@ -184,6 +185,40 @@ def test_identity_and_composition():
     for _ in range(10):
         u = random_element(rng, 3)
         assert apply_endo(compose_endo(a, b), u) == apply_endo(a, apply_endo(b, u))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_composition_is_outer_applied_to_each_image(seed, monkeypatch):
+    """``compose_endo`` equals ``apply_endo`` of the outer morphism on each
+    inner variable image and on epsilon * t, built from one list of
+    epsilon's powers; ``endo_inverse`` still checks both compositions."""
+    rng = random.Random(f"compose:{seed}")
+    order = 2 + seed % 4
+    outer = sparse_morphism(rng, order, 2, ("unit", "zero", "reg")[seed % 3])
+    inner = sparse_morphism(rng, order, 2, "unit")
+    t_image = apply_endo(outer, inner.epsilon.lift(order).shift_up(1))
+    expected = RingMorphism(
+        order, tuple(apply_endo(outer, img) for img in inner.variable_images),
+        TruncElement(order - 1, t_image.coeffs[1:]))
+    powers, composed = [], []
+    built_powers = truncated_ring._powers
+
+    def spy_powers(a, n):
+        powers.append(n)
+        return built_powers(a, n)
+
+    def spy_compose(first, second):
+        composed.append((first, second))
+        return compose_endo(first, second)
+
+    monkeypatch.setattr(truncated_ring, "_powers", spy_powers)
+    assert compose_endo(outer, inner) == expected
+    assert powers == [order]
+    monkeypatch.setattr(truncated_ring, "compose_endo", spy_compose)
+    powers.clear()
+    psi = endo_inverse(inner)
+    assert composed == [(inner, psi), (psi, inner)]
+    assert powers == [order] * 3
 
 
 def test_classify_endo_with_witnesses():
