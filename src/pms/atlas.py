@@ -16,14 +16,16 @@ The fold is pure, so each distinct spanning data set is folded once: the
 folds behind ``derive_mult`` and ``derive_vector_field`` are memoised on the
 chart names in atlas order, the variable count and the supplied entries (and
 the twist), in bounded memos of 64 bundle and 48 vector-field families, and
-every call returns a fresh dict.  Errors are raised again on every call, and
-validation is never memoised.  The fold reads each tree edge in one order
-only, so validation checks the derived family against every supplied entry
-(a reverse-order entry that contradicts the reversal rule is caught there),
-the triple identities, and membership: bundle entries must be units of the
-overlap ring, and a vector-field entry must map the overlap ring into itself
-(it suffices to check the image of each monoid generator).  Cocycle data
-naming a chart outside the atlas is rejected with ``ValueError``.
+every call returns a fresh dict.  Twist entries are monomials q x^e, so the
+vector-field fold applies each as a shift by e and a scaling by q.  Errors
+are raised again on every call, and validation is never memoised.  The fold
+reads each tree edge in one order only, so validation checks the derived
+family against every supplied entry (a reverse-order entry that contradicts
+the reversal rule is caught there), the triple identities, and membership:
+bundle entries must be units of the overlap ring, and a vector-field entry
+must map the overlap ring into itself (it suffices to check the image of
+each monoid generator).  Cocycle data naming a chart outside the atlas is
+rejected with ``ValueError``.
 
 These checks read supports and monomial data in one pass and build no
 polynomial.  Every bundle entry is a monomial c x^e, so a triple identity
@@ -311,26 +313,32 @@ def derive_mult(atlas: Atlas, c: MultCocycle) -> dict[Pair, LaurentPoly]:
 
 
 # A cocycle-search round makes about 200 calls on 50-70 distinct vector
-# fields, and each later round brings 15-30 new ones (325 over 25 rounds of
-# seed 801).  Entries are the largest of these memos.  Over the warm-up and
-# ten rounds of seed 5 (2,078 calls), 48 entries miss 549 times, 64 miss 467
-# and an unbounded memo 245; 48 add about 1.1 MB to that workload's peak
-# memory (4.5%), 64 add 1.75 MB.
+# fields.  Over the warm-up and ten rounds of seed 5 (2,078 calls), 48
+# entries miss 549 times and then hold 0.55 MB (by tracemalloc), 64 miss 467
+# (0.74 MB) and an unbounded memo 245 (3.1 MB).
 @lru_cache(maxsize=48)
 def _fold_vector_field(
     names: tuple[str, ...], nvars: int, entries: tuple, twist: tuple,
 ) -> dict:
-    alpha_full = dict(twist)
-    one = LaurentPoly.const(nvars, 1)
+    # each twist entry q x^e once as (e, numerator, denominator)
+    shifts = {}
+    for (i, j), entry in twist:
+        if (mono := entry.as_monomial()) is None or entry.nvars != nvars:
+            raise ValueError(f"twist entry on ({i},{j}) is not a monomial "
+                             f"in {nvars} variables")
+        shifts[(i, j)] = mono[0], mono[1].numerator, mono[1].denominator
+
+    def twisted(pair, comps, sign=1):
+        exp, num, den = shifts[pair]
+        return tuple(c._times(exp, sign * num, den) for c in comps)
 
     def step(total, i, a, comps):
-        factor = one if a == i else alpha_full[(i, a)]
-        return tuple(t + factor * c for t, c in zip(total, comps))
+        return tuple(map(add, total, comps if a == i else twisted((i, a), comps)))
 
     return fold_tree(
         names,
         dict(entries),
-        lambda i, j, comps: tuple(-(alpha_full[(j, i)] * c) for c in comps),
+        lambda i, j, comps: twisted((j, i), comps, -1),
         tuple(LaurentPoly.zero(nvars) for _ in range(nvars)),
         step,
     )
@@ -342,7 +350,8 @@ def derive_vector_field(
     """All ordered-pair entries of a twisted vector-field cocycle.
 
     Uses the reversal rule D_ji = -alpha_ji * D_ij and the twisted chain rule
-    D_ik = D_ir + alpha_ir * D_rk through the chart potentials D_rk.
+    D_ik = D_ir + alpha_ir * D_rk through the chart potentials D_rk.  A twist
+    entry that is no monomial in the atlas variables raises ``ValueError``.
     """
     return dict(_fold_vector_field(
         tuple(atlas.chart_names()), atlas.nvars, tuple(D.data.items()),

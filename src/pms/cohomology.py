@@ -22,8 +22,7 @@ Unknown chart vector fields carry one unknown t per boxed term
 t * x^e d/dx_v, except where the system forces t to zero.  Dropping a set Z
 of unknowns whose unit vectors lie in the row space changes no pivot,
 witness or "none" answer (the direct-sum argument in ``pms.linear``).  The
-solvers state their systems in the term form of ``pms.linear`` and find Z
-in two steps.
+solvers find Z in two steps.
 
 * The chart ring, once per chart ring and bound, labelled once per chart
   name (``_chart_unknowns``).  The ring-preservation rows of the full-box
@@ -38,15 +37,16 @@ in two steps.
   of these unknowns, and one solver on the rows it leaves finds the rest.
 * The solve.  The singleton cascade over the cached ring rows and the
   twisted-difference conditions removes the rows u = 0 at the box edges and
-  where the other chart's term was dropped.  That plan reads exponents
-  only (``linear.plan_rows``), and the searches repeat a few hundred
-  structures with new coefficients, so ``_chart_plan`` keeps it per
-  structure, keyed on the charts' names and rings, the bound and the split
-  conditions: their twist exponents and the supports of the target and of
-  the extras.  A repeated structure only fills in the coefficients and
-  right-hand sides of the few rows the cascade leaves.  The chart ring rows
-  are cached here and one-form systems do not repeat, so both go through
-  ``linear.term_rows``.
+  where the other chart's term was dropped.  Twist entries are monomials,
+  so ``_twisted_difference`` states the system once, directly as what
+  ``linear.plan_rows`` and ``fill_rows`` read.  The plan reads exponents
+  only, and the searches repeat a few hundred structures with new
+  coefficients, so ``_chart_plan`` keeps it per structure, keyed on the
+  charts' names and rings, the bound and the structure: the twist
+  exponents and the supports of the target and of the extras.  A repeated
+  structure only fills in the coefficients and right-hand sides of the few
+  rows the cascade leaves; one-form systems do not repeat, so they plan
+  and fill with no memo.
 
 Extra scalar unknowns (tau, and the one-form ``coeff`` and ``rho`` labels)
 are never dropped: ``iso_decide`` pins tau = 1 after solving, and a deleted
@@ -89,7 +89,6 @@ from .linear import (
     forced_by_singletons,
     plan_rows,
     solve_rows,
-    split_conditions,
     term_rows,
     without,
 )
@@ -421,34 +420,44 @@ def _chart_unknowns(
     )
 
 
-def _twisted_conditions(atlas: Atlas, fields: dict, twist_full, target_full,
-                        extra=()):
-    """F_i - twist_ij F_j + sum_s c_s K_s = target on spanning pairs.
+def _twisted_difference(atlas: Atlas, forms, twist_full, target_full,
+                        extra=()) -> tuple[tuple, list]:
+    """F_i - twist_ij F_j + sum_s c_s K_s = target on spanning pairs, as the
+    structure ``linear.plan_rows`` reads and the values ``fill_rows`` reads.
 
-    ``fields[chart][v]`` is the component v of F_chart as (terms, scalars)
-    in the term form of ``pms.linear``; ``extra`` lists pairs (label,
-    K) of an unknown scalar c_s and its known ordered-pair family.  Twist
-    entries must be monomials.
+    With ``forms`` None, F is the unknown chart fields: component v of F_i
+    is the field ("T", i, v).  Otherwise ``forms[chart][v]`` lists the
+    (label, poly) scalar terms of component v.  ``extra`` lists pairs
+    (label, K) of an unknown scalar c_s and its known family.  A twist
+    q x^e shifts F_j by e and scales it by -q.  Each field and label occurs
+    once per condition with a nonzero coefficient, so this is
+    ``linear.split_conditions`` of the term form, with nothing to merge.
     """
+    zero = (0,) * atlas.nvars
+    shape, values = [], []
     for pair in canonical_spanning_pairs(atlas):
         i, j = pair
         exp_a, coeff_a = twist_full[pair].as_monomial()
         for v in range(atlas.nvars):
-            terms_i, scalars_i = fields[i][v]
-            terms_j, scalars_j = fields[j][v]
-            yield (
-                None,
-                {f: -c for f, c in target_full[pair][v].items()},
-                terms_i + tuple(
-                    (prefix, tuple(map(add, shift, exp_a)), -coeff_a * c)
-                    for prefix, shift, c in terms_j
-                ),
-                scalars_i + tuple(
-                    (label, {tuple(map(add, e, exp_a)): -coeff_a * c
-                             for e, c in poly.items()})
-                    for label, poly in scalars_j
-                ) + tuple((label, known[pair][v]) for label, known in extra),
-            )
+            if forms is None:
+                fields = ((("T", i, v), zero), (("T", j, v), exp_a))
+                coeffs, scalars = (1, -coeff_a), []
+            else:
+                fields, coeffs, scalars = (), (), list(forms[i][v])
+                scalars += [(label, {tuple(map(add, e, exp_a)): -coeff_a * c
+                                     for e, c in poly.items()})
+                            for label, poly in forms[j][v]]
+            scalars += [(label, dict(known[pair][v].items()))
+                        for label, known in extra]
+            by_exp: dict[Exponent, dict] = {}
+            for label, poly in scalars:
+                for f, c in poly.items():
+                    by_exp.setdefault(f, {})[label] = c
+            known = {f: -c for f, c in target_full[pair][v].items()}
+            shape.append((None, tuple(known), fields,
+                          tuple((label, tuple(poly)) for label, poly in scalars)))
+            values.append((coeffs, known, by_exp))
+    return tuple(shape), values
 
 
 def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
@@ -460,21 +469,14 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
     unknown when its chart ring forces it to zero (``_chart_unknowns``), or
     when the singleton cascade over the cached ring rows and the
     twisted-difference conditions does; the extra scalars c_s are never
-    dropped.  The conditions are split and their plan read from
-    ``_chart_plan``, so a repeated structure only fills.
+    dropped.  The plan of the ``_twisted_difference`` structure is read
+    from ``_chart_plan``, so a repeated structure only fills.
     """
-    nvars = atlas.nvars
-    zero = (0,) * nvars
-    fields = {
-        chart.name: [(((("T", chart.name, v), zero, 1),), ())
-                     for v in range(nvars)]
-        for chart in atlas.charts
-    }
-    shape, values = split_conditions(
-        _twisted_conditions(atlas, fields, twist_full, target_full, extra)
+    shape, values = _twisted_difference(
+        atlas, None, twist_full, target_full, extra
     )
     charts = tuple((chart.name, chart.ring.generators) for chart in atlas.charts)
-    plan, ring_rows = _chart_plan(charts, nvars, space.bound, shape)
+    plan, ring_rows = _chart_plan(charts, atlas.nvars, space.bound, shape)
     return fill_rows(plan, values, ring_rows)
 
 
@@ -486,8 +488,8 @@ def _chart_plan(
     charts: tuple[tuple[str, tuple[Exponent, ...]], ...], nvars: int,
     bound: int, shape: tuple,
 ) -> tuple[TermPlan, tuple[tuple[dict, int], ...]]:
-    """The plan of the split chart-field conditions ``shape`` over the
-    charts' (name, generators), and their ring rows.
+    """The plan of the chart-field structure ``shape`` over the charts'
+    (name, generators), and their ring rows.
 
     The key holds every input of the label pass: the label maps and the
     ring rows are ``_chart_unknowns`` of each chart at the bound, and the
@@ -623,8 +625,8 @@ def _oneform_unknown(chart, space: BoundedSpace) -> tuple:
 
     m runs over the boxed exponents in the chart ring and g over its
     generators; the coefficient of x^m d(x^g) is the scalar labelled
-    ("rho", chart, m, g).  Returns the per-variable components as (terms,
-    scalars) in the term form of ``pms.linear``.
+    ("rho", chart, m, g).  Returns per variable the (label, poly) scalar
+    terms of the component.
     """
     nvars = space.nvars
     ring = chart.ring
@@ -640,7 +642,7 @@ def _oneform_unknown(chart, space: BoundedSpace) -> tuple:
                 exp = tuple(a + b for a, b in zip(m, g))
                 exp = exp[:v] + (exp[v] - 1,) + exp[v + 1:]
                 scalars[v].append((label, {exp: g[v]}))
-    return tuple(((), tuple(comp)) for comp in scalars)
+    return tuple(tuple(comp) for comp in scalars)
 
 
 def _evaluate(nvars: int, scalars, values) -> LaurentPoly:
@@ -674,12 +676,12 @@ def oneform_coboundary_solve(
         name: derive_oneform(atlas, cls) for name, cls in (extra or {}).items()
     }
     forms = {chart.name: _oneform_unknown(chart, space) for chart in atlas.charts}
-    conditions = _twisted_conditions(
+    shape, values = _twisted_difference(
         atlas, forms, twist_full, sigma_full,
         [(("coeff", name), known) for name, known in extra_full.items()],
     )
-    _, rows = term_rows(conditions, {}, forced_by_singletons)
-    values = solve_rows(rows).solve()
+    _, plan = plan_rows(shape, {}, [], forced_by_singletons)
+    values = solve_rows(fill_rows(plan, values, [])).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
 
@@ -687,7 +689,7 @@ def oneform_coboundary_solve(
         name: values.get(("coeff", name), Fraction(0)) for name in extra_full
     }
     cochain = {
-        name: tuple(_evaluate(atlas.nvars, scalars, values) for _, scalars in comps)
+        name: tuple(_evaluate(atlas.nvars, scalars, values) for scalars in comps)
         for name, comps in forms.items()
     }
     _verify_resubstitution(

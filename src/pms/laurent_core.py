@@ -846,24 +846,6 @@ def minimal_generators(m: ExponentMonoid) -> ExponentMonoid:
     return ExponentMonoid(m.nvars, tuple(gens))
 
 
-def monoid_contains_enumerate(m: ExponentMonoid, exp: Iterable[int]) -> bool:
-    """Independent brute-force membership check by full enumeration.
-
-    Enumerates every coefficient tuple in the bounded box.  Exponential; only
-    suitable for small generator lists, as an oracle for tests.
-    """
-    target = tuple(int(x) for x in exp)
-    bound = membership_bound(m.generators, target)
-    for coeffs in itertools.product(range(bound + 1), repeat=len(m.generators)):
-        combo = [0] * m.nvars
-        for c, g in zip(coeffs, m.generators):
-            for v in range(m.nvars):
-                combo[v] += c * g[v]
-        if tuple(combo) == target:
-            return True
-    return False
-
-
 def poly_in_ring(p: LaurentPoly, m: ExponentMonoid) -> bool:
     """Whether every exponent of ``p`` lies in the monoid ``m``."""
     if p.nvars != m.nvars:

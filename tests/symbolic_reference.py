@@ -5,6 +5,12 @@ exponents.  ``symbolic_rows`` expands the same conditions with ``SymPoly``,
 a Laurent polynomial whose coefficients are affine in named unknowns, term
 by term, and reads each coefficient outside the ring as one row.  The tests
 compare the two.
+
+``twisted_conditions`` states the twisted difference of the cohomology
+solvers in that term form, the twisted F_j a term list with shifts and
+products; ``pms.cohomology._twisted_difference`` states it directly as the
+split structure and values, and the tests compare it with
+``split_conditions`` of these conditions.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
+from pms.atlas import canonical_spanning_pairs
 from pms.laurent_core import Exponent, ExponentMonoid, LaurentPoly
 from pms.linear import Row, Var
 
@@ -30,6 +37,36 @@ def symbolic_rows(nvars: int, conditions: Iterable[tuple],
             poly = poly + SymPoly.combination(nvars, scalars)
         rows += poly.membership_rows(ring)
     return rows
+
+
+def twisted_conditions(atlas, fields: dict, twist_full, target_full,
+                       extra=()) -> Iterator[tuple]:
+    """F_i - twist_ij F_j + sum_s c_s K_s = target on spanning pairs.
+
+    ``fields[chart][v]`` is the component v of F_chart as (terms, scalars)
+    in the term form of ``pms.linear``; ``extra`` lists pairs (label,
+    K) of an unknown scalar c_s and its known ordered-pair family.  Twist
+    entries must be monomials.
+    """
+    for pair in canonical_spanning_pairs(atlas):
+        i, j = pair
+        exp_a, coeff_a = twist_full[pair].as_monomial()
+        for v in range(atlas.nvars):
+            terms_i, scalars_i = fields[i][v]
+            terms_j, scalars_j = fields[j][v]
+            yield (
+                None,
+                {f: -c for f, c in target_full[pair][v].items()},
+                terms_i + tuple(
+                    (prefix, tuple(map(add, shift, exp_a)), -coeff_a * c)
+                    for prefix, shift, c in terms_j
+                ),
+                scalars_i + tuple(
+                    (label, {tuple(map(add, e, exp_a)): -coeff_a * c
+                             for e, c in poly.items()})
+                    for label, poly in scalars_j
+                ) + tuple((label, known[pair][v]) for label, known in extra),
+            )
 
 
 def _add_into(row: Row, label: Var, coeff: Fraction) -> None:

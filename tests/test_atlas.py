@@ -18,6 +18,7 @@ from pms.atlas import (
     derive_mult,
     derive_vector_field,
     dumps_document,
+    fold_tree,
     loads_document,
     pair_key,
     same_structure,
@@ -466,6 +467,85 @@ def test_errors_are_raised_on_every_call():
         with pytest.raises(ValueError, match="does not connect"):
             derive_mult(make_wcover_atlas(),
                         MultCocycle("c", {("W0", "W1"): mono((1, 0))}))
+
+
+def test_a_non_monomial_twist_is_rejected_on_every_call():
+    """``derive_vector_field`` folds by monomial shifts, so a twist entry
+    that is no single monomial term in the atlas variables is a
+    ``ValueError`` naming its pair, whether or not the fold reads it."""
+    spec = make_p2(-3, nontrivial=True)
+    atlas = spec.atlas
+    alpha_full = derive_mult(atlas, spec.alpha)
+    for pair, entry in (
+        (("U0", "U1"), mono((1, 0)) + mono((0, 1))),
+        (("U2", "U1"), LaurentPoly.zero(2)),
+        (("U1", "U0"), LaurentPoly.monomial(3, (1, 0, 0))),
+    ):
+        twist = {**alpha_full, pair: entry}
+        for _ in range(2):
+            with pytest.raises(
+                ValueError, match=rf"twist entry on \({pair[0]},{pair[1]}\)"
+            ):
+                derive_vector_field(atlas, twist, spec.D)
+    assert derive_vector_field(atlas, alpha_full, spec.D)
+
+
+def product_fold(atlas, alpha_full, D):
+    """The vector-field fold with every twist applied as a ``LaurentPoly``
+    product: D_ji = -alpha_ji * D_ij and D_ik = D_ir + alpha_ir * D_rk."""
+    nvars = atlas.nvars
+    one = LaurentPoly.const(nvars, 1)
+
+    def step(total, i, a, comps):
+        factor = one if a == i else alpha_full[(i, a)]
+        return tuple(t + factor * c for t, c in zip(total, comps))
+
+    return fold_tree(
+        atlas.chart_names(),
+        dict(D.data),
+        lambda i, j, comps: tuple(-(alpha_full[(j, i)] * c) for c in comps),
+        tuple(LaurentPoly.zero(nvars) for _ in range(nvars)),
+        step,
+    )
+
+
+def random_twist(rng, atlas):
+    """A monomial q x^e on every ordered pair (no cocycle), with q off +-1
+    and negative exponents."""
+    names = atlas.chart_names()
+    return {
+        (i, j): LaurentPoly.monomial(
+            atlas.nvars,
+            tuple(rng.randint(-3, 3) for _ in range(atlas.nvars)),
+            Fraction(rng.choice((-5, -3, -2, 2, 3, 7)), rng.choice((1, 2, 3, 4))),
+        )
+        for i in names for j in names if i != j
+    }
+
+
+def test_the_shift_fold_equals_the_product_fold():
+    """``derive_vector_field`` equals the fold by ``LaurentPoly`` products
+    on every catalog spec, and on random monomial twists and fields, on two
+    and three variables."""
+    rng = random.Random(7717)
+    specs = memo_specs() + [build_carpet("symbolic")] + [
+        make_blown_plane(m, p, Fraction(1 if p < 2 else 0),
+                         Fraction(1 if p == 0 else 0))
+        for m in range(-3, 4) for p in (0, 1, 2)
+    ]
+    atlases = [spec.atlas for spec in specs] + [make_wcover_atlas()]
+    assert {atlas.nvars for atlas in atlases} == {2, 3}
+    for spec in specs:
+        alpha_full = derive_mult(spec.atlas, spec.alpha)
+        expected = product_fold(spec.atlas, alpha_full, spec.D)
+        assert derive_vector_field(spec.atlas, alpha_full, spec.D) == expected
+    for atlas in atlases:
+        for _ in range(3):
+            twist = random_twist(rng, atlas)
+            field = VectorFieldCocycle(random_family(rng, atlas, True))
+            expected = product_fold(atlas, twist, field)
+            assert derive_vector_field(atlas, twist, field) == expected
+            assert uncached_field(atlas, twist, field) == expected
 
 
 def test_validation_is_not_memoised():

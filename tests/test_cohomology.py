@@ -58,7 +58,7 @@ from pms.p2_catalog import (
     wcover_unit_classes,
 )
 
-from symbolic_reference import SymPoly, symbolic_rows
+from symbolic_reference import SymPoly, symbolic_rows, twisted_conditions
 
 
 def mono(exp, coeff=1):
@@ -510,7 +510,7 @@ def full_box_rows(atlas, space, twist_full, target_full, extra=()):
             atlas.nvars, ring_conditions(chart.ring, ("T", chart.name)), comps
         )
     ]
-    conditions = cohomology._twisted_conditions(
+    conditions = twisted_conditions(
         atlas, term_form_fields(atlas), twist_full, target_full, extra
     )
     return rows + symbolic_rows(atlas.nvars, conditions, comps)
@@ -650,7 +650,7 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
             comps = unknown_fields(
                 atlas, lambda chart, v: ring_kept[chart.name][v]
             )
-            conditions = cohomology._twisted_conditions(
+            conditions = twisted_conditions(
                 atlas, term_form_fields(atlas), twist_full, target_full, extra
             )
             rows += symbolic_rows(atlas.nvars, conditions, comps)
@@ -674,27 +674,45 @@ def chart_system(charts, nvars, bound):
 def captured_systems(kind, monkeypatch):
     """The arguments of every row-pass call that the solvers of ``kind``
     make, conditions and built rows as lists, then the ``_chart_plan`` key
-    (charts, variable count, bound) of a chart-field system, else None."""
-    calls, split = [], []
+    (charts, variable count, bound) of a chart-field system, else None,
+    then the (structure, values) of a ``_twisted_difference`` system, else
+    None.  A twisted-difference system is captured with its term-form
+    conditions (``twisted_conditions`` over the same unknown fields or
+    one-forms) and the label maps and built rows
+    that ``term_rows`` takes for it: those of ``_chart_plan`` for a chart
+    field, none for a one-form."""
+    calls = []
     chart_plan = cohomology._chart_plan
+    twisted_difference = cohomology._twisted_difference
 
     def spy(conditions, labels, cascade, built=()):
         args = (list(conditions), labels, cascade, list(built))
-        calls.append(args + (None,))
+        calls.append(args + (None, None))
         return linear.term_rows(*args)
 
-    def spy_split(conditions):
-        split.append(list(conditions))
-        return linear.split_conditions(split[-1])
+    def spy_twisted(atlas, forms, twist_full, target_full, extra=()):
+        split = twisted_difference(atlas, forms, twist_full, target_full, extra)
+        fields = term_form_fields(atlas) if forms is None else {
+            name: [((), scalars) for scalars in comps]
+            for name, comps in forms.items()
+        }
+        conditions = twisted_conditions(
+            atlas, fields, twist_full, target_full, extra
+        )
+        calls.append((list(conditions), {}, forced_by_singletons, [], None,
+                      split))
+        return split
 
     def spy_plan(charts, nvars, bound, shape):
+        conditions, _, cascade, _, _, split = calls.pop()
+        assert split[0] is shape
         labels, built = chart_system(charts, nvars, bound)
-        calls.append((split.pop(), labels, forced_by_singletons, built,
-                      (charts, nvars, bound)))
+        calls.append((conditions, labels, cascade, built,
+                      (charts, nvars, bound), split))
         return chart_plan(charts, nvars, bound, shape)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "split_conditions", spy_split)
+        patch.setattr(cohomology, "_twisted_difference", spy_twisted)
         patch.setattr(cohomology, "_chart_plan", spy_plan)
         patch.setattr(cohomology, "term_rows", spy)
         patch.setattr(p2_catalog, "term_rows", spy)
@@ -740,15 +758,37 @@ def entries(rows):
 
 def planned(args):
     """The Z and rows of ``term_rows``, each row's entries in order; a
-    chart-field system gets the same rows from its ``_chart_plan`` plan."""
-    conditions, labels, cascade, built, key = args
+    chart-field system gets the same rows from its ``_chart_plan`` plan of
+    the ``_twisted_difference`` structure and values, and a one-form system
+    the same Z and rows from their plan with no label map."""
+    conditions, labels, cascade, built, key, split = args
     forced, rows = linear.term_rows(conditions, labels, cascade, built)
     rows = entries(rows)
-    if key is not None:
-        shape, values = linear.split_conditions(conditions)
-        plan, ring_rows = cohomology._chart_plan(*key, shape)
+    if split is not None:
+        shape, values = split
+        if key is not None:
+            plan, ring_rows = cohomology._chart_plan(*key, shape)
+        else:
+            got, plan = linear.plan_rows(shape, labels, built, cascade)
+            assert got == forced
+            ring_rows = built
         assert entries(linear.fill_rows(plan, values, ring_rows)) == rows
     return forced, rows
+
+
+@pytest.mark.parametrize("kind", ["cocycle", "oneform"])
+def test_twisted_difference_is_the_split_term_form(kind, monkeypatch):
+    """For every ``DIFFERENTIAL_CASES`` solve at bounds 0-7 and every
+    one-form solve, ``_twisted_difference`` gives exactly the structure and
+    values, in the same order and with the same number types, that
+    ``split_conditions`` makes of the term-form ``twisted_conditions``."""
+    calls = captured_systems(kind, monkeypatch)
+    split = [args for args in calls if args[5] is not None]
+    assert split
+    for conditions, *_, got in split:
+        expected = linear.split_conditions(conditions)
+        assert got == expected
+        assert repr(got) == repr(expected)
 
 
 @pytest.mark.parametrize("kind", ["cocycle", "chart-ring", "family", "oneform"])
@@ -862,11 +902,11 @@ def varied(system, name):
 
 
 def chart_field_rows(atlas, space, twist, target, extra):
-    """``term_rows`` over ``_twisted_conditions`` and the ring rows of
+    """``term_rows`` over ``twisted_conditions`` and the ring rows of
     ``_chart_unknowns``, each row's entries in order."""
     charts = tuple((c.name, c.ring.generators) for c in atlas.charts)
     labels, built = chart_system(charts, atlas.nvars, space.bound)
-    conditions = cohomology._twisted_conditions(
+    conditions = twisted_conditions(
         atlas, term_form_fields(atlas), twist, target, extra
     )
     return entries(term_rows(conditions, labels, forced_by_singletons, built)[1])

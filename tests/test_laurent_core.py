@@ -22,7 +22,6 @@ from pms.laurent_core import (
     json_shape,
     membership_bound,
     membership_witness,
-    monoid_contains_enumerate,
     monomial_is_unit,
     monomial_str,
     parse_rational,
@@ -34,6 +33,25 @@ from pms.laurent_core import (
 
 LAM = LaurentPoly.var(2, 0)
 MU = LaurentPoly.var(2, 1)
+
+
+def monoid_contains_enumerate(m: ExponentMonoid, exp) -> bool:
+    """Independent brute-force membership check by full enumeration.
+
+    Enumerates every coefficient tuple in the bounded box.  Exponential; only
+    suitable for small generator lists, as an oracle for the membership
+    tests.
+    """
+    target = tuple(int(x) for x in exp)
+    bound = membership_bound(m.generators, target)
+    for coeffs in itertools.product(range(bound + 1), repeat=len(m.generators)):
+        combo = [0] * m.nvars
+        for c, g in zip(coeffs, m.generators):
+            for v in range(m.nvars):
+                combo[v] += c * g[v]
+        if tuple(combo) == target:
+            return True
+    return False
 
 
 def random_poly(rng: random.Random, nvars: int = 2, nterms: int = 4,
