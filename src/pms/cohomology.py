@@ -24,9 +24,9 @@ of unknowns whose unit vectors lie in the row space changes no pivot,
 witness or "none" answer (the direct-sum argument in ``pms.linear``).  The
 solvers find Z in two steps.
 
-* The chart ring, once per chart ring and bound, labelled once per chart
-  name (``_chart_unknowns``).  The ring-preservation rows of the full-box
-  field (``atlas.derivation_conditions``, the statement that
+* The chart ring, once per chart ring and bound (``_chart_ring_rows``).
+  The ring-preservation rows of the full-box field
+  (``atlas.derivation_conditions``, the statement that
   ``derivation_failures`` checks each witness field against) have zero
   right-hand side, and z is dropped when e_z lies in their span.  These
   rows are few and short: a term x^e d/dx_v has degree e - e_v (Demazure's
@@ -86,7 +86,6 @@ from .linear import (
     TermPlan,
     box_labels,
     fill_rows,
-    forced_by_singletons,
     plan_rows,
     solve_rows,
     term_rows,
@@ -379,7 +378,6 @@ def _chart_ring_rows(
             [({}, (((v,), zero, 1),)) for v in range(nvars)],
         ),
         {(v,): box_labels((v,), box) for v in range(nvars)},
-        forced_by_singletons,
     )
     solver = solve_rows(rows)
     mentioned = {z for row, _ in rows for z in row}
@@ -388,36 +386,6 @@ def _chart_ring_rows(
         tuple(e for e in box if (v, e) not in forced) for v in range(nvars)
     )
     return kept, tuple(row for row, _ in without(rows, forced))
-
-
-# one table per chart name and variable count; a cocycle-search run makes 11,
-# holding 1,845 labels for the 8,014 entries of its per-bound maps
-@lru_cache(maxsize=64)
-def _chart_labels(name: str, nvars: int) -> tuple[dict, ...]:
-    """Per variable v, the label ("T", name, v, e) of every exponent e that
-    some bound has kept, built once and shared by each bound's map."""
-    return tuple({} for _ in range(nvars))
-
-
-# one entry per chart name, chart ring and bound; a cocycle-search run
-# reaches 84, all in its first round
-@lru_cache(maxsize=256)
-def _chart_unknowns(
-    name: str, generators: tuple[Exponent, ...], nvars: int, bound: int,
-) -> tuple[tuple[dict, ...], tuple[tuple[dict, int], ...]]:
-    """``_chart_ring_rows`` labelled for the chart ``name``: per variable v
-    the kept unknowns {e: ("T", name, v, e)}, and the ring rows over them
-    with zero right-hand sides."""
-    kept, rows = _chart_ring_rows(generators, nvars, bound)
-    labels = []
-    for v, (exps, shared) in enumerate(zip(kept, _chart_labels(name, nvars))):
-        for e in exps:
-            if e not in shared:
-                shared[e] = ("T", name, v, e)
-        labels.append({e: shared[e] for e in exps})
-    return tuple(labels), tuple(
-        ({labels[v][e]: c for (v, e), c in row.items()}, 0) for row in rows
-    )
 
 
 def _twisted_difference(atlas: Atlas, forms, twist_full, target_full,
@@ -466,7 +434,7 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
     boxed chart fields F that keep their chart rings.
 
     The coefficients are labelled ("T", chart, v, e).  A coefficient gets no
-    unknown when its chart ring forces it to zero (``_chart_unknowns``), or
+    unknown when its chart ring forces it to zero (``_chart_ring_rows``), or
     when the singleton cascade over the cached ring rows and the
     twisted-difference conditions does; the extra scalars c_s are never
     dropped.  The plan of the ``_twisted_difference`` structure is read
@@ -491,17 +459,19 @@ def _chart_plan(
     """The plan of the chart-field structure ``shape`` over the charts'
     (name, generators), and their ring rows.
 
-    The key holds every input of the label pass: the label maps and the
-    ring rows are ``_chart_unknowns`` of each chart at the bound, and the
-    cascade is ``forced_by_singletons``.
+    The key holds every input of the label pass: each chart's label map and
+    ring rows are its ``_chart_ring_rows`` at the bound, labelled
+    ("T", name, v, e).
     """
     labels, ring_rows = {}, []
     for name, generators in charts:
-        chart_labels, rows = _chart_unknowns(name, generators, nvars, bound)
-        ring_rows += rows
-        labels.update((("T", name, v), at) for v, at in enumerate(chart_labels))
-    _, plan = plan_rows(shape, labels, [row for row, _ in ring_rows],
-                        forced_by_singletons)
+        kept, rows = _chart_ring_rows(generators, nvars, bound)
+        at = [{e: ("T", name, v, e) for e in exps}
+              for v, exps in enumerate(kept)]
+        labels.update((("T", name, v), m) for v, m in enumerate(at))
+        ring_rows += [({at[v][e]: c for (v, e), c in row.items()}, 0)
+                      for row in rows]
+    _, plan = plan_rows(shape, labels, [row for row, _ in ring_rows])
     return plan, tuple(ring_rows)
 
 
@@ -680,7 +650,7 @@ def oneform_coboundary_solve(
         atlas, forms, twist_full, sigma_full,
         [(("coeff", name), known) for name, known in extra_full.items()],
     )
-    _, plan = plan_rows(shape, {}, [], forced_by_singletons)
+    _, plan = plan_rows(shape, {}, [])
     values = solve_rows(fill_rows(plan, values, [])).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)

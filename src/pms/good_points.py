@@ -141,7 +141,7 @@ def ideal_equivalent(z: GoodPoint, zp: GoodPoint) -> bool:
 def delta_invariant(z: GoodPoint) -> DeltaValue:
     """Tangent vector of sum(a_r d/dy_r) at the origin, in the chart frame."""
     j = _linear_parts(z.coords)
-    det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+    det = _jacobian_det(z.coords)
     a1, a2 = (a.constant_coefficient() for a in z.coeffs)
     tangent = (
         (j[1][1] * a1 - j[0][1] * a2) / det,

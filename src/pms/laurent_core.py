@@ -251,41 +251,22 @@ class LaurentPoly:
         )
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        """The product loop of the polynomial layer; the truncated calculus
+        has its own packed loop (``PackedSeries.add_product``).  The
+        numerators multiply as ``int``s over the product of the
+        denominators, and the result is reduced once, and not at all when
+        both factors are integral."""
         self._check_same(other)
-        return LaurentPoly.sum_of_products(self.nvars, ((self, other),))
-
-    @classmethod
-    def sum_of_products(
-        cls, nvars: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]
-    ) -> LaurentPoly:
-        """``sum(a * b for a, b in pairs)``, accumulated in one term dict.
-
-        The product loop of the polynomial layer; ``__mul__`` is its one-pair
-        case, and the truncated calculus has its own packed loop
-        (``PackedSeries.add_product``).  The sum is formed over the lcm of the
-        pairs' denominator products, so each pair is scaled by one ``int``
-        factor and the inner loop multiplies ``int``s; the result is reduced
-        once, and not at all when every factor is integral.  Every polynomial
-        must have ``nvars`` variables (unchecked).
-        """
-        pairs = tuple(pairs)  # read twice: the denominators, then the terms
-        den = 1
-        for a, b in pairs:
-            if (d := a._den * b._den) != 1:
-                den = math.lcm(den, d)
         terms: dict[Exponent, int] = {}
-        for a, b in pairs:
-            factor = den // (a._den * b._den)
-            b_terms = b._terms.items()
-            for e1, c1 in a._terms.items():
-                c1 *= factor
-                for e2, c2 in b_terms:
-                    exp = tuple(map(add, e1, e2))
-                    old = terms.get(exp)
-                    terms[exp] = c1 * c2 if old is None else old + c1 * c2
-        return cls._wrap(
-            nvars, *_reduced({e: c for e, c in terms.items() if c}, den)
-        )
+        b_terms = other._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in b_terms:
+                exp = tuple(map(add, e1, e2))
+                old = terms.get(exp)
+                terms[exp] = c1 * c2 if old is None else old + c1 * c2
+        return LaurentPoly._wrap(self.nvars, *_reduced(
+            {e: c for e, c in terms.items() if c}, self._den * other._den
+        ))
 
     def scale(self, factor: Rational | int) -> LaurentPoly:
         return self._times(None, *_rational(factor))

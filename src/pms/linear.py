@@ -64,19 +64,20 @@ dropped, so a row that mentions one stays out of the cascade.
 
 ``term_rows`` therefore runs three stages.  ``split_conditions`` reduces
 each condition to what the label pass reads (its structure) and to the
-values the fill reads.  ``plan_rows`` runs the label pass and the cascade on
-the structure alone and gives Z, the (condition, exponent) places whose rows
-survive with the labels each keeps, and the labels each built row keeps.
-``fill_rows`` puts the coefficients and right-hand sides in at those places
-only.  The structure of a condition is its ring, the support of its nonzero
-known part, its merged (prefix, shift) list with zero sums dropped and its
-merged scalar supports by label.  A coefficient value cannot change a plan
-once the cancelling merges are in the structure: every label left then has a
-nonzero coefficient in its row, so no row gains or loses a label, and a
-right-hand side is nonzero exactly on the known part's support.  So a caller
-whose structures repeat with new coefficients can keep its plans, keyed on
-the structures and on whatever built its label maps and built rows, and only
-fill (``cohomology._chart_plan``).  This module keeps no memo.
+values the fill reads.  ``plan_rows`` runs the label pass and the cascade,
+always ``forced_by_singletons``, on the structure alone and gives Z, the
+(condition, exponent) places whose rows survive with the labels each keeps,
+and the labels each built row keeps.  ``fill_rows`` puts the coefficients
+and right-hand sides in at those places only.  The structure of a condition
+is its ring, the support of its nonzero known part, its merged (prefix,
+shift) list with zero sums dropped and its merged scalar supports by label.
+A coefficient value cannot change a plan once the cancelling merges are in
+the structure: every label left then has a nonzero coefficient in its row,
+so no row gains or loses a label, and a right-hand side is nonzero exactly
+on the known part's support.  So a caller whose structures repeat with new
+coefficients can keep its plans, keyed on the structures and on whatever
+built its label maps and built rows, and only fill
+(``cohomology._chart_plan``).  This module keeps no memo.
 """
 
 from __future__ import annotations
@@ -332,8 +333,6 @@ class TermPlan(NamedTuple):
 def term_rows(
     conditions: Iterable[tuple],
     labels: Mapping[tuple, Mapping[Exponent, Var]],
-    cascade,
-    built: Iterable[tuple[Row, Fraction]] = (),
 ) -> tuple[set, list[tuple[Row, Fraction]]]:
     """The forced set Z of ``conditions`` and their rows with Z deleted.
 
@@ -347,20 +346,17 @@ def term_rows(
     one nonzero coefficient, so none cancels, and the rhs comes from the
     known part alone.
 
-    ``cascade`` (``forced_by_singletons``, or one returning set() for the
-    full system) maps the label sets of the zero-rhs rows without a scalar,
-    and of the zero-rhs rows ``built``, to Z.  All rows, ``built`` first,
-    come back with Z deleted, as ``without`` leaves them.
+    Z is what ``forced_by_singletons`` makes of the label sets of the
+    zero-rhs rows without a scalar.  The rows come back with Z deleted, as
+    ``without`` leaves them.
 
     It runs ``split_conditions``, ``plan_rows`` and ``fill_rows`` in turn
     and keeps nothing; a caller whose structures repeat runs them itself and
     keeps its plans (see the module docstring).
     """
     structure, values = split_conditions(conditions)
-    built = list(built)
-    forced, plan = plan_rows(structure, labels, [row for row, _ in built],
-                             cascade)
-    return forced, fill_rows(plan, values, built)
+    forced, plan = plan_rows(structure, labels, [])
+    return forced, fill_rows(plan, values, [])
 
 
 def split_conditions(conditions: Iterable[tuple]) -> tuple[tuple, list]:
@@ -396,7 +392,7 @@ def split_conditions(conditions: Iterable[tuple]) -> tuple[tuple, list]:
 
 def plan_rows(
     structure: tuple, maps: Mapping[tuple, Mapping[Exponent, Var]],
-    built: list, cascade,
+    built: list,
 ) -> tuple[set, TermPlan]:
     """The label pass and cascade of ``term_rows``: Z and the plan.
 
@@ -426,7 +422,7 @@ def plan_rows(
         places += [(k, f, rows_at.pop(f, {})) for f in special]
         candidates += rows_at.values()
         owners += [k] * len(rows_at)
-    forced = cascade(itertools.chain(built, candidates))
+    forced = forced_by_singletons(itertools.chain(built, candidates))
     # a candidate has neither rhs nor scalar, so its fill needs no exponent
     places += [(k, None, row) for k, row in zip(owners, candidates)
                if not forced.issuperset(row)]

@@ -70,7 +70,6 @@ from .laurent_core import (
 from .linear import (
     LinearSolver,
     box_labels,
-    forced_by_singletons,
     rank_of_vectors,
     term_rows,
 )
@@ -527,7 +526,7 @@ def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     Each of A, B, C, D has an unknown (name, e) per e in [-bound, bound]^2
     (``_family_box``); ``linear.term_rows`` reads the rows off exponents.
     """
-    return term_rows(conditions, _family_box(bound), forced_by_singletons)
+    return term_rows(conditions, _family_box(bound))
 
 
 # one entry per bound; the forced sets of ``_family_rows`` and the keys of
@@ -669,8 +668,7 @@ def _family_rows(m: int, p: int, x_part: int, bound: int) -> _FamilyRows:
     forced, rows = _pullback_rows(conditions, bound)
     # no label map, so the cascade sees no row and drops no scalar
     _, named_rows = term_rows(
-        _ansatz_conditions(conditions, p, bound, x_part), {},
-        forced_by_singletons,
+        _ansatz_conditions(conditions, p, bound, x_part), {}
     )
     return _FamilyRows(tuple(sorted(forced)), _integer_rows(rows),
                        _integer_rows(named_rows))

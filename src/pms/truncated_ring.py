@@ -49,7 +49,7 @@ exactly when its key is below n * 2^(Wm) - 2^(Wm-1), so one comparison
 truncates a term product.
 
 Width rule.  For a call at order n, let M be m times the largest |e_v| of any
-input exponent (for ``_image_power``, also of the power k), so every input
+input exponent of the polynomials the call packs on entry, so every input
 exponent has |e|_1 = sum_v |e_v| <= M.  The call packs at W = max(12,
 bit_length(S) + 1) with S = (n + 1)^2 (M + 2); as |e_v| <= |e|_1, every digit
 fits once each exponent the call forms has |e|_1 <= S.  Proof: call an
@@ -202,11 +202,10 @@ def trunc_mul(a: TruncElement, b: TruncElement) -> TruncElement:
     return _unpack(packing.pack(a.coeffs).times(packing.pack(b.coeffs), a.order))
 
 
-def _packing(order: int, nvars: int, polys, power: int = 0) -> Packing:
-    """The packing of a call at ``order`` whose inputs are ``polys`` and, for
-    ``_image_power``, the exponent ``power`` (the width rule of the module
-    docstring)."""
-    bound = nvars * max(largest_exponent(polys), abs(power))
+def _packing(order: int, nvars: int, polys) -> Packing:
+    """The packing of a call at ``order`` whose inputs are ``polys`` (the
+    width rule of the module docstring)."""
+    bound = nvars * largest_exponent(polys)
     width = ((order + 1) ** 2 * (bound + 2)).bit_length() + 1
     return shared_packing(nvars, max(MIN_DIGIT_WIDTH, width))
 
@@ -379,15 +378,12 @@ def _coefficients(theta: RingMorphism) -> tuple[LaurentPoly, ...]:
 # and a key's morphism hashes its coefficients once (``RingMorphism._hash``)
 @lru_cache(maxsize=4096)
 def _image_power(theta: RingMorphism, v: int, k: int,
-                 packing: Packing | None = None) -> PackedSeries:
+                 packing: Packing) -> PackedSeries:
     """theta(x_v)^k as one product of its two cached halves, packed with
-    ``packing`` (by default, the packing of theta and k).
+    ``packing``, whose width covers k.
 
     Negative powers build on the cached inverse; the recursion is log |k| deep.
     """
-    if packing is None:
-        packing = _packing(theta.order, theta.nvars, _coefficients(theta), k)
-        return _image_power(theta, v, k, packing)
     n = theta.order
     if k == 0:
         return packing.one(n)
@@ -399,18 +395,14 @@ def _image_power(theta: RingMorphism, v: int, k: int,
         _image_power(theta, v, k - part, packing), n)
 
 
-def _phi_poly(theta: RingMorphism, p: LaurentPoly, order: int | None = None,
-              packing: Packing | None = None) -> PackedSeries:
+def _phi_poly(theta: RingMorphism, p: LaurentPoly, n: int,
+              packing: Packing) -> PackedSeries:
     """Apply the function part of the morphism to a Laurent polynomial.
 
-    The image lives in R[t]/(t^order), by default the morphism's order, and
-    is packed with ``packing`` (by default, the packing of theta and p).
+    The image lives in R[t]/(t^n) and is packed with ``packing``.
     """
     if p.nvars != theta.nvars:
         raise ValueError("variable count mismatch")
-    n = theta.order if order is None else order
-    if packing is None:
-        packing = _packing(theta.order, theta.nvars, _coefficients(theta) + (p,))
     out = PackedSeries(packing, n, {})
     for exp, scalar in packing.scalar_terms(p):
         term = None  # the product of the variable images' powers

@@ -43,7 +43,6 @@ from pms.cohomology import (
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.linear import (
     box_labels,
-    forced_by_singletons,
     solve_rows,
     term_rows,
 )
@@ -353,9 +352,7 @@ def test_derivation_rows_match_derivation_failures():
         values = {
             ("T", v, e): c for v in range(2) for e, c in comps[v].items()
         }
-        forced, rows = term_rows(
-            ring_conditions(ring, ("T",)), labels, forced_by_singletons
-        )
+        forced, rows = term_rows(ring_conditions(ring, ("T",)), labels)
         violated = any(values.get(z) for z in forced) or any(
             sum(c * values.get(label, 0) for label, c in row.items()) != rhs
             for row, rhs in rows
@@ -428,36 +425,33 @@ def row_multiset(rows):
 
 
 def test_chart_unknowns_label_the_cached_ring_rows_in_order():
-    """The labelled chart step keeps the kept exponents' order and the ring
-    rows' order and entries, with each label ("T", chart, v, e)."""
+    """``_chart_plan`` labels each chart's kept exponents, in order, and its
+    ring rows, in order and with their entries in order, ("T", chart, v, e).
+    Each condition below pairs the fields of two charts at one shift, so
+    its rows hold two labels each, the cascade forces nothing and the plan
+    keeps a row per kept exponent, in the order of the label map."""
     for ring, top in catalog_and_random_rings(random.Random(7121)):
         nvars = ring.nvars
+        zero = (0,) * nvars
+        charts = (("U", ring.generators), ("V", ring.generators))
+        shape = tuple(
+            (None, (), ((("T", "U", v), zero), (("T", "V", v), zero)), ())
+            for v in range(nvars)
+        )
         for bound in range(0, top + 1, 2):
             kept, rows = cohomology._chart_ring_rows(ring.generators, nvars, bound)
-            labels, labelled = cohomology._chart_unknowns(
-                "U", ring.generators, nvars, bound
+            plan, labelled = cohomology._chart_plan.__wrapped__(
+                charts, nvars, bound, shape
             )
-            assert [list(at.items()) for at in labels] == [
-                [(e, ("T", "U", v, e)) for e in exps]
-                for v, exps in enumerate(kept)
-            ]
             assert [(list(row.items()), rhs) for row, rhs in labelled] == [
-                ([(("T", "U", v, e), c) for (v, e), c in row.items()], 0)
-                for row in rows
+                ([(("T", name, v, e), c) for (v, e), c in row.items()], 0)
+                for name, _ in charts for row in rows
             ]
-
-
-def test_chart_labels_are_shared_across_bounds():
-    """Each bound's label map takes its tuples from one table per chart:
-    a label kept at two bounds is one object."""
-    for ring, top in catalog_and_random_rings(random.Random(7121)):
-        nvars = ring.nvars
-        maps = [cohomology._chart_unknowns("U", ring.generators, nvars, bound)[0]
-                for bound in range(top + 1)]
-        for small, large in zip(maps, maps[1:]):
-            for at_small, at_large in zip(small, large):
-                assert all(at_large[e] is label for e, label in at_small.items()
-                           if e in at_large)
+            assert plan.built == tuple(tuple(row) for row, _ in labelled)
+            assert [(k, labels) for k, _, _, labels in plan.places] == [
+                (v, (("T", "U", v, e), ("T", "V", v, e)))
+                for v, exps in enumerate(kept) for e in exps
+            ]
 
 
 def test_chart_ring_rows_are_the_derivation_rows_of_the_kept_field():
@@ -661,34 +655,47 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
 
 
 def chart_system(charts, nvars, bound):
-    """The label maps and ring rows that ``term_rows`` takes for the
-    chart-field system over ``charts``, pairs (name, generators)."""
+    """The label maps and ring rows of the chart-field system over
+    ``charts``, pairs (name, generators): each chart's ``_chart_ring_rows``,
+    labelled ("T", name, v, e)."""
     labels, built = {}, []
     for name, generators in charts:
-        kept, rows = cohomology._chart_unknowns(name, generators, nvars, bound)
-        labels.update((("T", name, v), at) for v, at in enumerate(kept))
-        built += rows
+        kept, rows = cohomology._chart_ring_rows(generators, nvars, bound)
+        labels.update((("T", name, v), {e: ("T", name, v, e) for e in exps})
+                      for v, exps in enumerate(kept))
+        built += [({("T", name, v, e): c for (v, e), c in row.items()}, 0)
+                  for row in rows]
     return labels, built
 
 
+def staged_rows(conditions, labels, built):
+    """Z and the rows of the ``term_rows`` stages over term-form
+    ``conditions``, with the zero-rhs rows ``built`` first."""
+    structure, values = linear.split_conditions(conditions)
+    forced, plan = linear.plan_rows(structure, labels,
+                                    [row for row, _ in built])
+    return forced, linear.fill_rows(plan, values, built)
+
+
 def captured_systems(kind, monkeypatch):
-    """The arguments of every row-pass call that the solvers of ``kind``
-    make, conditions and built rows as lists, then the ``_chart_plan`` key
-    (charts, variable count, bound) of a chart-field system, else None,
-    then the (structure, values) of a ``_twisted_difference`` system, else
-    None.  A twisted-difference system is captured with its term-form
-    conditions (``twisted_conditions`` over the same unknown fields or
-    one-forms) and the label maps and built rows
-    that ``term_rows`` takes for it: those of ``_chart_plan`` for a chart
-    field, none for a one-form."""
+    """The systems that the solvers of ``kind`` build: each is its term-form
+    conditions as a list, its label maps and built rows, then the
+    ``_chart_plan`` key (charts, variable count, bound) of a chart-field
+    system, else None, then the (structure, values) of a
+    ``_twisted_difference`` system, else None.  A ``term_rows`` call is
+    captured with its arguments and no built row.  A twisted-difference
+    system is captured with its term-form conditions
+    (``twisted_conditions`` over the same unknown fields or one-forms) and
+    with ``chart_system`` for a chart field, no label map or built row for a
+    one-form."""
     calls = []
     chart_plan = cohomology._chart_plan
     twisted_difference = cohomology._twisted_difference
 
-    def spy(conditions, labels, cascade, built=()):
-        args = (list(conditions), labels, cascade, list(built))
-        calls.append(args + (None, None))
-        return linear.term_rows(*args)
+    def spy(conditions, labels):
+        conditions = list(conditions)
+        calls.append((conditions, labels, [], None, None))
+        return linear.term_rows(conditions, labels)
 
     def spy_twisted(atlas, forms, twist_full, target_full, extra=()):
         split = twisted_difference(atlas, forms, twist_full, target_full, extra)
@@ -699,16 +706,15 @@ def captured_systems(kind, monkeypatch):
         conditions = twisted_conditions(
             atlas, fields, twist_full, target_full, extra
         )
-        calls.append((list(conditions), {}, forced_by_singletons, [], None,
-                      split))
+        calls.append((list(conditions), {}, [], None, split))
         return split
 
     def spy_plan(charts, nvars, bound, shape):
-        conditions, _, cascade, _, _, split = calls.pop()
+        conditions, _, _, _, split = calls.pop()
         assert split[0] is shape
         labels, built = chart_system(charts, nvars, bound)
-        calls.append((conditions, labels, cascade, built,
-                      (charts, nvars, bound), split))
+        calls.append((conditions, labels, built, (charts, nvars, bound),
+                      split))
         return chart_plan(charts, nvars, bound, shape)
 
     with monkeypatch.context() as patch:
@@ -717,7 +723,6 @@ def captured_systems(kind, monkeypatch):
         patch.setattr(cohomology, "term_rows", spy)
         patch.setattr(p2_catalog, "term_rows", spy)
         if kind == "cocycle":
-            cohomology._chart_unknowns.cache_clear()
             cohomology._chart_ring_rows.cache_clear()
             for _, solve in DIFFERENTIAL_CASES.values():
                 for bound in range(8):
@@ -757,19 +762,19 @@ def entries(rows):
 
 
 def planned(args):
-    """The Z and rows of ``term_rows``, each row's entries in order; a
+    """The Z and rows of ``staged_rows``, each row's entries in order; a
     chart-field system gets the same rows from its ``_chart_plan`` plan of
     the ``_twisted_difference`` structure and values, and a one-form system
     the same Z and rows from their plan with no label map."""
-    conditions, labels, cascade, built, key, split = args
-    forced, rows = linear.term_rows(conditions, labels, cascade, built)
+    conditions, labels, built, key, split = args
+    forced, rows = staged_rows(conditions, labels, built)
     rows = entries(rows)
     if split is not None:
         shape, values = split
         if key is not None:
             plan, ring_rows = cohomology._chart_plan(*key, shape)
         else:
-            got, plan = linear.plan_rows(shape, labels, built, cascade)
+            got, plan = linear.plan_rows(shape, labels, [])
             assert got == forced
             ring_rows = built
         assert entries(linear.fill_rows(plan, values, ring_rows)) == rows
@@ -783,7 +788,7 @@ def test_twisted_difference_is_the_split_term_form(kind, monkeypatch):
     values, in the same order and with the same number types, that
     ``split_conditions`` makes of the term-form ``twisted_conditions``."""
     calls = captured_systems(kind, monkeypatch)
-    split = [args for args in calls if args[5] is not None]
+    split = [args for args in calls if args[4] is not None]
     assert split
     for conditions, *_, got in split:
         expected = linear.split_conditions(conditions)
@@ -793,13 +798,13 @@ def test_twisted_difference_is_the_split_term_form(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["cocycle", "chart-ring", "family", "oneform"])
 def test_memoised_plans_match_fresh_ones(kind, monkeypatch):
-    """``_chart_plan`` gives the rows of ``term_rows``, in the same order
+    """``_chart_plan`` gives the rows of the ``term_rows`` stages, in the same order
     with the same right-hand sides, with a cold memo, with a memo warmed by
     the other systems, and with every plan built afresh; only the
     chart-field systems of the cocycle solvers reach it."""
     calls = captured_systems(kind, monkeypatch)
     assert calls
-    charted = [args for args in calls if args[4] is not None]
+    charted = [args for args in calls if args[3] is not None]
     assert bool(charted) == (kind == "cocycle")
     cold = []
     for args in calls:
@@ -902,20 +907,21 @@ def varied(system, name):
 
 
 def chart_field_rows(atlas, space, twist, target, extra):
-    """``term_rows`` over ``twisted_conditions`` and the ring rows of
-    ``_chart_unknowns``, each row's entries in order."""
+    """The ``term_rows`` stages over ``twisted_conditions`` and the ring rows
+    of ``chart_system``, each row's entries in order."""
     charts = tuple((c.name, c.ring.generators) for c in atlas.charts)
     labels, built = chart_system(charts, atlas.nvars, space.bound)
     conditions = twisted_conditions(
         atlas, term_form_fields(atlas), twist, target, extra
     )
-    return entries(term_rows(conditions, labels, forced_by_singletons, built)[1])
+    return entries(staged_rows(conditions, labels, built)[1])
 
 
 def test_each_chart_field_input_gets_its_own_plan(monkeypatch):
     """Chart-field systems that differ in one input of the label pass each
     get their own ``_chart_plan`` entry, and their rows, cold, warm and
-    planned afresh, are those of ``term_rows`` in the same order; a carpet
+    planned afresh, are those of the ``term_rows`` stages in the same
+    order; a carpet
     at another alpha plans from the memo and fills its own coefficients."""
     base = carpet_system(Fraction(1, 2))
     systems = [base] + [

@@ -221,8 +221,8 @@ BASE = {"twist": (1, 0), "known": (0, 1), "merge": 1, "scalar": (2, -2),
 
 
 def term_system(twist, known, merge, scalar, ring, bound, built, scale=1):
-    """A small term-form system; each keyword is one input of the label
-    pass, and ``scale`` multiplies every coefficient."""
+    """A small term-form system and one built row; each keyword is one
+    input of the label pass, and ``scale`` multiplies every coefficient."""
     box = list(itertools.product(range(-bound, bound + 1), repeat=2))
     labels = {A: box_labels(A, box), B: box_labels(B, box)}
     c = Fraction(scale)
@@ -233,7 +233,7 @@ def term_system(twist, known, merge, scalar, ring, bound, built, scale=1):
          ((A, (0, 1), c), (B, (1, 1), c), (B, (1, 1), merge * c)), ()),
     ]
     built_rows = [({("A", built): c, ("B", (0, 0)): -c}, 0)]
-    return conditions, labels, forced_by_singletons, built_rows
+    return conditions, labels, built_rows
 
 
 def entries(rows):
@@ -242,55 +242,57 @@ def entries(rows):
 
 
 def plan_inputs(args):
-    """What ``plan_rows`` reads of ``args``: the structure, the label maps,
-    the built rows' labels and the cascade."""
-    conditions, labels, cascade, built = args
+    """What ``plan_rows`` reads of ``args``: the structure, the label maps
+    and the built rows' labels."""
+    conditions, labels, built = args
     return (split_conditions(conditions)[0],
             tuple((prefix, tuple(at.items())) for prefix, at in labels.items()),
-            tuple(tuple(row) for row, _ in built), cascade)
+            tuple(tuple(row) for row, _ in built))
 
 
 def planned(args):
-    """The plan of ``args`` and the rows ``fill_rows`` puts in."""
-    conditions, labels, cascade, built = args
+    """Z, the plan of ``args`` and the rows ``fill_rows`` puts in."""
+    conditions, labels, built = args
     structure, values = split_conditions(conditions)
-    _, plan = plan_rows(structure, labels, [row for row, _ in built], cascade)
-    return plan, entries(fill_rows(plan, values, built))
+    forced, plan = plan_rows(structure, labels, [row for row, _ in built])
+    return forced, plan, fill_rows(plan, values, built)
 
 
 @pytest.mark.parametrize("name,value", [
     ("twist", (1, 1)), ("known", (0, 2)), ("merge", -1), ("scalar", (2, -1)),
     ("ring", LAM_LAURENT), ("bound", 3), ("built", (1, 0)),
 ])
-def test_plan_key_covers_each_label_pass_input(name, value):
+def test_plan_key_covers_each_label_pass_input(name, value, monkeypatch):
     """Two systems that differ in one input the label pass reads differ in
-    what ``plan_rows`` reads and get different plans; the second's stages
-    give the rows of ``term_rows``, whose Z is what the cascade deletes from
-    the full system's rows."""
+    what ``plan_rows`` reads and get different plans; the second's rows are
+    those of the full system with Z deleted, and with no built row they
+    are the rows of ``term_rows``."""
     first = term_system(**BASE)
     second = term_system(**{**BASE, name: value})
     assert plan_inputs(first) != plan_inputs(second)
-    plan, rows = planned(second)
-    assert planned(first)[0] != plan
-    forced, expected = term_rows(*second)
-    assert entries(expected) == rows
-    conditions, labels, _, built = second
-    full = term_rows(conditions, labels, lambda rows: set(), built)[1]
-    assert forced and without(full, forced) == expected
+    forced, plan, rows = planned(second)
+    assert planned(first)[1] != plan
+    conditions, labels, _ = second
+    assert (entries(term_rows(conditions, labels)[1])
+            == entries(planned((conditions, labels, []))[2]))
+    monkeypatch.setattr(linear, "forced_by_singletons", lambda rows: set())
+    full = planned(second)[2]
+    assert forced and without(full, forced) == rows
 
 
 def test_plans_are_shared_across_coefficient_values():
     """The same structure with other nonzero coefficients has the same plan
     inputs and plan, and that plan filled with its values gives its own
-    ``term_rows``."""
+    rows."""
     base = term_system(**BASE)
     scaled = term_system(**BASE, scale=Fraction(-5, 7))
     assert plan_inputs(scaled) == plan_inputs(base)
-    plan, rows = planned(base)
-    assert planned(scaled)[0] == plan
+    _, plan, rows = planned(base)
+    _, scaled_plan, scaled_rows = planned(scaled)
+    assert scaled_plan == plan
     _, values = split_conditions(scaled[0])
-    got = entries(fill_rows(plan, values, scaled[3]))
-    assert got == entries(term_rows(*scaled)[1]) != rows
+    got = entries(fill_rows(plan, values, scaled[2]))
+    assert got == entries(scaled_rows) != entries(rows)
 
 
 def test_forced_labels_include_built_labels_outside_the_maps():
@@ -299,7 +301,7 @@ def test_forced_labels_include_built_labels_outside_the_maps():
     labels = {A: box_labels(A, [(0, 0), (1, 0)])}
     conditions = [(None, {}, ((A, (0, 0), 1),), ())]
     built = [({("X",): 2, ("A", (0, 0)): 1}, 0)]
-    forced, rows = term_rows(conditions, labels, forced_by_singletons, built)
+    forced, _, rows = planned((conditions, labels, built))
     assert forced == {("A", (0, 0)), ("A", (1, 0)), ("X",)}
     assert rows == []
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from pms import atlas, p2_catalog
+from pms import atlas, linear, p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
 from pms.cohomology import BOUND_CAVEAT
 from pms.laurent_core import LaurentPoly
@@ -229,7 +229,7 @@ def test_family_json_is_unchanged_without_the_cascade(monkeypatch):
         ]
 
     cascaded = family_json()
-    monkeypatch.setattr(p2_catalog, "forced_by_singletons", lambda rows: set())
+    monkeypatch.setattr(linear, "forced_by_singletons", lambda rows: set())
     # the row memo holds the cascaded rows: build each system afresh
     monkeypatch.setattr(p2_catalog, "_family_rows",
                         p2_catalog._family_rows.__wrapped__)
@@ -369,7 +369,7 @@ def test_label_pass_matches_symbolic_rows(p, x_part):
         conds = conditions + extra + scalar
         forced, rows = _reference_rows(conds, boxes)
         labels = {n: box_labels(n, box) for n, box in boxes.items()}
-        got_forced, got_rows = term_rows(conds, labels, forced_by_singletons)
+        got_forced, got_rows = term_rows(conds, labels)
         assert got_forced == forced
         assert _row_multiset(got_rows) == rows
 
@@ -396,8 +396,7 @@ def test_ansatz_rows_match_symbolic_rows(p, x_part):
             D: SymPoly.combination(2, [(("c0D",), mono((-p, 3 - p), 1))]),
         }
         forced, rows = term_rows(
-            p2_catalog._ansatz_conditions(conditions, p, b, x_part),
-            {}, forced_by_singletons,
+            p2_catalog._ansatz_conditions(conditions, p, b, x_part), {}
         )
         assert forced == set()
         assert _row_multiset(rows) == _row_multiset(
@@ -422,8 +421,7 @@ def test_pinned_directions_match_a_fresh_elimination(p):
     for b in range(3, 8):
         conditions = p2_catalog._pullback_conditions(-3, p, 1)
         _, rows = term_rows(
-            p2_catalog._ansatz_conditions(conditions, p, b, 1), {},
-            forced_by_singletons,
+            p2_catalog._ansatz_conditions(conditions, p, b, 1), {}
         )
         labels = ([("c0",), ("R", 0), ("c0D",)]
                   + [("R", k) for k in range(1, b + 1)]
@@ -469,8 +467,7 @@ def test_family_row_memo_matches_a_fresh_build(p, x_part):
     for b, system in cached.items():
         forced, rows = p2_catalog._pullback_rows(conditions, b)
         _, named_rows = term_rows(
-            p2_catalog._ansatz_conditions(conditions, p, b, x_part), {},
-            forced_by_singletons,
+            p2_catalog._ansatz_conditions(conditions, p, b, x_part), {}
         )
         assert system.forced == tuple(sorted(forced))
         assert _entries(system.rows) == _entries(rows)

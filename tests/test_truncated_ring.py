@@ -323,7 +323,7 @@ def test_variable_count_mismatches_raise():
         lambda: apply_endo(theta, one3),
         lambda: trunc_mul(el(LAM, MU, ONE), one3),
         lambda: bracket_subst(el(LAM, MU, ONE), one3),
-        lambda: _phi_poly(theta, lam3),
+        lambda: phi_poly(theta, lam3, theta.order),
     ]
     for call in mismatched:
         with pytest.raises(ValueError, match="variable count mismatch"):
@@ -409,6 +409,24 @@ def ref_invert_unit(u: TruncElement) -> TruncElement:
         power = ref_trunc_mul(power, w)
         acc = acc + power
     return ref_trunc_mul(inv0, acc)
+
+
+def packing_of(theta: RingMorphism, p: LaurentPoly):
+    """The packing of a call whose inputs are theta's coefficients and p."""
+    return truncated_ring._packing(
+        theta.order, theta.nvars, truncated_ring._coefficients(theta) + (p,))
+
+
+def image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
+    """``_image_power`` at the packing of theta and x_v^k."""
+    x = LaurentPoly.monomial(
+        theta.nvars, [k if w == v else 0 for w in range(theta.nvars)])
+    return _unpack(_image_power(theta, v, k, packing_of(theta, x)))
+
+
+def phi_poly(theta: RingMorphism, p: LaurentPoly, n: int) -> TruncElement:
+    """``_phi_poly`` below t^n at the packing of theta and p."""
+    return _unpack(_phi_poly(theta, p, n, packing_of(theta, p)))
 
 
 def ref_image_power(theta: RingMorphism, v: int, k: int) -> TruncElement:
@@ -541,7 +559,7 @@ def test_truncated_calculus_matches_full_order_reference(
     assert bracket_subst(u, w) == ref_bracket_subst(u, w)
     p = sparse_poly(rng, nvars, terms=3)
     for k in range(1, order + 1):
-        assert _unpack(_phi_poly(theta, p, k)) == truncate_down(
+        assert phi_poly(theta, p, k) == truncate_down(
             ref_phi_poly(theta, p), k)
     # the truncation fact: order k of theta(u) reads orders 0..k-1 alone
     for k in range(2, order + 1):
@@ -549,8 +567,7 @@ def test_truncated_calculus_matches_full_order_reference(
             truncate_morphism(theta, k), truncate_down(u, k))
     for v in range(nvars):
         for k in range(-4, 5):
-            assert _unpack(_image_power(theta, v, k)) == ref_image_power(
-                theta, v, k)
+            assert image_power(theta, v, k) == ref_image_power(theta, v, k)
     if eps_kind == "unit":
         assert endo_inverse(theta) == ref_endo_inverse(theta)
     # the closed-form conjugation against the composed oracle, and the
@@ -579,11 +596,10 @@ def test_high_image_powers_match_the_repeated_product():
     rng = random.Random(5)
     theta = sparse_morphism(rng, 3, 1, "unit")
     for k in (65, 70, -66):
-        assert _unpack(_image_power(theta, 0, k)) == ref_image_power(
-            theta, 0, k)
+        assert image_power(theta, 0, k) == ref_image_power(theta, 0, k)
     # deep exponents stay within the recursion limit
     x = LaurentPoly.monomial(2, (3000, -2000))
-    assert _unpack(_phi_poly(identity_morphism(3, 2), x)) == (
+    assert phi_poly(identity_morphism(3, 2), x, 3) == (
         TruncElement.from_poly(3, x))
 
 
@@ -612,8 +628,7 @@ def test_wide_exponents_keep_their_digits():
     assert apply_endo(theta, u) == ref_apply_endo(theta, u)
     for v in range(3):
         for k in range(-3, 4):
-            assert _unpack(_image_power(theta, v, k)) == ref_image_power(
-                theta, v, k)
+            assert image_power(theta, v, k) == ref_image_power(theta, v, k)
         assert invert_unit(images[v]) == ref_invert_unit(images[v])
     assert invert_unit(theta.epsilon) == ref_invert_unit(theta.epsilon)
     # the reference inverse applies theta to its candidate, so its wide
@@ -653,6 +668,6 @@ def test_morphism_hash_is_cached_out_of_sight():
     _image_power.cache_clear()
     for v in range(2):
         for k in (-3, -1, 2, 5):
-            power = _unpack(_image_power(a, v, k))
-            assert _unpack(_image_power(built(), v, k)) == power
+            power = image_power(a, v, k)
+            assert image_power(built(), v, k) == power
             assert power == ref_image_power(built(), v, k)
