@@ -550,36 +550,12 @@ def transition_endomorphism(spec: DoubleSchemeSpec, i: str, j: str) -> RingMorph
     return RingMorphism(2, images, eps)
 
 
-# -- bundle operations --------------------------------------------------
+# -- spanning pairs -----------------------------------------------------
 
 
 def canonical_spanning_pairs(atlas: Atlas) -> list[Pair]:
     names = atlas.chart_names()
     return [(a, b) for a, b in zip(names, names[1:])]
-
-
-def bundle_ops(
-    atlas: Atlas, op: str, a: MultCocycle, b: MultCocycle | None = None,
-    k: int | None = None,
-) -> MultCocycle:
-    """Tensor, dual, and integer powers of bundle cocycles."""
-    full_a = derive_mult(atlas, a)
-    pairs = canonical_spanning_pairs(atlas)
-    if op == "tensor":
-        if b is None:
-            raise ValueError("tensor needs two cocycles")
-        full_b = derive_mult(atlas, b)
-        data = {p: full_a[p] * full_b[p] for p in pairs}
-        return MultCocycle(f"{a.name}*{b.name}", data)
-    if op == "dual":
-        data = {p: full_a[p].power(-1) for p in pairs}
-        return MultCocycle(f"{a.name}^-1", data)
-    if op == "power":
-        if k is None:
-            raise ValueError("power needs an integer exponent")
-        data = {p: full_a[p].power(k) for p in pairs}
-        return MultCocycle(f"{a.name}^{k}", data)
-    raise ValueError(f"unknown bundle operation {op!r}")
 
 
 # -- serialization ------------------------------------------------------

@@ -346,7 +346,7 @@ def _require_valid(spec, label: str) -> None:
     else:
         report = validate_double_scheme(spec)
     if not report.ok:
-        raise RuntimeError(
+        raise AssertionError(
             f"{label} produced invalid output: " + "; ".join(report.failures)
         )
 

@@ -3,8 +3,10 @@
 All structured output is JSON with sorted keys, so identical invocations
 produce identical bytes.  Exit codes: 0 for success or a positive answer,
 1 for a negative or not-found answer to a yes/no question, 2 for usage
-errors and malformed input files, 3 when an internal self-check (solver
-re-verification, witness resubstitution, family cross-checks) fails.
+errors, malformed input files and an invalid document given to ``blowup``,
+3 when an internal self-check (solver re-verification, witness
+resubstitution, family cross-checks, the validation of a blow-up's output)
+fails.
 """
 
 from __future__ import annotations
@@ -146,6 +148,11 @@ def _cmd_blowup(args) -> int:
         "good": blowup_good,
         "hypersurface": blowup_hypersurface,
     }[args.kind]
+    failures = _document_failures(doc)
+    if failures:
+        raise CliError(
+            f"{args.atlas}: invalid document: " + "; ".join(failures)
+        )
     result = build(spec, center)
     cocycles = {result.spec.alpha.name: result.spec.alpha}
     for extra in (result.pullback, result.exceptional):
@@ -330,7 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("carpet", help="queries about the ribbon at alpha")
-    p.add_argument("--alpha", required=True, help='rational "p/q" or "symbolic"')
+    p.add_argument(
+        "--alpha", required=True,
+        help='rational "p/q" or "symbolic"; write a negative one as '
+        '--alpha=-p/q',
+    )
     p.add_argument(
         "--query",
         required=True,
@@ -341,7 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_carpet)
 
     p = sub.add_parser("gamma", help="good-point invariants and comparisons")
-    p.add_argument("--coeffs", required=True, help='pair "a1,a2" of rationals')
+    p.add_argument(
+        "--coeffs", required=True,
+        help='pair "a1,a2" of rationals; write a negative first one as '
+        '--coeffs=-a1,a2',
+    )
     p.add_argument("--query", required=True, choices=("delta", "iso-with"))
     p.add_argument("other", nargs="?", help='second pair "a1,a2" for iso-with')
     p.add_argument("--m", type=int, default=-3, help="ambient twist degree")

@@ -26,14 +26,10 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
-    json_shape,
-    poly_from_json,
     poly_in_ring,
-    poly_to_json,
 )
 from .linear import LinearSolver, in_span, rank_of_vectors
 
-POINT_CHART_TAGS = ("U2", "W2")
 POINT_RING = ExponentMonoid(2, ((0, 1), (1, 1)))
 FRAME_TAG = "t-frame at the chart origin"
 STANDARD_COORDS = (
@@ -46,20 +42,14 @@ Section = dict[tuple[int, tuple[int, int, int]], Fraction]
 
 @dataclass(frozen=True)
 class GoodPoint:
-    """The ideal (y_1 + a_1 t, y_2 + a_2 t) at the chart origin."""
+    """The ideal (y_1 + a_1 t, y_2 + a_2 t) at the origin of the chart U2."""
 
-    chart: str
     coords: tuple[LaurentPoly, LaurentPoly]
     coeffs: tuple[LaurentPoly, LaurentPoly]
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.chart not in POINT_CHART_TAGS:
-            raise ValueError(
-                f"good points live on one of {POINT_CHART_TAGS}, "
-                f"got {self.chart!r}"
-            )
         if len(self.coords) != 2 or len(self.coeffs) != 2:
             raise ValueError("a good point needs two coordinates and two "
                              "coefficients")
@@ -99,43 +89,14 @@ class DeltaValue:
     frame: str
 
 
-def good_point_to_json(z: GoodPoint) -> dict:
-    return {
-        "chart": z.chart,
-        "coords": [poly_to_json(y) for y in z.coords],
-        "coeffs": [poly_to_json(a) for a in z.coeffs],
-    }
-
-
-def good_point_from_json(data: dict) -> GoodPoint:
-    if not isinstance(data, dict):
-        raise ValueError("a good point must be a JSON object")
-    for key in ("chart", "coords", "coeffs"):
-        if key not in data:
-            raise ValueError(f"a good point needs {key!r}")
-    coords = [poly_from_json(p, 2) for p in json_shape(data["coords"], list, "coords")]
-    coeffs = [poly_from_json(p, 2) for p in json_shape(data["coeffs"], list, "coeffs")]
-    return GoodPoint(str(data["chart"]), tuple(coords), tuple(coeffs))
-
-
-def standard_good_point(a1, a2, chart: str = "U2") -> GoodPoint:
+def standard_good_point(a1, a2) -> GoodPoint:
     """The good point with standard coordinates and constant coefficients."""
     def lift(value) -> LaurentPoly:
         if isinstance(value, LaurentPoly):
             return value
         return LaurentPoly.const(2, value)
 
-    return GoodPoint(chart, STANDARD_COORDS, (lift(a1), lift(a2)))
-
-
-def ideal_equivalent(z: GoodPoint, zp: GoodPoint) -> bool:
-    """Whether the two data define the same ideal (coefficients agree at P)."""
-    if z.chart != zp.chart or z.coords != zp.coords:
-        raise ValueError("ideal comparison needs matching chart coordinates")
-    return all(
-        (a - b).constant_coefficient() == 0
-        for a, b in zip(z.coeffs, zp.coeffs)
-    )
+    return GoodPoint(STANDARD_COORDS, (lift(a1), lift(a2)))
 
 
 def delta_invariant(z: GoodPoint) -> DeltaValue:

@@ -29,7 +29,8 @@ A ribbon on the blown plane ("carpet") is the p = 1 member; its class
 decomposes against the two generating bundle classes with coefficients
 (1, alpha), and a bundle of degrees (m, n) prolongs to it exactly when the
 residue obstruction m - n*alpha vanishes.  ``alpha = "symbolic"`` runs the
-same computations with alpha adjoined as an extra invertible variable.
+same computations with alpha adjoined to the blown-plane atlas as an extra
+invertible variable; the plane atlas has two variables only.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .atlas import (
     MultCocycle,
     VectorFieldCocycle,
     derivation_conditions,
+    validate_double_scheme,
 )
 from .cohomology import (
     BOUND_CAVEAT,
@@ -144,9 +146,12 @@ def _build_atlas(charts, overlaps, frames, symbolic: bool) -> Atlas:
     )
 
 
-def make_p2_atlas(symbolic: bool = False) -> Atlas:
+@lru_cache(maxsize=1)
+def make_p2_atlas() -> Atlas:
     """The projective plane atlas (treat the shared result as immutable)."""
-    return _p2_atlas(bool(symbolic))
+    atlas = _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES, False)
+    atlas.residue_scale = calibrate_residue(atlas, p2_line_bundle(1))
+    return atlas
 
 
 def make_wcover_atlas(symbolic: bool = False) -> Atlas:
@@ -156,45 +161,27 @@ def make_wcover_atlas(symbolic: bool = False) -> Atlas:
 
 # keyed by the bare bool, so f(), f(False) and f(symbolic=False) share a slot
 @lru_cache(maxsize=2)
-def _p2_atlas(symbolic: bool) -> Atlas:
-    atlas = _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES, symbolic)
-    atlas.residue_scale = calibrate_residue(atlas, p2_line_bundle(1, atlas))
-    return atlas
-
-
-@lru_cache(maxsize=2)
 def _wcover_atlas(symbolic: bool) -> Atlas:
     atlas = _build_atlas(_W_CHARTS, _W_OVERLAPS, _W_FRAMES, symbolic)
-    atlas.residue_scale = calibrate_residue(
-        atlas, _beta_on(atlas, 1, 0, symbolic)
-    )
+    atlas.residue_scale = calibrate_residue(atlas, beta_table(1, 0, symbolic))
     return atlas
 
 
-def p2_line_bundle(m: int, atlas: Atlas | None = None,
-                   symbolic: bool = False) -> MultCocycle:
+def p2_line_bundle(m: int) -> MultCocycle:
     """Degree-m line bundle on the plane: lam^-m and mu^-m on spanning pairs."""
-    if atlas is None:
-        atlas = make_p2_atlas(symbolic)
-    else:
-        symbolic = atlas.nvars == 3
     return MultCocycle(f"O_{m}", {
-        ("U0", "U1"): _mono((-m, 0), 1, symbolic),
-        ("U1", "U2"): _mono((0, -m), 1, symbolic),
-    })
-
-
-def _beta_on(atlas: Atlas, m: int, p: int, symbolic: bool) -> MultCocycle:
-    return MultCocycle(f"beta_{m}_{p}", {
-        ("W0", "W1"): _mono((-m, 0), 1, symbolic),
-        ("W1", "W2"): _mono((0, -p - m), 1, symbolic),
-        ("W2", "W3"): _mono((-p, 0), 1, symbolic),
+        ("U0", "U1"): _mono((-m, 0)),
+        ("U1", "U2"): _mono((0, -m)),
     })
 
 
 def beta_table(m: int, p: int, symbolic: bool = False) -> MultCocycle:
     """Bundle on the blown plane with exponent pattern (lam^-m, mu^-p-m, lam^-p)."""
-    return _beta_on(make_wcover_atlas(symbolic), m, p, symbolic)
+    return MultCocycle(f"beta_{m}_{p}", {
+        ("W0", "W1"): _mono((-m, 0), 1, symbolic),
+        ("W1", "W2"): _mono((0, -p - m), 1, symbolic),
+        ("W2", "W3"): _mono((-p, 0), 1, symbolic),
+    })
 
 
 def extension_bundle(m: int, n: int, symbolic: bool = False) -> MultCocycle:
@@ -203,8 +190,7 @@ def extension_bundle(m: int, n: int, symbolic: bool = False) -> MultCocycle:
     return MultCocycle(f"F_{m}_{n}", c.data)
 
 
-def make_p2(m: int, nontrivial: bool = False,
-            symbolic: bool = False) -> DoubleSchemeSpec:
+def make_p2(m: int, nontrivial: bool = False) -> DoubleSchemeSpec:
     """Double structure on the plane twisted by the degree-m bundle.
 
     The nontrivial class exists only at m = -3; otherwise the derivation
@@ -212,22 +198,19 @@ def make_p2(m: int, nontrivial: bool = False,
     """
     if nontrivial and m != -3:
         raise ValueError("a nonzero class requires twist degree -3")
-    atlas = make_p2_atlas(symbolic)
-    nv = atlas.nvars
-    zero = LaurentPoly.zero(nv)
-    pad = (zero,) if symbolic else ()
+    zero = LaurentPoly.zero(2)
     if nontrivial:
         data = {
-            ("U0", "U1"): (zero, _mono((2, 2), -1, symbolic)) + pad,
-            ("U1", "U2"): (_mono((0, 1), 1, symbolic), zero) + pad,
+            ("U0", "U1"): (zero, _mono((2, 2), -1)),
+            ("U1", "U2"): (_mono((0, 1)), zero),
         }
     else:
         data = {
-            ("U0", "U1"): (zero, zero) + pad,
-            ("U1", "U2"): (zero, zero) + pad,
+            ("U0", "U1"): (zero, zero),
+            ("U1", "U2"): (zero, zero),
         }
     return DoubleSchemeSpec(
-        atlas, p2_line_bundle(m, atlas), VectorFieldCocycle(data)
+        make_p2_atlas(), p2_line_bundle(m), VectorFieldCocycle(data)
     )
 
 
@@ -295,7 +278,7 @@ def make_blown_plane(
         ) + pad,
     }
     return DoubleSchemeSpec(
-        atlas, _beta_on(atlas, m, p, symbolic), VectorFieldCocycle(data)
+        atlas, beta_table(m, p, symbolic), VectorFieldCocycle(data)
     )
 
 
@@ -314,9 +297,9 @@ def build_carpet(alpha, trivial: bool = False) -> DoubleSchemeSpec:
 # -- classes, pairing, decomposition ------------------------------------
 
 
-def wcover_unit_classes(symbolic: bool = False) -> tuple[MultCocycle, MultCocycle]:
+def wcover_unit_classes() -> tuple[MultCocycle, MultCocycle]:
     """The two generating bundle classes on the blown plane."""
-    return beta_table(1, 0, symbolic), beta_table(0, -1, symbolic)
+    return beta_table(1, 0), beta_table(0, -1)
 
 
 def pairing_matrix(cover: str = "blown") -> tuple[tuple[Rational, ...], ...]:
@@ -326,7 +309,7 @@ def pairing_matrix(cover: str = "blown") -> tuple[tuple[Rational, ...], ...]:
         classes = list(wcover_unit_classes())
     elif cover == "plane":
         atlas = make_p2_atlas()
-        classes = [p2_line_bundle(1, atlas)]
+        classes = [p2_line_bundle(1)]
     else:
         raise ValueError(f"unknown cover {cover!r}")
     omega = frame_cocycle(atlas)
@@ -342,14 +325,14 @@ def pairing_matrix(cover: str = "blown") -> tuple[tuple[Rational, ...], ...]:
 
 
 def carpet_decompose(
-    alpha, bound: int = 6, trivial: bool = False,
+    alpha, bound: int = 6,
 ) -> tuple[tuple[Rational, Rational] | None, dict]:
     """Coefficients of the ribbon class on the two generating classes.
 
     Solves sigma = c_u * u + c_v * v + (coboundary) for the index-lowered
     ribbon family sigma; expected result (1, alpha) for the full ribbon.
     """
-    spec = build_carpet(alpha, trivial)
+    spec = build_carpet(alpha)
     atlas = spec.atlas
     sigma = flat(atlas, spec)
     u_cls, v_cls = wcover_unit_classes()
@@ -366,9 +349,9 @@ def carpet_decompose(
     return (coeffs["u"], coeffs["v"]), report
 
 
-def carpet_obstruction(alpha, m: int, n: int, trivial: bool = False):
+def carpet_obstruction(alpha, m: int, n: int):
     """Residue obstruction m - n*alpha to prolonging a bundle to the ribbon."""
-    spec = build_carpet(alpha, trivial)
+    spec = build_carpet(alpha)
     bundle = extension_bundle(m, n, symbolic=alpha == "symbolic")
     return extension_obstruction(spec, bundle)
 
@@ -932,8 +915,6 @@ def _check_against_constructor(desc: FamilyDescription) -> None:
         sample["R0"] = Fraction(5)
     spec = _constructor_member(desc.m, desc.p, *desc._member_values(sample),
                                desc.nontrivial)
-    from .atlas import validate_double_scheme
-
     report = validate_double_scheme(spec)
     if not report.ok:  # pragma: no cover - constructor is validated elsewhere
         raise AssertionError(

@@ -84,13 +84,9 @@ from .laurent_core import (
     PackedSeries,
     Packing,
     Rational,
-    json_int,
-    json_shape,
     largest_exponent,
     monomial_is_unit,
-    poly_from_json,
     poly_in_ring,
-    poly_to_json,
     shared_packing,
 )
 
@@ -339,7 +335,7 @@ class RingMorphism:
 
     def __hash__(self) -> int:
         # the fields' hash, kept by the first call as ``LaurentPoly._hash``
-        # is; ``_hash`` is no field, so repr, == and the JSON never see it
+        # is; ``_hash`` is no field, so repr and == never see it
         try:
             return self._hash
         except AttributeError:
@@ -494,7 +490,8 @@ def endo_inverse(theta: RingMorphism) -> RingMorphism:
     each slice built once): a defect of order t^k in the candidate is
     repaired by a correction divided by the k-th power of epsilon's leading
     monomial, which cancels it without touching lower orders.  Both
-    compositions with theta are then checked against the identity.  Raises
+    compositions with theta are then checked against the identity; a failed
+    check is a self-check failure and raises AssertionError.  Raises
     ValueError if epsilon's constant coefficient is not a monomial unit.
     """
     if classify_endo(theta) != "iso":
@@ -511,7 +508,7 @@ def endo_inverse(theta: RingMorphism) -> RingMorphism:
     psi = RingMorphism(n, images, x)
     ident = identity_morphism(n, nvars)
     if compose_endo(theta, psi) != ident or compose_endo(psi, theta) != ident:
-        raise ValueError("inverse iteration failed to converge")
+        raise AssertionError("inverse iteration failed to converge")
     return psi
 
 
@@ -580,21 +577,3 @@ def conjugate_chi_composed(theta: RingMorphism, x: LaurentPoly,
     left = chi_morphism(n, alpha.scale_poly(x))
     right = chi_morphism(n, inv_x)
     return compose_endo(left, compose_endo(theta, right))
-
-
-# -- serialization ------------------------------------------------------
-
-
-def trunc_to_json(u: TruncElement) -> dict:
-    return {"order": u.order, "coeffs": [poly_to_json(c) for c in u.coeffs]}
-
-
-def trunc_from_json(data: dict, nvars: int) -> TruncElement:
-    if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
-        raise ValueError("malformed truncated element")
-    order = json_int(data["order"], "truncation order")
-    coeffs = tuple(
-        poly_from_json(c, nvars)
-        for c in json_shape(data["coeffs"], list, "truncated coefficients")
-    )
-    return TruncElement(order, coeffs)

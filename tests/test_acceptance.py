@@ -179,7 +179,7 @@ def test_criterion_01_cocycle_validation(capsys):
         p2 = make_p2_atlas()
         w = make_wcover_atlas()
         for m in range(-3, 4):
-            assert validate_mult_cocycle(p2, p2_line_bundle(m, p2)).ok
+            assert validate_mult_cocycle(p2, p2_line_bundle(m)).ok
             for p in (0, 1, 2):
                 assert validate_mult_cocycle(w, beta_table(m, p)).ok
         for m in range(-3, 4):

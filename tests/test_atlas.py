@@ -13,7 +13,6 @@ from pms.atlas import (
     DoubleSchemeSpec,
     MultCocycle,
     VectorFieldCocycle,
-    bundle_ops,
     canonical_spanning_pairs,
     derive_mult,
     derive_vector_field,
@@ -249,29 +248,6 @@ def test_transition_endomorphisms_compose():
                             transition_endomorphism(spec, j, k),
                         )
                         assert left == transition_endomorphism(spec, i, k)
-
-
-def test_bundle_ops_tensor_dual_power():
-    atlas = make_wcover_atlas()
-    u = beta_table(1, 0)
-    v = beta_table(0, -1)
-    pairs = canonical_spanning_pairs(atlas)
-    tensor = bundle_ops(atlas, "tensor", u, v)
-    expected = beta_table(1, -1)
-    assert tensor.name == "beta_1_0*beta_0_-1"
-    for p in pairs:
-        assert tensor.data[p] == expected.data[p]
-    dual = bundle_ops(atlas, "dual", u)
-    for p in pairs:
-        assert dual.data[p] == u.data[p].power(-1)
-    cube = bundle_ops(atlas, "power", u, k=3)
-    assert cube.data[pairs[0]] == mono((-3, 0))
-    with pytest.raises(ValueError):
-        bundle_ops(atlas, "tensor", u)
-    with pytest.raises(ValueError):
-        bundle_ops(atlas, "power", u)
-    with pytest.raises(ValueError):
-        bundle_ops(atlas, "squish", u)
 
 
 def test_same_structure_ignores_frames():

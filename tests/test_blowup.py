@@ -9,7 +9,6 @@ import pytest
 from pms.atlas import (
     Atlas,
     AtlasDocument,
-    bundle_ops,
     derive_mult,
     derive_vector_field,
     dumps_document,
@@ -32,7 +31,7 @@ from pms.blowup import (
     xi_map,
 )
 from pms.cohomology import BOUND_CAVEAT, coboundary_solve, iso_decide
-from pms.laurent_core import LaurentPoly
+from pms.laurent_core import LaurentPoly, poly_to_json
 from pms.p2_catalog import (
     beta_table,
     build_carpet,
@@ -45,7 +44,6 @@ from pms.truncated_ring import (
     RingMorphism,
     TruncElement,
     conjugate_chi,
-    trunc_to_json,
 )
 
 
@@ -146,10 +144,11 @@ def test_reduced_blowup_matches_catalog_member():
 
 def test_reduced_blowup_bundle_factorization():
     res = blowup_reduced(make_p2(-3, nontrivial=True), P_CENTER, rename=RENAME)
-    tensored = bundle_ops(res.atlas, "tensor", res.pullback, res.exceptional)
+    pullback = derive_mult(res.atlas, res.pullback)
+    exceptional = derive_mult(res.atlas, res.exceptional)
     full = derive_mult(res.atlas, res.spec.alpha)
-    for pair, entry in tensored.data.items():
-        assert full[pair] == entry
+    for pair, entry in full.items():
+        assert entry == pullback[pair] * exceptional[pair]
 
 
 def test_reduced_blowup_restricts_away_from_center():
@@ -495,6 +494,9 @@ def _blowup_document_bytes(result):
 
 
 def _transitions_bytes(result):
+    def trunc_to_json(u):
+        return {"order": u.order, "coeffs": [poly_to_json(c) for c in u.coeffs]}
+
     return json.dumps(
         {
             f"{i},{j}": {

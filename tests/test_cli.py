@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from pms import cohomology
-from pms.atlas import AtlasDocument, dumps_document, loads_document
+from pms import blowup, cohomology
+from pms.atlas import (
+    AtlasDocument,
+    ValidationReport,
+    dumps_document,
+    loads_document,
+)
 from pms.blowup import CenterSpec, center_to_json
 from pms.cli import main
 from pms.laurent_core import LaurentPoly, poly_to_json
@@ -300,6 +305,65 @@ def test_blowup_hypersurface_via_cli(tmp_path, capsys):
     blown = tmp_path / "twisted.json"
     blown.write_text(out)
     assert run(capsys, "validate", str(blown))[0] == 0
+
+
+def test_blowup_rejects_an_invalid_input(tmp_path, capsys):
+    """A bad input is reported against the input file, not the output."""
+    path = write_plane_doc(tmp_path)
+    data = json.loads(path.read_text())
+    # lam^-5 mu^-7 d/dlam does not preserve the overlap rings
+    data["double_structure"]["D"]["U0,U1"] = [
+        poly_to_json(mono(2, (-5, -7))), []
+    ]
+    path.write_text(json.dumps(data))
+    center = write_point_center(tmp_path)
+    code, out, err = run(
+        capsys, "blowup", str(path), "--center", str(center), "--kind",
+        "reduced",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "U0/D+" not in err
+
+
+def test_blowup_of_a_valid_input_to_an_invalid_output_exits_3(
+    tmp_path, capsys, monkeypatch
+):
+    def failing_validation(spec):
+        return ValidationReport(False, ["planted failure"])
+
+    monkeypatch.setattr(blowup, "validate_double_scheme", failing_validation)
+    code, out, err = run(
+        capsys, "blowup", str(write_plane_doc(tmp_path)), "--center",
+        str(write_point_center(tmp_path)), "--kind", "reduced",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal self-check failed: "
+        "blowup_reduced produced invalid output: planted failure\n"
+    )
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    """The JSON decoder's RecursionError is a RuntimeError, which the CLI
+    reports as a malformed input."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_negative_rationals_use_the_equals_form(capsys):
+    code, out, err = run(
+        capsys, "carpet", "--alpha=-1/2", "--query", "quasiprojective"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out)["answer"] == "no"
+    code, out, err = run(capsys, "gamma", "--coeffs=-1,0", "--query", "delta")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tangent"] == ["-1/1", "0/1"]
 
 
 def test_family_matches_library(capsys):

@@ -19,10 +19,7 @@ from pms.good_points import (
     blowup_iso_decide,
     bundle_degree,
     delta_invariant,
-    good_point_from_json,
-    good_point_to_json,
     h_lp,
-    ideal_equivalent,
     is_good_principal,
     sections_TL,
     standard_good_point,
@@ -54,48 +51,18 @@ def good_center(a1, a2) -> CenterSpec:
 
 def test_good_point_validation():
     z = standard_good_point(1, 0)
-    assert z.chart == "U2"
     assert z.coords == STANDARD_COORDS
-    with pytest.raises(ValueError):
-        GoodPoint("U5", STANDARD_COORDS, (const(2, 1), const(2, 0)))
     # coordinates must vanish at the origin
     with pytest.raises(ValueError):
-        GoodPoint("U2", (U + const(2, 1), V), (const(2, 1), const(2, 0)))
+        GoodPoint((U + const(2, 1), V), (const(2, 1), const(2, 0)))
     # data must lie in the chart ring
     with pytest.raises(ValueError):
-        GoodPoint("U2", (mono(2, (1, 0)), V), (const(2, 1), const(2, 0)))
+        GoodPoint((mono(2, (1, 0)), V), (const(2, 1), const(2, 0)))
     with pytest.raises(ValueError):
-        GoodPoint("U2", STANDARD_COORDS, (mono(2, (0, -1)), const(2, 0)))
+        GoodPoint(STANDARD_COORDS, (mono(2, (0, -1)), const(2, 0)))
     # dependent differentials: y2 = u + u^2 has the same linear part as y1
     with pytest.raises(ValueError):
-        GoodPoint("U2", (U, U + U * U), (const(2, 1), const(2, 0)))
-
-
-def test_good_point_json_round_trip():
-    z = GoodPoint("U2", (U + V, V), (const(2, Fraction(5)), U * const(2, 3)))
-    again = good_point_from_json(good_point_to_json(z))
-    assert again == z
-    with pytest.raises(ValueError):
-        good_point_from_json({"chart": "U2", "coords": []})
-    with pytest.raises(ValueError):
-        good_point_from_json([1, 2])
-    with pytest.raises(ValueError):
-        good_point_from_json({"chart": "U2", "coords": 5, "coeffs": []})
-    with pytest.raises(ValueError):
-        good_point_from_json({"chart": "U2", "coords": [], "coeffs": 5})
-
-
-def test_ideal_equivalence():
-    z = standard_good_point(1, 0)
-    # adding a multiple of a coordinate does not change the ideal
-    bumped = GoodPoint(
-        "U2", STANDARD_COORDS, (const(2, 1) + U * const(2, 7), const(2, 0))
-    )
-    assert ideal_equivalent(z, bumped)
-    assert ideal_equivalent(z, z)
-    assert not ideal_equivalent(z, standard_good_point(2, 0))
-    with pytest.raises(ValueError):
-        ideal_equivalent(z, GoodPoint("U2", (U + V, V), z.coeffs))
+        GoodPoint((U, U + U * U), (const(2, 1), const(2, 0)))
 
 
 def test_delta_values():
@@ -111,7 +78,7 @@ def test_delta_values():
 def test_delta_respects_coordinate_changes():
     # (u + v + 5t, v + 3t) = (u + 2t, v + 3t) as ideals
     changed = GoodPoint(
-        "U2", (U + V, V), (const(2, Fraction(5)), const(2, Fraction(3)))
+        (U + V, V), (const(2, Fraction(5)), const(2, Fraction(3)))
     )
     assert delta_invariant(changed) == delta_invariant(standard_good_point(2, 3))
     rng = random.Random(8211)
@@ -130,7 +97,7 @@ def test_delta_respects_coordinate_changes():
             const(2, m[0][0] * a[0] + m[0][1] * a[1]),
             const(2, m[1][0] * a[0] + m[1][1] * a[1]),
         )
-        z = GoodPoint("U2", coords, coeffs)
+        z = GoodPoint(coords, coeffs)
         assert delta_invariant(z).tangent == (a[0], a[1])
 
 
@@ -153,9 +120,9 @@ def test_delta_difference_scales_under_reparametrization():
             assert all(poly_in_ring(p, POINT_RING) for p in moved)
             pts.append((a, moved))
         scale = eps.constant_coefficient()
-        before = [delta_invariant(GoodPoint("U2", STANDARD_COORDS, a)).tangent
+        before = [delta_invariant(GoodPoint(STANDARD_COORDS, a)).tangent
                   for a, _ in pts]
-        after = [delta_invariant(GoodPoint("U2", STANDARD_COORDS, b)).tangent
+        after = [delta_invariant(GoodPoint(STANDARD_COORDS, b)).tangent
                  for _, b in pts]
         for i in range(2):
             assert after[0][i] - after[1][i] == scale * (

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,29 @@ def test_every_module_function_is_referenced():
         for path in MODULES + REFERENCES
     }
     assert {k: v for k, v in unreferenced.items() if v} == {}
+
+
+def test_every_public_function_has_a_user():
+    """Each public function of ``pms`` is called by the program or the
+    benchmark, traced by name, or named in README's code spans (where the
+    oracles that only tests call are named as such)."""
+    used = set().union(*(
+        referenced_names(ast.parse(path.read_text()))
+        for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")
+    ))
+    traced = (ROOT / "perfbench" / "tracing.py").read_text()
+    used |= set(re.findall(r"\w+", traced))
+    readme = (ROOT / "README.md").read_text()
+    used |= {word for span in re.findall(r"`([^`\n]+)`", readme)
+             for word in re.findall(r"\w+", span)}
+    unused = {
+        path.name: [node.name for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in used]
+        for path in MODULES
+    }
+    assert {k: v for k, v in unused.items() if v} == {}
 
 
 def test_traced_private_functions_resolve():
