@@ -43,7 +43,12 @@ from .cohomology import (
     iso_decide,
     sharp,
 )
-from .good_points import blowup_iso_decide, delta_invariant, standard_good_point
+from .good_points import (
+    FRAME_TAG,
+    blowup_iso_decide,
+    delta_invariant,
+    standard_good_point,
+)
 from .laurent_core import (
     LaurentPoly,
     format_rational,
@@ -52,7 +57,6 @@ from .laurent_core import (
 )
 from .p2_catalog import (
     carpet_decompose,
-    carpet_extends,
     carpet_obstruction,
     extension_lattice,
     make_p2,
@@ -82,6 +86,8 @@ def _load_json(path: str):
         raise CliError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError as exc:  # nesting deeper than the decoder's stack
+        raise CliError(f"{path}: {exc}")
 
 
 def _load_document(path: str) -> AtlasDocument:
@@ -210,8 +216,9 @@ def _cmd_carpet(args) -> int:
             m, n = (int(x) for x in extras)
         except ValueError:
             raise CliError("extends needs two integer degrees: extends M N")
-        out = {"answer": "yes" if carpet_extends(alpha, m, n) else "no"}
-        out.update(_rational_or_poly(carpet_obstruction(alpha, m, n)))
+        value = carpet_obstruction(alpha, m, n)
+        out = {"answer": "yes" if value == 0 else "no"}
+        out.update(_rational_or_poly(value))
         _emit(out)
         return 0 if out["answer"] == "yes" else 1
     if query == "lattice":
@@ -230,11 +237,11 @@ def _cmd_gamma(args) -> int:
     if args.query == "delta":
         if args.other is not None:
             raise CliError("delta takes no second coefficient pair")
-        value = delta_invariant(point)
+        tangent = delta_invariant(point)
         _emit(
             {
-                "frame": value.frame,
-                "tangent": [format_rational(c) for c in value.tangent],
+                "frame": FRAME_TAG,
+                "tangent": [format_rational(c) for c in tangent],
             }
         )
         return 0

@@ -81,14 +81,6 @@ def _jacobian_det(coords) -> Rational:
     return j[0][0] * j[1][1] - j[0][1] * j[1][0]
 
 
-@dataclass(frozen=True)
-class DeltaValue:
-    """Tangent coordinates of the invariant, tagged with its fiber frame."""
-
-    tangent: tuple[Rational, Rational]
-    frame: str
-
-
 def standard_good_point(a1, a2) -> GoodPoint:
     """The good point with standard coordinates and constant coefficients."""
     def lift(value) -> LaurentPoly:
@@ -99,16 +91,16 @@ def standard_good_point(a1, a2) -> GoodPoint:
     return GoodPoint(STANDARD_COORDS, (lift(a1), lift(a2)))
 
 
-def delta_invariant(z: GoodPoint) -> DeltaValue:
-    """Tangent vector of sum(a_r d/dy_r) at the origin, in the chart frame."""
+def delta_invariant(z: GoodPoint) -> tuple[Rational, Rational]:
+    """Tangent vector of sum(a_r d/dy_r) at the origin, in the chart frame
+    (the fiber frame ``FRAME_TAG``, the same for every good point)."""
     j = _linear_parts(z.coords)
     det = _jacobian_det(z.coords)
     a1, a2 = (a.constant_coefficient() for a in z.coeffs)
-    tangent = (
+    return (
         (j[1][1] * a1 - j[0][1] * a2) / det,
         (j[0][0] * a2 - j[1][0] * a1) / det,
     )
-    return DeltaValue(tangent, FRAME_TAG)
 
 
 # -- evaluation subspace -------------------------------------------------
@@ -205,8 +197,6 @@ def blowup_iso_decide(
     if bound < 0:
         raise ValueError("bound must be non-negative")
     d1, d2 = delta_invariant(z), delta_invariant(zp)
-    if d1.frame != d2.frame:
-        raise ValueError("invariants carry different fiber frames")
     m = bundle_degree(spec)
     h = [_sparse(vec) for vec in h_lp(m)]
     trivial = all(
@@ -220,12 +210,12 @@ def blowup_iso_decide(
                 "trivializations so the derivation data vanishes"
             )
         diff = {
-            i: d1.tangent[i] - d2.tangent[i]
+            i: d1[i] - d2[i]
             for i in range(2)
-            if d1.tangent[i] != d2.tangent[i]
+            if d1[i] != d2[i]
         }
         return in_span(diff, h)
-    v1, v2 = _sparse(d1.tangent), _sparse(d2.tangent)
+    v1, v2 = _sparse(d1), _sparse(d2)
     in1, in2 = in_span(v1, h), in_span(v2, h)
     if in1 != in2:
         return False

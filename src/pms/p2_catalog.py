@@ -28,9 +28,11 @@ gauge, and a named-coefficient ansatz) and cross-checks the dimensions.
 A ribbon on the blown plane ("carpet") is the p = 1 member; its class
 decomposes against the two generating bundle classes with coefficients
 (1, alpha), and a bundle of degrees (m, n) prolongs to it exactly when the
-residue obstruction m - n*alpha vanishes.  ``alpha = "symbolic"`` runs the
-same computations with alpha adjoined to the blown-plane atlas as an extra
-invertible variable; the plane atlas has two variables only.
+residue obstruction m - n*alpha vanishes.  Both atlases have the two
+variables lam, mu.  The ribbon's data is affine in alpha and the obstruction
+linear in that data, so ``alpha = "symbolic"`` evaluates the obstruction at
+alpha = 0 and 1 and reads off the polynomial o(0) + (o(1) - o(0)) al in the
+indeterminate al.
 """
 
 from __future__ import annotations
@@ -117,53 +119,33 @@ _W_FRAMES = {
 }
 
 
-def _nvars(symbolic: bool) -> int:
-    return 3 if symbolic else 2
+def _mono(exp, coeff=1) -> LaurentPoly:
+    return LaurentPoly.monomial(2, exp, coeff)
 
 
-def _ext(exp: tuple[int, ...], symbolic: bool) -> tuple[int, ...]:
-    return exp + (0,) if symbolic else exp
-
-
-def _mono(exp, coeff=1, symbolic: bool = False) -> LaurentPoly:
-    return LaurentPoly.monomial(_nvars(symbolic), _ext(exp, symbolic), coeff)
-
-
-def _ring(gens, symbolic: bool) -> ExponentMonoid:
-    if symbolic:
-        gens = tuple(g + (0,) for g in gens) + ((0, 0, 1), (0, 0, -1))
-    return ExponentMonoid(_nvars(symbolic), tuple(gens))
-
-
-def _build_atlas(charts, overlaps, frames, symbolic: bool) -> Atlas:
-    names = VARIABLES + ((SYMBOL,) if symbolic else ())
+def _build_atlas(charts, overlaps, frames) -> Atlas:
     return Atlas(
-        variables=names,
+        variables=VARIABLES,
         truncation_order=2,
-        charts=tuple(Chart(n, _ring(g, symbolic)) for n, g in charts),
-        overlaps={k: _ring(g, symbolic) for k, g in overlaps.items()},
-        frames={n: _mono(e, c, symbolic) for n, (e, c) in frames.items()},
+        charts=tuple(Chart(n, ExponentMonoid(2, g)) for n, g in charts),
+        overlaps={k: ExponentMonoid(2, g) for k, g in overlaps.items()},
+        frames={n: _mono(e, c) for n, (e, c) in frames.items()},
     )
 
 
 @lru_cache(maxsize=1)
 def make_p2_atlas() -> Atlas:
     """The projective plane atlas (treat the shared result as immutable)."""
-    atlas = _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES, False)
+    atlas = _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES)
     atlas.residue_scale = calibrate_residue(atlas, p2_line_bundle(1))
     return atlas
 
 
-def make_wcover_atlas(symbolic: bool = False) -> Atlas:
+@lru_cache(maxsize=1)
+def make_wcover_atlas() -> Atlas:
     """The blown-plane atlas (treat the shared result as immutable)."""
-    return _wcover_atlas(bool(symbolic))
-
-
-# keyed by the bare bool, so f(), f(False) and f(symbolic=False) share a slot
-@lru_cache(maxsize=2)
-def _wcover_atlas(symbolic: bool) -> Atlas:
-    atlas = _build_atlas(_W_CHARTS, _W_OVERLAPS, _W_FRAMES, symbolic)
-    atlas.residue_scale = calibrate_residue(atlas, beta_table(1, 0, symbolic))
+    atlas = _build_atlas(_W_CHARTS, _W_OVERLAPS, _W_FRAMES)
+    atlas.residue_scale = calibrate_residue(atlas, beta_table(1, 0))
     return atlas
 
 
@@ -175,19 +157,18 @@ def p2_line_bundle(m: int) -> MultCocycle:
     })
 
 
-def beta_table(m: int, p: int, symbolic: bool = False) -> MultCocycle:
+def beta_table(m: int, p: int) -> MultCocycle:
     """Bundle on the blown plane with exponent pattern (lam^-m, mu^-p-m, lam^-p)."""
     return MultCocycle(f"beta_{m}_{p}", {
-        ("W0", "W1"): _mono((-m, 0), 1, symbolic),
-        ("W1", "W2"): _mono((0, -p - m), 1, symbolic),
-        ("W2", "W3"): _mono((-p, 0), 1, symbolic),
+        ("W0", "W1"): _mono((-m, 0)),
+        ("W1", "W2"): _mono((0, -p - m)),
+        ("W2", "W3"): _mono((-p, 0)),
     })
 
 
-def extension_bundle(m: int, n: int, symbolic: bool = False) -> MultCocycle:
+def extension_bundle(m: int, n: int) -> MultCocycle:
     """Bundle of pairing degrees m (line) and n (exceptional curve)."""
-    c = beta_table(m, -n, symbolic)
-    return MultCocycle(f"F_{m}_{n}", c.data)
+    return MultCocycle(f"F_{m}_{n}", beta_table(m, -n).data)
 
 
 def make_p2(m: int, nontrivial: bool = False) -> DoubleSchemeSpec:
@@ -216,15 +197,14 @@ def make_p2(m: int, nontrivial: bool = False) -> DoubleSchemeSpec:
 
 def make_blown_plane(
     m: int, p: int, c0: Rational = 0, r0: Rational = 0,
-    nontrivial: bool | None = None, symbolic: bool = False,
+    nontrivial: bool | None = None,
 ) -> DoubleSchemeSpec:
     """Normal-form double structure on the blown plane, twist beta(m, p).
 
     The coefficient shape is A = [X] mu - mu^(2-p) R(lam), B = 0,
     C = [X] mu + lam^-p mu^(2-p) (-c0 lam + S(1/lam)), D = c0 lam^-p mu^(3-p)
     with (R, S) = (r0 + c0 lam, -r0) when p = 0, (c0, 0) when p = 1, and zero
-    for p >= 2 (where c0 and r0 must vanish).  With ``symbolic`` the constant
-    c0 is replaced by the invertible symbol variable.
+    for p >= 2 (where c0 and r0 must vanish).  The data is affine in c0.
     """
     if p < 0:
         raise ValueError("the exceptional degree p must be non-negative")
@@ -234,21 +214,17 @@ def make_blown_plane(
         raise ValueError("a nonzero plane class requires twist degree -3")
     c0 = Fraction(c0)
     r0 = Fraction(r0)
-    if p >= 2 and (c0 or r0 or symbolic):
+    if p >= 2 and (c0 or r0):
         raise ValueError("no free coefficients exist for p >= 2")
     if p == 1 and r0:
         raise ValueError("the residual coefficient r0 must vanish for p = 1")
-    atlas = make_wcover_atlas(symbolic)
-    nv = atlas.nvars
-    zero = LaurentPoly.zero(nv)
+    zero = LaurentPoly.zero(2)
     x_part = 1 if nontrivial else 0
 
-    c0p = (
-        LaurentPoly.var(nv, 2) if symbolic else LaurentPoly.const(nv, c0)
-    )
-    r0p = LaurentPoly.const(nv, r0)
+    c0p = LaurentPoly.const(2, c0)
+    r0p = LaurentPoly.const(2, r0)
     if p == 0:
-        r_poly = r0p + c0p * _mono((1, 0), 1, symbolic)
+        r_poly = r0p + c0p * _mono((1, 0))
         s_poly = -r0p
     elif p == 1:
         r_poly = c0p
@@ -257,40 +233,32 @@ def make_blown_plane(
         r_poly = zero
         s_poly = zero
 
-    mu1 = _mono((0, 1), x_part, symbolic)
-    a_poly = mu1 - r_poly * _mono((0, 2 - p), 1, symbolic)
+    mu1 = _mono((0, 1), x_part)
+    a_poly = mu1 - r_poly * _mono((0, 2 - p))
     b_poly = zero
-    c_poly = (
-        mu1
-        - c0p * _mono((1 - p, 2 - p), 1, symbolic)
-        + s_poly * _mono((-p, 2 - p), 1, symbolic)
-    )
-    d_poly = c0p * _mono((-p, 3 - p), 1, symbolic)
+    c_poly = mu1 - c0p * _mono((1 - p, 2 - p)) + s_poly * _mono((-p, 2 - p))
+    d_poly = c0p * _mono((-p, 3 - p))
 
-    shift = _ext((0, p + m), symbolic)
-    pad = (zero,) if symbolic else ()
+    shift = (0, p + m)
     data = {
-        ("W0", "W1"): (zero, _mono((2, 2), -x_part, symbolic)) + pad,
-        ("W1", "W2"): (a_poly, b_poly) + pad,
+        ("W0", "W1"): (zero, _mono((2, 2), -x_part)),
+        ("W1", "W2"): (a_poly, b_poly),
         ("W2", "W3"): (
             (c_poly - a_poly).mul_monomial(shift, 1),
             (d_poly - b_poly).mul_monomial(shift, 1),
-        ) + pad,
+        ),
     }
     return DoubleSchemeSpec(
-        atlas, beta_table(m, p, symbolic), VectorFieldCocycle(data)
+        make_wcover_atlas(), beta_table(m, p), VectorFieldCocycle(data)
     )
 
 
 def build_carpet(alpha, trivial: bool = False) -> DoubleSchemeSpec:
     """The ribbon structure on the blown plane with decomposition (1, alpha).
 
-    ``alpha`` is a rational (or anything Fraction accepts) or the string
-    "symbolic" to adjoin it as an extra invertible variable.  With
+    ``alpha`` is a rational (or anything Fraction accepts).  With
     ``trivial`` the plane class is dropped, leaving the pure alpha-part.
     """
-    if alpha == "symbolic":
-        return make_blown_plane(-3, 1, nontrivial=not trivial, symbolic=True)
     return make_blown_plane(-3, 1, Fraction(alpha), nontrivial=not trivial)
 
 
@@ -350,17 +318,23 @@ def carpet_decompose(
 
 
 def carpet_obstruction(alpha, m: int, n: int):
-    """Residue obstruction m - n*alpha to prolonging a bundle to the ribbon."""
-    spec = build_carpet(alpha)
-    bundle = extension_bundle(m, n, symbolic=alpha == "symbolic")
-    return extension_obstruction(spec, bundle)
+    """Residue obstruction m - n*alpha to prolonging a bundle to the ribbon.
+
+    For ``alpha = "symbolic"`` the value is a polynomial in the symbol al.
+    The ribbon's data is affine in alpha and the obstruction linear in the
+    data, so it is o(0) + (o(1) - o(0)) al from the rational values o(a);
+    it stays the rational o(0) when no al term is left.
+    """
+    if alpha == "symbolic":
+        o0, o1 = carpet_obstruction(0, m, n), carpet_obstruction(1, m, n)
+        if o1 == o0:
+            return o0
+        return LaurentPoly(3, {(0, 0, 0): o0, (0, 0, 1): o1 - o0})
+    return extension_obstruction(build_carpet(alpha), extension_bundle(m, n))
 
 
 def carpet_extends(alpha, m: int, n: int) -> bool:
-    value = carpet_obstruction(alpha, m, n)
-    if isinstance(value, LaurentPoly):
-        return value.is_zero()
-    return value == 0
+    return carpet_obstruction(alpha, m, n) == 0
 
 
 def extension_lattice(alpha) -> tuple[int, int]:
@@ -398,10 +372,15 @@ def _signed_sum(terms) -> str:
     return out
 
 
-def _poly_str(p: LaurentPoly) -> str:
-    names = (VARIABLES + (SYMBOL,))[: p.nvars]
+def _symbolic_str(m: int, n: int) -> str:
+    """The obstruction at (m, n) for an indeterminate alpha, as a sum."""
+    value = carpet_obstruction("symbolic", m, n)
+    if not isinstance(value, LaurentPoly):
+        value = LaurentPoly.const(3, value)
+    names = VARIABLES + (SYMBOL,)
     return _signed_sum(
-        (c, monomial_str(e, names) if any(e) else None) for e, c in p.items()
+        (c, monomial_str(e, names) if any(e) else None)
+        for e, c in value.items()
     )
 
 
@@ -418,12 +397,8 @@ def quasiprojective(alpha) -> dict:
         return {
             "answer": "no",
             "evidence": {
-                "obstruction_at_1_0": _poly_str(
-                    _as_poly(carpet_obstruction("symbolic", 1, 0), 3)
-                ),
-                "obstruction_at_0_1": _poly_str(
-                    _as_poly(carpet_obstruction("symbolic", 0, 1), 3)
-                ),
+                "obstruction_at_1_0": _symbolic_str(1, 0),
+                "obstruction_at_0_1": _symbolic_str(0, 1),
                 "reason": (
                     "the obstruction is linear in the degrees with "
                     "independent values on (1,0) and (0,1), so only the "
@@ -453,12 +428,6 @@ def quasiprojective(alpha) -> dict:
             ),
         },
     }
-
-
-def _as_poly(value, nvars: int) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    return LaurentPoly.const(nvars, value)
 
 
 # -- the pullback family, two ways --------------------------------------
@@ -694,36 +663,6 @@ class FamilyDescription:
     ansatz_bound: int
     diagnostics: dict = field(default_factory=dict)
 
-    def parameter_space_contains(self, assignment: dict) -> bool:
-        if set(assignment) - set(self.free_parameters):
-            return False
-        try:
-            for value in assignment.values():
-                Fraction(value)
-        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-            return False
-        return True
-
-    def instantiate(self, assignment: dict | None = None) -> DoubleSchemeSpec:
-        c0, r0 = self._member_values(assignment)
-        return make_blown_plane(
-            self.m, self.p, c0, r0, nontrivial=self.nontrivial
-        )
-
-    def _member_values(self, assignment: dict | None) -> tuple:
-        """(c0, R0) of ``assignment``, once it passes ``instantiate``'s
-        checks."""
-        assignment = dict(assignment or {})
-        if not self.parameter_space_contains(assignment):
-            raise ValueError("assignment is outside the parameter space")
-        unsupported = set(self.free_parameters) - {"c0", "R0"}
-        if any(assignment.get(name) for name in unsupported):
-            raise ValueError(
-                f"no constructor for free parameters {sorted(unsupported)}"
-            )
-        return (Fraction(assignment.get("c0", 0)),
-                Fraction(assignment.get("R0", 0)))
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -771,9 +710,8 @@ def solve_pullback_family(
       solution and one per free parameter, each on a copy of route two's
       solver with the pin rows added;
     * when every free parameter is c0 or R0, checks the family against
-      ``make_blown_plane`` (``_check_against_constructor``): the sample
-      passes ``instantiate``'s checks, and the member at those values passes
-      ``validate_double_scheme``.
+      ``make_blown_plane`` (``_check_against_constructor``): the member at
+      c0 = 1 and R0 = 5 (where free) passes ``validate_double_scheme``.
 
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
@@ -903,18 +841,15 @@ def _free_parameters(
 def _check_against_constructor(desc: FamilyDescription) -> None:
     """The ansatz at canonical parameter values must match the constructor.
 
-    The sample passes ``instantiate``'s checks and the member, built once
-    per key (``_constructor_member``), is validated on every call.
+    The sample is c0 = 1 and R0 = 5 where free, else 0; the member, built
+    once per key (``_constructor_member``), is validated on every call.
     """
-    if set(desc.free_parameters) - {"c0", "R0"}:
+    free = set(desc.free_parameters)
+    if free - {"c0", "R0"}:
         return
-    sample = {}
-    if "c0" in desc.free_parameters:
-        sample["c0"] = Fraction(1)
-    if "R0" in desc.free_parameters:
-        sample["R0"] = Fraction(5)
-    spec = _constructor_member(desc.m, desc.p, *desc._member_values(sample),
-                               desc.nontrivial)
+    c0 = Fraction(1 if "c0" in free else 0)
+    r0 = Fraction(5 if "R0" in free else 0)
+    spec = _constructor_member(desc.m, desc.p, c0, r0, desc.nontrivial)
     report = validate_double_scheme(spec)
     if not report.ok:  # pragma: no cover - constructor is validated elsewhere
         raise AssertionError(
@@ -929,6 +864,6 @@ def _constructor_member(m: int, p: int, c0: Fraction, r0: Fraction,
                         nontrivial: bool) -> DoubleSchemeSpec:
     """``make_blown_plane``'s member, built once per key for
     ``_check_against_constructor`` alone.  ``DoubleSchemeSpec`` is mutable,
-    so it is never handed out: ``instantiate`` and ``make_blown_plane``
-    build a fresh one on every call."""
+    so it is never handed out: ``make_blown_plane`` builds a fresh one on
+    every call."""
     return make_blown_plane(m, p, c0, r0, nontrivial=nontrivial)

@@ -11,6 +11,13 @@ solvers in that term form, the twisted F_j a term list with shifts and
 products; ``pms.cohomology._twisted_difference`` states it directly as the
 split structure and values, and the tests compare it with
 ``split_conditions`` of these conditions.
+
+``symbolic_carpet`` is the ribbon of ``pms.p2_catalog`` with alpha the
+invertible variable al, adjoined to the blown-plane atlas as a third
+variable.  It is built from the catalog's two-variable answers only: the
+ribbon's data is affine in alpha, so its field is D(0) + al (D(1) - D(0)).
+The tests check ``carpet_obstruction("symbolic", ...)`` against it, and run
+the atlas and validation code on three variables with it.
 """
 
 from __future__ import annotations
@@ -19,9 +26,18 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from pms.atlas import canonical_spanning_pairs
+from pms.atlas import (
+    Atlas,
+    Chart,
+    DoubleSchemeSpec,
+    MultCocycle,
+    VectorFieldCocycle,
+    canonical_spanning_pairs,
+)
+from pms.cohomology import calibrate_residue
 from pms.laurent_core import Exponent, ExponentMonoid, LaurentPoly
 from pms.linear import Row, Var
+from pms.p2_catalog import SYMBOL, beta_table, build_carpet, make_wcover_atlas
 
 
 def symbolic_rows(nvars: int, conditions: Iterable[tuple],
@@ -67,6 +83,61 @@ def twisted_conditions(atlas, fields: dict, twist_full, target_full,
                     for label, poly in scalars_j
                 ) + tuple((label, known[pair][v]) for label, known in extra),
             )
+
+
+def padded(poly: LaurentPoly) -> LaurentPoly:
+    """``poly`` in the variables (lam, mu, al), constant in al."""
+    return LaurentPoly(3, {e + (0,): c for e, c in poly.items()})
+
+
+def padded_bundle(bundle: MultCocycle) -> MultCocycle:
+    return MultCocycle(bundle.name, {pair: padded(entry)
+                                     for pair, entry in bundle.data.items()})
+
+
+def _with_symbol(ring: ExponentMonoid) -> ExponentMonoid:
+    """``ring`` with al and its inverse adjoined."""
+    return ExponentMonoid(3, tuple(g + (0,) for g in ring.generators)
+                          + ((0, 0, 1), (0, 0, -1)))
+
+
+def symbolic_wcover_atlas() -> Atlas:
+    """The blown-plane atlas with the invertible variable al adjoined; the
+    residue scale is calibrated on the padded unit class beta(1, 0)."""
+    plain = make_wcover_atlas()
+    atlas = Atlas(
+        variables=plain.variables + (SYMBOL,),
+        truncation_order=plain.truncation_order,
+        charts=tuple(Chart(ch.name, _with_symbol(ch.ring))
+                     for ch in plain.charts),
+        overlaps={k: _with_symbol(r) for k, r in plain.overlaps.items()},
+        frames={n: padded(f) for n, f in plain.frames.items()},
+    )
+    atlas.residue_scale = calibrate_residue(
+        atlas, padded_bundle(beta_table(1, 0))
+    )
+    return atlas
+
+
+def symbolic_carpet(trivial: bool = False) -> DoubleSchemeSpec:
+    """The ribbon with alpha = al: field D(0) + al (D(1) - D(0)) and no al
+    component, bundle the padded twist.  D(2) = 2 D(1) - D(0) is asserted
+    entry by entry, so the catalog's ribbon is checked to be affine in
+    alpha."""
+    d0, d1, d2 = (build_carpet(a, trivial).D.data for a in (0, 1, 2))
+    zero = LaurentPoly.zero(3)
+    data = {}
+    for pair, comps in d0.items():
+        entry = []
+        for c0, c1, c2 in zip(comps, d1[pair], d2[pair]):
+            assert c2 == c1 + c1 - c0, pair
+            entry.append(padded(c0) + padded(c1 - c0).mul_monomial((0, 0, 1)))
+        data[pair] = (*entry, zero)
+    return DoubleSchemeSpec(
+        symbolic_wcover_atlas(),
+        padded_bundle(build_carpet(0, trivial).alpha),
+        VectorFieldCocycle(data),
+    )
 
 
 def _add_into(row: Row, label: Var, coeff: Fraction) -> None:

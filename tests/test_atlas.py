@@ -50,6 +50,8 @@ from pms.p2_catalog import (
     make_wcover_atlas,
 )
 
+from symbolic_reference import symbolic_carpet
+
 
 def mono(exp, coeff=1):
     return LaurentPoly.monomial(2, exp, coeff)
@@ -136,7 +138,7 @@ def test_derive_vector_field_reversal_and_cocycle_rule():
     plane = make_p2(-3, nontrivial=True)
     point = CenterSpec("reduced", generators={"U2": (mono((0, 1)), mono((1, 1)))})
     for spec in (plane, build_carpet(Fraction(1, 2)),
-                 blowup_reduced(plane, point).spec, build_carpet("symbolic")):
+                 blowup_reduced(plane, point).spec, symbolic_carpet()):
         alpha = derive_mult(spec.atlas, spec.alpha)
         full = derive_vector_field(spec.atlas, alpha, spec.D)
         names = spec.atlas.chart_names()
@@ -504,7 +506,7 @@ def test_the_shift_fold_equals_the_product_fold():
     on every catalog spec, and on random monomial twists and fields, on two
     and three variables."""
     rng = random.Random(7717)
-    specs = memo_specs() + [build_carpet("symbolic")] + [
+    specs = memo_specs() + [symbolic_carpet()] + [
         make_blown_plane(m, p, Fraction(1 if p < 2 else 0),
                          Fraction(1 if p == 0 else 0))
         for m in range(-3, 4) for p in (0, 1, 2)
@@ -581,7 +583,7 @@ def corpus_reports():
     report's failures."""
     plane = make_p2(-3, nontrivial=True)
     blown = make_blown_plane(-3, 1, Fraction(2, 3))
-    carpet = build_carpet("symbolic")
+    carpet = symbolic_carpet()
     zero = LaurentPoly.zero(2)
     out = {}
     alpha = MultCocycle("alpha", {**plane.alpha.data, ("U0", "U2"): mono((1, 0))})
@@ -691,7 +693,7 @@ def test_a_broken_fold_fails_the_triple_identities(monkeypatch):
         ["bundle cocycle invalid"] + plane_failures
     )
     for spec in (make_blown_plane(-3, 1, Fraction(2, 3)),
-                 build_carpet("symbolic")):
+                 symbolic_carpet()):
         assert validate_double_scheme(spec).failures == BLOWN_TRIPLES
         assert validate_mult_cocycle(spec.atlas, spec.alpha).failures == (
             BLOWN_TRIPLES[1:]

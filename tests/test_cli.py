@@ -82,6 +82,18 @@ def test_carpet_quasiprojective_example(capsys):
     assert "al" in json.loads(out)["evidence"]["obstruction_at_0_1"]
 
 
+@pytest.mark.parametrize("degrees, code, expected", [
+    (("2", "3"), 1, '{"answer":"no","value_poly":[{"coeff":"2/1","exp":'
+                    '[0,0,0]},{"coeff":"-3/1","exp":[0,0,1]}]}\n'),
+    (("0", "1"), 1, '{"answer":"no","value_poly":[{"coeff":"-1/1","exp":'
+                    '[0,0,1]}]}\n'),
+    (("0", "0"), 0, '{"answer":"yes","value":"0/1"}\n'),
+])
+def test_symbolic_extends_bytes_are_pinned(capsys, degrees, code, expected):
+    assert run(capsys, "carpet", "--alpha", "symbolic", "--query",
+               "extends", *degrees) == (code, expected, "")
+
+
 def test_carpet_other_queries(capsys):
     code, out, _ = run(
         capsys, "carpet", "--alpha", "1/2", "--query", "decompose",
@@ -345,13 +357,13 @@ def test_blowup_of_a_valid_input_to_an_invalid_output_exits_3(
 
 
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
-    """The JSON decoder's RecursionError is a RuntimeError, which the CLI
-    reports as a malformed input."""
+    """The JSON decoder's RecursionError is reported as a malformed input,
+    with the file's path like any other decoding error."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: maximum recursion depth exceeded")
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
     assert err.count("\n") == 1
 
 
@@ -417,7 +429,8 @@ def test_self_check_failure_exits_3(capsys, monkeypatch):
 def test_gamma_queries(capsys):
     code, out, _ = run(capsys, "gamma", "--coeffs", "1/2,0", "--query", "delta")
     assert code == 0
-    assert json.loads(out)["tangent"] == ["1/2", "0/1"]
+    assert out == ('{"frame":"t-frame at the chart origin",'
+                   '"tangent":["1/2","0/1"]}\n')
 
     code, out, _ = run(
         capsys, "gamma", "--coeffs", "1,0", "--query", "iso-with", "1,0",

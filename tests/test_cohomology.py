@@ -57,7 +57,13 @@ from pms.p2_catalog import (
     wcover_unit_classes,
 )
 
-from symbolic_reference import SymPoly, symbolic_rows, twisted_conditions
+from symbolic_reference import (
+    SymPoly,
+    padded_bundle,
+    symbolic_carpet,
+    symbolic_rows,
+    twisted_conditions,
+)
 
 
 def mono(exp, coeff=1):
@@ -263,8 +269,8 @@ def test_extension_obstruction_examples():
     assert extension_obstruction(spec, extension_bundle(1, 2)) == 0
     assert extension_obstruction(spec, extension_bundle(1, 0)) == 1
     assert extension_obstruction(spec, extension_bundle(0, 2)) == -1
-    sym = build_carpet("symbolic")
-    value = extension_obstruction(sym, extension_bundle(0, 1, symbolic=True))
+    sym = symbolic_carpet()
+    value = extension_obstruction(sym, padded_bundle(extension_bundle(0, 1)))
     assert isinstance(value, LaurentPoly)
     assert value == LaurentPoly.monomial(3, (0, 0, 1), -1)
 

@@ -11,10 +11,8 @@ from pms.atlas import derivation_failures
 from pms.blowup import CenterSpec, blowup_good
 from pms.cohomology import iso_decide
 from pms.good_points import (
-    FRAME_TAG,
     POINT_RING,
     STANDARD_COORDS,
-    DeltaValue,
     GoodPoint,
     blowup_iso_decide,
     bundle_degree,
@@ -66,13 +64,13 @@ def test_good_point_validation():
 
 
 def test_delta_values():
-    assert delta_invariant(standard_good_point(1, 0)) == DeltaValue(
-        (Fraction(1), Fraction(0)), FRAME_TAG
+    assert delta_invariant(standard_good_point(1, 0)) == (
+        Fraction(1), Fraction(0)
     )
-    assert delta_invariant(standard_good_point(0, 0)).tangent == (0, 0)
+    assert delta_invariant(standard_good_point(0, 0)) == (0, 0)
     assert delta_invariant(
         standard_good_point(Fraction(2, 3), -5)
-    ).tangent == (Fraction(2, 3), Fraction(-5))
+    ) == (Fraction(2, 3), Fraction(-5))
 
 
 def test_delta_respects_coordinate_changes():
@@ -98,7 +96,7 @@ def test_delta_respects_coordinate_changes():
             const(2, m[1][0] * a[0] + m[1][1] * a[1]),
         )
         z = GoodPoint(coords, coeffs)
-        assert delta_invariant(z).tangent == (a[0], a[1])
+        assert delta_invariant(z) == (a[0], a[1])
 
 
 def test_delta_difference_scales_under_reparametrization():
@@ -120,9 +118,9 @@ def test_delta_difference_scales_under_reparametrization():
             assert all(poly_in_ring(p, POINT_RING) for p in moved)
             pts.append((a, moved))
         scale = eps.constant_coefficient()
-        before = [delta_invariant(GoodPoint(STANDARD_COORDS, a)).tangent
+        before = [delta_invariant(GoodPoint(STANDARD_COORDS, a))
                   for a, _ in pts]
-        after = [delta_invariant(GoodPoint(STANDARD_COORDS, b)).tangent
+        after = [delta_invariant(GoodPoint(STANDARD_COORDS, b))
                  for _, b in pts]
         for i in range(2):
             assert after[0][i] - after[1][i] == scale * (
@@ -138,7 +136,7 @@ def test_delta_round_trip_is_bijective():
             Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
         )
         z = standard_good_point(*tangent)
-        assert delta_invariant(z).tangent == tangent
+        assert delta_invariant(z) == tangent
 
 
 def test_section_space_dimensions():

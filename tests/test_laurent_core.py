@@ -589,7 +589,7 @@ def test_every_cache_is_bounded():
         "p2_catalog._family_rows",
         "p2_catalog._gauge",
         "p2_catalog.make_p2_atlas",
-        "p2_catalog._wcover_atlas",
+        "p2_catalog.make_wcover_atlas",
         "truncated_ring._image_power",
     }, sorted(caches)
     assert all(size is not None for size in caches.values()), caches

@@ -138,10 +138,36 @@ def test_every_module_function_is_referenced():
     assert {k: v for k, v in unreferenced.items() if v} == {}
 
 
+def public_functions(tree: ast.Module) -> list[str]:
+    """The public module-level functions of ``tree``, and the public
+    methods of its public classes as ``Class.method``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+    return names
+
+
+def test_public_function_finder_reads_methods_of_public_classes():
+    tree = ast.parse(
+        "def f():\n    pass\ndef _g():\n    pass\n"
+        "class C:\n    def m(self):\n        pass\n"
+        "    def _n(self):\n        pass\n    def __eq__(self, o):\n"
+        "        pass\n"
+        "class _D:\n    def m2(self):\n        pass\n"
+    )
+    assert public_functions(tree) == ["f", "C.m"]
+
+
 def test_every_public_function_has_a_user():
-    """Each public function of ``pms`` is called by the program or the
-    benchmark, traced by name, or named in README's code spans (where the
-    oracles that only tests call are named as such)."""
+    """Each public function of ``pms``, and each public method of a public
+    class, is called by the program or the benchmark, traced by name, or
+    named in README's code spans (where the oracles that only tests call are
+    named as such).  A method counts as used when its name is."""
     used = set().union(*(
         referenced_names(ast.parse(path.read_text()))
         for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")
@@ -152,10 +178,9 @@ def test_every_public_function_has_a_user():
     used |= {word for span in re.findall(r"`([^`\n]+)`", readme)
              for word in re.findall(r"\w+", span)}
     unused = {
-        path.name: [node.name for node in ast.parse(path.read_text()).body
-                    if isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_")
-                    and node.name not in used]
+        path.name: [name
+                    for name in public_functions(ast.parse(path.read_text()))
+                    if name.rsplit(".", 1)[-1] not in used]
         for path in MODULES
     }
     assert {k: v for k, v in unused.items() if v} == {}

@@ -12,7 +12,7 @@ import pytest
 
 from pms import linear, p2_catalog
 from pms.atlas import validate_double_scheme, validate_mult_cocycle
-from pms.cohomology import BOUND_CAVEAT
+from pms.cohomology import BOUND_CAVEAT, extension_obstruction
 from pms.laurent_core import LaurentPoly
 from pms.linear import (
     box_labels,
@@ -41,13 +41,19 @@ from pms.p2_catalog import (
     wcover_unit_classes,
 )
 
-from symbolic_reference import SymPoly, symbolic_rows
+from symbolic_reference import (
+    SymPoly,
+    padded_bundle,
+    symbolic_carpet,
+    symbolic_rows,
+    symbolic_wcover_atlas,
+)
 
 
 def test_atlas_structures_are_clean():
     assert make_p2_atlas().structure_failures() == []
     assert make_wcover_atlas().structure_failures() == []
-    assert make_wcover_atlas(symbolic=True).structure_failures() == []
+    assert symbolic_wcover_atlas().structure_failures() == []
 
 
 def test_line_bundle_grids_validate():
@@ -72,10 +78,11 @@ def test_double_scheme_grids_validate():
 
 
 def test_carpet_constructors_validate():
-    for alpha in (0, 1, Fraction(1, 2), -2, "symbolic"):
+    for alpha in (0, 1, Fraction(1, 2), -2):
         assert validate_double_scheme(build_carpet(alpha)).ok
     assert validate_double_scheme(build_carpet(3, trivial=True)).ok
-    assert validate_double_scheme(build_carpet("symbolic", trivial=True)).ok
+    assert validate_double_scheme(symbolic_carpet()).ok
+    assert validate_double_scheme(symbolic_carpet(trivial=True)).ok
 
 
 def test_constructor_argument_errors():
@@ -130,6 +137,21 @@ def test_carpet_obstruction_is_bilinear_in_degrees():
         - LaurentPoly.monomial(3, (0, 0, 1), 3)
     )
     assert sym == expected
+
+
+def test_symbolic_obstruction_matches_the_three_variable_ribbon():
+    """The affine evaluation equals the residue on the ribbon with al
+    adjoined, value and type: a rational when no al term is left."""
+    ribbon = symbolic_carpet()
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            value = carpet_obstruction("symbolic", m, n)
+            reference = extension_obstruction(
+                ribbon, padded_bundle(extension_bundle(m, n))
+            )
+            assert value == reference
+            assert type(value) is type(reference)
+            assert carpet_extends("symbolic", m, n) == (m == n == 0)
 
 
 def test_extension_lattice():
@@ -187,30 +209,10 @@ def test_family_dimensions_and_relations():
         assert payload["parameter_dim"] == fd.parameter_dim
 
 
-def test_family_membership_and_instantiation():
-    fd = solve_pullback_family(-3, 1, ansatz_bound=4)
-    assert fd.parameter_space_contains({"c0": Fraction(1, 2)})
-    assert not fd.parameter_space_contains({"c0": 1, "S0": 1})
-    for bad in (float("inf"), float("-inf"), float("nan"), "abc"):
-        assert not fd.parameter_space_contains({"c0": bad})
-    spec = fd.instantiate({"c0": Fraction(1, 2)})
-    assert validate_double_scheme(spec).ok
-    assert spec.D.data == build_carpet(Fraction(1, 2)).D.data
-    with pytest.raises(ValueError):
-        fd.instantiate({"S0": Fraction(1)})
-
-    f2 = solve_pullback_family(-3, 2, ansatz_bound=4)
-    rigid = f2.instantiate({})
-    assert validate_double_scheme(rigid).ok
-    assert rigid.D.data == make_blown_plane(-3, 2).D.data
-
-
 def test_trivial_base_family_is_detected():
     fd = solve_pullback_family(-3, 1, ansatz_bound=4, nontrivial=False)
     assert fd.parameter_dim == 1
     assert not fd.nontrivial
-    spec = fd.instantiate({"c0": Fraction(2)})
-    assert spec.D.data == build_carpet(Fraction(2), trivial=True).D.data
 
 
 FAMILY_GRID = [
@@ -403,16 +405,6 @@ def test_ansatz_rows_match_symbolic_rows(p, x_part):
         )
 
 
-def test_symbolic_bundles_extend_numeric_tables():
-    sym = beta_table(2, 1, symbolic=True)
-    num = beta_table(2, 1)
-    for pair, poly in num.data.items():
-        (exp, coeff), = poly.items()
-        assert sym.data[pair] == LaurentPoly.monomial(3, exp + (0,), coeff)
-    named = extension_bundle(2, 1, symbolic=True)
-    assert named.name == "F_2_1"
-
-
 @pytest.mark.parametrize("p", range(4))
 def test_pinned_directions_match_a_fresh_elimination(p):
     """Route two's solutions, read from copies of its reduced solver, equal
@@ -514,16 +506,15 @@ def test_family_json_is_the_same_cold_and_warm():
 
 def test_constructor_member_is_validated_on_every_call(monkeypatch):
     """The member is built once per key but validated on every call, and
-    the memoised spec never escapes: ``instantiate`` and
-    ``make_blown_plane`` build fresh ones."""
+    the memoised spec never escapes: ``make_blown_plane`` builds fresh
+    ones."""
     p2_catalog._constructor_member.cache_clear()
-    fd = solve_pullback_family(-3, 1, 4)
+    solve_pullback_family(-3, 1, 4)
     member = p2_catalog._constructor_member(-3, 1, Fraction(1), Fraction(0),
                                             True)
     assert p2_catalog._constructor_member.cache_info().hits == 1
-    specs = [fd.instantiate({"c0": 1}), fd.instantiate({"c0": 1}),
-             make_blown_plane(-3, 1, 1)]
-    assert len({id(spec) for spec in specs + [member]}) == 4
+    specs = [make_blown_plane(-3, 1, 1), make_blown_plane(-3, 1, 1)]
+    assert len({id(spec) for spec in specs + [member]}) == 3
     assert all(spec.D.data == member.D.data for spec in specs)
 
     validated = []
