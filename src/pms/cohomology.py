@@ -2,10 +2,10 @@
 
 Cochains are represented with explicit bounded coefficient supports: a
 "bound D" search allows Laurent coefficients whose exponents lie in the box
-|e_v| <= D.  Solvers are exact and complete within the declared box, so a
-positive answer comes with a rational witness (always re-verified by
-substitution) while a negative answer only certifies that no witness exists
-inside the box.  Every report states this caveat.
+|e_v| <= D (``linear.exponent_box``).  Solvers are exact and complete within
+the declared box, so a positive answer comes with a rational witness (always
+re-verified by substitution) while a negative answer only certifies that no
+witness exists inside the box.  Every report states this caveat.
 
 The module provides:
 
@@ -85,6 +85,7 @@ from .laurent_core import (
 from .linear import (
     TermPlan,
     box_labels,
+    exponent_box,
     fill_rows,
     plan_rows,
     solve_rows,
@@ -98,23 +99,6 @@ BOUND_CAVEAT = (
     "that box and is not a nonexistence proof over larger supports or over "
     "the complex numbers"
 )
-
-
-@dataclass(frozen=True)
-class BoundedSpace:
-    """The exponent box |e_v| <= bound used by the bounded solvers."""
-
-    nvars: int
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError("bound must be non-negative")
-
-    def exponents(self):
-        return itertools.product(
-            range(-self.bound, self.bound + 1), repeat=self.nvars
-        )
 
 
 @dataclass
@@ -206,6 +190,8 @@ def sharp(atlas: Atlas, omega: OneFormCocycle) -> VectorFieldCocycle:
     In the first two variables, f dx0 + g dx1 becomes (g d/dx0 - f d/dx1)
     divided by the chart frame of the pair's first chart.
     """
+    if atlas.nvars < 2:
+        raise ValueError("sharp needs an atlas in at least two variables")
     data = {}
     for (i, j), comps in omega.data.items():
         inv = atlas.frame(i).power(-1)
@@ -227,6 +213,8 @@ def flat(atlas: Atlas, spec: DoubleSchemeSpec) -> OneFormCocycle:
     restricted here to the canonical spanning pairs.
     """
     atlas = spec.atlas
+    if atlas.nvars < 2:
+        raise ValueError("flat needs an atlas in at least two variables")
     alpha_full = _frame_twist(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
     data = {}
@@ -294,6 +282,8 @@ def residue_raw(atlas: Atlas, t: TwoCocycle) -> LaurentPoly:
     Returns a Laurent polynomial in the remaining variables (constant when
     the atlas has exactly two variables).
     """
+    if atlas.nvars < 2:
+        raise ValueError("the residue needs an atlas in at least two variables")
     nvars = atlas.nvars
     total = LaurentPoly.zero(nvars)
     for entry in t.data.values():
@@ -370,7 +360,7 @@ def _chart_ring_rows(
     same unit vectors.  Returns, per variable v, the kept exponents e, and
     the rows with the dropped coordinates deleted.
     """
-    box = list(BoundedSpace(nvars, bound).exponents())
+    box = exponent_box(nvars, bound)
     zero = (0,) * nvars
     forced, rows = term_rows(
         derivation_conditions(
@@ -428,7 +418,7 @@ def _twisted_difference(atlas: Atlas, forms, twist_full, target_full,
     return tuple(shape), values
 
 
-def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
+def _chart_fields(atlas: Atlas, bound: int, twist_full, target_full,
                   extra=()) -> list:
     """The rows of F_i - twist_ij F_j + sum_s c_s K_s = target over unknown
     boxed chart fields F that keep their chart rings.
@@ -444,7 +434,7 @@ def _chart_fields(atlas: Atlas, space: BoundedSpace, twist_full, target_full,
         atlas, None, twist_full, target_full, extra
     )
     charts = tuple((chart.name, chart.ring.generators) for chart in atlas.charts)
-    plan, ring_rows = _chart_plan(charts, atlas.nvars, space.bound, shape)
+    plan, ring_rows = _chart_plan(charts, atlas.nvars, bound, shape)
     return fill_rows(plan, values, ring_rows)
 
 
@@ -536,10 +526,9 @@ def coboundary_solve(
     by stability of each chart ring.
     """
     atlas = spec.atlas
-    space = BoundedSpace(atlas.nvars, bound)
     alpha_full = derive_mult(atlas, spec.alpha)
     sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
-    rows = _chart_fields(atlas, space, alpha_full, sigma_full)
+    rows = _chart_fields(atlas, bound, alpha_full, sigma_full)
     values = solve_rows(rows).solve()
     if values is None:
         return None, solver_report("none_within_bound", bound)
@@ -564,11 +553,10 @@ def iso_decide(
     alpha_full = derive_mult(atlas, first.alpha)
     if derive_mult(atlas, second.alpha) != alpha_full:
         raise ValueError("isomorphism decision needs equal bundle cocycles")
-    space = BoundedSpace(atlas.nvars, bound)
     s1 = derive_vector_field(atlas, alpha_full, first.D)
     s2 = derive_vector_field(atlas, alpha_full, second.D)
     extra = [(("tau",), s1)]
-    solver = solve_rows(_chart_fields(atlas, space, alpha_full, s2, extra))
+    solver = solve_rows(_chart_fields(atlas, bound, alpha_full, s2, extra))
     # the solution depends only on the equations, not on their order, so
     # pinning tau = 1 last gives the same witness as pinning it first
     unpinned = solver.solve()
@@ -590,7 +578,7 @@ def iso_decide(
 # -- one-form coboundary solving ----------------------------------------
 
 
-def _oneform_unknown(chart, space: BoundedSpace) -> tuple:
+def _oneform_unknown(chart, box: list[Exponent]) -> tuple:
     """Unknown regular one-form on a chart: span of x^m d(x^g).
 
     m runs over the boxed exponents in the chart ring and g over its
@@ -598,10 +586,10 @@ def _oneform_unknown(chart, space: BoundedSpace) -> tuple:
     ("rho", chart, m, g).  Returns per variable the (label, poly) scalar
     terms of the component.
     """
-    nvars = space.nvars
     ring = chart.ring
+    nvars = ring.nvars
     scalars = [[] for _ in range(nvars)]
-    for m in space.exponents():
+    for m in box:
         if not ring.contains(m):
             continue
         for g in ring.generators:
@@ -639,13 +627,13 @@ def oneform_coboundary_solve(
     keyed by their names.  Returns (solution, report); the solution maps
     "coefficients" to the multipliers and "cochain" to the per-chart forms.
     """
-    space = BoundedSpace(atlas.nvars, bound)
+    box = exponent_box(atlas.nvars, bound)
     twist_full = trivial_twist(atlas)
     sigma_full = derive_oneform(atlas, sigma)
     extra_full = {
         name: derive_oneform(atlas, cls) for name, cls in (extra or {}).items()
     }
-    forms = {chart.name: _oneform_unknown(chart, space) for chart in atlas.charts}
+    forms = {chart.name: _oneform_unknown(chart, box) for chart in atlas.charts}
     shape, values = _twisted_difference(
         atlas, forms, twist_full, sigma_full,
         [(("coeff", name), known) for name, known in extra_full.items()],

@@ -37,7 +37,8 @@ The bounded solvers state their systems as conditions in term form,
 {exponent: coefficient}, field terms (prefix, shift, c) and scalar terms
 (label, poly), poly a {exponent: coefficient} mapping or a ``LaurentPoly``.
 An unknown field F_prefix has one unknown coefficient, labelled
-``prefix + (e,)`` (``box_labels``), per exponent e of its box, and a scalar
+``prefix + (e,)`` (``box_labels``), per exponent e of its box (the bounded
+solvers' box |e_v| <= bound is ``exponent_box``), and a scalar
 is one unknown.
 The condition says that known + sum(c * x^shift * F_prefix) +
 sum(label * poly) lies in the ring (vanishes for None): one row per exponent
@@ -313,6 +314,13 @@ def without(rows: Iterable[tuple[Row, Fraction]],
 
 
 # -- rows of term-form conditions -----------------------------------------
+
+
+def exponent_box(nvars: int, bound: int) -> list[Exponent]:
+    """The exponents e with every |e_v| <= bound, in lexicographic order."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    return list(itertools.product(range(-bound, bound + 1), repeat=nvars))
 
 
 def box_labels(prefix: tuple, exps: Iterable[Exponent]) -> dict[Exponent, tuple]:

@@ -23,7 +23,8 @@ has spanning entries
 with (A, B, C, D) in the rigid shape cut out by regularity along the
 exceptional direction; ``solve_pullback_family`` recomputes that shape two
 independent ways (boxed unknowns, singleton-forced ones cascaded out, modulo
-gauge, and a named-coefficient ansatz) and cross-checks the dimensions.
+gauge, and a named-coefficient ansatz) and cross-checks the dimensions, at
+m = -3 alone; route one's box is ``linear.exponent_box``.
 
 A ribbon on the blown plane ("carpet") is the p = 1 member; its class
 decomposes against the two generating bundle classes with coefficients
@@ -37,7 +38,6 @@ indeterminate al.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +74,7 @@ from .laurent_core import (
 from .linear import (
     LinearSolver,
     box_labels,
+    exponent_box,
     rank_of_vectors,
     term_rows,
 )
@@ -270,18 +271,11 @@ def wcover_unit_classes() -> tuple[MultCocycle, MultCocycle]:
     return beta_table(1, 0), beta_table(0, -1)
 
 
-def pairing_matrix(cover: str = "blown") -> tuple[tuple[Rational, ...], ...]:
-    """Residue pairing of the generating classes against themselves."""
-    if cover == "blown":
-        atlas = make_wcover_atlas()
-        classes = list(wcover_unit_classes())
-    elif cover == "plane":
-        atlas = make_p2_atlas()
-        classes = [p2_line_bundle(1)]
-    else:
-        raise ValueError(f"unknown cover {cover!r}")
+def pairing_matrix() -> tuple[tuple[Rational, ...], ...]:
+    """Residue pairing of the blown plane's two generating classes."""
+    atlas = make_wcover_atlas()
     omega = frame_cocycle(atlas)
-    forms = [canonical_class(atlas, c) for c in classes]
+    forms = [canonical_class(atlas, c) for c in wcover_unit_classes()]
     fields = [sharp(atlas, f) for f in forms]
     return tuple(
         tuple(
@@ -433,6 +427,7 @@ def quasiprojective(alpha) -> dict:
 # -- the pullback family, two ways --------------------------------------
 
 
+_TWIST = -3  # the family's twist m: the ansatz describes it only there
 _POLY_RING = ExponentMonoid(2, ((1, 0), (0, 1)))
 _W2_RING = ExponentMonoid(2, _W_CHARTS[2][1])
 _W3_RING = ExponentMonoid(2, _W_CHARTS[3][1])
@@ -441,7 +436,7 @@ _W23_RING = ExponentMonoid(2, _W_OVERLAPS[("W2", "W3")])
 _W03_RING = ExponentMonoid(2, _W_OVERLAPS[("W0", "W3")])
 
 
-def _pullback_conditions(m: int, p: int, x_part: int) -> list[tuple]:
+def _pullback_conditions(p: int, x_part: int) -> list[tuple]:
     """The conditions on the family shape (A, B, C, D), in term form.
 
     The unknown fields are the prefixes ("A",) .. ("D",).  The
@@ -449,7 +444,7 @@ def _pullback_conditions(m: int, p: int, x_part: int) -> list[tuple]:
     that chart ring, and each derived entry sum(comp_v d/dx_v) preserves its
     overlap ring.
     """
-    s = p + m
+    s = p + _TWIST
     a, b, c, d = ("A",), ("B",), ("C",), ("D",)
     conditions = [
         (_POLY_RING, {}, ((b, (0, s), 1),), ()),
@@ -464,8 +459,8 @@ def _pullback_conditions(m: int, p: int, x_part: int) -> list[tuple]:
         (_W12_RING, ({}, ((a, (0, 0), 1),)), ({}, ((b, (0, 0), 1),))),
         (_W23_RING, ({}, ((c, (0, s), 1), (a, (0, s), -1))),
          ({}, ((d, (0, s), 1), (b, (0, s), -1)))),
-        (_W03_RING, ({}, ((c, (-m, 0), 1),)),
-         ({(2, 2): -x_part}, ((d, (-m, 0), 1),))),
+        (_W03_RING, ({}, ((c, (-_TWIST, 0), 1),)),
+         ({(2, 2): -x_part}, ((d, (-_TWIST, 0), 1),))),
     )
     for ring, *comps in fields:
         conditions += derivation_conditions(ring, comps)
@@ -481,13 +476,13 @@ def _pullback_rows(conditions: list[tuple], bound: int) -> tuple[set, list]:
     return term_rows(conditions, _family_box(bound))
 
 
-# one entry per bound; the forced sets of ``_family_rows`` and the keys of
-# ``_gauge`` share these labels.  Bounds 3-7 take 0.26 MB by tracemalloc
+# one entry per bound; ``_family_system``'s forced sets and gauge keys
+# share these labels.  Bounds 3-7 take 0.26 MB by tracemalloc
 @lru_cache(maxsize=16)
 def _family_box(bound: int) -> dict:
     """Route one's label maps over [-bound, bound]^2, built once per bound
-    and shared by every (m, p, x_part); nothing modifies them."""
-    box = list(itertools.product(range(-bound, bound + 1), repeat=2))
+    and shared by every (p, x_part); nothing modifies them."""
+    box = exponent_box(2, bound)
     return {
         name: box_labels(name, box) for name in (("A",), ("B",), ("C",), ("D",))
     }
@@ -546,7 +541,7 @@ def _field_directions(ring: ExponentMonoid, weight) -> tuple:
     return ((first[1], -first[0]),)
 
 
-def _gauge_vectors(m: int, p: int, bound: int) -> list[dict]:
+def _gauge_vectors(p: int, bound: int) -> list[dict]:
     """Coefficient directions of reparametrizations fixing the family shape.
 
     Type one moves the middle entry by mu^(-p-m) times a field regular on
@@ -555,12 +550,12 @@ def _gauge_vectors(m: int, p: int, bound: int) -> list[dict]:
     weight; only those fully supported inside the box [-bound, bound]^2 are
     returned.
     """
-    box = list(itertools.product(range(-bound, bound + 1), repeat=2))
+    box = exponent_box(2, bound)
     boxset = set(box)
     vecs = []
     specs = (
-        ("A", "B", _W2_RING, (0, -(p + m))),
-        ("C", "D", _W3_RING, (-p, -(p + m))),
+        ("A", "B", _W2_RING, (0, -(p + _TWIST))),
+        ("C", "D", _W3_RING, (-p, -(p + _TWIST))),
     )
     for la, lb, ring, shift in specs:
         weights = set()
@@ -578,52 +573,42 @@ def _gauge_vectors(m: int, p: int, bound: int) -> list[dict]:
     return vecs
 
 
-# one entry per (m, p, bound); family-sweep's grid (p 0-3, bound 3-7) holds
-# 20 of them, about 0.49 MB by tracemalloc besides the shared box labels
-# (the vector dicts alone take 0.87 MB), and p 0-5, bound 3-8 holds 36
-@lru_cache(maxsize=64)
-def _gauge(m: int, p: int, bound: int) -> tuple[dict, int]:
-    """The gauge of (m, p, bound) as a label index, and its rank.
+class _FamilySystem(NamedTuple):
+    """Both routes' rows (IntRow, int) of one (p, x_part, bound), in
+    ``term_rows`` order with nonzero ``int`` entries, and the gauge."""
 
-    The index maps each label of a ``_gauge_vectors`` direction to the
-    (vector index, coefficient) pairs that hold it; the vectors themselves
-    are not kept.  Every such label lies in the box, and the index keys are
-    the equal label objects of ``_family_box``, which the memo shares.
-    """
-    vecs = _gauge_vectors(m, p, bound)
+    forced: tuple  # route one's forced set Z, sorted
+    rows: tuple  # route one's rows with Z deleted
+    named_rows: tuple  # route two's rows
+    # each label of a ``_gauge_vectors`` direction -> the (vector index,
+    # coefficient) pairs that hold it; keys are ``_family_box``'s labels
+    gauge_index: dict
+    gauge_rank: int
+
+
+# one entry per (p, x_part, bound); family-sweep's grid (p 0-3, bound 3-7,
+# x_part 1) holds 20, 0.77 MB by tracemalloc besides the shared box labels,
+# and p 0-5, x_part 0/1, bound 3-8 holds 72
+@lru_cache(maxsize=128)
+def _family_system(p: int, x_part: int, bound: int) -> _FamilySystem:
+    """What ``solve_pullback_family`` reads of one key, built once; nothing
+    modifies it.  The gauge vectors are kept only as the label index."""
+    conditions = _pullback_conditions(p, x_part)
+    forced, rows = _pullback_rows(conditions, bound)
+    # no label map, so the cascade sees no row and drops no scalar
+    _, named_rows = term_rows(
+        _ansatz_conditions(conditions, p, bound, x_part), {}
+    )
+    vecs = _gauge_vectors(p, bound)
     box = _family_box(bound)
     index: dict = {}
     for i, vec in enumerate(vecs):
         for (name, e), c in vec.items():
             label = box[name,][e]
             index[label] = index.get(label, ()) + ((i, c),)
-    return index, rank_of_vectors(vecs)
-
-
-class _FamilyRows(NamedTuple):
-    """Both routes' systems of one (m, p, x_part, bound): each row is
-    (IntRow, int), every entry a nonzero ``int``, in ``term_rows`` order."""
-
-    forced: tuple  # route one's forced set Z, sorted
-    rows: tuple  # route one's rows with Z deleted
-    named_rows: tuple  # route two's rows
-
-
-# one entry per (m, p, x_part, bound); family-sweep's grid (p 0-3, bound
-# 3-7, x_part 1) holds 20, about 0.31 MB by tracemalloc besides the shared
-# box labels, and p 0-5, x_part 0/1, bound 3-8 holds 72
-@lru_cache(maxsize=128)
-def _family_rows(m: int, p: int, x_part: int, bound: int) -> _FamilyRows:
-    """The rows of both routes of ``solve_pullback_family``, built once per
-    key and checked once to have ``int`` entries; nothing modifies them."""
-    conditions = _pullback_conditions(m, p, x_part)
-    forced, rows = _pullback_rows(conditions, bound)
-    # no label map, so the cascade sees no row and drops no scalar
-    _, named_rows = term_rows(
-        _ansatz_conditions(conditions, p, bound, x_part), {}
-    )
-    return _FamilyRows(tuple(sorted(forced)), _integer_rows(rows),
-                       _integer_rows(named_rows))
+    return _FamilySystem(tuple(sorted(forced)), _integer_rows(rows),
+                         _integer_rows(named_rows), index,
+                         rank_of_vectors(vecs))
 
 
 def _integer_rows(rows: list) -> tuple:
@@ -690,12 +675,12 @@ def solve_pullback_family(
     expand route two's ansatz with the ``symbolic_rows`` reference too.
 
     Built once per key, in bounded memos, since nothing else enters them:
-    both routes' rows and route one's forced set Z, per (m, p, x_part,
-    ansatz_bound) (``_family_rows``, rows checked once to be ``int``); the
-    gauge and its rank, per (m, p, ansatz_bound) (``_gauge``, kept as a
-    label index); and the constructor member, per (m, p, c0, R0, class)
-    (``_constructor_member``).  Nothing else is memoised, neither a solver
-    nor the description.  Every call still:
+    both routes' rows, route one's forced set Z and the gauge with its rank,
+    per (p, x_part, ansatz_bound) in one entry (``_family_system``, rows
+    checked once to be ``int``, the gauge kept as a label index); and the
+    constructor member, per (p, c0, R0, class) (``_constructor_member``).
+    Nothing else is memoised, neither a solver nor the description.  Every
+    call still:
 
     * eliminates both routes, feeding the cached rows to fresh solvers
       through ``LinearSolver``'s integer entry, and re-verifies each
@@ -709,9 +694,10 @@ def solve_pullback_family(
       named coefficients (``_free_parameters``): one solve for the base
       solution and one per free parameter, each on a copy of route two's
       solver with the pin rows added;
-    * when every free parameter is c0 or R0, checks the family against
-      ``make_blown_plane`` (``_check_against_constructor``): the member at
-      c0 = 1 and R0 = 5 (where free) passes ``validate_double_scheme``.
+    * when every free parameter is c0 or R0, validates ``make_blown_plane``'s
+      member at c0 = 1 and R0 = 5 (where free) with
+      ``validate_double_scheme`` (``_check_against_constructor``); nothing
+      from the solve enters that check.
 
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
@@ -719,14 +705,14 @@ def solve_pullback_family(
     """
     if p < 0:
         raise ValueError("the exceptional degree p must be non-negative")
-    if m != -3:
+    if m != _TWIST:
         raise ValueError("the pull-back family is solved only for m = -3")
     if ansatz_bound < 3:
         raise ValueError("the ansatz bound must be at least 3")
     x_part = 1 if nontrivial else 0
     b = ansatz_bound
     generic_variables = 4 * (2 * b + 1) ** 2
-    system = _family_rows(m, p, x_part, b)
+    system = _family_system(p, x_part, b)
 
     # route one: generic boxed coefficients modulo gauge; every label is an
     # A/B/C/D unknown, so the cascade may drop any of them
@@ -738,7 +724,7 @@ def solve_pullback_family(
     # the gauge is memoised, its check is not; a kernel vector vanishes on
     # the forced labels, so off them it pairs with each row as with its
     # reduced row
-    index, gauge_rank = _gauge(m, p, b)
+    index = system.gauge_index
     if not index.keys().isdisjoint(system.forced):
         raise AssertionError("gauge direction moves a forced coefficient")
     for row, _ in system.rows:
@@ -748,7 +734,7 @@ def solve_pullback_family(
                 acc[i] = acc.get(i, 0) + c * v
         if any(acc.values()):
             raise AssertionError("gauge direction violates a constraint")
-    dim_generic = kernel_dim - gauge_rank
+    dim_generic = kernel_dim - system.gauge_rank
 
     # route two: named-coefficient ansatz
     named_labels = (
@@ -798,7 +784,7 @@ def solve_pullback_family(
             "generic_variables": generic_variables,
             "generic_rank": generic_rank,
             "kernel_dim": kernel_dim,
-            "gauge_rank": gauge_rank,
+            "gauge_rank": system.gauge_rank,
             "ansatz_variables": len(named_labels),
             "ansatz_rank": len(named_labels) - dim_named,
         },
@@ -839,9 +825,11 @@ def _free_parameters(
 
 
 def _check_against_constructor(desc: FamilyDescription) -> None:
-    """The ansatz at canonical parameter values must match the constructor.
+    """``make_blown_plane``'s member at c0 = 1 and R0 = 5 where free, else 0,
+    must pass ``validate_double_scheme``.
 
-    The sample is c0 = 1 and R0 = 5 where free, else 0; the member, built
+    Only the free parameter names of ``desc`` are read; no relation or
+    dimension of the solve is compared with the member.  The member, built
     once per key (``_constructor_member``), is validated on every call.
     """
     free = set(desc.free_parameters)
@@ -849,7 +837,7 @@ def _check_against_constructor(desc: FamilyDescription) -> None:
         return
     c0 = Fraction(1 if "c0" in free else 0)
     r0 = Fraction(5 if "R0" in free else 0)
-    spec = _constructor_member(desc.m, desc.p, c0, r0, desc.nontrivial)
+    spec = _constructor_member(desc.p, c0, r0, desc.nontrivial)
     report = validate_double_scheme(spec)
     if not report.ok:  # pragma: no cover - constructor is validated elsewhere
         raise AssertionError(
@@ -857,13 +845,13 @@ def _check_against_constructor(desc: FamilyDescription) -> None:
         )
 
 
-# one entry per (m, p, c0, r0, nontrivial); the family solver's samples give
+# one entry per (p, c0, r0, nontrivial); the family solver's samples give
 # two per p, one per class
 @lru_cache(maxsize=32)
-def _constructor_member(m: int, p: int, c0: Fraction, r0: Fraction,
+def _constructor_member(p: int, c0: Fraction, r0: Fraction,
                         nontrivial: bool) -> DoubleSchemeSpec:
     """``make_blown_plane``'s member, built once per key for
     ``_check_against_constructor`` alone.  ``DoubleSchemeSpec`` is mutable,
     so it is never handed out: ``make_blown_plane`` builds a fresh one on
     every call."""
-    return make_blown_plane(m, p, c0, r0, nontrivial=nontrivial)
+    return make_blown_plane(_TWIST, p, c0, r0, nontrivial=nontrivial)

@@ -95,17 +95,6 @@ from .laurent_core import (
 MIN_DIGIT_WIDTH = 12
 
 
-def full_laurent_ring(nvars: int) -> ExponentMonoid:
-    """The monoid of all integer exponent vectors (every monomial allowed)."""
-    gens = []
-    for i in range(nvars):
-        for sign in (1, -1):
-            e = [0] * nvars
-            e[i] = sign
-            gens.append(tuple(e))
-    return ExponentMonoid(nvars, tuple(gens))
-
-
 @dataclass(frozen=True)
 class TruncElement:
     """An element of R[t]/(t^order): coeffs[i] multiplies t^i."""
@@ -466,19 +455,17 @@ def truncate_morphism(theta: RingMorphism, order: int) -> RingMorphism:
     )
 
 
-def classify_endo(theta: RingMorphism, ring: ExponentMonoid | None = None) -> str:
+def classify_endo(theta: RingMorphism) -> str:
     """Classify into ``iso`` / ``injective_only`` / ``non_injective``.
 
     The constant coefficient of epsilon decides: zero kills t^(order-1), a
-    chart-ring unit makes the morphism invertible, and anything else gives an
-    injective non-surjective morphism.
+    monomial (a unit of the Laurent ring) makes the morphism invertible, and
+    anything else gives an injective non-surjective morphism.
     """
-    if ring is None:
-        ring = full_laurent_ring(theta.nvars)
     eps0 = theta.epsilon.coeffs[0]
     if eps0.is_zero():
         return "non_injective"
-    if monomial_is_unit(eps0, ring):
+    if eps0.as_monomial() is not None:
         return "iso"
     return "injective_only"
 

@@ -31,10 +31,13 @@ from pms.cohomology import (
     TwoCocycle,
     canonical_class,
     coboundary_solve,
+    contract_cup,
     flat,
+    frame_cocycle,
     h2_residue,
     iso_decide,
     oneform_coboundary_solve,
+    sharp,
 )
 from pms.good_points import (
     blowup_iso_decide,
@@ -229,11 +232,14 @@ def test_criterion_02_truncated_ring_laws(capsys):
 
 def test_criterion_03_pairing_values(capsys):
     with criterion(3, "pairing values", 10.0, capsys):
-        assert pairing_matrix("blown") == (
+        assert pairing_matrix() == (
             (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(-1)),
         )
-        assert pairing_matrix("plane") == ((Fraction(1),),)
+        plane = make_p2_atlas()
+        form = canonical_class(plane, p2_line_bundle(1))
+        cup = contract_cup(plane, frame_cocycle(plane), sharp(plane, form), form)
+        assert h2_residue(plane, cup) == Fraction(1)
         atlas = make_wcover_atlas()
         names = atlas.chart_names()
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]

@@ -533,6 +533,46 @@ def test_cohomology_ops(tmp_path, capsys):
     assert "unknown cocycle" in err
 
 
+def one_variable_doc(names="AB") -> dict:
+    """A valid document in the one variable x: charts A = k[x], B = k[x^-1]
+    (and C = k[x]), frames 1, x^2 (and 1), the frame ratios as the bundle L
+    and D = 0 over it."""
+    def term(e):
+        return [{"coeff": "1/1", "exp": [e]}]
+
+    pairs = [f"{a},{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+    bundle = {"A,B": term(2), "B,C": term(-2)}
+    bundle = {pair: bundle[pair] for pair in pairs if pair in bundle}
+    return {
+        "variables": ["x"], "truncation_order": 2, "residue_scale": "1",
+        "charts": [{"name": n, "monoid_generators": [[-1 if n == "B" else 1]]}
+                   for n in names],
+        "overlaps": {pair: [[1], [-1]] for pair in pairs},
+        "frames": {n: term(2 if n == "B" else 0) for n in names},
+        "cocycles": {"L": bundle},
+        "double_structure": {"alpha": "L", "D": {p: [[]] for p in bundle}},
+    }
+
+
+@pytest.mark.parametrize("names, op", [
+    ("AB", "residue"), ("AB", "cup"), ("AB", "obstruction"),
+    ("ABC", "obstruction"),
+])
+def test_one_variable_pairings_exit_2(tmp_path, capsys, names, op):
+    """The residue, cup and obstruction read two variables: a valid
+    one-variable document gets one error line, not a traceback or a value."""
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(one_variable_doc(names)))
+    assert run(capsys, "validate", str(path))[:2] == (0, "valid\n")
+    code, out, err = run(capsys, "cohomology", str(path), "--op", op,
+                         "--bundle", "L", "--with", "L")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "two variables" in err
+    code, out, _ = run(capsys, "cohomology", str(path), "--op", "coboundary")
+    assert code == 0 and json.loads(out)["status"] == "found"
+
+
 def test_unknown_verbs_and_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -49,7 +49,26 @@ def _point_center() -> dict:
     return center_to_json(center)
 
 
+def _line_document() -> dict:
+    """A valid document in the one variable x: charts A = k[x] and
+    B = k[x^-1], frames 1 and x^2, their ratio as the bundle L and D = 0
+    over it."""
+    def term(e):
+        return [{"coeff": "1/1", "exp": [e]}]
+
+    return {
+        "variables": ["x"], "truncation_order": 2, "residue_scale": "1",
+        "charts": [{"name": "A", "monoid_generators": [[1]]},
+                   {"name": "B", "monoid_generators": [[-1]]}],
+        "overlaps": {"A,B": [[1], [-1]]},
+        "frames": {"A": term(0), "B": term(2)},
+        "cocycles": {"L": {"A,B": term(2)}},
+        "double_structure": {"alpha": "L", "D": {"A,B": [[]]}},
+    }
+
+
 PLANE = _plane_document()
+LINE = _line_document()
 CENTER = _point_center()
 BUNDLE = PLANE["double_structure"]["alpha"]
 
@@ -68,6 +87,7 @@ def _paths(node, prefix=()):
 
 
 DOC_PATHS = tuple(_paths(PLANE))
+LINE_PATHS = tuple(_paths(LINE))
 CENTER_PATHS = tuple(_paths(CENTER))
 
 JSON_VALUES = st.recursive(
@@ -83,7 +103,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-CHARTS = {chart["name"] for chart in PLANE["charts"]}
+CHARTS = {chart["name"] for chart in PLANE["charts"] + LINE["charts"]}
 # new names for a renamed chart or chart-pair key: unknown charts, reversed
 # and degenerate pairs
 KEYS = st.sampled_from(["U0,X9", "U1,U0", "U0,U0", "X9", "U2,U1"])
@@ -201,6 +221,22 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, case, doc, center):
     center_path.write_text(json.dumps(CENTER if center is None else center))
     argv = [case.split("/")[0]]
     argv += VERB_ARGS[case](str(doc_path), str(center_path))
+    assert_clean_exit(argv, *run_cli(argv))
+
+
+@FUZZ
+@given(
+    op=st.sampled_from(["coboundary", "cup", "residue", "obstruction"]),
+    doc=st.just(LINE) | mutated(LINE, LINE_PATHS),
+)
+def test_mutated_one_variable_documents_exit_cleanly(tmp_path_factory, op,
+                                                     doc):
+    """The ``cohomology`` operations on the one-variable document, as it is
+    and mutated, where the pairings have no two variables to read."""
+    path = tmp_path_factory.getbasetemp() / "mutated-line.json"
+    path.write_text(json.dumps(doc))
+    argv = ["cohomology", str(path), "--op", op, "--bundle", "L",
+            "--with", "L", "--bound", "2"]
     assert_clean_exit(argv, *run_cli(argv))
 
 

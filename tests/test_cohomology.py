@@ -21,7 +21,6 @@ from pms.atlas import (
 from pms.blowup import CenterSpec, blowup_good, blowup_hypersurface
 from pms.cohomology import (
     BOUND_CAVEAT,
-    BoundedSpace,
     OneFormCocycle,
     TwoCocycle,
     calibrate_residue,
@@ -43,6 +42,7 @@ from pms.cohomology import (
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.linear import (
     box_labels,
+    exponent_box,
     solve_rows,
     term_rows,
 )
@@ -395,7 +395,7 @@ def block_forced(ring, bound):
     block decides the unit vectors of that block.
     """
     blocks = {}
-    for e in BoundedSpace(ring.nvars, bound).exponents():
+    for e in exponent_box(ring.nvars, bound):
         for v in range(ring.nvars):
             blocks.setdefault(e[:v] + (e[v] - 1,) + e[v + 1:], []).append((v, e))
     forced = set()
@@ -419,7 +419,7 @@ def test_dropped_unknowns_are_exactly_the_ring_forced_ones():
             kept, _ = cohomology._chart_ring_rows(ring.generators, nvars, bound)
             for v in range(nvars):
                 free = set(kept[v])
-                for e in BoundedSpace(nvars, bound).exponents():
+                for e in exponent_box(nvars, bound):
                     dropped = e not in free
                     assert dropped == ((v, e) in forced), (ring.generators, bound, v, e)
                     counts[dropped] += 1
@@ -499,10 +499,10 @@ def unknown_fields(atlas, exps_of):
     }
 
 
-def full_box_rows(atlas, space, twist_full, target_full, extra=()):
+def full_box_rows(atlas, bound, twist_full, target_full, extra=()):
     """Every boxed coefficient an unknown: the full-box ring and
     twisted-difference rows, expanded by the reference expander."""
-    exps = list(space.exponents())
+    exps = exponent_box(atlas.nvars, bound)
     comps = unknown_fields(atlas, lambda chart, v: exps)
     rows = [
         row for chart in atlas.charts
@@ -618,9 +618,9 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
     chart_fields = cohomology._chart_fields
     calls = []
 
-    def spy_fields(atlas, space, twist_full, target_full, extra=()):
-        rows = chart_fields(atlas, space, twist_full, target_full, extra)
-        calls.append((atlas, space, twist_full, target_full, extra, rows))
+    def spy_fields(atlas, bound, twist_full, target_full, extra=()):
+        rows = chart_fields(atlas, bound, twist_full, target_full, extra)
+        calls.append((atlas, twist_full, target_full, extra, rows))
         return rows
 
     def spy_solve_rows(rows):
@@ -636,7 +636,7 @@ def test_dropped_unknowns_are_the_singleton_fixpoint(case, monkeypatch):
         calls.clear()
         solve(bound)
         assert calls
-        for atlas, space, twist_full, target_full, extra, got in calls:
+        for atlas, twist_full, target_full, extra, got in calls:
             ring_kept, rows = {}, []
             for chart in atlas.charts:
                 kept, ring = cohomology._chart_ring_rows(
@@ -742,7 +742,7 @@ def captured_systems(kind, monkeypatch):
         elif kind == "family":
             for p in range(6):
                 for x_part in (0, 1):
-                    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+                    conditions = p2_catalog._pullback_conditions(p, x_part)
                     for b in range(3, 9):
                         p2_catalog._pullback_rows(conditions, b)
         else:
@@ -832,7 +832,7 @@ def test_only_repeated_structures_enter_the_plan_memo():
     """The family grid from a cold row memo, the chart-ring rows and a
     one-form solve, each built once at its own level, leave the plan memo
     as it was; a repeated ``coboundary_solve`` plans from it."""
-    p2_catalog._family_rows.cache_clear()
+    p2_catalog._family_system.cache_clear()
     info = cohomology._chart_plan.cache_info()
     for p in range(6):
         for x_part in (0, 1):
@@ -868,24 +868,23 @@ def carpet_system(alpha, bound=3, tau=True):
     twist = derive_mult(atlas, spec.alpha)
     target = derive_vector_field(atlas, twist, spec.D)
     extra = [(("tau",), target)] if tau else []
-    return atlas, BoundedSpace(atlas.nvars, bound), twist, target, extra
+    return atlas, bound, twist, target, extra
 
 
 def varied(system, name):
     """``system`` with one input of the label pass changed: the bound, the
     ring or the name of one chart, the twist exponent of one spanning pair,
     or the support of the target or of the extra there."""
-    atlas, space, twist, target, extra = system
+    atlas, bound, twist, target, extra = system
     pair, far = ("W0", "W1"), mono((7, 7))
     if name == "bound":
-        space = BoundedSpace(atlas.nvars, space.bound + 1)
-        return atlas, space, twist, target, extra
+        return atlas, bound + 1, twist, target, extra
     if name == "ring":
         charts = tuple(
             replace(c, ring=ExponentMonoid(2, ((1, 0), (0, 1))))
             if c.name == "W1" else c for c in atlas.charts
         )
-        return replace(atlas, charts=charts), space, twist, target, extra
+        return replace(atlas, charts=charts), bound, twist, target, extra
     if name == "name":
         def rename(n):
             return "W4" if n == "W3" else n
@@ -900,23 +899,23 @@ def varied(system, name):
             overlaps=moved(atlas.overlaps),
             frames={rename(n): f for n, f in atlas.frames.items()},
         )
-        return (atlas, space, moved(twist), moved(target),
+        return (atlas, bound, moved(twist), moved(target),
                 [(label, moved(known)) for label, known in extra])
     if name == "twist":
         twist = {**twist, pair: twist[pair] * mono((1, 0))}
-        return atlas, space, twist, target, extra
+        return atlas, bound, twist, target, extra
     widened = {**target, pair: (target[pair][0] + far,) + target[pair][1:]}
     if name == "target":
-        return atlas, space, twist, widened, extra
+        return atlas, bound, twist, widened, extra
     assert name == "extra"
-    return atlas, space, twist, target, [(("tau",), widened)]
+    return atlas, bound, twist, target, [(("tau",), widened)]
 
 
-def chart_field_rows(atlas, space, twist, target, extra):
+def chart_field_rows(atlas, bound, twist, target, extra):
     """The ``term_rows`` stages over ``twisted_conditions`` and the ring rows
     of ``chart_system``, each row's entries in order."""
     charts = tuple((c.name, c.ring.generators) for c in atlas.charts)
-    labels, built = chart_system(charts, atlas.nvars, space.bound)
+    labels, built = chart_system(charts, atlas.nvars, bound)
     conditions = twisted_conditions(
         atlas, term_form_fields(atlas), twist, target, extra
     )

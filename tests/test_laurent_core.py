@@ -586,8 +586,7 @@ def test_every_cache_is_bounded():
         "laurent_core.shared_packing",
         "p2_catalog._constructor_member",
         "p2_catalog._family_box",
-        "p2_catalog._family_rows",
-        "p2_catalog._gauge",
+        "p2_catalog._family_system",
         "p2_catalog.make_p2_atlas",
         "p2_catalog.make_wcover_atlas",
         "truncated_ring._image_power",

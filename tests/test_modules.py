@@ -138,18 +138,22 @@ def test_every_module_function_is_referenced():
     assert {k: v for k, v in unreferenced.items() if v} == {}
 
 
-def public_functions(tree: ast.Module) -> list[str]:
+def public_defs(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
     """The public module-level functions of ``tree``, and the public
-    methods of its public classes as ``Class.method``."""
-    names = []
+    methods of its public classes as ``Class.method``, with their nodes."""
+    defs = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            names.append(node.name)
+            defs.append((node.name, node))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            names += [f"{node.name}.{item.name}" for item in node.body
-                      if isinstance(item, ast.FunctionDef)
-                      and not item.name.startswith("_")]
-    return names
+            defs += [(f"{node.name}.{item.name}", item) for item in node.body
+                     if isinstance(item, ast.FunctionDef)
+                     and not item.name.startswith("_")]
+    return defs
+
+
+def public_functions(tree: ast.Module) -> list[str]:
+    return [name for name, _ in public_defs(tree)]
 
 
 def test_public_function_finder_reads_methods_of_public_classes():
@@ -163,20 +167,28 @@ def test_public_function_finder_reads_methods_of_public_classes():
     assert public_functions(tree) == ["f", "C.m"]
 
 
+def program_trees() -> list[ast.Module]:
+    """The parsed files of the program and of the benchmark."""
+    return [ast.parse(path.read_text())
+            for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")]
+
+
+def readme_words() -> set[str]:
+    """The words of README's code spans."""
+    readme = (ROOT / "README.md").read_text()
+    return {word for span in re.findall(r"`([^`\n]+)`", readme)
+            for word in re.findall(r"\w+", span)}
+
+
 def test_every_public_function_has_a_user():
     """Each public function of ``pms``, and each public method of a public
     class, is called by the program or the benchmark, traced by name, or
     named in README's code spans (where the oracles that only tests call are
     named as such).  A method counts as used when its name is."""
-    used = set().union(*(
-        referenced_names(ast.parse(path.read_text()))
-        for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")
-    ))
+    used = set().union(*map(referenced_names, program_trees()))
     traced = (ROOT / "perfbench" / "tracing.py").read_text()
     used |= set(re.findall(r"\w+", traced))
-    readme = (ROOT / "README.md").read_text()
-    used |= {word for span in re.findall(r"`([^`\n]+)`", readme)
-             for word in re.findall(r"\w+", span)}
+    used |= readme_words()
     unused = {
         path.name: [name
                     for name in public_functions(ast.parse(path.read_text()))
@@ -184,6 +196,82 @@ def test_every_public_function_has_a_user():
         for path in MODULES
     }
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def defaulted_parameters(name: str, node: ast.FunctionDef) -> list[tuple]:
+    """Each parameter of ``node`` with a default, as (name, the position a
+    call passes it at, or None when keyword-only).  The position of a
+    method's parameter leaves out its self or cls, unless it is static."""
+    positional = node.args.posonlyargs + node.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    if "." in name and not static:
+        positional = positional[1:]
+    first = len(positional) - len(node.args.defaults)
+    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, default
+            in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def call_arguments(trees) -> dict[str, list[tuple]]:
+    """Per called name, each call's number of positional arguments (None
+    when one is a ``*`` splat) and the names it passes by keyword (None for
+    a ``**`` splat)."""
+    calls = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        splat = any(isinstance(arg, ast.Starred) for arg in node.args)
+        calls.setdefault(name, []).append(
+            (None if splat else len(node.args), {k.arg for k in node.keywords})
+        )
+    return calls
+
+
+def unset_parameters(tree: ast.Module, callers, documented) -> list[str]:
+    """The defaulted parameters of ``tree``'s public functions and methods
+    that no call in ``callers`` passes and whose names ``documented`` lacks,
+    as ``function.parameter``."""
+    calls = call_arguments(callers)
+    unset = []
+    for name, node in public_defs(tree):
+        for param, position in defaulted_parameters(name, node):
+            passed = any(
+                param in keywords or None in keywords
+                or (position is not None and (count is None or count > position))
+                for count, keywords in calls.get(node.name, ())
+            )
+            if not passed and param not in documented:
+                unset.append(f"{name}.{param}")
+    return unset
+
+
+def test_unset_parameter_finder():
+    module = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "class C:\n    def m(self, k=1, j=2):\n        pass\n"
+        "    @staticmethod\n    def s(k=1):\n        pass\n"
+        "def _private(z=0):\n    pass\n"
+    )
+    caller = ast.parse("f(0, 1, d=2)\nC().m(5)\nC.s(**opts)\ng(*args)\n")
+    assert unset_parameters(module, [caller], {"e"}) == ["f.c", "C.m.j"]
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    """Each defaulted parameter of a public function of ``pms``, or of a
+    public method of a public class, is passed by some call in the program
+    or the benchmark, by keyword or by position, or named in README's code
+    spans: a knob that only tests set is not part of the program."""
+    trees, documented = program_trees(), readme_words()
+    unset = {path.name: unset_parameters(ast.parse(path.read_text()), trees,
+                                         documented)
+             for path in MODULES}
+    assert {k: v for k, v in unset.items() if v} == {}
 
 
 def test_traced_private_functions_resolve():

@@ -99,13 +99,10 @@ def test_constructor_argument_errors():
 
 
 def test_pairing_matrices():
-    assert pairing_matrix("blown") == (
+    assert pairing_matrix() == (
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(-1)),
     )
-    assert pairing_matrix("plane") == ((Fraction(1),),)
-    with pytest.raises(ValueError):
-        pairing_matrix("torus")
 
 
 def test_unit_classes_shape():
@@ -232,8 +229,8 @@ def test_family_json_is_unchanged_without_the_cascade(monkeypatch):
     cascaded = family_json()
     monkeypatch.setattr(linear, "forced_by_singletons", lambda rows: set())
     # the row memo holds the cascaded rows: build each system afresh
-    monkeypatch.setattr(p2_catalog, "_family_rows",
-                        p2_catalog._family_rows.__wrapped__)
+    monkeypatch.setattr(p2_catalog, "_family_system",
+                        p2_catalog._family_system.__wrapped__)
     assert family_json() == cascaded
 
 
@@ -258,7 +255,7 @@ GAUGE_KEYS = list(itertools.product(range(6), range(3, 9)))
 
 def _fresh_gauge(p, b):
     """The label index and rank of a fresh ``_gauge_vectors`` build."""
-    vecs = p2_catalog._gauge_vectors(-3, p, b)
+    vecs = p2_catalog._gauge_vectors(p, b)
     labels = {label for vec in vecs for label in vec}
     index = {
         label: tuple((i, vec[label]) for i, vec in enumerate(vecs)
@@ -268,22 +265,28 @@ def _fresh_gauge(p, b):
     return index, rank_of_vectors(vecs)
 
 
+def _gauge_of(p, b):
+    """The gauge label index and rank in the memo entry of (p, 1, b)."""
+    system = p2_catalog._family_system(p, 1, b)
+    return system.gauge_index, system.gauge_rank
+
+
 @pytest.mark.parametrize("p, b", GAUGE_KEYS)
 def test_gauge_memo_matches_a_fresh_build_cold(p, b):
-    p2_catalog._gauge.cache_clear()
-    assert p2_catalog._gauge(-3, p, b) == _fresh_gauge(p, b)
-    assert p2_catalog._gauge.cache_info().misses == 1
+    p2_catalog._family_system.cache_clear()
+    assert _gauge_of(p, b) == _fresh_gauge(p, b)
+    assert p2_catalog._family_system.cache_info().misses == 1
 
 
 def test_gauge_memo_matches_a_fresh_build_warm():
     """Each entry, read back once every other key is in the memo, equals a
     fresh build."""
-    p2_catalog._gauge.cache_clear()
+    p2_catalog._family_system.cache_clear()
     for p, b in reversed(GAUGE_KEYS):
-        p2_catalog._gauge(-3, p, b)
+        _gauge_of(p, b)
     for p, b in GAUGE_KEYS:
-        assert p2_catalog._gauge(-3, p, b) == _fresh_gauge(p, b)
-    info = p2_catalog._gauge.cache_info()
+        assert _gauge_of(p, b) == _fresh_gauge(p, b)
+    info = p2_catalog._family_system.cache_info()
     assert (info.hits, info.misses) == (len(GAUGE_KEYS), len(GAUGE_KEYS))
 
 
@@ -291,20 +294,21 @@ def test_gauge_check_runs_on_every_call(monkeypatch):
     """A memo entry that breaks a constraint, or moves a forced label, is
     caught by the check each call makes against its own rows."""
     p, b = 0, 4
-    index, rank = p2_catalog._gauge(-3, p, b)
-    conditions = p2_catalog._pullback_conditions(-3, p, 1)
-    forced, rows = p2_catalog._pullback_rows(conditions, b)
-    in_rows = {label for row, _ in rows for label in row}
+    system = p2_catalog._family_system(p, 1, b)
+    index = system.gauge_index
+    in_rows = {label for row, _ in system.rows for label in row}
     label = next(lb for lb in index if lb in in_rows)
     (i, c), *rest = index[label]
     perturbed = {**index, label: ((i, c + 1), *rest)}
-    monkeypatch.setattr(p2_catalog, "_gauge", lambda *key: (perturbed, rank))
+    monkeypatch.setattr(p2_catalog, "_family_system",
+                        lambda *key: system._replace(gauge_index=perturbed))
     with pytest.raises(AssertionError,
                        match="gauge direction violates a constraint"):
         solve_pullback_family(-3, p, b)
 
-    moved = {**index, min(forced): ((0, 1),)}
-    monkeypatch.setattr(p2_catalog, "_gauge", lambda *key: (moved, rank))
+    moved = {**index, system.forced[0]: ((0, 1),)}
+    monkeypatch.setattr(p2_catalog, "_family_system",
+                        lambda *key: system._replace(gauge_index=moved))
     with pytest.raises(AssertionError, match="moves a forced coefficient"):
         solve_pullback_family(-3, p, b)
 
@@ -352,7 +356,7 @@ def test_label_pass_matches_symbolic_rows(p, x_part):
          ((C, (-1, 0), 1), (B, (0, 2), Fraction(1, 7))),
          ((("s",), {(3, 3): 5}),)),
     ]
-    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+    conditions = p2_catalog._pullback_conditions(p, x_part)
     for b in range(3, 9):
         box = list(itertools.product(range(-b, b + 1), repeat=2))
         uniform = dict.fromkeys((A, B, C, D), box)
@@ -381,7 +385,7 @@ def test_ansatz_rows_match_symbolic_rows(p, x_part):
     """Route two's term-form ansatz gives the rows that the SymPoly
     expander gives for the named-ansatz components, as a multiset."""
     mono = lambda e, c: LaurentPoly.monomial(2, e, c)
-    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+    conditions = p2_catalog._pullback_conditions(p, x_part)
     for b in range(3, 9):
         x_mu = SymPoly.wrap(mono((0, 1), x_part))
         comps = {
@@ -410,7 +414,7 @@ def test_pinned_directions_match_a_fresh_elimination(p):
     """Route two's solutions, read from copies of its reduced solver, equal
     those of eliminating its rows and the pin rows from scratch."""
     for b in range(3, 8):
-        conditions = p2_catalog._pullback_conditions(-3, p, 1)
+        conditions = p2_catalog._pullback_conditions(p, 1)
         _, rows = term_rows(
             p2_catalog._ansatz_conditions(conditions, p, b, 1), {}
         )
@@ -452,9 +456,9 @@ def test_family_row_memo_matches_a_fresh_build(p, x_part):
     """The memo's Z and both routes' rows equal those of a fresh build:
     same rows, same order, same entry order, same right-hand sides; every
     entry and right-hand side an ``int``."""
-    p2_catalog._family_rows.cache_clear()
-    cached = {b: p2_catalog._family_rows(-3, p, x_part, b) for b in range(3, 9)}
-    conditions = p2_catalog._pullback_conditions(-3, p, x_part)
+    p2_catalog._family_system.cache_clear()
+    cached = {b: p2_catalog._family_system(p, x_part, b) for b in range(3, 9)}
+    conditions = p2_catalog._pullback_conditions(p, x_part)
     for b, system in cached.items():
         forced, rows = p2_catalog._pullback_rows(conditions, b)
         _, named_rows = term_rows(
@@ -475,22 +479,21 @@ def test_a_second_family_call_hits_the_row_memo():
         for p, x_part, b in FAMILY_KEYS:
             solve_pullback_family(-3, p, b, nontrivial=bool(x_part))
 
-    p2_catalog._family_rows.cache_clear()
+    p2_catalog._family_system.cache_clear()
     solve_all()
-    info = p2_catalog._family_rows.cache_info()
+    info = p2_catalog._family_system.cache_info()
     assert info.misses == info.currsize == len(FAMILY_KEYS)
-    before = deepcopy([p2_catalog._family_rows(-3, *key)
-                       for key in FAMILY_KEYS])
+    before = deepcopy([p2_catalog._family_system(*key) for key in FAMILY_KEYS])
     solve_all()
-    again = p2_catalog._family_rows.cache_info()
+    again = p2_catalog._family_system.cache_info()
     assert again.misses == info.misses
     assert again.hits == info.hits + 2 * len(FAMILY_KEYS)
-    assert [p2_catalog._family_rows(-3, *key) for key in FAMILY_KEYS] == before
+    assert [p2_catalog._family_system(*key) for key in FAMILY_KEYS] == before
 
 
 def test_family_json_is_the_same_cold_and_warm():
-    memos = (p2_catalog._family_rows, p2_catalog._family_box,
-             p2_catalog._gauge, p2_catalog._constructor_member)
+    memos = (p2_catalog._family_system, p2_catalog._family_box,
+             p2_catalog._constructor_member)
 
     def family_json(p, x_part, b):
         fd = solve_pullback_family(-3, p, b, nontrivial=bool(x_part))
@@ -510,8 +513,7 @@ def test_constructor_member_is_validated_on_every_call(monkeypatch):
     ones."""
     p2_catalog._constructor_member.cache_clear()
     solve_pullback_family(-3, 1, 4)
-    member = p2_catalog._constructor_member(-3, 1, Fraction(1), Fraction(0),
-                                            True)
+    member = p2_catalog._constructor_member(1, Fraction(1), Fraction(0), True)
     assert p2_catalog._constructor_member.cache_info().hits == 1
     specs = [make_blown_plane(-3, 1, 1), make_blown_plane(-3, 1, 1)]
     assert len({id(spec) for spec in specs + [member]}) == 3
