@@ -39,7 +39,6 @@ from .atlas import (
     derive_vector_field,
     fold_tree,
     pair_key,
-    transition_endomorphism,
     validate_double_scheme,
 )
 from .cohomology import iso_decide
@@ -182,14 +181,6 @@ class TransitionSpec:
                 )
             if theta.nvars != self.atlas.nvars:
                 raise ValueError(f"transition on {pair} has wrong variables")
-
-
-def lift_double(spec: DoubleSchemeSpec) -> TransitionSpec:
-    """The order-two transition morphisms of a double scheme."""
-    return TransitionSpec(spec.atlas, {
-        (i, j): transition_endomorphism(spec, i, j)
-        for i, j in canonical_spanning_pairs(spec.atlas)
-    })
 
 
 def derive_transitions(

@@ -260,22 +260,6 @@ def contract_cup(
     return TwoCocycle(data)
 
 
-def two_cocycle_failures(atlas: Atlas, t: TwoCocycle) -> list[str]:
-    """Violations of the untwisted 2-cocycle identity on quadruples."""
-    out = []
-    names = atlas.chart_names()
-    for a, b, c, d in itertools.combinations(names, 4):
-        acc = (
-            t.data[(b, c, d)]
-            - t.data[(a, c, d)]
-            + t.data[(a, b, d)]
-            - t.data[(a, b, c)]
-        )
-        if not acc.is_zero():
-            out.append(f"quadruple ({a},{b},{c},{d})")
-    return out
-
-
 def residue_raw(atlas: Atlas, t: TwoCocycle) -> LaurentPoly:
     """Unnormalized residue: strip the (-1, -1) coefficient of each triple.
 

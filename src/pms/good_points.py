@@ -222,26 +222,3 @@ def blowup_iso_decide(
     if in1:
         return True
     return rank_of_vectors(h + [v1, v2]) == rank_of_vectors(h) + 1
-
-
-# -- the principal one-variable criterion --------------------------------
-
-
-def is_good_principal(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """Goodness of the principal ideal (f + g*t) on a one-variable chart.
-
-    The reduced part must vanish to order exactly one at the origin; the
-    t-coefficient must not vanish there.
-    """
-    if f.nvars != 1 or g.nvars != 1:
-        raise ValueError("the principal criterion works on one variable")
-    if g.constant_coefficient() == 0:
-        raise ValueError("the t-coefficient must not vanish at the point")
-    if f.is_zero() or f.constant_coefficient() != 0:
-        raise ValueError(
-            "the reduced part must vanish at the point (and not identically)"
-        )
-    orders = [e for (e,), _ in f.items()]
-    if min(orders) < 0:
-        raise ValueError("the reduced part must be regular at the point")
-    return min(orders) == 1

@@ -23,8 +23,9 @@ has spanning entries
 with (A, B, C, D) in the rigid shape cut out by regularity along the
 exceptional direction; ``solve_pullback_family`` recomputes that shape two
 independent ways (boxed unknowns, singleton-forced ones cascaded out, modulo
-gauge, and a named-coefficient ansatz) and cross-checks the dimensions, at
-m = -3 alone; route one's box is ``linear.exponent_box``.
+gauge, and a named-coefficient ansatz), cross-checks the dimensions and
+compares the solved relations with ``make_blown_plane``'s member, at m = -3
+alone; route one's box is ``linear.exponent_box``.
 
 A ribbon on the blown plane ("carpet") is the p = 1 member; its class
 decomposes against the two generating bundle classes with coefficients
@@ -320,11 +321,17 @@ def carpet_obstruction(alpha, m: int, n: int):
     it stays the rational o(0) when no al term is left.
     """
     if alpha == "symbolic":
-        o0, o1 = carpet_obstruction(0, m, n), carpet_obstruction(1, m, n)
-        if o1 == o0:
-            return o0
-        return LaurentPoly(3, {(0, 0, 0): o0, (0, 0, 1): o1 - o0})
+        return _symbolic_obstruction((build_carpet(0), build_carpet(1)), m, n)
     return extension_obstruction(build_carpet(alpha), extension_bundle(m, n))
+
+
+def _symbolic_obstruction(ribbons, m: int, n: int):
+    """``carpet_obstruction("symbolic")`` from the ribbons at alpha 0 and 1."""
+    bundle = extension_bundle(m, n)
+    o0, o1 = (extension_obstruction(ribbon, bundle) for ribbon in ribbons)
+    if o1 == o0:
+        return o0
+    return LaurentPoly(3, {(0, 0, 0): o0, (0, 0, 1): o1 - o0})
 
 
 def carpet_extends(alpha, m: int, n: int) -> bool:
@@ -366,9 +373,10 @@ def _signed_sum(terms) -> str:
     return out
 
 
-def _symbolic_str(m: int, n: int) -> str:
-    """The obstruction at (m, n) for an indeterminate alpha, as a sum."""
-    value = carpet_obstruction("symbolic", m, n)
+def _symbolic_str(ribbons, m: int, n: int) -> str:
+    """The obstruction at (m, n) for an indeterminate alpha, as a sum, from
+    the ribbons at alpha = 0 and 1."""
+    value = _symbolic_obstruction(ribbons, m, n)
     if not isinstance(value, LaurentPoly):
         value = LaurentPoly.const(3, value)
     names = VARIABLES + (SYMBOL,)
@@ -388,11 +396,12 @@ def quasiprojective(alpha) -> dict:
     witness the reduced fraction (num, den) of alpha.
     """
     if alpha == "symbolic":
+        ribbons = (build_carpet(0), build_carpet(1))
         return {
             "answer": "no",
             "evidence": {
-                "obstruction_at_1_0": _symbolic_str(1, 0),
-                "obstruction_at_0_1": _symbolic_str(0, 1),
+                "obstruction_at_1_0": _symbolic_str(ribbons, 1, 0),
+                "obstruction_at_0_1": _symbolic_str(ribbons, 0, 1),
                 "reason": (
                     "the obstruction is linear in the degrees with "
                     "independent values on (1,0) and (0,1), so only the "
@@ -488,25 +497,34 @@ def _family_box(bound: int) -> dict:
     }
 
 
-def _ansatz_conditions(conditions: list[tuple], p: int, b: int,
-                       x_part: int) -> list[tuple]:
-    """Route two: ``conditions`` with the named ansatz put in for (A, B, C, D).
+def _ansatz(p: int, b: int, x_part: int) -> dict:
+    """The named ansatz for (A, B, C, D): each prefix -> (its fixed part,
+    its (label, exponent, coefficient) terms).
 
     Each component is a fixed part plus named scalars times monomials:
     A = [X] mu - sum R_k lam^k mu^(2-p), B = 0,
     C = [X] mu - c0 lam^(1-p) mu^(2-p) + sum S_k lam^(-k-p) mu^(2-p) and
-    D = c0D lam^-p mu^(3-p), k in 0..b.  A field term c x^shift F then adds
-    c x^shift times the fixed part to the known part and one scalar term per
-    named monomial; no field term is left.
+    D = c0D lam^-p mu^(3-p), k in 0..b.
     """
     fixed = {(0, 1): x_part}
-    ansatz = {
+    return {
         ("A",): (fixed, [(("R", k), (k, 2 - p), -1) for k in range(b + 1)]),
         ("B",): ({}, []),
         ("C",): (fixed, [(("c0",), (1 - p, 2 - p), -1)]
                  + [(("S", k), (-k - p, 2 - p), 1) for k in range(b + 1)]),
         ("D",): ({}, [(("c0D",), (-p, 3 - p), 1)]),
     }
+
+
+def _ansatz_conditions(conditions: list[tuple], p: int, b: int,
+                       x_part: int) -> list[tuple]:
+    """Route two: ``conditions`` with the named ansatz (``_ansatz``) put in
+    for (A, B, C, D).
+
+    A field term c x^shift F adds c x^shift times F's fixed part to the known
+    part and one scalar term per named monomial; no field term is left.
+    """
+    ansatz = _ansatz(p, b, x_part)
     out = []
     for ring, known, terms, scalars in conditions:
         known, scalars = dict(known), list(scalars)
@@ -677,10 +695,10 @@ def solve_pullback_family(
     Built once per key, in bounded memos, since nothing else enters them:
     both routes' rows, route one's forced set Z and the gauge with its rank,
     per (p, x_part, ansatz_bound) in one entry (``_family_system``, rows
-    checked once to be ``int``, the gauge kept as a label index); and the
-    constructor member, per (p, c0, R0, class) (``_constructor_member``).
-    Nothing else is memoised, neither a solver nor the description.  Every
-    call still:
+    checked once to be ``int``, the gauge kept as a label index); and
+    ``make_blown_plane``'s member, per (p, class), validated once and kept
+    as numbers (``_constructor_member``).  Nothing else is memoised, neither
+    a solver nor the description.  Every call still:
 
     * eliminates both routes, feeding the cached rows to fresh solvers
       through ``LinearSolver``'s integer entry, and re-verifies each
@@ -694,10 +712,9 @@ def solve_pullback_family(
       named coefficients (``_free_parameters``): one solve for the base
       solution and one per free parameter, each on a copy of route two's
       solver with the pin rows added;
-    * when every free parameter is c0 or R0, validates ``make_blown_plane``'s
-      member at c0 = 1 and R0 = 5 (where free) with
-      ``validate_double_scheme`` (``_check_against_constructor``); nothing
-      from the solve enters that check.
+    * compares the solve with that member at c0 = 1 and R0 = 5 where free
+      (``_check_against_constructor``): the free parameters and dimension,
+      and the relations' values there with its coefficients, exactly.
 
     The domain is m = -3 (the normal-form ansatz describes the family only
     there) and ansatz_bound >= 3 (smaller boxes cut the family off for some
@@ -756,11 +773,13 @@ def solve_pullback_family(
     if len(pins) != dim_named:  # pragma: no cover
         raise AssertionError("free-parameter selection failed")
     relations, zeros = [], []
+    # each named label -> its (coefficient, free parameter or None) terms
+    affine = {pin: [(1, _label_str(pin))] for pin in pins}
     for label in named_labels:
         if label in pins:
             continue
         const = base.get(label, Fraction(0))
-        terms = [(const, None)] if const else []
+        terms = affine[label] = [(const, None)] if const else []
         for pin in pins:
             coeff = directions[pin].get(label, Fraction(0)) - const
             if coeff:
@@ -789,7 +808,7 @@ def solve_pullback_family(
             "ansatz_rank": len(named_labels) - dim_named,
         },
     )
-    _check_against_constructor(desc)
+    _check_against_constructor(desc, affine)
     return desc
 
 
@@ -824,34 +843,71 @@ def _free_parameters(
     return pins, pinned.solve(), directions
 
 
-def _check_against_constructor(desc: FamilyDescription) -> None:
-    """``make_blown_plane``'s member at c0 = 1 and R0 = 5 where free, else 0,
-    must pass ``validate_double_scheme``.
+def _check_against_constructor(desc: FamilyDescription,
+                               affine: dict) -> None:
+    """The solve must match ``make_blown_plane``'s member
+    (``_constructor_member``).
 
-    Only the free parameter names of ``desc`` are read; no relation or
-    dimension of the solve is compared with the member.  The member, built
-    once per key (``_constructor_member``), is validated on every call.
+    ``desc``'s free parameters and ``parameter_dim`` must be the member's
+    free coefficients.  The named labels' values there, read off ``affine``
+    (the terms the relations are written from) and put into ``_ansatz``,
+    must give exactly the member's (A, B, C, D) less [X] mu.
     """
-    free = set(desc.free_parameters)
-    if free - {"c0", "R0"}:
-        return
-    c0 = Fraction(1 if "c0" in free else 0)
-    r0 = Fraction(5 if "R0" in free else 0)
-    spec = _constructor_member(desc.p, c0, r0, desc.nontrivial)
-    report = validate_double_scheme(spec)
-    if not report.ok:  # pragma: no cover - constructor is validated elsewhere
+    free, coefficients = _constructor_member(desc.p, desc.nontrivial)
+    values = dict(free)
+    names = tuple(values)
+    if desc.free_parameters != names or desc.parameter_dim != len(names):
         raise AssertionError(
-            f"instantiated family member invalid: {report.failures}"
+            f"family free parameters {list(desc.free_parameters)} differ "
+            f"from the constructor's {list(names)}"
+        )
+    got: dict = {}
+    ansatz = _ansatz(desc.p, desc.ansatz_bound, int(desc.nontrivial))
+    for prefix, (_, named) in ansatz.items():
+        for label, e, sign in named:
+            value = sum(c * values[name] if name else c
+                        for c, name in affine[label])
+            got[prefix, e] = got.get((prefix, e), 0) + sign * value
+    if frozenset((k, v) for k, v in got.items() if v) != coefficients:
+        raise AssertionError(
+            "family relations differ from the constructor member at "
+            + ", ".join(f"{name} = {v}" for name, v in free)
         )
 
 
-# one entry per (p, c0, r0, nontrivial); the family solver's samples give
-# two per p, one per class
-@lru_cache(maxsize=32)
-def _constructor_member(p: int, c0: Fraction, r0: Fraction,
-                        nontrivial: bool) -> DoubleSchemeSpec:
-    """``make_blown_plane``'s member, built once per key for
-    ``_check_against_constructor`` alone.  ``DoubleSchemeSpec`` is mutable,
-    so it is never handed out: ``make_blown_plane`` builds a fresh one on
-    every call."""
-    return make_blown_plane(_TWIST, p, c0, r0, nontrivial=nontrivial)
+# one entry per (p, nontrivial); the family solver's grid gives two per p
+@lru_cache(maxsize=16)
+def _constructor_member(p: int, nontrivial: bool) -> tuple[tuple, frozenset]:
+    """``make_blown_plane``'s member at c0 = 1 and R0 = 5 where it takes them
+    nonzero (they are free), else 0, validated once.
+
+    Kept are the (name, value) of each free coefficient and the ((prefix,
+    exponent), value) of each nonzero coefficient of (A, B, C, D) less
+    [X] mu: (A, B) is the (W1, W2) entry and mu^(p+m) (C - A, D - B) the
+    (W2, W3) one.  Both are immutable; the mutable spec never outlives this
+    call.
+    """
+    free = []
+    for name, value in (("c0", 1), ("R0", 5)):
+        try:
+            make_blown_plane(_TWIST, p, nontrivial=nontrivial,
+                             **{name.lower(): value})
+        except ValueError:
+            continue
+        free.append((name, Fraction(value)))
+    spec = make_blown_plane(_TWIST, p, nontrivial=nontrivial,
+                            **{name.lower(): v for name, v in free})
+    report = validate_double_scheme(spec)
+    if not report.ok:
+        raise AssertionError(
+            f"instantiated family member invalid: {report.failures}"
+        )
+    a, b = spec.D.data[("W1", "W2")]
+    c, d = (f.mul_monomial((0, -p - _TWIST)) + g
+            for f, g in zip(spec.D.data[("W2", "W3")], (a, b)))
+    coefficients = set()
+    for (prefix, (fixed, _)), poly in zip(
+            _ansatz(p, 0, int(nontrivial)).items(), (a, b, c, d)):
+        coefficients.update(((prefix, e), v)
+                            for e, v in (poly - LaurentPoly(2, fixed)).items())
+    return tuple(free), frozenset(coefficients)

@@ -14,10 +14,9 @@ for a monomial x, which is checked elsewhere against direct composition.
 Every routine builds only the t-coefficients it keeps.  Each cut rests on one
 fact: coefficient k of a product a*b reads only orders 0..k of a and b, and
 coefficient k of theta(u) reads only orders 0..k of theta (its variable images
-and epsilon) and of u, so that
-
-    truncate_down(apply_endo(theta, u), k)
-        == apply_endo(truncate_morphism(theta, k), truncate_down(u, k)).
+and epsilon) and of u, so that truncate_down(apply_endo(theta, u), k) is
+apply_endo of theta cut to order k (its images to k, epsilon to k - 1) on
+truncate_down(u, k).
 
 The fact holds by induction on k.  theta(u) is the sum over i of
 phi(u_i) * epsilon^i * t^i, and coefficient k of that slice is coefficient
@@ -443,16 +442,6 @@ def compose_endo(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
     )
     eps = TruncElement(n - 1, t_image.coeffs[1:])
     return RingMorphism(n, tuple(images), eps)
-
-
-def truncate_morphism(theta: RingMorphism, order: int) -> RingMorphism:
-    if not 2 <= order <= theta.order:
-        raise ValueError("bad truncation order")
-    return RingMorphism(
-        order,
-        tuple(truncate_down(img, order) for img in theta.variable_images),
-        truncate_down(theta.epsilon, order - 1),
-    )
 
 
 def classify_endo(theta: RingMorphism) -> str:

@@ -1,0 +1,83 @@
+"""Oracles that only the tests call, built on the public ``pms`` API.
+
+* ``lift_double`` builds a double scheme's order-two transition morphisms,
+  as input for the blow-up and transition tests;
+* ``two_cocycle_failures`` checks the untwisted 2-cocycle identity that cup
+  products must satisfy;
+* ``is_good_principal`` is the one-variable goodness criterion for a
+  principal ideal;
+* ``truncate_morphism`` cuts a ring morphism down to a lower order, so the
+  tests can check that each order of the truncated calculus reads only the
+  orders below it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from pms.atlas import (
+    Atlas,
+    DoubleSchemeSpec,
+    canonical_spanning_pairs,
+    transition_endomorphism,
+)
+from pms.blowup import TransitionSpec
+from pms.cohomology import TwoCocycle
+from pms.laurent_core import LaurentPoly
+from pms.truncated_ring import RingMorphism, truncate_down
+
+
+def lift_double(spec: DoubleSchemeSpec) -> TransitionSpec:
+    """The order-two transition morphisms of a double scheme."""
+    return TransitionSpec(spec.atlas, {
+        (i, j): transition_endomorphism(spec, i, j)
+        for i, j in canonical_spanning_pairs(spec.atlas)
+    })
+
+
+def two_cocycle_failures(atlas: Atlas, t: TwoCocycle) -> list[str]:
+    """Violations of the untwisted 2-cocycle identity on quadruples."""
+    out = []
+    names = atlas.chart_names()
+    for a, b, c, d in itertools.combinations(names, 4):
+        acc = (
+            t.data[(b, c, d)]
+            - t.data[(a, c, d)]
+            + t.data[(a, b, d)]
+            - t.data[(a, b, c)]
+        )
+        if not acc.is_zero():
+            out.append(f"quadruple ({a},{b},{c},{d})")
+    return out
+
+
+def is_good_principal(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """Goodness of the principal ideal (f + g*t) on a one-variable chart.
+
+    The reduced part must vanish to order exactly one at the origin; the
+    t-coefficient must not vanish there.
+    """
+    if f.nvars != 1 or g.nvars != 1:
+        raise ValueError("the principal criterion works on one variable")
+    if g.constant_coefficient() == 0:
+        raise ValueError("the t-coefficient must not vanish at the point")
+    if f.is_zero() or f.constant_coefficient() != 0:
+        raise ValueError(
+            "the reduced part must vanish at the point (and not identically)"
+        )
+    orders = [e for (e,), _ in f.items()]
+    if min(orders) < 0:
+        raise ValueError("the reduced part must be regular at the point")
+    return min(orders) == 1
+
+
+def truncate_morphism(theta: RingMorphism, order: int) -> RingMorphism:
+    """``theta`` with its variable images cut to ``order`` and epsilon to
+    ``order - 1``."""
+    if not 2 <= order <= theta.order:
+        raise ValueError("bad truncation order")
+    return RingMorphism(
+        order,
+        tuple(truncate_down(img, order) for img in theta.variable_images),
+        truncate_down(theta.epsilon, order - 1),
+    )

@@ -42,7 +42,6 @@ from pms.cohomology import (
 from pms.good_points import (
     blowup_iso_decide,
     h_lp,
-    is_good_principal,
     sections_TL,
     standard_good_point,
 )
@@ -70,6 +69,8 @@ from pms.truncated_ring import (
     conjugate_chi,
     conjugate_chi_composed,
 )
+
+from oracles import is_good_principal
 
 mono = LaurentPoly.monomial
 const = LaurentPoly.const

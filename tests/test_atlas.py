@@ -31,7 +31,6 @@ from pms.blowup import (
     blowup_hypersurface,
     blowup_reduced,
     derive_transitions,
-    lift_double,
 )
 from pms.laurent_core import (
     ExponentMonoid,
@@ -50,6 +49,7 @@ from pms.p2_catalog import (
     make_wcover_atlas,
 )
 
+from oracles import lift_double
 from symbolic_reference import symbolic_carpet
 
 

@@ -25,7 +25,6 @@ from pms.blowup import (
     center_from_json,
     center_to_json,
     exceptional_center,
-    lift_double,
     successive_identity_check,
     validate_transition_spec,
     xi_map,
@@ -45,6 +44,8 @@ from pms.truncated_ring import (
     TruncElement,
     conjugate_chi,
 )
+
+from oracles import lift_double
 
 
 def mono(exp, coeff=1):

@@ -37,7 +37,6 @@ from pms.cohomology import (
     residue_raw,
     sharp,
     solver_report,
-    two_cocycle_failures,
 )
 from pms.laurent_core import ExponentMonoid, LaurentPoly
 from pms.linear import (
@@ -57,6 +56,7 @@ from pms.p2_catalog import (
     wcover_unit_classes,
 )
 
+from oracles import two_cocycle_failures
 from symbolic_reference import (
     SymPoly,
     padded_bundle,

@@ -18,12 +18,13 @@ from pms.good_points import (
     bundle_degree,
     delta_invariant,
     h_lp,
-    is_good_principal,
     sections_TL,
     standard_good_point,
 )
 from pms.laurent_core import LaurentPoly, poly_in_ring
 from pms.p2_catalog import make_p2, make_wcover_atlas
+
+from oracles import is_good_principal
 
 mono = LaurentPoly.monomial
 const = LaurentPoly.const

@@ -11,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "pms").glob("*.py"))
 # the test-side reference code, held to the same import and use checks
-REFERENCES = [ROOT / "tests" / "symbolic_reference.py"]
+REFERENCES = [ROOT / "tests" / name
+              for name in ("oracles.py", "symbolic_reference.py")]
 # the trees whose code may call a pms function
 CALLERS = ("src", "tests", "perfbench")
 # the fields of LaurentPoly that only laurent_core may touch

@@ -11,7 +11,12 @@ from fractions import Fraction
 import pytest
 
 from pms import linear, p2_catalog
-from pms.atlas import validate_double_scheme, validate_mult_cocycle
+from pms.atlas import (
+    DoubleSchemeSpec,
+    validate_double_scheme,
+    validate_mult_cocycle,
+)
+from pms.cli import main
 from pms.cohomology import BOUND_CAVEAT, extension_obstruction
 from pms.laurent_core import LaurentPoly
 from pms.linear import (
@@ -507,29 +512,109 @@ def test_family_json_is_the_same_cold_and_warm():
     assert [family_json(*key) for key in FAMILY_KEYS] == cold
 
 
-def test_constructor_member_is_validated_on_every_call(monkeypatch):
-    """The member is built once per key but validated on every call, and
-    the memoised spec never escapes: ``make_blown_plane`` builds fresh
-    ones."""
-    p2_catalog._constructor_member.cache_clear()
-    solve_pullback_family(-3, 1, 4)
-    member = p2_catalog._constructor_member(1, Fraction(1), Fraction(0), True)
-    assert p2_catalog._constructor_member.cache_info().hits == 1
-    specs = [make_blown_plane(-3, 1, 1), make_blown_plane(-3, 1, 1)]
-    assert len({id(spec) for spec in specs + [member]}) == 3
-    assert all(spec.D.data == member.D.data for spec in specs)
-
+def test_constructor_member_is_validated_once_per_key(monkeypatch):
+    """The member is validated once per (p, class), when it is built, and
+    never on a warm solve; a broken member still fails the solve; the memo
+    keeps only numbers, so no ``DoubleSchemeSpec`` escapes it."""
     validated = []
     check = p2_catalog.validate_double_scheme
     monkeypatch.setattr(p2_catalog, "validate_double_scheme",
                         lambda spec: validated.append(spec) or check(spec))
-    solve_pullback_family(-3, 1, 4)
+    keys = list(itertools.product(range(4), (0, 1), (3, 4)))
+    p2_catalog._constructor_member.cache_clear()
+    for _ in range(2):
+        for p, x_part, b in keys:
+            solve_pullback_family(-3, p, b, nontrivial=bool(x_part))
+    info = p2_catalog._constructor_member.cache_info()
+    assert len(validated) == info.misses == info.currsize == 8
+    assert all(isinstance(spec, DoubleSchemeSpec) for spec in validated)
+    validated.clear()
     solve_pullback_family(-3, 1, 5)
-    assert validated == [member, member]
+    assert validated == []
 
-    broken = replace(member, alpha=beta_table(-3, 2))
-    monkeypatch.setattr(p2_catalog, "_constructor_member",
-                        lambda *key: broken)
+    for p, x_part in itertools.product(range(4), (0, 1)):
+        free, coefficients = p2_catalog._constructor_member(p, bool(x_part))
+        assert all(type(v) is Fraction for _, v in free)
+        assert type(coefficients) is frozenset
+        assert all(type(v) is Fraction for _, v in coefficients)
+
+    build = p2_catalog.make_blown_plane
+    monkeypatch.setattr(
+        p2_catalog, "make_blown_plane",
+        lambda *args, **kwargs: replace(build(*args, **kwargs),
+                                        alpha=beta_table(-3, 2)),
+    )
+    p2_catalog._constructor_member.cache_clear()
     with pytest.raises(AssertionError,
                        match="instantiated family member invalid"):
         solve_pullback_family(-3, 1, 4)
+    assert p2_catalog._constructor_member.cache_info().currsize == 0
+
+
+def _perturb_c0d(monkeypatch):
+    """Route two's solution at c0 = 1 gets c0D one too large."""
+    free_parameters = p2_catalog._free_parameters
+
+    def perturbed(solver, labels):
+        pins, base, directions = free_parameters(solver, labels)
+        one = directions[("c0",)]
+        one[("c0D",)] = one.get(("c0D",), 0) + 1
+        return pins, base, directions
+
+    monkeypatch.setattr(p2_catalog, "_free_parameters", perturbed)
+    return "family relations differ from the constructor member"
+
+
+def _drop_free_parameter(monkeypatch):
+    """The description that reaches the check has lost its last free
+    parameter, and its dimension with it."""
+    check = p2_catalog._check_against_constructor
+
+    def dropped(desc, affine):
+        check(replace(desc, parameter_dim=desc.parameter_dim - 1,
+                      free_parameters=desc.free_parameters[:-1]), affine)
+
+    monkeypatch.setattr(p2_catalog, "_check_against_constructor", dropped)
+    return "family free parameters"
+
+
+@pytest.mark.parametrize("nontrivial", [True, False])
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("plant", [_perturb_c0d, _drop_free_parameter])
+def test_a_wrong_family_solve_fails_the_constructor_check(
+    monkeypatch, capsys, plant, p, nontrivial
+):
+    """A wrong relation or a dropped free parameter raises AssertionError;
+    through ``pms family`` (nontrivial class only) it exits 3."""
+    message = plant(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        solve_pullback_family(-3, p, 4, nontrivial=nontrivial)
+    if nontrivial:
+        code = main(["family", "--m", "-3", "--p", str(p),
+                     "--ansatz-bound", "4"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            f"error: internal self-check failed: {message}"
+        ) and err.count("\n") == 1
+
+
+def test_symbolic_quasiprojective_builds_two_ribbons(monkeypatch, capsys):
+    """One symbolic query builds the ribbons at alpha = 0 and 1 once each,
+    and its bytes are pinned."""
+    built = []
+    build = p2_catalog.build_carpet
+    monkeypatch.setattr(p2_catalog, "build_carpet",
+                        lambda *args: built.append(args) or build(*args))
+    assert main(["carpet", "--alpha", "symbolic", "--query",
+                 "quasiprojective"]) == 1
+    assert tuple(capsys.readouterr()) == (
+        '{"answer":"no","evidence":{"obstruction_at_0_1":"-al",'
+        '"obstruction_at_1_0":"1/1","reason":"the obstruction is linear in '
+        'the degrees with independent values on (1,0) and (0,1), so only the '
+        'zero bundle prolongs for an indeterminate alpha"}}\n',
+        "",
+    )
+    assert built == [(0,), (1,)]
+    quasiprojective("symbolic")
+    assert len(built) == 4

@@ -29,8 +29,9 @@ from pms.truncated_ring import (
     invert_unit,
     trunc_mul,
     truncate_down,
-    truncate_morphism,
 )
+
+from oracles import truncate_morphism
 
 LAM = LaurentPoly.var(2, 0)
 MU = LaurentPoly.var(2, 1)
