@@ -43,8 +43,9 @@ Membership of the int tuples built here goes through
 ``contains``.
 
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
-a twisted vector-field cocycle; its order-two transition endomorphisms feed
-the truncated-ring calculus.
+a twisted vector-field cocycle.  ``CENTER_KINDS`` names the centers a double
+scheme can be blown up along (``pms.blowup``); it lives here, beside the
+documents every ``pms`` verb reads.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ from .laurent_core import (
     poly_from_json,
     poly_to_json,
 )
-from .truncated_ring import RingMorphism, TruncElement, identity_morphism
 
 Pair = tuple[str, str]
+
+CENTER_KINDS = ("reduced", "good", "hypersurface")
 
 
 def pair_key(a: str, b: str) -> Pair:
@@ -525,29 +527,6 @@ def same_structure(a: Atlas, b: Atlas) -> bool:
     ) and all(
         monoids_equal(a.overlaps[key], b.overlaps[key]) for key in a.overlaps
     )
-
-
-# -- transition endomorphisms ------------------------------------------
-
-
-def transition_endomorphism(spec: DoubleSchemeSpec, i: str, j: str) -> RingMorphism:
-    """Order-two endomorphism: v -> v + D_ij(v) t, t -> alpha_ij t."""
-    atlas = spec.atlas
-    n = atlas.truncation_order
-    if n != 2:
-        raise ValueError("transition endomorphisms need truncation order 2")
-    nvars = atlas.nvars
-    if i == j:
-        return identity_morphism(2, nvars)
-    alpha_full = derive_mult(atlas, spec.alpha)
-    full = derive_vector_field(atlas, alpha_full, spec.D)
-    comps = full[(i, j)]
-    images = tuple(
-        TruncElement(2, (LaurentPoly.var(nvars, v), comps[v]))
-        for v in range(nvars)
-    )
-    eps = TruncElement(1, (alpha_full[(i, j)],))
-    return RingMorphism(2, images, eps)
 
 
 # -- spanning pairs -----------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atlas import (
+    CENTER_KINDS,
     Atlas,
     Chart,
     DoubleSchemeSpec,
@@ -64,8 +65,6 @@ from .truncated_ring import (
 )
 
 Exponent = tuple[int, ...]
-
-CENTER_KINDS = ("reduced", "good", "hypersurface")
 
 
 # -- center descriptions ------------------------------------------------

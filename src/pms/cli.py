@@ -7,6 +7,9 @@ errors, malformed input files and an invalid document given to ``blowup``,
 3 when an internal self-check (solver re-verification, witness
 resubstitution, family cross-checks, the validation of a blow-up's output)
 fails.
+
+Each verb imports its solver modules when it runs, so one command loads
+``pms.atlas``, ``pms.laurent_core`` and only the modules its verb needs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .atlas import (
+    CENTER_KINDS,
     AtlasDocument,
     DoubleSchemeSpec,
     dumps_document,
@@ -25,43 +29,11 @@ from .atlas import (
     validate_double_scheme,
     validate_mult_cocycle,
 )
-from .blowup import (
-    CENTER_KINDS,
-    blowup_good,
-    blowup_hypersurface,
-    blowup_reduced,
-    center_from_json,
-)
-from .cohomology import (
-    BOUND_CAVEAT,
-    canonical_class,
-    coboundary_solve,
-    contract_cup,
-    extension_obstruction,
-    frame_cocycle,
-    h2_residue,
-    iso_decide,
-    sharp,
-)
-from .good_points import (
-    FRAME_TAG,
-    blowup_iso_decide,
-    delta_invariant,
-    standard_good_point,
-)
 from .laurent_core import (
     LaurentPoly,
     format_rational,
     parse_rational,
     poly_to_json,
-)
-from .p2_catalog import (
-    carpet_decompose,
-    carpet_obstruction,
-    extension_lattice,
-    make_p2,
-    quasiprojective,
-    solve_pullback_family,
 )
 
 
@@ -141,6 +113,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .blowup import (
+        blowup_good,
+        blowup_hypersurface,
+        blowup_reduced,
+        center_from_json,
+    )
+
     doc = _load_document(args.atlas)
     spec = _require_double(doc, args.atlas)
     center = center_from_json(_load_json(args.center), doc.atlas.nvars)
@@ -170,6 +149,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_classify_iso(args) -> int:
+    from .cohomology import iso_decide
+
     first = _require_double(_load_document(args.first), args.first)
     second = _require_double(_load_document(args.second), args.second)
     witness, report = iso_decide(first, second, bound=args.bound)
@@ -178,6 +159,8 @@ def _cmd_classify_iso(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .p2_catalog import solve_pullback_family
+
     family = solve_pullback_family(args.m, args.p, ansatz_bound=args.ansatz_bound)
     _emit(family.to_json())
     return 0
@@ -190,6 +173,13 @@ def _parse_alpha(text: str):
 
 
 def _cmd_carpet(args) -> int:
+    from .p2_catalog import (
+        carpet_decompose,
+        carpet_obstruction,
+        extension_lattice,
+        quasiprojective,
+    )
+
     alpha = _parse_alpha(args.alpha)
     query, extras = args.query[0], args.query[1:]
     if query == "quasiprojective":
@@ -233,6 +223,14 @@ def _cmd_carpet(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .cohomology import BOUND_CAVEAT
+    from .good_points import (
+        FRAME_TAG,
+        blowup_iso_decide,
+        delta_invariant,
+        standard_good_point,
+    )
+
     point = standard_good_point(*_parse_coeff_pair(args.coeffs))
     if args.query == "delta":
         if args.other is not None:
@@ -249,6 +247,8 @@ def _cmd_gamma(args) -> int:
     if args.other is None:
         raise CliError("iso-with needs a second coefficient pair")
     other = standard_good_point(*_parse_coeff_pair(args.other))
+    from .p2_catalog import make_p2
+
     ambient = make_p2(args.m, nontrivial=(args.m == -3 and not args.trivial))
     answer = blowup_iso_decide(point, other, ambient, bound=args.bound)
     _emit(
@@ -271,6 +271,16 @@ def _lookup_cocycle(doc: AtlasDocument, name: str | None, flag: str):
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import (
+        canonical_class,
+        coboundary_solve,
+        contract_cup,
+        extension_obstruction,
+        frame_cocycle,
+        h2_residue,
+        sharp,
+    )
+
     doc = _load_document(args.document)
     atlas = doc.atlas
     if args.op == "coboundary":

@@ -1,7 +1,8 @@
 """Oracles that only the tests call, built on the public ``pms`` API.
 
-* ``lift_double`` builds a double scheme's order-two transition morphisms,
-  as input for the blow-up and transition tests;
+* ``transition_endomorphism`` is a double scheme's order-two transition
+  morphism on one chart pair, and ``lift_double`` collects them on the
+  consecutive pairs, as input for the blow-up and transition tests;
 * ``two_cocycle_failures`` checks the untwisted 2-cocycle identity that cup
   products must satisfy;
 * ``is_good_principal`` is the one-variable goodness criterion for a
@@ -19,12 +20,36 @@ from pms.atlas import (
     Atlas,
     DoubleSchemeSpec,
     canonical_spanning_pairs,
-    transition_endomorphism,
+    derive_mult,
+    derive_vector_field,
 )
 from pms.blowup import TransitionSpec
 from pms.cohomology import TwoCocycle
 from pms.laurent_core import LaurentPoly
-from pms.truncated_ring import RingMorphism, truncate_down
+from pms.truncated_ring import (
+    RingMorphism,
+    TruncElement,
+    identity_morphism,
+    truncate_down,
+)
+
+
+def transition_endomorphism(spec: DoubleSchemeSpec, i: str, j: str) -> RingMorphism:
+    """Order-two endomorphism: v -> v + D_ij(v) t, t -> alpha_ij t."""
+    atlas = spec.atlas
+    if atlas.truncation_order != 2:
+        raise ValueError("transition endomorphisms need truncation order 2")
+    nvars = atlas.nvars
+    if i == j:
+        return identity_morphism(2, nvars)
+    alpha_full = derive_mult(atlas, spec.alpha)
+    comps = derive_vector_field(atlas, alpha_full, spec.D)[(i, j)]
+    images = tuple(
+        TruncElement(2, (LaurentPoly.var(nvars, v), comps[v]))
+        for v in range(nvars)
+    )
+    eps = TruncElement(1, (alpha_full[(i, j)],))
+    return RingMorphism(2, images, eps)
 
 
 def lift_double(spec: DoubleSchemeSpec) -> TransitionSpec:

@@ -14,9 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from pms.atlas import (
-    MultCocycle,
     canonical_spanning_pairs,
-    derive_mult,
     validate_double_scheme,
     validate_mult_cocycle,
 )

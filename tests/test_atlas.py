@@ -21,7 +21,6 @@ from pms.atlas import (
     loads_document,
     pair_key,
     same_structure,
-    transition_endomorphism,
     validate_double_scheme,
     validate_mult_cocycle,
 )
@@ -41,7 +40,6 @@ from pms.laurent_core import (
 )
 from pms.truncated_ring import compose_endo, identity_morphism
 from pms.p2_catalog import (
-    beta_table,
     build_carpet,
     make_blown_plane,
     make_p2,
@@ -49,7 +47,7 @@ from pms.p2_catalog import (
     make_wcover_atlas,
 )
 
-from oracles import lift_double
+from oracles import lift_double, transition_endomorphism
 from symbolic_reference import symbolic_carpet
 
 

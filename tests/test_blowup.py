@@ -13,7 +13,6 @@ from pms.atlas import (
     derive_vector_field,
     dumps_document,
     same_structure,
-    transition_endomorphism,
     validate_double_scheme,
 )
 from pms.blowup import (
@@ -45,7 +44,7 @@ from pms.truncated_ring import (
     conjugate_chi,
 )
 
-from oracles import lift_double
+from oracles import lift_double, transition_endomorphism
 
 
 def mono(exp, coeff=1):

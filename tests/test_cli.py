@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,7 @@ from pms.atlas import (
     loads_document,
 )
 from pms.blowup import CenterSpec, center_to_json
-from pms.cli import main
+from pms.cli import _build_parser, main
 from pms.laurent_core import LaurentPoly, poly_to_json
 from pms.p2_catalog import (
     build_carpet,
@@ -583,3 +588,70 @@ def test_unknown_verbs_and_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["carpet", "--alpha", "1/2", "--query", "lattice", "--wat"])
     assert exc.value.code == 2
+
+
+def test_blowup_kind_choices_are_the_center_kinds():
+    verbs = next(action for action in _build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    kind = next(action for action in verbs.choices["blowup"]._actions
+                if action.dest == "kind")
+    assert kind.choices == blowup.CENTER_KINDS
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# run one command in a fresh interpreter; print its exit code and the pms
+# modules it loaded
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+{imports}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = {call}
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("pms."))]))
+"""
+
+
+def loaded_modules(cwd, imports, call="None"):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    probe = IMPORT_PROBE.format(imports=imports, call=call)
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+BASE = ["pms.atlas", "pms.cli", "pms.laurent_core"]
+SOLVERS = BASE + ["pms.cohomology", "pms.linear"]
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (("validate", "x.json"), 0, BASE),
+    (("classify-iso", "x.json", "x.json", "--bound", "1"), 0, SOLVERS),
+    (("cohomology", "x.json", "--op", "coboundary", "--bound", "1"), 1,
+     SOLVERS),
+    (("family", "--m", "-3", "--p", "0", "--ansatz-bound", "4"), 0,
+     SOLVERS + ["pms.p2_catalog"]),
+    (("carpet", "--alpha", "1/2", "--query", "lattice"), 0,
+     SOLVERS + ["pms.p2_catalog"]),
+    (("gamma", "--coeffs", "1,0", "--query", "delta"), 0,
+     SOLVERS + ["pms.good_points"]),
+    (("gamma", "--coeffs", "1,0", "--query", "iso-with", "2,0", "--bound",
+      "1"), 1, SOLVERS + ["pms.good_points", "pms.p2_catalog"]),
+    (("blowup", "x.json", "--center", "center.json", "--kind", "reduced"), 0,
+     SOLVERS + ["pms.blowup", "pms.truncated_ring"]),
+], ids=["validate", "classify-iso", "cohomology", "family", "carpet",
+        "gamma-delta", "gamma-iso-with", "blowup"])
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, code,
+                                                    modules):
+    write_plane_doc(tmp_path)
+    write_point_center(tmp_path)
+    assert loaded_modules(
+        tmp_path, "import pms.cli", f"pms.cli.main({list(argv)!r})"
+    ) == [code, sorted(modules)]
+
+
+def test_the_atlas_module_loads_no_truncated_ring(tmp_path):
+    assert loaded_modules(tmp_path, "import pms.atlas") == [
+        None, ["pms.atlas", "pms.laurent_core"]
+    ]

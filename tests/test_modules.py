@@ -10,9 +10,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "pms").glob("*.py"))
-# the test-side reference code, held to the same import and use checks
+# the test-side reference code, held to the same use checks as the modules
 REFERENCES = [ROOT / "tests" / name
               for name in ("oracles.py", "symbolic_reference.py")]
+# every test file, held to the same import check as the modules
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # the trees whose code may call a pms function
 CALLERS = ("src", "tests", "perfbench")
 # the fields of LaurentPoly that only laurent_core may touch
@@ -82,8 +84,7 @@ def test_unused_import_finder_flags_only_unread_names():
     assert unused_imports(tree) == ["lcm (line 5)", "regex (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES + REFERENCES,
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
