@@ -14,9 +14,12 @@ potential, the entry from the first chart r to it folded along a spanning
 tree, and the entry on (i, k) joins the reversed potential of i to that of k.
 The fold is pure, so each distinct spanning data set is folded once: the
 folds behind ``derive_mult`` and ``derive_vector_field`` are memoised on the
-chart names in atlas order, the variable count and the supplied entries (and
-the twist), in bounded memos of 64 bundle and 48 vector-field families, and
-every call returns a fresh dict.  Twist entries are monomials q x^e, so the
+chart names in atlas order, the variable count and the supplied entries, in
+bounded memos of 64 bundle and 48 vector-field families, and every call
+returns a fresh dict.  A twist is always named by its bundle cocycle, a
+``MultCocycle``: the vector-field memo is keyed on the bundle's supplied
+entries as well, and reads the bundle's derived family from the bundle memo.
+``MultCocycle`` keeps every entry a single monomial q x^e, so the
 vector-field fold applies each as a shift by e and a scaling by q.  Errors
 are raised again on every call, and validation is never memoised.  The fold
 reads each tree edge in one order only, so validation checks the derived
@@ -229,9 +232,6 @@ class ValidationReport:
     ok: bool
     failures: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures)}
-
 
 # -- derivation of full cocycle families --------------------------------
 
@@ -320,15 +320,13 @@ def derive_mult(atlas: Atlas, c: MultCocycle) -> dict[Pair, LaurentPoly]:
 # (0.74 MB) and an unbounded memo 245 (3.1 MB).
 @lru_cache(maxsize=48)
 def _fold_vector_field(
-    names: tuple[str, ...], nvars: int, entries: tuple, twist: tuple,
+    names: tuple[str, ...], nvars: int, entries: tuple, bundle: tuple,
 ) -> dict:
     # each twist entry q x^e once as (e, numerator, denominator)
     shifts = {}
-    for (i, j), entry in twist:
-        if (mono := entry.as_monomial()) is None or entry.nvars != nvars:
-            raise ValueError(f"twist entry on ({i},{j}) is not a monomial "
-                             f"in {nvars} variables")
-        shifts[(i, j)] = mono[0], mono[1].numerator, mono[1].denominator
+    for pair, entry in _fold_mult(names, nvars, bundle).items():
+        exp, coeff = entry.as_monomial()
+        shifts[pair] = exp, coeff.numerator, coeff.denominator
 
     def twisted(pair, comps, sign=1):
         exp, num, den = shifts[pair]
@@ -347,17 +345,17 @@ def _fold_vector_field(
 
 
 def derive_vector_field(
-    atlas: Atlas, alpha_full: dict[Pair, LaurentPoly], D: VectorFieldCocycle
+    atlas: Atlas, alpha: MultCocycle, D: VectorFieldCocycle
 ) -> dict[Pair, tuple[LaurentPoly, ...]]:
-    """All ordered-pair entries of a twisted vector-field cocycle.
+    """All ordered-pair entries of a vector-field cocycle twisted by ``alpha``.
 
     Uses the reversal rule D_ji = -alpha_ji * D_ij and the twisted chain rule
-    D_ik = D_ir + alpha_ir * D_rk through the chart potentials D_rk.  A twist
-    entry that is no monomial in the atlas variables raises ``ValueError``.
+    D_ik = D_ir + alpha_ir * D_rk through the chart potentials D_rk.  Bundle
+    data that ``derive_mult`` rejects raise the same ``ValueError`` here.
     """
     return dict(_fold_vector_field(
         tuple(atlas.chart_names()), atlas.nvars, tuple(D.data.items()),
-        tuple(alpha_full.items()),
+        tuple(alpha.data.items()),
     ))
 
 
@@ -365,19 +363,15 @@ def derive_vector_field(
 
 
 def validate_mult_cocycle(atlas: Atlas, c: MultCocycle) -> ValidationReport:
-    failures = _mult_check(atlas, c)[1]
+    failures = _mult_failures(atlas, c)
     return ValidationReport(not failures, failures)
 
 
-def _mult_check(
-    atlas: Atlas, c: MultCocycle,
-) -> tuple[dict[Pair, LaurentPoly] | None, list[str]]:
-    """The derived family of ``c`` (None when the data do not derive one)
-    and the validation failures."""
+def _mult_failures(atlas: Atlas, c: MultCocycle) -> list[str]:
     try:
         full = derive_mult(atlas, c)
     except ValueError as exc:
-        return None, [str(exc)]
+        return [str(exc)]
     failures: list[str] = []
     for (i, j), entry in c.data.items():
         if full[(i, j)] != entry:
@@ -419,7 +413,7 @@ def _mult_check(
                 f"cocycle {c.name}: entry {monomial_str(exp, atlas.variables)}"
                 f" on ({i},{j}) is not a unit of the overlap ring"
             )
-    return full, failures
+    return failures
 
 
 def derivation_conditions(ring: ExponentMonoid, comps) -> list[tuple]:
@@ -476,12 +470,12 @@ def derivation_failures(
 
 def validate_derivation_cocycle(spec: DoubleSchemeSpec) -> ValidationReport:
     atlas = spec.atlas
-    alpha_full, alpha_failures = _mult_check(atlas, spec.alpha)
+    alpha_failures = _mult_failures(atlas, spec.alpha)
     if alpha_failures:
         return ValidationReport(False, ["bundle cocycle invalid"] + alpha_failures)
     failures: list[str] = []
     try:
-        full = derive_vector_field(atlas, alpha_full, spec.D)
+        full = derive_vector_field(atlas, spec.alpha, spec.D)
     except ValueError as exc:
         return ValidationReport(False, [str(exc)])
     for (i, j), comps in spec.D.data.items():

@@ -361,7 +361,7 @@ def _base_transitions(
                 "double-scheme data must have truncation order two"
             )
         alpha_full = derive_mult(atlas, spec.alpha)
-        d_full = derive_vector_field(atlas, alpha_full, spec.D)
+        d_full = derive_vector_field(atlas, spec.alpha, spec.D)
         full = {pair: (alpha_full[pair], d_full[pair]) for pair in d_full}
         identity = (
             LaurentPoly.const(nvars, 1),
@@ -467,8 +467,7 @@ def xi_map(
     exponents = _center_exponents(atlas, center)
     new_atlas, blown = _blown_atlas(atlas, exponents, rename)
     nvars = atlas.nvars
-    alpha_full = derive_mult(atlas, spec.alpha)
-    d_full = derive_vector_field(atlas, alpha_full, spec.D)
+    d_full = derive_vector_field(atlas, spec.alpha, spec.D)
     zero = tuple(LaurentPoly.zero(nvars) for _ in range(nvars))
     data = {}
     for a_pos, a in enumerate(blown):
@@ -526,6 +525,14 @@ def _coefficient_field(
     )
 
 
+def _reduced_center(center: CenterSpec) -> CenterSpec:
+    """The reduced center (y_1, ..., y_d) underlying a good center."""
+    (chart, pairs), = center.pairs.items()
+    return CenterSpec(
+        "reduced", generators={chart: tuple(y for y, _ in pairs)}
+    )
+
+
 def blowup_good(
     spec: DoubleSchemeSpec,
     center: CenterSpec,
@@ -550,11 +557,7 @@ def blowup_good(
     if center_chart not in atlas.chart_names():
         raise ValueError(f"center names unknown chart {center_chart!r}")
     field = _coefficient_field(atlas, center_chart, pairs)
-    reduced = CenterSpec(
-        "reduced",
-        generators={center_chart: tuple(y for y, _ in pairs)},
-    )
-    exponents = _center_exponents(atlas, reduced)
+    exponents = _center_exponents(atlas, _reduced_center(center))
     new_atlas, blown = _blown_atlas(atlas, exponents, rename)
     nvars = atlas.nvars
     zero = tuple(LaurentPoly.zero(nvars) for _ in range(nvars))
@@ -661,10 +664,6 @@ def successive_identity_check(
         raise ValueError("the successive identity starts from a good center")
     good = blowup_good(spec, center)
     via_good = blowup_hypersurface(good.spec, exceptional_center(good))
-    (center_chart, pairs), = center.pairs.items()
-    reduced = CenterSpec(
-        "reduced", generators={center_chart: tuple(y for y, _ in pairs)}
-    )
-    direct = blowup_reduced(spec, reduced)
+    direct = blowup_reduced(spec, _reduced_center(center))
     witness, _report = iso_decide(via_good.spec, direct.spec, bound=bound)
     return witness is not None and witness[0] == 1

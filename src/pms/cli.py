@@ -4,9 +4,9 @@ All structured output is JSON with sorted keys, so identical invocations
 produce identical bytes.  Exit codes: 0 for success or a positive answer,
 1 for a negative or not-found answer to a yes/no question, 2 for usage
 errors, malformed input files and an invalid document given to ``blowup``,
-3 when an internal self-check (solver re-verification, witness
-resubstitution, family cross-checks, the validation of a blow-up's output)
-fails.
+``classify-iso`` or ``cohomology``, 3 when an internal self-check (solver
+re-verification, witness resubstitution, family cross-checks, the
+validation of a blow-up's output) fails.
 
 Each verb imports its solver modules when it runs, so one command loads
 ``pms.atlas``, ``pms.laurent_core`` and only the modules its verb needs.
@@ -102,6 +102,12 @@ def _document_failures(doc: AtlasDocument) -> list[str]:
     return failures
 
 
+def _require_valid(doc: AtlasDocument, path: str) -> None:
+    failures = _document_failures(doc)
+    if failures:
+        raise CliError(f"{path}: invalid document: " + "; ".join(failures))
+
+
 def _cmd_validate(args) -> int:
     doc = _load_document(args.atlas)
     failures = _document_failures(doc)
@@ -133,11 +139,7 @@ def _cmd_blowup(args) -> int:
         "good": blowup_good,
         "hypersurface": blowup_hypersurface,
     }[args.kind]
-    failures = _document_failures(doc)
-    if failures:
-        raise CliError(
-            f"{args.atlas}: invalid document: " + "; ".join(failures)
-        )
+    _require_valid(doc, args.atlas)
     result = build(spec, center)
     cocycles = {result.spec.alpha.name: result.spec.alpha}
     for extra in (result.pullback, result.exceptional):
@@ -148,11 +150,18 @@ def _cmd_blowup(args) -> int:
     return 0
 
 
+def _valid_double(path: str) -> DoubleSchemeSpec:
+    doc = _load_document(path)
+    spec = _require_double(doc, path)
+    _require_valid(doc, path)
+    return spec
+
+
 def _cmd_classify_iso(args) -> int:
     from .cohomology import iso_decide
 
-    first = _require_double(_load_document(args.first), args.first)
-    second = _require_double(_load_document(args.second), args.second)
+    first = _valid_double(args.first)
+    second = _valid_double(args.second)
     witness, report = iso_decide(first, second, bound=args.bound)
     _emit(report)
     return 0 if witness is not None else 1
@@ -272,16 +281,14 @@ def _lookup_cocycle(doc: AtlasDocument, name: str | None, flag: str):
 
 def _cmd_cohomology(args) -> int:
     from .cohomology import (
-        canonical_class,
+        bundle_cup,
         coboundary_solve,
-        contract_cup,
         extension_obstruction,
-        frame_cocycle,
         h2_residue,
-        sharp,
     )
 
     doc = _load_document(args.document)
+    _require_valid(doc, args.document)
     atlas = doc.atlas
     if args.op == "coboundary":
         witness, report = coboundary_solve(
@@ -297,9 +304,7 @@ def _cmd_cohomology(args) -> int:
     # cup and residue pair two named bundle classes through the frames
     first = _lookup_cocycle(doc, args.bundle, "--bundle")
     second = _lookup_cocycle(doc, args.second, "--with")
-    field = sharp(atlas, canonical_class(atlas, first))
-    form = canonical_class(atlas, second)
-    cup = contract_cup(atlas, frame_cocycle(atlas), field, form)
+    cup = bundle_cup(atlas, first, second)
     if args.op == "cup":
         _emit(
             {

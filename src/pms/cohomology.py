@@ -15,8 +15,10 @@ The module provides:
   cocycle: D'_ij = tau * D_ij + T_i - alpha_ij T_j with tau invertible,
 * logarithmic differential classes of bundle cocycles,
 * index raising/lowering against per-chart top-form frames,
-* the cup-product pairing into top-form-valued 2-cocycles and its residue
-  functional, normalized by a stored calibration scale.
+* the cup-product pairing into top-form-valued 2-cocycles, whose vector
+  fields are always twisted by the bundle of top forms (``frame_cocycle``),
+  the cup of two bundle classes, and the residue functional, normalized by
+  a stored calibration scale.
 
 Unknown chart vector fields carry one unknown t per boxed term
 t * x^e d/dx_v, except where the system forces t to zero.  Dropping a set Z
@@ -128,10 +130,11 @@ def solver_report(status: str, bound: int, witness=None) -> dict:
 # -- derived families ---------------------------------------------------
 
 
-def trivial_twist(atlas: Atlas) -> dict[Pair, LaurentPoly]:
+def _trivial_bundle(atlas: Atlas) -> MultCocycle:
     one = LaurentPoly.const(atlas.nvars, 1)
-    names = atlas.chart_names()
-    return {(i, j): one for i in names for j in names if i != j}
+    return MultCocycle(
+        "trivial", {pair: one for pair in canonical_spanning_pairs(atlas)}
+    )
 
 
 def derive_oneform(
@@ -139,7 +142,7 @@ def derive_oneform(
 ) -> dict[Pair, tuple[LaurentPoly, ...]]:
     """Full ordered-pair family of an untwisted one-form cocycle."""
     carrier = VectorFieldCocycle(dict(omega.data))
-    return derive_vector_field(atlas, trivial_twist(atlas), carrier)
+    return derive_vector_field(atlas, _trivial_bundle(atlas), carrier)
 
 
 def canonical_class(atlas: Atlas, c: MultCocycle) -> OneFormCocycle:
@@ -173,15 +176,13 @@ def frame_cocycle(atlas: Atlas) -> MultCocycle:
     return MultCocycle("frame", data)
 
 
-def _frame_twist(atlas: Atlas, alpha: MultCocycle) -> dict[Pair, LaurentPoly]:
-    """The derived family of ``alpha``, which must be the frame ratios."""
-    full = derive_mult(atlas, alpha)
-    if full != derive_mult(atlas, frame_cocycle(atlas)):
+def _require_frames(atlas: Atlas, alpha: MultCocycle) -> None:
+    """Raise unless ``alpha`` derives to the frame ratios."""
+    if derive_mult(atlas, alpha) != derive_mult(atlas, frame_cocycle(atlas)):
         raise ValueError(
             "operation requires the bundle of top forms: the supplied twist "
             "does not match the frame ratios"
         )
-    return full
 
 
 def sharp(atlas: Atlas, omega: OneFormCocycle) -> VectorFieldCocycle:
@@ -215,8 +216,8 @@ def flat(atlas: Atlas, spec: DoubleSchemeSpec) -> OneFormCocycle:
     atlas = spec.atlas
     if atlas.nvars < 2:
         raise ValueError("flat needs an atlas in at least two variables")
-    alpha_full = _frame_twist(atlas, spec.alpha)
-    sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
+    _require_frames(atlas, spec.alpha)
+    sigma_full = derive_vector_field(atlas, spec.alpha, spec.D)
     data = {}
     for pair in canonical_spanning_pairs(atlas):
         i, _ = pair
@@ -236,8 +237,7 @@ def flat(atlas: Atlas, spec: DoubleSchemeSpec) -> OneFormCocycle:
 
 
 def contract_cup(
-    atlas: Atlas, alpha: MultCocycle, sigma: VectorFieldCocycle,
-    omega: OneFormCocycle,
+    atlas: Atlas, sigma: VectorFieldCocycle, omega: OneFormCocycle,
 ) -> TwoCocycle:
     """Cup product of a frame-twisted vector cocycle with a one-form cocycle.
 
@@ -246,8 +246,7 @@ def contract_cup(
     frame of chart i.  The result satisfies the plain Cech 2-cocycle identity
     on quadruples.
     """
-    alpha_full = _frame_twist(atlas, alpha)
-    sigma_full = derive_vector_field(atlas, alpha_full, sigma)
+    sigma_full = derive_vector_field(atlas, frame_cocycle(atlas), sigma)
     omega_full = derive_oneform(atlas, omega)
     data = {}
     for i, j, k in itertools.combinations(atlas.chart_names(), 3):
@@ -258,6 +257,24 @@ def contract_cup(
             contraction = contraction + sv * wv
         data[(i, j, k)] = atlas.frame(i) * contraction
     return TwoCocycle(data)
+
+
+def bundle_cup(
+    atlas: Atlas, first: MultCocycle, second: MultCocycle,
+) -> TwoCocycle:
+    """The cup of sharp(dlog first) with dlog second."""
+    field = sharp(atlas, canonical_class(atlas, first))
+    return contract_cup(atlas, field, canonical_class(atlas, second))
+
+
+def _constant(poly: LaurentPoly) -> Rational | None:
+    """The value of a constant polynomial (zero included), else None."""
+    if poly.is_zero():
+        return Fraction(0)
+    mono = poly.as_monomial()
+    if mono is None or any(mono[0]):
+        return None
+    return mono[1]
 
 
 def residue_raw(atlas: Atlas, t: TwoCocycle) -> LaurentPoly:
@@ -286,25 +303,18 @@ def residue_poly(atlas: Atlas, t: TwoCocycle) -> LaurentPoly:
 
 def h2_residue(atlas: Atlas, t: TwoCocycle) -> Rational:
     """Calibrated residue of a top-form valued 2-cocycle (rational case)."""
-    poly = residue_poly(atlas, t)
-    if poly.is_zero():
-        return Fraction(0)
-    mono = poly.as_monomial()
-    if mono is None or mono[0] != (0,) * atlas.nvars:
+    value = _constant(residue_poly(atlas, t))
+    if value is None:
         raise ValueError("residue is not a constant; use residue_poly")
-    return mono[1]
+    return value
 
 
 def calibrate_residue(atlas: Atlas, unit: MultCocycle) -> Rational:
     """Scale making the self-pairing of the unit class equal to one."""
-    u = canonical_class(atlas, unit)
-    u_sharp = sharp(atlas, u)
-    t = contract_cup(atlas, frame_cocycle(atlas), u_sharp, u)
-    raw = residue_raw(atlas, t)
-    mono = raw.as_monomial()
-    if mono is None or mono[0] != (0,) * atlas.nvars or not mono[1]:
+    value = _constant(residue_raw(atlas, bundle_cup(atlas, unit, unit)))
+    if not value:
         raise ValueError("calibration pairing is degenerate")
-    return Fraction(1) / mono[1]
+    return Fraction(1) / value
 
 
 def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
@@ -316,14 +326,10 @@ def extension_obstruction(spec: DoubleSchemeSpec, bundle: MultCocycle):
     """
     atlas = spec.atlas
     omega = canonical_class(atlas, bundle)
-    t = contract_cup(atlas, spec.alpha, spec.D, omega)
-    poly = residue_poly(atlas, t)
-    mono = poly.as_monomial()
-    if poly.is_zero():
-        return Fraction(0)
-    if mono is not None and mono[0] == (0,) * atlas.nvars:
-        return mono[1]
-    return poly
+    _require_frames(atlas, spec.alpha)
+    poly = residue_poly(atlas, contract_cup(atlas, spec.D, omega))
+    value = _constant(poly)
+    return poly if value is None else value
 
 
 # -- bounded coboundary solving -----------------------------------------
@@ -511,7 +517,7 @@ def coboundary_solve(
     """
     atlas = spec.atlas
     alpha_full = derive_mult(atlas, spec.alpha)
-    sigma_full = derive_vector_field(atlas, alpha_full, spec.D)
+    sigma_full = derive_vector_field(atlas, spec.alpha, spec.D)
     rows = _chart_fields(atlas, bound, alpha_full, sigma_full)
     values = solve_rows(rows).solve()
     if values is None:
@@ -537,8 +543,8 @@ def iso_decide(
     alpha_full = derive_mult(atlas, first.alpha)
     if derive_mult(atlas, second.alpha) != alpha_full:
         raise ValueError("isomorphism decision needs equal bundle cocycles")
-    s1 = derive_vector_field(atlas, alpha_full, first.D)
-    s2 = derive_vector_field(atlas, alpha_full, second.D)
+    s1 = derive_vector_field(atlas, first.alpha, first.D)
+    s2 = derive_vector_field(atlas, second.alpha, second.D)
     extra = [(("tau",), s1)]
     solver = solve_rows(_chart_fields(atlas, bound, alpha_full, s2, extra))
     # the solution depends only on the equations, not on their order, so
@@ -612,7 +618,7 @@ def oneform_coboundary_solve(
     "coefficients" to the multipliers and "cochain" to the per-chart forms.
     """
     box = exponent_box(atlas.nvars, bound)
-    twist_full = trivial_twist(atlas)
+    twist_full = derive_mult(atlas, _trivial_bundle(atlas))
     sigma_full = derive_oneform(atlas, sigma)
     extra_full = {
         name: derive_oneform(atlas, cls) for name, cls in (extra or {}).items()

@@ -55,15 +55,13 @@ from .atlas import (
 )
 from .cohomology import (
     BOUND_CAVEAT,
+    bundle_cup,
     calibrate_residue,
     canonical_class,
     extension_obstruction,
     flat,
-    frame_cocycle,
     oneform_coboundary_solve,
-    contract_cup,
     h2_residue,
-    sharp,
 )
 from .laurent_core import (
     ExponentMonoid,
@@ -275,15 +273,10 @@ def wcover_unit_classes() -> tuple[MultCocycle, MultCocycle]:
 def pairing_matrix() -> tuple[tuple[Rational, ...], ...]:
     """Residue pairing of the blown plane's two generating classes."""
     atlas = make_wcover_atlas()
-    omega = frame_cocycle(atlas)
-    forms = [canonical_class(atlas, c) for c in wcover_unit_classes()]
-    fields = [sharp(atlas, f) for f in forms]
+    classes = wcover_unit_classes()
     return tuple(
-        tuple(
-            h2_residue(atlas, contract_cup(atlas, omega, si, fj))
-            for fj in forms
-        )
-        for si in fields
+        tuple(h2_residue(atlas, bundle_cup(atlas, a, b)) for b in classes)
+        for a in classes
     )
 
 

@@ -5,6 +5,8 @@
   consecutive pairs, as input for the blow-up and transition tests;
 * ``two_cocycle_failures`` checks the untwisted 2-cocycle identity that cup
   products must satisfy;
+* ``field_directions`` spans the ring-stable fields of one degree on a
+  two-variable chart ring, from which the tests draw chart fields;
 * ``is_good_principal`` is the one-variable goodness criterion for a
   principal ideal;
 * ``truncate_morphism`` cuts a ring morphism down to a lower order, so the
@@ -15,6 +17,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from pms.atlas import (
     Atlas,
@@ -43,7 +46,7 @@ def transition_endomorphism(spec: DoubleSchemeSpec, i: str, j: str) -> RingMorph
     if i == j:
         return identity_morphism(2, nvars)
     alpha_full = derive_mult(atlas, spec.alpha)
-    comps = derive_vector_field(atlas, alpha_full, spec.D)[(i, j)]
+    comps = derive_vector_field(atlas, spec.alpha, spec.D)[(i, j)]
     images = tuple(
         TruncElement(2, (LaurentPoly.var(nvars, v), comps[v]))
         for v in range(nvars)
@@ -106,3 +109,22 @@ def truncate_morphism(theta: RingMorphism, order: int) -> RingMorphism:
         tuple(truncate_down(img, order) for img in theta.variable_images),
         truncate_down(theta.epsilon, order - 1),
     )
+
+
+def field_directions(ring, weight):
+    """The (a, b) with x^w (a x0 d/dx0 + b x1 d/dx1) preserving ``ring``.
+
+    Independent reimplementation of the weight-piece null space: the
+    generators g with g + w outside the ring must all be parallel, and
+    (a, b) is then orthogonal to them.
+    """
+    rows = [
+        g for g in ring.generators
+        if not ring.contains((g[0] + weight[0], g[1] + weight[1]))
+    ]
+    if not rows:
+        return [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    first = rows[0]
+    if any(first[0] * g[1] != first[1] * g[0] for g in rows[1:]):
+        return []
+    return [(Fraction(first[1]), Fraction(-first[0]))]

@@ -31,7 +31,6 @@ from pms.cohomology import (
     coboundary_solve,
     contract_cup,
     flat,
-    frame_cocycle,
     h2_residue,
     iso_decide,
     oneform_coboundary_solve,
@@ -237,7 +236,7 @@ def test_criterion_03_pairing_values(capsys):
         )
         plane = make_p2_atlas()
         form = canonical_class(plane, p2_line_bundle(1))
-        cup = contract_cup(plane, frame_cocycle(plane), sharp(plane, form), form)
+        cup = contract_cup(plane, sharp(plane, form), form)
         assert h2_residue(plane, cup) == Fraction(1)
         atlas = make_wcover_atlas()
         names = atlas.chart_names()

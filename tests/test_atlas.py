@@ -138,7 +138,7 @@ def test_derive_vector_field_reversal_and_cocycle_rule():
     for spec in (plane, build_carpet(Fraction(1, 2)),
                  blowup_reduced(plane, point).spec, symbolic_carpet()):
         alpha = derive_mult(spec.atlas, spec.alpha)
-        full = derive_vector_field(spec.atlas, alpha, spec.D)
+        full = derive_vector_field(spec.atlas, spec.alpha, spec.D)
         names = spec.atlas.chart_names()
         nvars = spec.atlas.nvars
         for i in names:
@@ -182,10 +182,9 @@ def test_data_naming_an_unknown_chart_is_rejected():
     transitions = {
         **lift_double(spec).transitions, ("U0", "X9"): identity_morphism(2, 2)
     }
-    alpha_full = derive_mult(atlas, spec.alpha)
     for derive in (
         lambda: derive_mult(atlas, alpha),
-        lambda: derive_vector_field(atlas, alpha_full, field),
+        lambda: derive_vector_field(atlas, spec.alpha, field),
         lambda: derive_transitions(atlas, transitions),
     ):
         with pytest.raises(ValueError, match=r"outside the atlas: \['X9'\]"):
@@ -212,8 +211,7 @@ def test_validate_derivation_cocycle_accepts_and_rejects():
 
 def test_validate_checks_redundant_entries_against_derived():
     spec = make_p2(-3, nontrivial=True)
-    alpha = derive_mult(spec.atlas, spec.alpha)
-    full = derive_vector_field(spec.atlas, alpha, spec.D)
+    full = derive_vector_field(spec.atlas, spec.alpha, spec.D)
     extended = dict(spec.D.data)
     extended[("U0", "U2")] = full[("U0", "U2")]
     ok_spec = DoubleSchemeSpec(spec.atlas, spec.alpha, VectorFieldCocycle(extended))
@@ -362,10 +360,10 @@ def uncached_mult(atlas, c):
     )
 
 
-def uncached_field(atlas, alpha_full, D):
+def uncached_field(atlas, alpha, D):
     return atlas_module._fold_vector_field.__wrapped__(
         tuple(atlas.chart_names()), atlas.nvars, tuple(D.data.items()),
-        tuple(alpha_full.items()),
+        tuple(alpha.data.items()),
     )
 
 
@@ -382,9 +380,9 @@ def test_memoised_folds_equal_the_uncached_fold():
             expected = uncached_mult(atlas, alpha)
             for _ in range(2):
                 assert derive_mult(atlas, alpha) == expected
-            field = uncached_field(atlas, expected, D)
+            field = uncached_field(atlas, alpha, D)
             for _ in range(2):
-                assert derive_vector_field(atlas, expected, D) == field
+                assert derive_vector_field(atlas, alpha, D) == field
         for ring in [c.ring for c in atlas.charts] + list(atlas.overlaps.values()):
             expected = minimal_generators.__wrapped__(ring)
             assert minimal_generators(ring) == expected
@@ -401,13 +399,13 @@ def test_a_returned_family_cannot_corrupt_the_memo():
     spec = make_p2(-3, nontrivial=True)
     atlas = spec.atlas
     alpha = derive_mult(atlas, spec.alpha)
-    field = derive_vector_field(atlas, alpha, spec.D)
+    field = derive_vector_field(atlas, spec.alpha, spec.D)
     kept_alpha, kept_field = dict(alpha), dict(field)
     alpha[("U0", "U1")] = mono((7, 7))
     del alpha[("U1", "U2")]
     field.clear()
     assert derive_mult(atlas, spec.alpha) == kept_alpha
-    assert derive_vector_field(atlas, kept_alpha, spec.D) == kept_field
+    assert derive_vector_field(atlas, spec.alpha, spec.D) == kept_field
 
 
 def test_changed_data_gives_the_new_family():
@@ -416,16 +414,16 @@ def test_changed_data_gives_the_new_family():
     c = MultCocycle("c", dict(spec.alpha.data))
     D = VectorFieldCocycle(dict(spec.D.data))
     before = derive_mult(atlas, c)
-    field_before = derive_vector_field(atlas, before, D)
+    field_before = derive_vector_field(atlas, c, D)
     c.data[("U0", "U1")] = mono((1, 0))
     D.data[("U0", "U1")] = (mono((0, 1)), LaurentPoly.zero(2))
     after = derive_mult(atlas, c)
     assert after != before
     assert after == uncached_mult(atlas, c)
     assert after[("U0", "U1")] == mono((1, 0))
-    field = derive_vector_field(atlas, after, D)
+    field = derive_vector_field(atlas, c, D)
     assert field != field_before
-    assert field == uncached_field(atlas, after, D)
+    assert field == uncached_field(atlas, c, D)
 
 
 def test_errors_are_raised_on_every_call():
@@ -434,43 +432,46 @@ def test_errors_are_raised_on_every_call():
     zero = LaurentPoly.zero(2)
     alpha = MultCocycle("alpha", {**spec.alpha.data, ("U0", "X9"): mono((1, 0))})
     field = VectorFieldCocycle({**spec.D.data, ("X9", "U0"): (zero, zero)})
-    alpha_full = derive_mult(atlas, spec.alpha)
     for _ in range(2):
         with pytest.raises(ValueError, match="outside the atlas"):
             derive_mult(atlas, alpha)
         with pytest.raises(ValueError, match="outside the atlas"):
-            derive_vector_field(atlas, alpha_full, field)
+            derive_vector_field(atlas, spec.alpha, field)
         with pytest.raises(ValueError, match="does not connect"):
             derive_mult(make_wcover_atlas(),
                         MultCocycle("c", {("W0", "W1"): mono((1, 0))}))
 
 
-def test_a_non_monomial_twist_is_rejected_on_every_call():
-    """``derive_vector_field`` folds by monomial shifts, so a twist entry
-    that is no single monomial term in the atlas variables is a
-    ``ValueError`` naming its pair, whether or not the fold reads it."""
+def test_a_bad_bundle_is_rejected_on_every_call():
+    """``derive_vector_field`` raises ``ValueError`` for a bundle that is no
+    cocycle of monomials in the atlas variables on the atlas charts, raised
+    by ``MultCocycle`` or by the bundle fold, on every call."""
     spec = make_p2(-3, nontrivial=True)
     atlas = spec.atlas
-    alpha_full = derive_mult(atlas, spec.alpha)
-    for pair, entry in (
-        (("U0", "U1"), mono((1, 0)) + mono((0, 1))),
-        (("U2", "U1"), LaurentPoly.zero(2)),
-        (("U1", "U0"), LaurentPoly.monomial(3, (1, 0, 0))),
-    ):
-        twist = {**alpha_full, pair: entry}
+    three = {pair: LaurentPoly.monomial(3, (1, 0, 0))
+             for pair in spec.alpha.data}
+    cases = (
+        (lambda: MultCocycle("a", {**spec.alpha.data,
+                                   ("U0", "U1"): mono((1, 0)) + mono((0, 1))}),
+         r"entry on \(U0,U1\) is not a single monomial term"),
+        (lambda: MultCocycle("a", three), "variable count mismatch: 2 vs 3"),
+        (lambda: MultCocycle("a", {**spec.alpha.data,
+                                   ("U2", "X9"): mono((1, 0))}),
+         r"outside the atlas: \['X9'\]"),
+    )
+    for bundle, message in cases:
         for _ in range(2):
-            with pytest.raises(
-                ValueError, match=rf"twist entry on \({pair[0]},{pair[1]}\)"
-            ):
-                derive_vector_field(atlas, twist, spec.D)
-    assert derive_vector_field(atlas, alpha_full, spec.D)
+            with pytest.raises(ValueError, match=message):
+                derive_vector_field(atlas, bundle(), spec.D)
+    assert derive_vector_field(atlas, spec.alpha, spec.D)
 
 
-def product_fold(atlas, alpha_full, D):
+def product_fold(atlas, alpha, D):
     """The vector-field fold with every twist applied as a ``LaurentPoly``
     product: D_ji = -alpha_ji * D_ij and D_ik = D_ir + alpha_ir * D_rk."""
     nvars = atlas.nvars
     one = LaurentPoly.const(nvars, 1)
+    alpha_full = derive_mult(atlas, alpha)
 
     def step(total, i, a, comps):
         factor = one if a == i else alpha_full[(i, a)]
@@ -485,23 +486,25 @@ def product_fold(atlas, alpha_full, D):
     )
 
 
-def random_twist(rng, atlas):
-    """A monomial q x^e on every ordered pair (no cocycle), with q off +-1
-    and negative exponents."""
-    names = atlas.chart_names()
-    return {
-        (i, j): LaurentPoly.monomial(
+def random_bundle(rng, atlas):
+    """A bundle cocycle with a monomial q x^e on each canonical spanning
+    pair, some given in reverse order only, with q off +-1 and negative
+    exponents."""
+    data = {}
+    for pair in canonical_spanning_pairs(atlas):
+        if rng.random() < 0.3:
+            pair = pair[::-1]
+        data[pair] = LaurentPoly.monomial(
             atlas.nvars,
             tuple(rng.randint(-3, 3) for _ in range(atlas.nvars)),
             Fraction(rng.choice((-5, -3, -2, 2, 3, 7)), rng.choice((1, 2, 3, 4))),
         )
-        for i in names for j in names if i != j
-    }
+    return MultCocycle("r", data)
 
 
 def test_the_shift_fold_equals_the_product_fold():
     """``derive_vector_field`` equals the fold by ``LaurentPoly`` products
-    on every catalog spec, and on random monomial twists and fields, on two
+    on every catalog spec, and on random bundle cocycles and fields, on two
     and three variables."""
     rng = random.Random(7717)
     specs = memo_specs() + [symbolic_carpet()] + [
@@ -512,16 +515,15 @@ def test_the_shift_fold_equals_the_product_fold():
     atlases = [spec.atlas for spec in specs] + [make_wcover_atlas()]
     assert {atlas.nvars for atlas in atlases} == {2, 3}
     for spec in specs:
-        alpha_full = derive_mult(spec.atlas, spec.alpha)
-        expected = product_fold(spec.atlas, alpha_full, spec.D)
-        assert derive_vector_field(spec.atlas, alpha_full, spec.D) == expected
+        expected = product_fold(spec.atlas, spec.alpha, spec.D)
+        assert derive_vector_field(spec.atlas, spec.alpha, spec.D) == expected
     for atlas in atlases:
         for _ in range(3):
-            twist = random_twist(rng, atlas)
+            bundle = random_bundle(rng, atlas)
             field = VectorFieldCocycle(random_family(rng, atlas, True))
-            expected = product_fold(atlas, twist, field)
-            assert derive_vector_field(atlas, twist, field) == expected
-            assert uncached_field(atlas, twist, field) == expected
+            expected = product_fold(atlas, bundle, field)
+            assert derive_vector_field(atlas, bundle, field) == expected
+            assert uncached_field(atlas, bundle, field) == expected
 
 
 def test_validation_is_not_memoised():

@@ -165,8 +165,7 @@ def test_xi_map_agrees_with_blowup_route():
     base = make_p2(-3, nontrivial=True)
     res = blowup_reduced(base, P_CENTER, rename=RENAME)
     xi = xi_map(base, P_CENTER, rename=RENAME)
-    alpha_full = derive_mult(res.atlas, res.spec.alpha)
-    full = derive_vector_field(res.atlas, alpha_full, res.spec.D)
+    full = derive_vector_field(res.atlas, res.spec.alpha, res.spec.D)
     for pair, comps in xi.data.items():
         assert full[pair] == comps
 

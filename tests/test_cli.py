@@ -343,6 +343,30 @@ def test_blowup_rejects_an_invalid_input(tmp_path, capsys):
     assert "U0/D+" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify-iso", "good.json", "bad.json", "--bound", "3"),
+    ("cohomology", "bad.json", "--op", "coboundary", "--bound", "3"),
+], ids=["classify-iso", "cohomology"])
+def test_solver_verbs_reject_an_invalid_input(tmp_path, capsys, argv):
+    """An entry on (U0,U2) that contradicts the rest of the data is an input
+    error, not a "none" about a structure the file does not state: the
+    fold would walk (U0,U2) and never read (U1,U2)."""
+    write_plane_doc(tmp_path, "good.json")
+    path = write_plane_doc(tmp_path, "bad.json")
+    data = json.loads(path.read_text())
+    data["double_structure"]["D"]["U0,U2"] = [
+        poly_to_json(mono(2, (1, 1))), []
+    ]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith(".json")
+                                   else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: {path}: invalid document: vector-field entry on (U1,U2) is "
+        "inconsistent with the rest of the data; "
+    ) and err.count("\n") == 1
+
+
 def test_blowup_of_a_valid_input_to_an_invalid_output_exits_3(
     tmp_path, capsys, monkeypatch
 ):

@@ -56,7 +56,7 @@ from pms.p2_catalog import (
     wcover_unit_classes,
 )
 
-from oracles import two_cocycle_failures
+from oracles import field_directions, two_cocycle_failures
 from symbolic_reference import (
     SymPoly,
     padded_bundle,
@@ -72,20 +72,6 @@ def mono(exp, coeff=1):
 
 def zero():
     return LaurentPoly.zero(2)
-
-
-def field_directions(ring, weight):
-    """Independent reimplementation of the weight-piece null space."""
-    rows = [
-        g for g in ring.generators
-        if not ring.contains((g[0] + weight[0], g[1] + weight[1]))
-    ]
-    if not rows:
-        return [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    first = rows[0]
-    if any(first[0] * g[1] != first[1] * g[0] for g in rows[1:]):
-        return []
-    return [(Fraction(first[1]), Fraction(-first[0]))]
 
 
 def random_stable_field(ring, rng, pieces=3):
@@ -144,7 +130,7 @@ def test_cup_product_is_a_two_cocycle():
     spec = build_carpet(Fraction(1, 2))
     atlas = spec.atlas
     omega = canonical_class(atlas, extension_bundle(2, 3))
-    t = contract_cup(atlas, spec.alpha, spec.D, omega)
+    t = contract_cup(atlas, spec.D, omega)
     assert two_cocycle_failures(atlas, t) == []
 
 
@@ -866,7 +852,7 @@ def carpet_system(alpha, bound=3, tau=True):
     spec = build_carpet(alpha)
     atlas = spec.atlas
     twist = derive_mult(atlas, spec.alpha)
-    target = derive_vector_field(atlas, twist, spec.D)
+    target = derive_vector_field(atlas, spec.alpha, spec.D)
     extra = [(("tau",), target)] if tau else []
     return atlas, bound, twist, target, extra
 
