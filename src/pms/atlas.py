@@ -15,7 +15,7 @@ tree, and the entry on (i, k) joins the reversed potential of i to that of k.
 The fold is pure, so each distinct spanning data set is folded once: the
 folds behind ``derive_mult`` and ``derive_vector_field`` are memoised on the
 chart names in atlas order, the variable count and the supplied entries, in
-bounded memos of 64 bundle and 48 vector-field families, and every call
+bounded memos of 64 bundle and 384 vector-field families, and every call
 returns a fresh dict.  A twist is always named by its bundle cocycle, a
 ``MultCocycle``: the vector-field memo is keyed on the bundle's supplied
 entries as well, and reads the bundle's derived family from the bundle memo.
@@ -314,11 +314,11 @@ def derive_mult(atlas: Atlas, c: MultCocycle) -> dict[Pair, LaurentPoly]:
     ))
 
 
-# A cocycle-search round makes about 200 calls on 50-70 distinct vector
-# fields.  Over the warm-up and ten rounds of seed 5 (2,078 calls), 48
-# entries miss 549 times and then hold 0.55 MB (by tracemalloc), 64 miss 467
-# (0.74 MB) and an unbounded memo 245 (3.1 MB).
-@lru_cache(maxsize=48)
+# cocycle-search draws from 10 alphas and 81 good points, so every run folds
+# the same 359 families.  Over 150 rounds (seed 5; seed 11 within 4%), 48
+# entries miss 7,799 times and hold 0.57 MB (by tracemalloc), 256 miss 1,511
+# (3.30 MB), and room for all 359 only on each first fold (4.64 MB).
+@lru_cache(maxsize=384)
 def _fold_vector_field(
     names: tuple[str, ...], nvars: int, entries: tuple, bundle: tuple,
 ) -> dict:
@@ -509,6 +509,8 @@ def same_structure(a: Atlas, b: Atlas) -> bool:
     Chart and overlap rings are compared as monoids, so two presentations of
     the same ring by different generator lists still count as equal.
     """
+    if a is b:
+        return True
     if (
         a.variables != b.variables
         or a.truncation_order != b.truncation_order

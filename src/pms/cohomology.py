@@ -493,7 +493,7 @@ def _verify_resubstitution(
                 acc = fields[i][v] - twist * fields[j][v]
                 for scalar, known in extra:
                     acc = acc + known[(i, j)][v].scale(scalar)
-                if acc != target_full[(i, j)][v]:  # pragma: no cover
+                if acc != target_full[(i, j)][v]:
                     raise AssertionError(
                         f"witness fails resubstitution on ({i},{j})"
                     )

@@ -6,7 +6,8 @@
 * ``two_cocycle_failures`` checks the untwisted 2-cocycle identity that cup
   products must satisfy;
 * ``field_directions`` spans the ring-stable fields of one degree on a
-  two-variable chart ring, from which the tests draw chart fields;
+  two-variable chart ring, from which the tests draw chart fields, and
+  ``moved`` plants such fields as a coboundary on a double structure;
 * ``is_good_principal`` is the one-variable goodness criterion for a
   principal ideal;
 * ``truncate_morphism`` cuts a ring morphism down to a lower order, so the
@@ -22,6 +23,7 @@ from fractions import Fraction
 from pms.atlas import (
     Atlas,
     DoubleSchemeSpec,
+    VectorFieldCocycle,
     canonical_spanning_pairs,
     derive_mult,
     derive_vector_field,
@@ -128,3 +130,18 @@ def field_directions(ring, weight):
     if any(first[0] * g[1] != first[1] * g[0] for g in rows[1:]):
         return []
     return [(Fraction(first[1]), Fraction(-first[0]))]
+
+
+def moved(base: DoubleSchemeSpec, tau, fields) -> DoubleSchemeSpec:
+    """tau * D + (T_i - alpha_ij T_j) on the spanning pairs of ``base``."""
+    alpha = derive_mult(base.atlas, base.alpha)
+    d = derive_vector_field(base.atlas, base.alpha, base.D)
+    data = {
+        (i, j): tuple(
+            d[(i, j)][v].scale(tau) + fields[i][v]
+            - alpha[(i, j)] * fields[j][v]
+            for v in range(2)
+        )
+        for i, j in canonical_spanning_pairs(base.atlas)
+    }
+    return DoubleSchemeSpec(base.atlas, base.alpha, VectorFieldCocycle(data))

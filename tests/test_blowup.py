@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pms import blowup
 from pms.atlas import (
     Atlas,
     AtlasDocument,
@@ -204,6 +205,33 @@ def test_reduced_blowup_input_errors():
         blowup_reduced(
             base, CenterSpec("reduced", generators={"U9": (const(1),)})
         )
+
+
+def test_equal_inputs_share_one_blown_atlas(monkeypatch):
+    """The blown-up atlas is built once per input and shared; every output
+    is still validated."""
+    validated = []
+
+    def spy(spec):
+        validated.append(spec)
+        return validate_double_scheme(spec)
+
+    monkeypatch.setattr(blowup, "validate_double_scheme", spy)
+    first = blowup_reduced(make_p2(-3, nontrivial=True), P_CENTER,
+                           rename=RENAME)
+    second = blowup_reduced(make_p2(-3), P_CENTER, rename=dict(RENAME))
+    good = blowup_good(make_p2(-3), good_center(0, 1), rename=RENAME)
+    assert first.atlas is second.atlas is good.atlas
+    assert first.spec is not second.spec
+    assert validated == [first.spec, second.spec, good.spec]
+
+
+def test_a_rename_merging_two_charts_raises_on_every_call():
+    merge = {"U0/D+(1)": "W0", "U1/D+(1)": "W0"}
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="overlap of a chart with itself: 'W0'"):
+            blowup_reduced(make_p2(-3), P_CENTER, rename=merge)
 
 
 def test_good_blowup_matches_normal_form():

@@ -56,7 +56,7 @@ from pms.p2_catalog import (
     wcover_unit_classes,
 )
 
-from oracles import field_directions, two_cocycle_failures
+from oracles import field_directions, moved, two_cocycle_failures
 from symbolic_reference import (
     SymPoly,
     padded_bundle,
@@ -248,6 +248,51 @@ def test_iso_decide_requires_matching_bundle():
     other = make_blown_plane(0, 0, 1, 0, nontrivial=False)
     with pytest.raises(ValueError):
         iso_decide(a, other, bound=2)
+
+
+def planted(base, tau, seed):
+    """``moved`` over ``base`` by seeded random stable chart fields."""
+    rng = random.Random(seed)
+    return moved(base, tau, {c.name: random_stable_field(c.ring, rng)
+                             for c in base.atlas.charts})
+
+
+def perturbed(fields):
+    """The fields with the coefficient of their first term raised by one."""
+    for name, comps in fields.items():
+        for v, comp in enumerate(comps):
+            for exp, coeff in comp.items():
+                bumped = list(comps)
+                bumped[v] = comp + mono(exp, coeff + 1) - mono(exp, coeff)
+                return {**fields, name: tuple(bumped)}
+    raise AssertionError("the witness has no term to perturb")
+
+
+@pytest.mark.parametrize("base", [make_p2(-3, nontrivial=True),
+                                  build_carpet(Fraction(1, 2))],
+                         ids=["plane", "blown-plane"])
+def test_resubstitution_rejects_a_witness_off_by_one_term(base):
+    atlas = base.atlas
+    alpha_full = derive_mult(atlas, base.alpha)
+    s1 = derive_vector_field(atlas, base.alpha, base.D)
+
+    coboundary = planted(base, 0, seed=41)
+    target = derive_vector_field(atlas, base.alpha, coboundary.D)
+    fields, _ = coboundary_solve(coboundary, bound=4)
+    cohomology._verify_resubstitution(atlas, fields, alpha_full, target)
+    with pytest.raises(AssertionError, match="fails resubstitution"):
+        cohomology._verify_resubstitution(
+            atlas, perturbed(fields), alpha_full, target)
+
+    moved = planted(base, 2, seed=43)
+    target = derive_vector_field(atlas, base.alpha, moved.D)
+    (tau, fields), _ = iso_decide(base, moved, bound=4)
+    assert tau == 2
+    extra = [(tau, s1)]
+    cohomology._verify_resubstitution(atlas, fields, alpha_full, target, extra)
+    with pytest.raises(AssertionError, match="fails resubstitution"):
+        cohomology._verify_resubstitution(
+            atlas, perturbed(fields), alpha_full, target, extra)
 
 
 def test_extension_obstruction_examples():

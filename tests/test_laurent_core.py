@@ -578,6 +578,7 @@ def test_every_cache_is_bounded():
     assert set(caches) == {
         "atlas._fold_mult",
         "atlas._fold_vector_field",
+        "blowup._build_blown_atlas",
         "cohomology._chart_plan",
         "cohomology._chart_ring_rows",
         "laurent_core._cone_bases",

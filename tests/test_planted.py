@@ -4,7 +4,10 @@ A planted coboundary D_ij = T_i - alpha_ij T_j is built from ring-stable
 chart fields T, so ``coboundary_solve`` must find it at the largest exponent
 of T and at every larger bound.  A planted isomorphism moves a base with a
 nonzero class to tau * D + (T_i - alpha_ij T_j); the class fixes tau, so
-``iso_decide`` must find that tau, and 1/tau for the reversed pair.  A
+``iso_decide`` must find that tau, and 1/tau for the reversed pair.  An
+automorphism of the double structure that is the identity on the plane fixes
+a monomial center, so the blow-ups of an isomorphic pair along it are
+isomorphic too, with that tau while the blown-up class stays nonzero.  A
 "none" from a solver whose box holds the witness would be a bug that its
 caveat hides.
 """
@@ -16,19 +19,13 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pms.atlas import (
-    DoubleSchemeSpec,
-    VectorFieldCocycle,
-    canonical_spanning_pairs,
-    derivation_failures,
-    derive_mult,
-    derive_vector_field,
-)
+from pms.atlas import DoubleSchemeSpec, derivation_failures
+from pms.blowup import CenterSpec, blowup_hypersurface, blowup_reduced
 from pms.cohomology import coboundary_solve, iso_decide
 from pms.laurent_core import LaurentPoly
 from pms.p2_catalog import build_carpet, make_blown_plane, make_p2
 
-from oracles import field_directions
+from oracles import field_directions, moved
 
 # derandomized with a fixed example count, as in test_cli_fuzz.py
 PLANTED = settings(
@@ -79,21 +76,6 @@ def largest_exponent(fields) -> int:
                 for e, _ in comp.items() for x in e), default=0)
 
 
-def moved(base: DoubleSchemeSpec, tau, fields) -> DoubleSchemeSpec:
-    """tau * D + (T_i - alpha_ij T_j) on the spanning pairs of ``base``."""
-    alpha = derive_mult(base.atlas, base.alpha)
-    d = derive_vector_field(base.atlas, base.alpha, base.D)
-    data = {
-        (i, j): tuple(
-            d[(i, j)][v].scale(tau) + fields[i][v]
-            - alpha[(i, j)] * fields[j][v]
-            for v in range(2)
-        )
-        for i, j in canonical_spanning_pairs(base.atlas)
-    }
-    return DoubleSchemeSpec(base.atlas, base.alpha, VectorFieldCocycle(data))
-
-
 @st.composite
 def planted_coboundaries(draw):
     """A coboundary over a catalog bundle (``moved`` with tau = 0) and the
@@ -133,3 +115,62 @@ def test_a_planted_isomorphism_is_found_with_its_tau(planted):
         assert report["witness"]["tau"] == (
             f"{expected.numerator}/{expected.denominator}"
         )
+
+
+def mono(exp) -> LaurentPoly:
+    return LaurentPoly.monomial(2, exp)
+
+
+ONE = LaurentPoly.const(2, 1)
+# per atlas (named by its first chart): a center, and whether blowing up
+# along it keeps the class nonzero; the line x0 = 0 kills the plane class,
+# so there the pin tau = 1 holds
+CENTERS = {
+    "U0": (
+        (CenterSpec("reduced", generators={"U2": (mono((0, 1)), mono((1, 1)))}),
+         True),
+        (CenterSpec("hypersurface", generators={
+            "U0": (mono((-1, 0)),), "U1": (ONE,), "U2": (mono((0, 1)),),
+        }), False),
+    ),
+    "W0": (
+        (CenterSpec("reduced", generators={"W2": (mono((1, 0)), mono((0, 1)))}),
+         True),
+        (CenterSpec("hypersurface", generators={
+            "W0": (ONE,), "W1": (ONE,), "W2": (mono((0, 1)),),
+            "W3": (mono((1, 1)),),
+        }), True),
+    ),
+}
+
+
+def blow_up(spec: DoubleSchemeSpec, center: CenterSpec) -> DoubleSchemeSpec:
+    if center.kind == "reduced":
+        return blowup_reduced(spec, center).spec
+    return blowup_hypersurface(spec, center).spec
+
+
+@st.composite
+def planted_blowups(draw):
+    base, target, tau, _ = draw(planted_isomorphisms())
+    center, keeps_class = draw(
+        st.sampled_from(CENTERS[base.atlas.charts[0].name])
+    )
+    return base, target, center, tau if keeps_class else 1
+
+
+@PLANTED
+@given(planted_blowups())
+def test_blowups_of_a_planted_isomorphism_are_isomorphic(planted):
+    """Run twice, so that the second run, served by the memos, is checked
+    against the first."""
+    base, target, center, expected = planted
+    first, second = (
+        iso_decide(blow_up(base, center), blow_up(target, center), bound=6)
+        for _ in range(2)
+    )
+    witness, report = first
+    assert witness is not None
+    assert witness[0] == expected
+    assert report["status"] == "found"
+    assert second == first
