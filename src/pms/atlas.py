@@ -46,9 +46,14 @@ Membership of the int tuples built here goes through
 ``contains``.
 
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
-a twisted vector-field cocycle.  ``CENTER_KINDS`` names the centers a double
-scheme can be blown up along (``pms.blowup``); it lives here, beside the
-documents every ``pms`` verb reads.
+a twisted vector-field cocycle.  Cocycles and descriptions are frozen values:
+a cocycle keeps a read-only copy (``MappingProxyType``) of the data it was
+built from, so changing the caller's dict later changes nothing, and a
+changed cocycle is built as a new value (``{**c.data, pair: entry}``).  So
+``pms.p2_catalog`` can share one description between equal constructor
+calls.  ``CENTER_KINDS`` names the centers a double scheme can be blown up
+along (``pms.blowup``); it lives here, beside the documents every ``pms``
+verb reads.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .laurent_core import (
     ExponentMonoid,
@@ -180,14 +186,18 @@ class Atlas:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultCocycle:
-    """Transition data of a line bundle: invertible monomials on chart pairs."""
+    """Transition data of a line bundle: invertible monomials on chart pairs.
+
+    A value: ``data`` is a read-only copy of the mapping it was built from.
+    """
 
     name: str
-    data: dict[Pair, LaurentPoly]
+    data: Mapping[Pair, LaurentPoly]
 
     def __post_init__(self):
+        object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
         for (i, j), entry in self.data.items():
             if i == j:
                 raise ValueError(f"cocycle entry on equal charts {i!r}")
@@ -198,16 +208,19 @@ class MultCocycle:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorFieldCocycle:
-    """Twisted vector-field data: per chart pair, one coefficient per variable."""
+    """Twisted vector-field data: per chart pair, one coefficient per variable.
 
-    data: dict[Pair, tuple[LaurentPoly, ...]]
+    A value: ``data`` is a read-only copy, each entry a tuple.
+    """
+
+    data: Mapping[Pair, tuple[LaurentPoly, ...]]
 
     def __post_init__(self):
-        self.data = {
+        object.__setattr__(self, "data", MappingProxyType({
             key: tuple(comps) for key, comps in self.data.items()
-        }
+        }))
         for (i, j), comps in self.data.items():
             if i == j:
                 raise ValueError(f"cocycle entry on equal charts {i!r}")
@@ -218,9 +231,13 @@ class VectorFieldCocycle:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoubleSchemeSpec:
-    """A double scheme: atlas, bundle cocycle, and twisted derivation family."""
+    """A double scheme: atlas, bundle cocycle, and twisted derivation family.
+
+    A value, which the catalog constructors share between equal calls; its
+    atlas is shared too, so treat the atlas as immutable.
+    """
 
     atlas: Atlas
     alpha: MultCocycle

@@ -595,7 +595,7 @@ def blowup_good(
     pull = MultCocycle("pullback", alpha_data)
     new_spec = DoubleSchemeSpec(
         new_atlas,
-        MultCocycle(f"{spec.alpha.name}.pulled", dict(alpha_data)),
+        MultCocycle(f"{spec.alpha.name}.pulled", alpha_data),
         VectorFieldCocycle(d_data),
     )
     if check:

@@ -141,7 +141,7 @@ def derive_oneform(
     atlas: Atlas, omega: OneFormCocycle,
 ) -> dict[Pair, tuple[LaurentPoly, ...]]:
     """Full ordered-pair family of an untwisted one-form cocycle."""
-    carrier = VectorFieldCocycle(dict(omega.data))
+    carrier = VectorFieldCocycle(omega.data)
     return derive_vector_field(atlas, _trivial_bundle(atlas), carrier)
 
 

@@ -114,8 +114,8 @@ def test_validate_mult_cocycle_flags_inconsistent_entry():
     atlas = make_p2_atlas()
     good = make_p2(-3, nontrivial=True).alpha
     assert validate_mult_cocycle(atlas, good).ok
-    bad = MultCocycle("alpha", dict(good.data))
-    bad.data[("U0", "U2")] = mono((1, 0))  # derived value is lam^3 mu^3
+    # derived value is lam^3 mu^3
+    bad = MultCocycle("alpha", {**good.data, ("U0", "U2"): mono((1, 0))})
     report = validate_mult_cocycle(atlas, bad)
     assert not report.ok
     assert any("inconsistent" in f for f in report.failures)
@@ -159,8 +159,9 @@ def test_derive_vector_field_reversal_and_cocycle_rule():
 
 def test_reverse_order_entries_must_obey_the_reversal_rule():
     spec = make_p2(-3, nontrivial=True)
-    alpha = MultCocycle("alpha", dict(spec.alpha.data))
-    alpha.data[("U1", "U0")] = alpha.data[("U0", "U1")]  # not its inverse
+    alpha = MultCocycle("alpha", {  # (U1, U0) is not the inverse
+        **spec.alpha.data, ("U1", "U0"): spec.alpha.data[("U0", "U1")],
+    })
     report = validate_mult_cocycle(spec.atlas, alpha)
     assert not report.ok
     assert any("(U1,U0) is inconsistent" in f for f in report.failures)
@@ -202,8 +203,9 @@ def test_validate_derivation_cocycle_accepts_and_rejects():
     spec = make_p2(-3, nontrivial=True)
     assert validate_double_scheme(spec).ok
     # an entry violating overlap-ring stability: mu d/dmu scaled wrong way
-    bad = VectorFieldCocycle(dict(spec.D.data))
-    bad.data[("U0", "U1")] = (mono((0, 2)), LaurentPoly.zero(2))
+    bad = VectorFieldCocycle({
+        **spec.D.data, ("U0", "U1"): (mono((0, 2)), LaurentPoly.zero(2)),
+    })
     report = validate_double_scheme(DoubleSchemeSpec(spec.atlas, spec.alpha, bad))
     assert not report.ok
     assert any("U0,U1" in f or "(U0,U1)" in f for f in report.failures)
@@ -415,8 +417,10 @@ def test_changed_data_gives_the_new_family():
     D = VectorFieldCocycle(dict(spec.D.data))
     before = derive_mult(atlas, c)
     field_before = derive_vector_field(atlas, c, D)
-    c.data[("U0", "U1")] = mono((1, 0))
-    D.data[("U0", "U1")] = (mono((0, 1)), LaurentPoly.zero(2))
+    c = MultCocycle("c", {**c.data, ("U0", "U1"): mono((1, 0))})
+    D = VectorFieldCocycle({
+        **D.data, ("U0", "U1"): (mono((0, 1)), LaurentPoly.zero(2)),
+    })
     after = derive_mult(atlas, c)
     assert after != before
     assert after == uncached_mult(atlas, c)

@@ -585,6 +585,8 @@ def test_every_cache_is_bounded():
         "laurent_core._monoid_contains_cached",
         "laurent_core.minimal_generators",
         "laurent_core.shared_packing",
+        "p2_catalog._build_blown_plane",
+        "p2_catalog._build_p2",
         "p2_catalog._constructor_member",
         "p2_catalog._family_box",
         "p2_catalog._family_system",

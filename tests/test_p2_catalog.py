@@ -5,7 +5,7 @@ import itertools
 import json
 from collections import Counter
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,8 @@ import pytest
 from pms import linear, p2_catalog
 from pms.atlas import (
     DoubleSchemeSpec,
+    MultCocycle,
+    VectorFieldCocycle,
     validate_double_scheme,
     validate_mult_cocycle,
 )
@@ -91,16 +93,85 @@ def test_carpet_constructors_validate():
 
 
 def test_constructor_argument_errors():
-    with pytest.raises(ValueError):
-        make_p2(0, nontrivial=True)
-    with pytest.raises(ValueError):
-        make_blown_plane(-3, 2, c0=1)
-    with pytest.raises(ValueError):
-        make_blown_plane(-3, 1, c0=0, r0=1)
-    with pytest.raises(ValueError):
-        make_blown_plane(0, 0, nontrivial=True)
-    with pytest.raises(ValueError):
-        make_blown_plane(-3, -1)
+    """Each bad argument set raises on every call and never enters a memo."""
+    memos = (p2_catalog._build_blown_plane, p2_catalog._build_p2)
+    sizes = [memo.cache_info().currsize for memo in memos]
+    for bad in (
+        lambda: make_p2(0, nontrivial=True),
+        lambda: make_p2(-1, nontrivial=True),
+        lambda: make_blown_plane(-3, 2, c0=1),
+        lambda: make_blown_plane(0, 3, 1, nontrivial=False),
+        lambda: make_blown_plane(-3, 1, c0=0, r0=1),
+        lambda: make_blown_plane(0, 0, nontrivial=True),
+        lambda: make_blown_plane(-3, -1),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bad()
+    assert [memo.cache_info().currsize for memo in memos] == sizes
+
+
+def test_catalog_specs_are_read_only_values():
+    """A shared spec cannot be changed in place, so the next equal call
+    still gets the constructor's structure; a cocycle keeps its own copy of
+    the dict it was built from."""
+    spec = make_blown_plane(-3, 0, Fraction(1, 2), 3)
+    zero = LaurentPoly.zero(2)
+    lam = LaurentPoly.monomial(2, (1, 0))
+    with pytest.raises(TypeError):
+        spec.alpha.data[("W0", "W1")] = lam
+    with pytest.raises(TypeError):
+        spec.D.data[("W0", "W1")] = (zero, zero)
+    with pytest.raises(TypeError):
+        del spec.D.data[("W1", "W2")]
+    for target, name, value in (
+        (spec, "alpha", beta_table(0, 0)),
+        (spec, "D", VectorFieldCocycle({})),
+        (spec, "atlas", make_p2_atlas()),
+        (spec.alpha, "name", "other"),
+        (spec.alpha, "data", {}),
+        (spec.D, "data", {}),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, value)
+    again = make_blown_plane(-3, 0, Fraction(1, 2), 3)
+    assert again is spec
+    assert validate_double_scheme(again).ok
+    fresh = p2_catalog._build_blown_plane.__wrapped__(
+        -3, 0, Fraction(1, 2), Fraction(3), True)
+    assert fresh is not again and fresh == again
+
+    bundle = {("W0", "W1"): lam, ("W1", "W2"): lam}
+    field = {("W0", "W1"): (lam, zero)}
+    alpha, D = MultCocycle("a", bundle), VectorFieldCocycle(field)
+    bundle[("W0", "W1")] = LaurentPoly.const(2, 1)
+    del bundle[("W1", "W2")]
+    field[("W0", "W1")] = (zero, zero)
+    field[("W1", "W2")] = (zero, zero)
+    assert dict(alpha.data) == {("W0", "W1"): lam, ("W1", "W2"): lam}
+    assert dict(D.data) == {("W0", "W1"): (lam, zero)}
+
+
+def test_equal_constructor_arguments_share_one_spec():
+    """The memo key is the arguments' value, however they are passed."""
+    one = make_blown_plane(-3, 0, 1)
+    for spec in (
+        make_blown_plane(-3, 0, Fraction(1)),
+        make_blown_plane(-3, 0, Fraction(2, 2), 0, True),
+        make_blown_plane(-3, 0, c0=1, r0=Fraction(0), nontrivial=None),
+        make_blown_plane(m=-3, p=0, c0=Fraction(2, 2), nontrivial=True),
+    ):
+        assert spec is one
+    assert make_blown_plane(0, 2) is make_blown_plane(0, 2, 0, 0, False)
+    assert make_blown_plane(0, 2) is not make_blown_plane(-3, 2)
+    assert make_p2(-3, True) is make_p2(-3, nontrivial=True)
+    assert make_p2(0) is make_p2(0, False) is make_p2(m=0, nontrivial=False)
+    assert make_p2(-3) is not make_p2(-3, True)
+    for alpha in (1, Fraction(1, 2), "1/2", -2):
+        assert build_carpet(alpha) is make_blown_plane(-3, 1, alpha,
+                                                       nontrivial=True)
+        assert build_carpet(alpha, trivial=True) is make_blown_plane(
+            -3, 1, Fraction(alpha), nontrivial=False)
 
 
 def test_pairing_matrices():
