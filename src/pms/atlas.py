@@ -46,11 +46,12 @@ Membership of the int tuples built here goes through
 ``contains``.
 
 A double-scheme description is an atlas, a distinguished bundle cocycle, and
-a twisted vector-field cocycle.  Cocycles and descriptions are frozen values:
-a cocycle keeps a read-only copy (``MappingProxyType``) of the data it was
-built from, so changing the caller's dict later changes nothing, and a
-changed cocycle is built as a new value (``{**c.data, pair: entry}``).  So
-``pms.p2_catalog`` can share one description between equal constructor
+a twisted vector-field cocycle, at truncation order two.  Atlases, cocycles
+and descriptions are frozen values: each keeps read-only copies
+(``MappingProxyType``) of the mappings it was built from, so changing the
+caller's dict later changes nothing, and a changed value is built as a new
+one (``{**c.data, pair: entry}``, ``dataclasses.replace``).  So
+``pms.p2_catalog`` and ``pms.blowup`` can share one value between equal
 calls.  ``CENTER_KINDS`` names the centers a double scheme can be blown up
 along (``pms.blowup``); it lives here, beside the documents every ``pms``
 verb reads.
@@ -102,20 +103,27 @@ class Chart:
             raise ValueError(f"bad chart name {self.name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Atlas:
+    """Charts and overlap rings: a value, ``overlaps`` and ``frames`` read-only."""
+
     variables: tuple[str, ...]
     truncation_order: int
     charts: tuple[Chart, ...]
-    overlaps: dict[Pair, ExponentMonoid]
-    frames: dict[str, LaurentPoly] | None = None
+    overlaps: Mapping[Pair, ExponentMonoid] = field(hash=False)
+    frames: Mapping[str, LaurentPoly] | None = field(default=None, hash=False)
     residue_scale: Rational | None = None
 
     def __post_init__(self):
-        self.variables = tuple(self.variables)
-        self.charts = tuple(self.charts)
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "charts", tuple(self.charts))
+        object.__setattr__(self, "overlaps", MappingProxyType(dict(self.overlaps)))
+        if self.frames is not None:
+            object.__setattr__(self, "frames", MappingProxyType(dict(self.frames)))
         if self.truncation_order < 2:
             raise ValueError("truncation order must be at least 2")
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("duplicate variable names")
         names = [c.name for c in self.charts]
         if len(set(names)) != len(names):
             raise ValueError("duplicate chart names")
@@ -235,19 +243,25 @@ class VectorFieldCocycle:
 class DoubleSchemeSpec:
     """A double scheme: atlas, bundle cocycle, and twisted derivation family.
 
-    A value, which the catalog constructors share between equal calls; its
-    atlas is shared too, so treat the atlas as immutable.
+    A value, which the catalog constructors share between equal calls.
     """
 
     atlas: Atlas
     alpha: MultCocycle
     D: VectorFieldCocycle
 
+    def __post_init__(self):
+        if self.atlas.truncation_order != 2:
+            raise ValueError("double-scheme data must have truncation order two")
+
 
 @dataclass
 class ValidationReport:
-    ok: bool
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 # -- derivation of full cocycle families --------------------------------
@@ -381,7 +395,7 @@ def derive_vector_field(
 
 def validate_mult_cocycle(atlas: Atlas, c: MultCocycle) -> ValidationReport:
     failures = _mult_failures(atlas, c)
-    return ValidationReport(not failures, failures)
+    return ValidationReport(failures)
 
 
 def _mult_failures(atlas: Atlas, c: MultCocycle) -> list[str]:
@@ -489,12 +503,12 @@ def validate_derivation_cocycle(spec: DoubleSchemeSpec) -> ValidationReport:
     atlas = spec.atlas
     alpha_failures = _mult_failures(atlas, spec.alpha)
     if alpha_failures:
-        return ValidationReport(False, ["bundle cocycle invalid"] + alpha_failures)
+        return ValidationReport(["bundle cocycle invalid"] + alpha_failures)
     failures: list[str] = []
     try:
         full = derive_vector_field(atlas, spec.alpha, spec.D)
     except ValueError as exc:
-        return ValidationReport(False, [str(exc)])
+        return ValidationReport([str(exc)])
     for (i, j), comps in spec.D.data.items():
         if full[(i, j)] != comps:
             failures.append(
@@ -510,14 +524,14 @@ def validate_derivation_cocycle(spec: DoubleSchemeSpec) -> ValidationReport:
                 f"vector-field entry on ({i},{j}) does not preserve the "
                 f"overlap ring: image of {g} falls outside"
             )
-    return ValidationReport(not failures, failures)
+    return ValidationReport(failures)
 
 
 def validate_double_scheme(spec: DoubleSchemeSpec) -> ValidationReport:
     failures = spec.atlas.structure_failures()
     report = validate_derivation_cocycle(spec)
     failures.extend(report.failures)
-    return ValidationReport(not failures, failures)
+    return ValidationReport(failures)
 
 
 def same_structure(a: Atlas, b: Atlas) -> bool:

@@ -13,8 +13,8 @@ and its charts; the hypersurface blow-up passes the unchanged atlas and
 zero-dimensional subscheme (ideal locally ``(y_r + a_r t)``) produces the
 chart combinatorics of the reduced center but keeps the pulled-back bundle
 cocycle, correcting the derivation family by the coefficient field
-sum(a_r d/dy_r) on the center chart.  The blown-up atlas is built once per
-distinct input and shared by every result, so treat it as immutable.
+sum(a_r d/dy_r) on the center chart.  The blown-up atlas, a frozen value, is
+built once per distinct input and shared by every result.
 
 For truncation order two the constructions act on double-scheme data, where
 the rescaling multiplies alpha by x^(f-l) and D by x^f; higher orders carry
@@ -217,7 +217,7 @@ def validate_transition_spec(spec: TransitionSpec) -> ValidationReport:
                         f" leaves the overlap ring at order {k}"
                     )
                     break
-    return ValidationReport(not failures, failures)
+    return ValidationReport(failures)
 
 
 # -- shared chart combinatorics -----------------------------------------
@@ -263,45 +263,34 @@ def _monomial_exponent(p: LaurentPoly, ring: ExponentMonoid, what: str) -> Expon
 
 def _center_exponents(
     atlas: Atlas, center: CenterSpec
-) -> dict[str, tuple[Exponent, ...]]:
-    """Per chart, the exponents of the center generators (default: the unit)."""
+) -> tuple[tuple[str, tuple[Exponent, ...]], ...]:
+    """Per chart, the exponents of the center generators (default: the unit),
+    as (chart name, exponents) pairs."""
     unknown = set(center.generators or ()) - set(atlas.chart_names())
     if unknown:
         raise ValueError(f"center names unknown charts {sorted(unknown)}")
-    out = {}
+    out = []
     for chart in atlas.charts:
         listed = (center.generators or {}).get(chart.name)
         if listed is None:
-            out[chart.name] = ((0,) * atlas.nvars,)
+            out.append((chart.name, ((0,) * atlas.nvars,)))
         else:
-            out[chart.name] = tuple(
+            out.append((chart.name, tuple(
                 _monomial_exponent(
                     g, chart.ring, f"center generator on {chart.name}"
                 )
                 for g in listed
-            )
-    return out
+            )))
+    return tuple(out)
 
 
-def _blown_atlas(
-    atlas: Atlas,
-    exponents: dict[str, tuple[Exponent, ...]],
-    rename: dict[str, str] | None,
-) -> tuple[Atlas, tuple[BlownChart, ...]]:
-    """The blown-up atlas and its charts, built once per distinct input and
-    shared between calls (treat the result as immutable)."""
-    return _build_blown_atlas(
-        (atlas.variables, atlas.truncation_order, atlas.charts),
-        tuple(atlas.overlaps.items()), tuple(exponents.items()),
-        tuple((rename or {}).items()),
-    )
-
-
-# keyed on exactly what the construction reads; 150 cocycle-search rounds
-# (seed 5) make 5,406 calls on 2 distinct inputs
+# The blown-up atlas and its charts, keyed on the atlas itself and shared
+# between equal inputs; 150 cocycle-search rounds (seed 5) make 5,406 calls
+# on 2 distinct inputs
 @lru_cache(maxsize=16)
-def _build_blown_atlas(base, overlaps, exponents, rename):
-    atlas = Atlas(*base, dict(overlaps))
+def _build_blown_atlas(
+    atlas: Atlas, exponents: tuple, rename: tuple,
+) -> tuple[Atlas, tuple[BlownChart, ...]]:
     exponents, rename = dict(exponents), dict(rename)
     nvars = atlas.nvars
     blown: list[BlownChart] = []
@@ -372,10 +361,6 @@ def _base_transitions(
         full = derive_transitions(atlas, spec.transitions)
         identity = identity_morphism(atlas.truncation_order, nvars)
     else:
-        if atlas.truncation_order != 2:
-            raise ValueError(
-                "double-scheme data must have truncation order two"
-            )
         alpha_full = derive_mult(atlas, spec.alpha)
         d_full = derive_vector_field(atlas, spec.alpha, spec.D)
         full = {pair: (alpha_full[pair], d_full[pair]) for pair in d_full}
@@ -461,7 +446,9 @@ def blowup_reduced(
     if center.kind != "reduced":
         raise ValueError("blowup_reduced needs a reduced center")
     exponents = _center_exponents(spec.atlas, center)
-    new_atlas, blown = _blown_atlas(spec.atlas, exponents, rename)
+    new_atlas, blown = _build_blown_atlas(
+        spec.atlas, exponents, tuple((rename or {}).items())
+    )
     return _rescale(spec, new_atlas, blown, "blown", "blowup_reduced")
 
 
@@ -481,7 +468,9 @@ def xi_map(
         raise ValueError("xi_map needs a reduced center")
     atlas = spec.atlas
     exponents = _center_exponents(atlas, center)
-    new_atlas, blown = _blown_atlas(atlas, exponents, rename)
+    new_atlas, blown = _build_blown_atlas(
+        atlas, exponents, tuple((rename or {}).items())
+    )
     nvars = atlas.nvars
     d_full = derive_vector_field(atlas, spec.alpha, spec.D)
     zero = tuple(LaurentPoly.zero(nvars) for _ in range(nvars))
@@ -566,15 +555,15 @@ def blowup_good(
         raise ValueError("blowup_good needs a good center")
     if not isinstance(spec, DoubleSchemeSpec):
         raise ValueError("good centers act on double-scheme data")
-    if spec.atlas.truncation_order != 2:
-        raise ValueError("double-scheme data must have truncation order two")
     atlas = spec.atlas
     (center_chart, pairs), = center.pairs.items()
     if center_chart not in atlas.chart_names():
         raise ValueError(f"center names unknown chart {center_chart!r}")
     field = _coefficient_field(atlas, center_chart, pairs)
     exponents = _center_exponents(atlas, _reduced_center(center))
-    new_atlas, blown = _blown_atlas(atlas, exponents, rename)
+    new_atlas, blown = _build_blown_atlas(
+        atlas, exponents, tuple((rename or {}).items())
+    )
     nvars = atlas.nvars
     zero = tuple(LaurentPoly.zero(nvars) for _ in range(nvars))
 

@@ -10,8 +10,7 @@ Monomials are tracked through exponent cones; chart rings, overlap rings,
 top-form frames, and the residue calibration are built here once and shared.
 So are the double structures: ``make_p2`` and ``make_blown_plane`` (and
 ``build_carpet``, its p = 1 member) build each distinct argument set once,
-in bounded memos, and return shared values.  Their cocycles are frozen with
-read-only data (``pms.atlas``); treat the shared atlas as immutable too.
+in bounded memos, and return shared frozen values (``pms.atlas``).
 Argument errors raise ``ValueError`` on every call.
 
 On the blown plane, line bundles are encoded by an exponent table
@@ -44,7 +43,7 @@ indeterminate al.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -128,30 +127,27 @@ def _mono(exp, coeff=1) -> LaurentPoly:
     return LaurentPoly.monomial(2, exp, coeff)
 
 
-def _build_atlas(charts, overlaps, frames) -> Atlas:
-    return Atlas(
+def _build_atlas(charts, overlaps, frames, unit: MultCocycle) -> Atlas:
+    atlas = Atlas(
         variables=VARIABLES,
         truncation_order=2,
         charts=tuple(Chart(n, ExponentMonoid(2, g)) for n, g in charts),
         overlaps={k: ExponentMonoid(2, g) for k, g in overlaps.items()},
         frames={n: _mono(e, c) for n, (e, c) in frames.items()},
     )
+    return replace(atlas, residue_scale=calibrate_residue(atlas, unit))
 
 
 @lru_cache(maxsize=1)
 def make_p2_atlas() -> Atlas:
-    """The projective plane atlas (treat the shared result as immutable)."""
-    atlas = _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES)
-    atlas.residue_scale = calibrate_residue(atlas, p2_line_bundle(1))
-    return atlas
+    """The projective plane atlas."""
+    return _build_atlas(_P2_CHARTS, _P2_OVERLAPS, _P2_FRAMES, p2_line_bundle(1))
 
 
 @lru_cache(maxsize=1)
 def make_wcover_atlas() -> Atlas:
-    """The blown-plane atlas (treat the shared result as immutable)."""
-    atlas = _build_atlas(_W_CHARTS, _W_OVERLAPS, _W_FRAMES)
-    atlas.residue_scale = calibrate_residue(atlas, beta_table(1, 0))
-    return atlas
+    """The blown-plane atlas."""
+    return _build_atlas(_W_CHARTS, _W_OVERLAPS, _W_FRAMES, beta_table(1, 0))
 
 
 def p2_line_bundle(m: int) -> MultCocycle:

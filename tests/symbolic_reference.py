@@ -22,6 +22,7 @@ the atlas and validation code on three variables with it.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -113,10 +114,9 @@ def symbolic_wcover_atlas() -> Atlas:
         overlaps={k: _with_symbol(r) for k, r in plain.overlaps.items()},
         frames={n: padded(f) for n, f in plain.frames.items()},
     )
-    atlas.residue_scale = calibrate_residue(
+    return replace(atlas, residue_scale=calibrate_residue(
         atlas, padded_bundle(beta_table(1, 0))
-    )
-    return atlas
+    ))
 
 
 def symbolic_carpet(trivial: bool = False) -> DoubleSchemeSpec:

@@ -71,6 +71,8 @@ def test_atlas_constructor_rejects_bad_input():
         Atlas(("lam", "mu"), 1, charts, overlaps)
     with pytest.raises(ValueError):
         Atlas(("lam", "mu"), 2, (charts[0], charts[0]), overlaps)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        Atlas(("lam", "lam"), 2, charts, overlaps)
     with pytest.raises(ValueError):
         Atlas(("lam", "mu"), 2, charts, {})
     with pytest.raises(ValueError):

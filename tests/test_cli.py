@@ -204,13 +204,20 @@ BOOLEAN_INPUTS = [
     ("atlas", ("charts", 1, "monoid_generators", 0), [True, 0]),
     ("center", ("per_chart", "U2", "generators", 0, 0, "exp"), [False, True]),
 ]
+# well-shaped values that no document may hold: double-scheme data at order
+# three, and a variable named twice
+BAD_VALUE_INPUTS = [
+    ("atlas", ("truncation_order",), 3),
+    ("atlas", ("variables",), ["lam", "lam"]),
+]
 
 
 @pytest.mark.parametrize(
     "which, path, value",
-    MALFORMED_INPUTS + BOOLEAN_INPUTS,
+    MALFORMED_INPUTS + BOOLEAN_INPUTS + BAD_VALUE_INPUTS,
     ids=[f"{w}:{'.'.join(map(str, p))}" for w, p, _ in MALFORMED_INPUTS]
-    + [f"{w}:{'.'.join(map(str, p))}:bool" for w, p, _ in BOOLEAN_INPUTS],
+    + [f"{w}:{'.'.join(map(str, p))}:bool" for w, p, _ in BOOLEAN_INPUTS]
+    + [f"{w}:{'.'.join(map(str, p))}:value" for w, p, _ in BAD_VALUE_INPUTS],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, which, path, value):
     atlas = write_plane_doc(tmp_path)
@@ -371,7 +378,7 @@ def test_blowup_of_a_valid_input_to_an_invalid_output_exits_3(
     tmp_path, capsys, monkeypatch
 ):
     def failing_validation(spec):
-        return ValidationReport(False, ["planted failure"])
+        return ValidationReport(["planted failure"])
 
     monkeypatch.setattr(blowup, "validate_double_scheme", failing_validation)
     code, out, err = run(

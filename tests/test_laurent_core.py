@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -595,3 +596,25 @@ def test_every_cache_is_bounded():
         "truncated_ring._image_power",
     }, sorted(caches)
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_every_mutable_dataclass_is_listed():
+    """The dataclasses of ``pms`` that are not frozen are exactly these; a
+    value a memo shares must be frozen, and a new mutable one listed here."""
+    mutable = set()
+    for info in pkgutil.iter_modules(pms.__path__):
+        module = importlib.import_module(f"pms.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and not obj.__dataclass_params__.frozen
+                    and obj.__module__ == module.__name__):
+                mutable.add(f"{info.name}.{name}")
+    assert mutable == {
+        "atlas.AtlasDocument",
+        "atlas.ValidationReport",
+        "blowup.BlowupResult",
+        "blowup.TransitionSpec",
+        "cohomology.OneFormCocycle",
+        "cohomology.TwoCocycle",
+        "p2_catalog.FamilyDescription",
+    }, sorted(mutable)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from pms import linear, p2_catalog
+from pms import blowup, linear, p2_catalog
 from pms.atlas import (
     DoubleSchemeSpec,
     MultCocycle,
@@ -18,6 +18,7 @@ from pms.atlas import (
     validate_double_scheme,
     validate_mult_cocycle,
 )
+from pms.blowup import CenterSpec, blowup_reduced
 from pms.cli import main
 from pms.cohomology import BOUND_CAVEAT, extension_obstruction
 from pms.laurent_core import LaurentPoly
@@ -112,12 +113,19 @@ def test_constructor_argument_errors():
 
 
 def test_catalog_specs_are_read_only_values():
-    """A shared spec cannot be changed in place, so the next equal call
-    still gets the constructor's structure; a cocycle keeps its own copy of
-    the dict it was built from."""
+    """A shared spec or atlas cannot be changed in place, so the next equal
+    call still gets the constructor's structure; a cocycle keeps its own copy
+    of the dict it was built from."""
     spec = make_blown_plane(-3, 0, Fraction(1, 2), 3)
     zero = LaurentPoly.zero(2)
     lam = LaurentPoly.monomial(2, (1, 0))
+    mu = LaurentPoly.monomial(2, (0, 1))
+    center = CenterSpec("reduced", generators={"U2": (mu, lam * mu)})
+    blown = blowup_reduced(make_p2(-3), center).atlas
+    atlases = (make_p2_atlas(), make_wcover_atlas(), spec.atlas, blown)
+    for table in [a.overlaps for a in atlases] + [a.frames for a in atlases[:3]]:
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = None
     with pytest.raises(TypeError):
         spec.alpha.data[("W0", "W1")] = lam
     with pytest.raises(TypeError):
@@ -131,15 +139,25 @@ def test_catalog_specs_are_read_only_values():
         (spec.alpha, "name", "other"),
         (spec.alpha, "data", {}),
         (spec.D, "data", {}),
+        *((atlas, name, value) for atlas in atlases for name, value in (
+            ("residue_scale", 7), ("variables", ("x", "y")), ("charts", ()),
+            ("overlaps", {}), ("frames", None),
+        )),
     ):
         with pytest.raises(FrozenInstanceError):
             setattr(target, name, value)
+    assert pairing_matrix() == ((1, 0), (0, -1))
     again = make_blown_plane(-3, 0, Fraction(1, 2), 3)
     assert again is spec
     assert validate_double_scheme(again).ok
     fresh = p2_catalog._build_blown_plane.__wrapped__(
         -3, 0, Fraction(1, 2), Fraction(3), True)
     assert fresh is not again and fresh == again
+    assert make_p2_atlas() == make_p2_atlas.__wrapped__()
+    assert make_wcover_atlas() == make_wcover_atlas.__wrapped__()
+    assert blown == blowup._build_blown_atlas.__wrapped__(
+        make_p2_atlas(), blowup._center_exponents(make_p2_atlas(), center), (),
+    )[0]
 
     bundle = {("W0", "W1"): lam, ("W1", "W2"): lam}
     field = {("W0", "W1"): (lam, zero)}
