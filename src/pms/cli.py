@@ -47,23 +47,24 @@ def _emit(payload) -> None:
     )
 
 
-def _load_json(path: str):
+def _load(path: str, parse, *args):
+    """``parse`` of the JSON in ``path``, with every error naming the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
     try:
-        return json.loads(text)
+        return parse(json.loads(text), *args)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
-    except RecursionError as exc:  # nesting deeper than the decoder's stack
+    except (ValueError, RecursionError) as exc:  # bad value, deep nesting
         raise CliError(f"{path}: {exc}")
 
 
 def _load_document(path: str) -> AtlasDocument:
-    return document_from_json(_load_json(path))
+    return _load(path, document_from_json)
 
 
 def _require_double(doc: AtlasDocument, path: str) -> DoubleSchemeSpec:
@@ -128,7 +129,7 @@ def _cmd_blowup(args) -> int:
 
     doc = _load_document(args.atlas)
     spec = _require_double(doc, args.atlas)
-    center = center_from_json(_load_json(args.center), doc.atlas.nvars)
+    center = _load(args.center, center_from_json, doc.atlas.nvars)
     if center.kind != args.kind:
         raise CliError(
             f"--kind {args.kind} does not match the center file "

@@ -415,7 +415,8 @@ class Packing:
         return x // self.span, tuple([(x >> s & mask) - low for s in self._shifts])
 
 
-# the calculus asks for a few widths per variable count
+# the calculus asks for few widths: the warm-up and 20 endo-calculus rounds
+# (seed 5) ask for one, with 1 miss and 499 hits
 shared_packing = lru_cache(maxsize=64)(Packing)
 
 
@@ -800,9 +801,6 @@ def monoids_equal(a: ExponentMonoid, b: ExponentMonoid) -> bool:
     )
 
 
-# Blow-ups reduce the same few chart and overlap monoids every time they run:
-# 9,060 calls on 10 distinct monoids over 25 cocycle-search rounds.
-@lru_cache(maxsize=256)
 def minimal_generators(m: ExponentMonoid) -> ExponentMonoid:
     """An irredundant sorted presentation of the same monoid.
 
@@ -810,7 +808,7 @@ def minimal_generators(m: ExponentMonoid) -> ExponentMonoid:
     membership never claims a false positive (every yes has a witness), so
     the result generates exactly the same monoid.  It is irredundant wherever
     membership is exact, that is, unless the bounded-search fallback misses a
-    member.  A pure function of the frozen monoid, memoised.
+    member.
     """
     gens = sorted({g for g in m.generators if any(g)})
     if not gens:

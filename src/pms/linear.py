@@ -12,10 +12,12 @@ smallest label, divided by the gcd of its entries and right-hand side and
 signed so that the pivot coefficient is positive: stored rows are primitive.
 They are never modified afterwards, so a pivot row can only mention its own
 pivot, later pivots, and free variables; a reverse sweep over the pivots,
-in ``Fraction`` arithmetic, yields a particular solution with all free
-variables set to zero.  Every particular solution is re-verified against every original
-equation in integer arithmetic, with the values scaled by the lcm of their
-denominators.
+in integers, yields a particular solution with all free variables set to
+zero: each pivot's numerator is (rhs * den - sum(c * num)) / a over one
+running denominator den, which grows with the earlier numerators by
+a // gcd where the pivot coefficient a does not divide that.  Every
+solution is re-verified against every original equation on those
+integers, and each ``Fraction`` is built once, on return.
 
 Rows come in through one integer entry, ``LinearSolver._add_integer``,
 which takes a row whose entries are nonzero ``int``s and an ``int``
@@ -221,25 +223,24 @@ class LinearSolver:
         """A particular solution (free variables zero), or None."""
         if self.inconsistent:
             return None
-        values: dict[Var, Fraction] = {}
-        nonzero: dict[Var, Fraction] = {}
+        # each pivot's value is nums[pivot] / den, over one denominator
+        den, nums = 1, {}
         for pivot in reversed(self.pivot_order):
             row = self.pivot_rows[pivot]
-            total = self.pivot_rhs[pivot]
+            total = self.pivot_rhs[pivot] * den
             for v, c in row.items():
-                if v in nonzero:
-                    total -= c * nonzero[v]
-            values[pivot] = value = Fraction(total, row[pivot])
-            if value:
-                nonzero[pivot] = value
-        scale = lcm(*(x.denominator for x in nonzero.values()))
-        scaled = {v: x.numerator * (scale // x.denominator)
-                  for v, x in nonzero.items()}
+                if v in nums:
+                    total -= c * nums[v]
+            g = gcd(total, a := row[pivot])
+            if (grow := a // g) != 1:
+                den *= grow
+                for v in nums:
+                    nums[v] *= grow
+            nums[pivot] = total // g
         for row, rhs in self.originals:
-            total = sum(c * scaled.get(v, 0) for v, c in row.items())
-            if total != rhs * scale:
+            if sum(c * nums.get(v, 0) for v, c in row.items()) != rhs * den:
                 raise AssertionError("solver verification failed")
-        return values
+        return {v: Fraction(x, den) for v, x in nums.items()}
 
     def is_consistent(self) -> bool:
         return not self.inconsistent

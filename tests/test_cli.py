@@ -229,14 +229,24 @@ def test_malformed_json_exits_2(tmp_path, capsys, which, path, value):
         node = node[key]
     node[path[-1]] = value
     target.write_text(json.dumps(data))
+    blowup = ("blowup", str(atlas), "--center", str(center), "--kind",
+              "reduced")
     if which == "atlas":
-        argv = ("validate", str(atlas))
+        # every verb that reads a document, the bad one second for the pair
+        good = write_plane_doc(tmp_path, name="good.json")
+        argvs = [
+            ("validate", str(atlas)),
+            blowup,
+            ("classify-iso", str(good), str(atlas), "--bound", "3"),
+            ("cohomology", str(atlas), "--op", "coboundary", "--bound", "2"),
+        ]
     else:
-        argv = ("blowup", str(atlas), "--center", str(center), "--kind",
-                "reduced")
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+        argvs = [blowup]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {target}: "), (argv, err)
+        assert err.count("\n") == 1
 
 
 def test_classify_iso_exit_codes(tmp_path, capsys):

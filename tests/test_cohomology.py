@@ -1,5 +1,6 @@
 """Tests for the bounded cohomology solvers, cup product, and residue."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -622,6 +623,53 @@ def test_dropping_forced_unknowns_keeps_reports(case, monkeypatch):
             full_report, sort_keys=True
         )
     assert report["status"] == expected
+
+
+# (tau, whether the rows leave tau free, sha256 of the report JSON); the
+# digests are those of the two-solve version, which solved before and after
+# the pin tau = 1
+SOLVE_ONCE_CASES = {
+    "tau-free": (1, True, "67ab738cabf603f4e82365b9211384539f9c0ca3"
+                          "c73a0f6cb78dc7f45334256a"),
+    "tau-two": (2, False, "91294b04ab3e0a95072b4cef9e687407b6283f17"
+                          "830261626211635cc47430cf"),
+    "tau-zero": (None, False, "eec477cf1a2f1fb4cb7c2bd6c0fecc7815f43528"
+                              "9125e232ad0f706ce7b601d9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_ONCE_CASES))
+def test_iso_decide_solves_once(case, monkeypatch):
+    plane = make_p2(-3, nontrivial=True)
+    carpet = build_carpet(Fraction(1, 2))
+    first, second, bound = {
+        # two coboundaries: tau * D stays a coboundary for every tau
+        "tau-free": (planted(plane, 0, seed=41), planted(plane, 0, seed=42), 4),
+        "tau-two": (plane, planted(plane, 2, seed=43), 4),
+        "tau-zero": (carpet, zero_structure(carpet), 3),
+    }[case]
+    tau, free, digest = SOLVE_ONCE_CASES[case]
+    solves, tau_spanned = [], []
+    solve, spans = linear.LinearSolver.solve, linear.LinearSolver.spans
+
+    def counted_solve(self):
+        solves.append(self)
+        return solve(self)
+
+    def recorded_spans(self, coeffs):
+        answer = spans(self, coeffs)
+        if dict(coeffs) == {("tau",): 1}:
+            tau_spanned.append(answer)
+        return answer
+
+    monkeypatch.setattr(linear.LinearSolver, "solve", counted_solve)
+    monkeypatch.setattr(linear.LinearSolver, "spans", recorded_spans)
+    result, report = iso_decide(first, second, bound=bound)
+    assert len(solves) == 1
+    assert tau_spanned == [not free]
+    assert (None if result is None else result[0]) == tau
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def singleton_fixpoint(rows):

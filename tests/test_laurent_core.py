@@ -584,7 +584,6 @@ def test_every_cache_is_bounded():
         "cohomology._chart_ring_rows",
         "laurent_core._cone_bases",
         "laurent_core._monoid_contains_cached",
-        "laurent_core.minimal_generators",
         "laurent_core.shared_packing",
         "p2_catalog._build_blown_plane",
         "p2_catalog._build_p2",

@@ -6,7 +6,7 @@ import ast
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -149,6 +149,67 @@ def test_corrupted_pivot_row_fails_verification():
     solver.pivot_rows["x"]["y"] = 2
     with pytest.raises(AssertionError, match="verification failed"):
         solver.solve()
+
+
+def growing_denominator_system(rng):
+    """Primitive upper-triangular rows with pivot coefficients 2-9, some free
+    labels, and one redundant combination last.
+
+    Drawn again until a common denominator of the solution must grow at
+    three or more pivots of the back-substitution (``denominator_growths``).
+    """
+    while True:
+        pivots = [("x", i) for i in range(rng.randint(4, 7))]
+        free = [("y", i) for i in range(rng.randint(0, 2))]
+        rows = []
+        for k, pivot in enumerate(pivots):
+            later = pivots[k + 1:] + free
+            while True:
+                row = {pivot: rng.randint(2, 9)}
+                for v in rng.sample(later, min(len(later), rng.randint(1, 3))):
+                    row[v] = rng.choice([n for n in range(-6, 7) if n])
+                rhs = rng.randint(-9, 9)
+                if gcd(rhs, *row.values()) == 1:
+                    break
+            rows.append((row, rhs))
+        combo, total = {}, 0
+        for row, rhs in rng.sample(rows, 2):
+            f = rng.randint(1, 3)
+            for v, c in row.items():
+                combo[v] = combo.get(v, 0) + f * c
+            total += f * rhs
+        rows.append((combo, total))
+        solution = reference(pivots + free, rows)[2]
+        if denominator_growths(pivots, solution) >= 3:
+            return pivots, rows, solution
+
+
+def denominator_growths(pivots, solution):
+    """How many pivots, in the reverse sweep, have a value whose denominator
+    does not divide the lcm of those swept before: a common denominator has
+    to grow there."""
+    common, growths = 1, 0
+    for pivot in reversed(pivots):
+        d = solution[pivot].denominator
+        if common % d:
+            common, growths = lcm(common, d), growths + 1
+    return growths
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_back_substitution_grows_one_denominator(seed):
+    rng = random.Random(seed)
+    pivots, rows, solution = growing_denominator_system(rng)
+    solver = LinearSolver()
+    for row, rhs in rows:
+        solver.add_equation(row, rhs)
+    # added in pivot order, the rows are stored as they are
+    assert solver.pivot_order == pivots
+    assert [solver.pivot_rows[p] for p in pivots] == [r for r, _ in rows[:-1]]
+    assert solver.solve() == solution
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert solve_rows(shuffled).solve() == solution
 
 
 def planted_cascade_system(rng):
