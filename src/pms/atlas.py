@@ -209,7 +209,7 @@ class MultCocycle:
         for (i, j), entry in self.data.items():
             if i == j:
                 raise ValueError(f"cocycle entry on equal charts {i!r}")
-            if entry.as_monomial() is None:
+            if len(entry) != 1:
                 raise ValueError(
                     f"cocycle {self.name} entry on ({i},{j}) is not a single "
                     f"monomial term"
@@ -354,10 +354,10 @@ def _fold_vector_field(
     names: tuple[str, ...], nvars: int, entries: tuple, bundle: tuple,
 ) -> dict:
     # each twist entry q x^e once as (e, numerator, denominator)
-    shifts = {}
-    for pair, entry in _fold_mult(names, nvars, bundle).items():
-        exp, coeff = entry.as_monomial()
-        shifts[pair] = exp, coeff.numerator, coeff.denominator
+    shifts = {
+        pair: entry._monomial()
+        for pair, entry in _fold_mult(names, nvars, bundle).items()
+    }
 
     def twisted(pair, comps, sign=1):
         exp, num, den = shifts[pair]
@@ -412,10 +412,7 @@ def _mult_failures(atlas: Atlas, c: MultCocycle) -> list[str]:
             )
     # every entry is a monomial c x^e (``MultCocycle`` and the fold keep
     # them so), as (e, numerator, denominator) with the denominator > 0
-    mono = {}
-    for pair, entry in full.items():
-        exp, coeff = entry.as_monomial()
-        mono[pair] = exp, coeff.numerator, coeff.denominator
+    mono = {pair: entry._monomial() for pair, entry in full.items()}
     names = atlas.chart_names()
     for i in names:
         for j in names:
@@ -489,6 +486,8 @@ def derivation_failures(
         raise ValueError(
             "variable count mismatch between field, ring and variables"
         )
+    if not any(comps):  # the zero field preserves every ring
+        return []
     conditions = derivation_conditions(
         ring, [(known, ()) for known in numerators(comps)]
     )

@@ -252,10 +252,9 @@ class BlowupResult:
 
 
 def _monomial_exponent(p: LaurentPoly, ring: ExponentMonoid, what: str) -> Exponent:
-    mono = p.as_monomial()
-    if mono is None:
+    if len(p) != 1:
         raise ValueError(f"{what} must be a single monomial")
-    exp, _ = mono
+    exp, _, _ = p._monomial()
     if not ring.contains(exp):
         raise ValueError(f"{what} lies outside its chart ring")
     return exp

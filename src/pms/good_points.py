@@ -28,7 +28,7 @@ from .laurent_core import (
     Rational,
     poly_in_ring,
 )
-from .linear import LinearSolver, in_span, rank_of_vectors
+from .linear import LinearSolver, check_bound, in_span, rank_of_vectors
 
 POINT_RING = ExponentMonoid(2, ((0, 1), (1, 1)))
 FRAME_TAG = "t-frame at the chart origin"
@@ -194,8 +194,7 @@ def blowup_iso_decide(
     Trivial ambient structure (derivation data normalized to zero): the two
     images in the quotient by H(m) must span the same line (or both vanish).
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    check_bound(2, bound)  # the trivial case below searches no box
     d1, d2 = delta_invariant(z), delta_invariant(zp)
     m = bundle_degree(spec)
     h = [_sparse(vec) for vec in h_lp(m)]

@@ -20,6 +20,9 @@ methods build numerator dicts over a common denominator and wrap them with
 the internal ``LaurentPoly._wrap``, which skips re-normalization and
 therefore accepts only canonical data; ``_reduced`` divides out the common
 factor first where one can appear, and is free when the denominator is 1.
+A zero operand of a sum, difference, product or monomial multiple returns at
+once, before any dict is built: the result is the other operand, its
+negation or a zero, and since values are immutable it may be an operand.
 
 ``Packing`` and ``PackedSeries`` are the packed form of the truncated
 calculus, kept beside the representation they read (see ``truncated_ring``).
@@ -149,7 +152,7 @@ class LaurentPoly:
         return set(self._terms)
 
     def coefficient(self, exp: Iterable[int]) -> Rational:
-        return _fraction(self._terms.get(tuple(exp), 0), self._den)
+        return _fraction(self._terms.get(_exponent(exp, self.nvars), 0), self._den)
 
     def constant_coefficient(self) -> Rational:
         return _fraction(self._terms.get((0,) * self.nvars, 0), self._den)
@@ -159,10 +162,15 @@ class LaurentPoly:
 
     def as_monomial(self) -> tuple[Exponent, Rational] | None:
         """Return (exponent, coefficient) if this is a single term, else None."""
+        mono = self._monomial()
+        return None if mono is None else (mono[0], _fraction(*mono[1:]))
+
+    def _monomial(self) -> tuple[Exponent, int, int] | None:
+        """``as_monomial`` as (exponent, numerator, denominator), no Fraction."""
         if len(self._terms) != 1:
             return None
         [(exp, num)] = self._terms.items()
-        return exp, _fraction(num, self._den)
+        return exp, num, self._den
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -224,8 +232,15 @@ class LaurentPoly:
         self._check_same(other)
         return self._combined(other, -1)
 
+    # 10 cocycle-search rounds (seed 5, after the warm-up and 60) give 7,435
+    # of 11,640 products a zero factor, 15,633 of 18,750 sums and differences
+    # and 4,145 of 9,388 ``_times`` calls a zero operand; each returns at once
     def _combined(self, other: LaurentPoly, sign: int) -> LaurentPoly:
         """``self + sign * other`` over the lcm of the two denominators."""
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other if sign == 1 else -other
         den, db = self._den, other._den
         if den == db:
             terms, factor = dict(self._terms), sign
@@ -257,6 +272,8 @@ class LaurentPoly:
         denominators, and the result is reduced once, and not at all when
         both factors are integral."""
         self._check_same(other)
+        if not (self._terms and other._terms):
+            return other if self._terms else self
         terms: dict[Exponent, int] = {}
         b_terms = other._terms.items()
         for e1, c1 in self._terms.items():
@@ -278,6 +295,8 @@ class LaurentPoly:
         """``self * (num / den) * x^shift``; ``shift=None`` is no shift."""
         if not num:
             return LaurentPoly._wrap(self.nvars, {})
+        if not self._terms:
+            return self
         terms = self._terms.items()
         if shift is not None:
             # a shift is injective on exponents, so no two terms collide

@@ -98,6 +98,10 @@ Var = Hashable
 Row = dict[Var, Fraction | int]
 IntRow = dict[Var, int]
 
+# the most exponents a box may hold: bound 49 in two variables, 10 in three;
+# tests and workloads reach bound 8
+MAX_BOX_SIZE = 10_000
+
 
 def _integer_row(coeffs: Mapping[Var, Fraction | int],
                  rhs: Fraction | int) -> tuple[IntRow, int]:
@@ -317,10 +321,20 @@ def without(rows: Iterable[tuple[Row, Fraction]],
 # -- rows of term-form conditions -----------------------------------------
 
 
-def exponent_box(nvars: int, bound: int) -> list[Exponent]:
-    """The exponents e with every |e_v| <= bound, in lexicographic order."""
+def check_bound(nvars: int, bound: int) -> None:
+    """Refuse a negative bound, and one whose box in ``nvars`` variables
+    would hold more than ``MAX_BOX_SIZE`` exponents."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    if (2 * bound + 1) ** nvars > MAX_BOX_SIZE:
+        raise ValueError(f"bound {bound} is too large: its box in {nvars} "
+                         f"variables would hold over {MAX_BOX_SIZE} exponents")
+
+
+def exponent_box(nvars: int, bound: int) -> list[Exponent]:
+    """The exponents e with every |e_v| <= bound, in lexicographic order,
+    once ``check_bound`` has passed."""
+    check_bound(nvars, bound)
     return list(itertools.product(range(-bound, bound + 1), repeat=nvars))
 
 

@@ -1,5 +1,6 @@
 """Tests for chart atlases, cocycle validation, and serialization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -772,10 +773,9 @@ def seeded_field(ring, rng):
     return tuple(comps)
 
 
-def test_derivation_failures_match_the_image_oracle():
-    """``derivation_failures`` lists exactly the generators whose image,
-    built with ``LaurentPoly`` arithmetic, fails ``poly_in_ring``: on the
-    catalog chart and overlap rings and on one 3-variable ring."""
+def catalog_rings():
+    """The catalog chart and overlap rings, and one 3-variable ring, each
+    with its variable names."""
     rings = {}
     for atlas in (make_p2_atlas(), make_wcover_atlas(),
                   make_blown_plane(-3, 1, 0).atlas):
@@ -784,9 +784,16 @@ def test_derivation_failures_match_the_image_oracle():
             rings[ring.generators] = (ring, atlas.variables)
     ring3 = ExponentMonoid(3, ((1, 0, 0), (-1, 1, 0), (0, 1, 1), (0, 0, -1)))
     rings[ring3.generators] = (ring3, ("x", "y", "z"))
+    return list(rings.values())
+
+
+def test_derivation_failures_match_the_image_oracle():
+    """``derivation_failures`` lists exactly the generators whose image,
+    built with ``LaurentPoly`` arithmetic, fails ``poly_in_ring``: on the
+    catalog chart and overlap rings and on one 3-variable ring."""
     rng = random.Random(9173)
     seen = set()
-    for ring, names in rings.values():
+    for ring, names in catalog_rings():
         for _ in range(12):
             comps = seeded_field(ring, rng)
             expected = [monomial_str(g, names)
@@ -808,6 +815,34 @@ def test_derivation_failures_match_the_image_oracle():
                         ring.contains(f) for f in shifted):
                     seen.add("cancelled")
     assert seen == {False, True, "cancelled"}
+
+
+def test_the_zero_field_fails_nothing_and_hides_nothing():
+    """The zero field preserves every ring.  A component that moves a
+    generator out of its ring is reported beside zero components too, as
+    the image oracle reports it."""
+    planted = 0
+    for ring, names in catalog_rings():
+        n = ring.nvars
+        zeros = (LaurentPoly.zero(n),) * n
+        assert atlas_module.derivation_failures(zeros, ring, names) == []
+        for v in range(n):
+            for e in itertools.product((-3, 0, 3), repeat=n):
+                comps = zeros[:v] + (LaurentPoly.monomial(n, e),) + zeros[v + 1:]
+                expected = [monomial_str(g, names)
+                            for g, image in generator_images(comps, ring)
+                            if not poly_in_ring(image, ring)]
+                if expected:
+                    assert atlas_module.derivation_failures(
+                        comps, ring, names) == expected, (ring, comps)
+                    planted += 1
+                    break
+    assert planted >= 20
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        atlas_module.derivation_failures(
+            (LaurentPoly.zero(2),) * 2, ExponentMonoid(3, ((1, 0, 0),)),
+            ("x", "y", "z"),
+        )
 
 
 def test_a_broken_spec_fails_on_every_call():

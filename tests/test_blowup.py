@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from pms import blowup
+from pms import atlas as atlas_module
+from pms import blowup, cohomology, p2_catalog
 from pms.atlas import (
     Atlas,
     AtlasDocument,
@@ -339,6 +340,47 @@ def test_successive_identity():
     assert successive_identity_check(make_p2(-3), good_center(0, 0), bound=4)
     with pytest.raises(ValueError):
         successive_identity_check(base, P_CENTER)
+
+
+# every self-check the two calls below run, per module that calls it by name
+SELF_CHECKS = {
+    "validate_double_scheme": (atlas_module, blowup, p2_catalog),
+    "_verify_resubstitution": (cohomology,),
+    "derivation_failures": (atlas_module, blowup, cohomology),
+}
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("successive-identity", {"validate_double_scheme": 3,
+                             "_verify_resubstitution": 1,
+                             "derivation_failures": 22}),
+    ("iso-decide", {"validate_double_scheme": 1,
+                    "_verify_resubstitution": 1,
+                    "derivation_failures": 10}),
+])
+def test_self_checks_run_on_every_call(monkeypatch, case, expected):
+    """A warm call still runs every self-check: neither the memos nor the
+    zero and single-term shortcuts of the polynomial layer skip one.  The
+    counts are those of the product loops without the shortcuts."""
+    base = make_p2(-3, nontrivial=True)
+
+    def run():
+        if case == "successive-identity":
+            return successive_identity_check(base, good_center(1, 2), bound=4)
+        blown = blowup_reduced(base, P_CENTER, rename=RENAME)
+        return iso_decide(blown.spec, make_blown_plane(-3, 1, 0), bound=4)[0]
+
+    assert run()  # fills every memo the counted call reads
+    counts = dict.fromkeys(SELF_CHECKS, 0)
+    for name, modules in SELF_CHECKS.items():
+        def counted(*args, _real=getattr(modules[0], name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    assert run()
+    assert counts == expected
 
 
 def test_exceptional_center_extraction():

@@ -294,3 +294,33 @@ def test_fuzzed_arguments_exit_cleanly(files, data):
     rest = data.draw(_structured(files, verb) | _tokens(files))
     argv = [verb] + rest
     assert_clean_exit(argv, *run_cli(argv))
+
+
+HUGE = "100000000000"
+OVERSIZED = {
+    "family": lambda f: ["family", "--m", "-3", "--p", "0",
+                         "--ansatz-bound", HUGE],
+    "classify-iso": lambda f: ["classify-iso", f["plane"], f["plane"],
+                               "--bound", HUGE],
+    "cohomology": lambda f: ["cohomology", f["plane"], "--op", "coboundary",
+                             "--bound", HUGE],
+    "carpet": lambda f: ["carpet", "--alpha", "1/2", "--query", "decompose",
+                         "--bound", HUGE],
+    "gamma": lambda f: ["gamma", "--coeffs", "1,0", "--query", "iso-with",
+                        "0,1", "--bound", HUGE],
+    "gamma/trivial": lambda f: ["gamma", "--coeffs", "1,0", "--query",
+                                "iso-with", "2,0", "--trivial", "--bound",
+                                HUGE],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(OVERSIZED))
+def test_an_oversized_bound_exits_2(files, verb):
+    """Every bounded verb refuses a box too large to build before it
+    allocates one, with exit code 2 and one ``error:`` line."""
+    argv = OVERSIZED[verb](files)
+    code, out, err = run_cli(argv)
+    assert_clean_exit(argv, code, out, err)
+    assert code == 2
+    assert err == (f"error: bound {HUGE} is too large: its box in 2 variables"
+                   f" would hold over 10000 exponents\n")

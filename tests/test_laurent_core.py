@@ -9,6 +9,7 @@ import math
 import pkgutil
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
@@ -71,6 +72,12 @@ def test_product_difference_of_squares():
 def test_variable_count_mismatch_raises():
     with pytest.raises(ValueError):
         LAM + LaurentPoly.var(3, 0)
+    # a zero operand returns at once, but only after the count check
+    zero3 = LaurentPoly.zero(3)
+    for combine in (add, sub, mul):
+        for a, b in ((LAM, zero3), (zero3, LAM), (LaurentPoly.zero(2), zero3)):
+            with pytest.raises(ValueError):
+                combine(a, b)
     with pytest.raises(ValueError):
         LaurentPoly(2, {(1, 2, 3): 1})
     # no exponent entry is coerced: int() would truncate 0.5 to 0
@@ -141,6 +148,20 @@ def test_arithmetic_results_are_canonical():
             assert_canonical(p)
         assert (a + (-a)).is_zero() and (a - a).is_zero()
         assert a.scale(0).is_zero() and a.mul_monomial(shift, 0).is_zero()
+
+        # zero on either side, beside a fractional and an integral partner
+        zero = LaurentPoly.zero(2)
+        for c in (a, a.scale(a._den), b):
+            with_zero = [
+                zero + c, c + zero, zero - c, c - zero, zero * c, c * zero,
+                zero.scale(factor), zero.mul_monomial(shift, factor),
+                zero + zero, zero - zero, zero * zero,
+            ]
+            for p in with_zero:
+                assert_canonical(p)
+            assert zero + c == c + zero == c - zero == c
+            assert zero - c == -c and hash(zero - c) == hash(-c)
+            assert all(p.is_zero() and p.nvars == 2 for p in with_zero[4:])
     assert_canonical(LaurentPoly.zero(3))
     assert_canonical((LAM + MU) * (LAM - MU))
 
@@ -194,12 +215,33 @@ def test_arithmetic_results_are_canonical():
 
 
 def test_mul_monomial_takes_only_int_shifts():
-    # int() would read 1.5 as 1 and True as 1
+    # int() would read 1.5 as 1 and True as 1, and a dict lookup reads 1.0
+    # as 1; ``coefficient`` takes exponents as ``mul_monomial`` does
+    three_lam = LAM.scale(3)
     for shift in ((1.5, 0), (True, 0), (1.0, 0), (Fraction(1), 0), (1,), (1, 0, 0)):
         with pytest.raises(ValueError):
             LAM.mul_monomial(shift)
+        with pytest.raises(ValueError):
+            three_lam.coefficient(shift)
+    assert three_lam.coefficient([1, 0]) == 3 and three_lam.coefficient((0, 1)) == 0
     assert LAM.mul_monomial([1, -1], 2) == LaurentPoly.monomial(2, (2, -1), 2)
     assert LAM.mul_monomial((0, 0)) == LAM
+
+
+def test_the_internal_monomial_read_agrees_with_as_monomial():
+    rng = random.Random(4711)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        exp = tuple(rng.randint(-2**40, 2**40) for _ in range(nvars))
+        coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6),
+                         rng.randint(1, 10**4))
+        p = LaurentPoly.monomial(nvars, exp, coeff)
+        e, num, den = p._monomial()
+        assert (e, Fraction(num, den)) == p.as_monomial() == (exp, coeff)
+        assert type(num) is int and type(den) is int and den > 0
+        assert math.gcd(num, den) == 1
+    for p in (LaurentPoly.zero(2), LAM + MU, LAM - LAM):
+        assert p._monomial() is None and p.as_monomial() is None
 
 
 def test_coefficients_are_only_ints_and_fractions():

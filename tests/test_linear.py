@@ -14,8 +14,10 @@ import pytest
 from pms import linear
 from pms.laurent_core import ExponentMonoid
 from pms.linear import (
+    MAX_BOX_SIZE,
     LinearSolver,
     box_labels,
+    exponent_box,
     fill_rows,
     forced_by_singletons,
     in_span,
@@ -447,3 +449,17 @@ def test_integer_row_is_cleared_only_by_the_public_entries():
         if (found := _integer_row_callers(ast.parse(path.read_text())))
     }
     assert callers == {"linear.py": {"add_equation", "spans"}}
+
+
+def test_exponent_box_refuses_a_box_too_large_to_build():
+    """The size is checked before anything is allocated, so a bound of
+    10^11 fails at once instead of exhausting memory."""
+    assert MAX_BOX_SIZE == 10_000
+    assert exponent_box(2, 1) == [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    assert len(exponent_box(2, 49)) == 99 ** 2
+    assert len(exponent_box(1, 4999)) == MAX_BOX_SIZE - 1
+    for nvars, bound in ((2, 50), (3, 11), (1, 5000), (2, 10 ** 11)):
+        with pytest.raises(ValueError, match="too large"):
+            exponent_box(nvars, bound)
+    with pytest.raises(ValueError, match="non-negative"):
+        exponent_box(2, -1)
