@@ -9,11 +9,17 @@ from fractions import Fraction
 import pytest
 
 from pms import truncated_ring
-from pms.laurent_core import ExponentMonoid, LaurentPoly, poly_to_json
+from pms.laurent_core import (
+    ExponentMonoid,
+    LaurentPoly,
+    PackedSeries,
+    poly_to_json,
+)
 from pms.truncated_ring import (
     RingMorphism,
     TruncElement,
     _image_power,
+    _inverse_part,
     _phi_poly,
     _unpack,
     apply_endo,
@@ -190,7 +196,9 @@ def test_identity_and_composition():
 def test_composition_is_outer_applied_to_each_image(seed, monkeypatch):
     """``compose_endo`` equals ``apply_endo`` of the outer morphism on each
     inner variable image and on epsilon * t, built from one list of
-    epsilon's powers; ``endo_inverse`` still checks both compositions."""
+    epsilon's powers; ``endo_inverse`` checks both compositions without
+    ``compose_endo`` or ``identity_morphism``, building theta's powers for
+    the solve and psi's for the psi(theta) check, once each."""
     rng = random.Random(f"compose:{seed}")
     order = 2 + seed % 4
     outer = sparse_morphism(rng, order, 2, ("unit", "zero", "reg")[seed % 3])
@@ -199,35 +207,108 @@ def test_composition_is_outer_applied_to_each_image(seed, monkeypatch):
     expected = RingMorphism(
         order, tuple(apply_endo(outer, img) for img in inner.variable_images),
         TruncElement(order - 1, t_image.coeffs[1:]))
-    powers, composed = [], []
+    powers, called = [], []
     built_powers = truncated_ring._powers
 
     def spy_powers(a, n):
         powers.append(n)
         return built_powers(a, n)
 
-    def spy_compose(first, second):
-        composed.append((first, second))
-        return compose_endo(first, second)
-
     monkeypatch.setattr(truncated_ring, "_powers", spy_powers)
     assert compose_endo(outer, inner) == expected
     assert powers == [order]
-    monkeypatch.setattr(truncated_ring, "compose_endo", spy_compose)
+    for name in ("compose_endo", "identity_morphism"):
+        monkeypatch.setattr(truncated_ring, name,
+                            lambda *args, name=name: called.append(name))
     powers.clear()
     psi = endo_inverse(inner)
-    assert composed == [(inner, psi), (psi, inner)]
-    assert powers == [order] * 3
+    assert called == [] and powers == [order] * 2
+    monkeypatch.undo()
+    assert compose_endo(inner, psi) == identity_morphism(order, 2)
+    assert compose_endo(psi, inner) == identity_morphism(order, 2)
+
+
+def planted_inverse(monkeypatch, plant):
+    """Make ``endo_inverse`` see ``plant(part, (p, sums))`` in place of the
+    return value of each call of ``_inverse_part`` (part 0 first)."""
+    calls = []
+
+    def planted(*args):
+        calls.append(None)
+        return plant(len(calls) - 1, _inverse_part(*args))
+
+    monkeypatch.setattr(truncated_ring, "_inverse_part", planted)
+
+
+# (seed, order, variables): orders 2-5 in one to three variables
+PLANTED_CASES = [(seed, 2 + seed % 4, 1 + seed % 3) for seed in range(12)]
 
 
 def test_endo_inverse_reports_a_failed_identity_check_as_a_self_check(
-    monkeypatch,
-):
-    theta = sparse_morphism(random.Random(405), 3, 2, "unit")
-    monkeypatch.setattr(truncated_ring, "compose_endo",
-                        lambda first, second: theta)
-    with pytest.raises(AssertionError, match="failed to converge"):
-        endo_inverse(theta)
+        monkeypatch):
+    """theta(psi) is checked on the solve's own sums: a stray term t^(k-1)
+    x_0^2 in the sum of one part trips the check, although psi is right."""
+    for seed, order, nvars in PLANTED_CASES:
+        rng = random.Random(f"planted-sum:{seed}")
+        theta = sparse_morphism(rng, order, nvars, "unit")
+        psi = endo_inverse(theta)
+        bad = rng.randrange(nvars + 1)
+
+        def plant(part, solved):
+            p, sums = solved
+            if part != bad:
+                return solved
+            span, places = sums.packing.span, sums.packing.places
+            key = (sums.order - 1) * span + 2 * places[0]
+            terms = {**sums.terms, key: sums.terms.get(key, 0) + sums.den}
+            return p, PackedSeries(sums.packing, sums.order, terms, sums.den)
+
+        planted_inverse(monkeypatch, lambda part, solved: solved)
+        assert endo_inverse(theta) == psi  # an honest plant changes nothing
+        planted_inverse(monkeypatch, plant)
+        with pytest.raises(AssertionError, match="failed to converge"):
+            endo_inverse(theta)
+
+
+def test_endo_inverse_checks_psi_after_theta_afresh(monkeypatch):
+    """psi(theta) is checked by applying psi anew: a candidate whose top
+    coefficient of one variable image is changed after the solve, its sum
+    left honest, trips the check."""
+    for seed, order, nvars in PLANTED_CASES:
+        rng = random.Random(f"planted-candidate:{seed}")
+        theta = sparse_morphism(rng, order, nvars, "unit")
+        bad = rng.randrange(nvars)
+        stray = LaurentPoly.monomial(nvars, [2] + [0] * (nvars - 1))
+
+        def plant(part, solved):
+            p, sums = solved
+            if part != bad:
+                return solved
+            top = p.coeffs[-1] + stray
+            return TruncElement(p.order, p.coeffs[:-1] + (top,)), sums
+
+        planted_inverse(monkeypatch, plant)
+        with pytest.raises(AssertionError, match="failed to converge"):
+            endo_inverse(theta)
+
+
+def test_list_built_values_are_frozen_tuples():
+    """Coefficients and images given as lists are stored as tuples, so the
+    values equal, hash and compute like the tuple-built ones."""
+    rng = random.Random(39)
+    theta = sparse_morphism(rng, 3, 2, "unit")
+    u = sparse_element(rng, 3, 2)
+    u_list = TruncElement(3, list(u.coeffs))
+    images = [TruncElement(3, list(img.coeffs))
+              for img in theta.variable_images]
+    theta_list = RingMorphism(3, images,
+                              TruncElement(2, list(theta.epsilon.coeffs)))
+    assert type(u_list.coeffs) is tuple and u_list == u
+    assert hash(u_list) == hash(u)
+    assert type(theta_list.variable_images) is tuple and theta_list == theta
+    assert hash(theta_list) == hash(theta)
+    assert apply_endo(theta_list, u_list) == apply_endo(theta, u)
+    assert endo_inverse(theta_list) == endo_inverse(theta)
 
 
 def test_classify_endo_with_witnesses():
@@ -564,6 +645,26 @@ def test_truncated_calculus_matches_full_order_reference(
         unit = TruncElement(k, (fraction_head(rng, nvars),) + tuple(
             sparse_poly(rng, nvars) for _ in range(k - 1)))
         assert invert_unit(unit) == ref_invert_unit(unit)
+
+
+NEGATIVE_HEAD_CASES = [
+    (head, order, nvars) for head in ("-2/3", "-3/2")
+    for order in range(2, 7) for nvars in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("head,order,nvars", NEGATIVE_HEAD_CASES)
+def test_endo_inverse_matches_the_reference_at_negative_fractional_heads(
+        head, order, nvars):
+    """Epsilon heads -2/3 and -3/2: the correction divides by their odd
+    powers too, whose sign moves to the numerator."""
+    rng = random.Random(f"negative-head:{head}:{order}:{nvars}")
+    theta = sparse_morphism(rng, order, nvars, "unit")
+    eps0 = LaurentPoly.monomial(
+        nvars, [rng.randint(-1, 1) for _ in range(nvars)], Fraction(head))
+    theta = RingMorphism(order, theta.variable_images, TruncElement(
+        order - 1, (eps0,) + theta.epsilon.coeffs[1:]))
+    assert endo_inverse(theta) == ref_endo_inverse(theta)
 
 
 def fraction_head(rng: random.Random, nvars: int) -> LaurentPoly:
