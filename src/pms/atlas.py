@@ -50,7 +50,7 @@ a twisted vector-field cocycle, at truncation order two.  Atlases, cocycles
 and descriptions are frozen values: each keeps read-only copies
 (``MappingProxyType``) of the mappings it was built from, so changing the
 caller's dict later changes nothing, and a changed value is built as a new
-one (``{**c.data, pair: entry}``, ``dataclasses.replace``).  So
+one (``{**c.data, pair: entry}``, ``Record._replace``).  So
 ``pms.p2_catalog`` and ``pms.blowup`` can share one value between equal
 calls.  ``CENTER_KINDS`` names the centers a double scheme can be blown up
 along (``pms.blowup``); it lives here, beside the documents every ``pms``
@@ -60,7 +60,6 @@ verb reads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 from types import MappingProxyType
@@ -70,6 +69,7 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
+    Record,
     format_rational,
     json_int,
     json_shape,
@@ -93,33 +93,31 @@ def pair_key(a: str, b: str) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class Chart:
-    name: str
-    ring: ExponentMonoid
+class Chart(Record):
+    __slots__ = ("name", "ring")
 
-    def __post_init__(self):
-        if not self.name or "," in self.name:
-            raise ValueError(f"bad chart name {self.name!r}")
+    def __init__(self, name: str, ring: ExponentMonoid):
+        if not name or "," in name:
+            raise ValueError(f"bad chart name {name!r}")
+        self._fill(name, ring)
 
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(Record):
     """Charts and overlap rings: a value, ``overlaps`` and ``frames`` read-only."""
 
-    variables: tuple[str, ...]
-    truncation_order: int
-    charts: tuple[Chart, ...]
-    overlaps: Mapping[Pair, ExponentMonoid] = field(hash=False)
-    frames: Mapping[str, LaurentPoly] | None = field(default=None, hash=False)
-    residue_scale: Rational | None = None
+    __slots__ = ("variables", "truncation_order", "charts", "overlaps",
+                 "frames", "residue_scale")
+    _unhashed = ("overlaps", "frames")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "charts", tuple(self.charts))
-        object.__setattr__(self, "overlaps", MappingProxyType(dict(self.overlaps)))
-        if self.frames is not None:
-            object.__setattr__(self, "frames", MappingProxyType(dict(self.frames)))
+    def __init__(self, variables: tuple[str, ...], truncation_order: int,
+                 charts: tuple[Chart, ...],
+                 overlaps: Mapping[Pair, ExponentMonoid],
+                 frames: Mapping[str, LaurentPoly] | None = None,
+                 residue_scale: Rational | None = None):
+        if frames is not None:
+            frames = MappingProxyType(dict(frames))
+        self._fill(tuple(variables), truncation_order, tuple(charts),
+                   MappingProxyType(dict(overlaps)), frames, residue_scale)
         if self.truncation_order < 2:
             raise ValueError("truncation order must be at least 2")
         if len(set(self.variables)) != len(self.variables):
@@ -194,18 +192,16 @@ class Atlas:
         return out
 
 
-@dataclass(frozen=True)
-class MultCocycle:
+class MultCocycle(Record):
     """Transition data of a line bundle: invertible monomials on chart pairs.
 
     A value: ``data`` is a read-only copy of the mapping it was built from.
     """
 
-    name: str
-    data: Mapping[Pair, LaurentPoly]
+    __slots__ = ("name", "data")
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
+    def __init__(self, name: str, data: Mapping[Pair, LaurentPoly]):
+        self._fill(name, MappingProxyType(dict(data)))
         for (i, j), entry in self.data.items():
             if i == j:
                 raise ValueError(f"cocycle entry on equal charts {i!r}")
@@ -216,18 +212,17 @@ class MultCocycle:
                 )
 
 
-@dataclass(frozen=True)
-class VectorFieldCocycle:
+class VectorFieldCocycle(Record):
     """Twisted vector-field data: per chart pair, one coefficient per variable.
 
     A value: ``data`` is a read-only copy, each entry a tuple.
     """
 
-    data: Mapping[Pair, tuple[LaurentPoly, ...]]
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", MappingProxyType({
-            key: tuple(comps) for key, comps in self.data.items()
+    def __init__(self, data: Mapping[Pair, tuple[LaurentPoly, ...]]):
+        self._fill(MappingProxyType({
+            key: tuple(comps) for key, comps in data.items()
         }))
         for (i, j), comps in self.data.items():
             if i == j:
@@ -239,25 +234,25 @@ class VectorFieldCocycle:
                 )
 
 
-@dataclass(frozen=True)
-class DoubleSchemeSpec:
+class DoubleSchemeSpec(Record):
     """A double scheme: atlas, bundle cocycle, and twisted derivation family.
 
     A value, which the catalog constructors share between equal calls.
     """
 
-    atlas: Atlas
-    alpha: MultCocycle
-    D: VectorFieldCocycle
+    __slots__ = ("atlas", "alpha", "D")
 
-    def __post_init__(self):
-        if self.atlas.truncation_order != 2:
+    def __init__(self, atlas: Atlas, alpha: MultCocycle, D: VectorFieldCocycle):
+        if atlas.truncation_order != 2:
             raise ValueError("double-scheme data must have truncation order two")
+        self._fill(atlas, alpha, D)
 
 
-@dataclass
-class ValidationReport:
-    failures: list[str] = field(default_factory=list)
+class ValidationReport(Record, frozen=False):
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: list[str] | None = None):
+        self._fill([] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -566,15 +561,14 @@ def canonical_spanning_pairs(atlas: Atlas) -> list[Pair]:
 # -- serialization ------------------------------------------------------
 
 
-@dataclass
-class AtlasDocument:
+class AtlasDocument(Record, frozen=False):
     """An atlas together with named bundle cocycles and optional double data."""
 
-    atlas: Atlas
-    cocycles: dict[str, MultCocycle] = field(default_factory=dict)
-    double: DoubleSchemeSpec | None = None
+    __slots__ = ("atlas", "cocycles", "double")
 
-    def __post_init__(self):
+    def __init__(self, atlas: Atlas, cocycles: dict[str, MultCocycle] | None = None,
+                 double: DoubleSchemeSpec | None = None):
+        self._fill(atlas, {} if cocycles is None else cocycles, double)
         for name, c in self.cocycles.items():
             if c.name != name:
                 raise ValueError("cocycle name key mismatch")

@@ -24,7 +24,6 @@ their transitions as ring morphisms on consecutive chart pairs (the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .atlas import (
@@ -48,6 +47,7 @@ from .cohomology import iso_decide
 from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
+    Record,
     json_shape,
     minimal_generators,
     monomial_is_unit,
@@ -72,8 +72,7 @@ Exponent = tuple[int, ...]
 # -- center descriptions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CenterSpec:
+class CenterSpec(Record):
     """A monomial center: ideal generators or (coordinate, coefficient) pairs.
 
     ``generators`` holds, per chart, the monomial ideal generators (reduced
@@ -82,11 +81,13 @@ class CenterSpec:
     chart function, encoding the ideal ``(y + a*t)``.
     """
 
-    kind: str
-    generators: dict[str, tuple[LaurentPoly, ...]] | None = None
-    pairs: dict[str, tuple[tuple[LaurentPoly, LaurentPoly], ...]] | None = None
+    __slots__ = ("kind", "generators", "pairs")
 
-    def __post_init__(self):
+    def __init__(self, kind: str,
+                 generators: dict[str, tuple[LaurentPoly, ...]] | None = None,
+                 pairs: dict[str, tuple[tuple[LaurentPoly, LaurentPoly], ...]]
+                 | None = None):
+        self._fill(kind, generators, pairs)
         if self.kind not in CENTER_KINDS:
             raise ValueError(f"unknown center kind {self.kind!r}")
         if self.kind == "good":
@@ -160,14 +161,13 @@ def center_from_json(data: dict, nvars: int) -> CenterSpec:
 # -- higher-multiplicity transition data --------------------------------
 
 
-@dataclass
-class TransitionSpec:
+class TransitionSpec(Record, frozen=False):
     """Transition ring morphisms on consecutive chart pairs of an atlas."""
 
-    atlas: Atlas
-    transitions: dict[Pair, RingMorphism]
+    __slots__ = ("atlas", "transitions")
 
-    def __post_init__(self):
+    def __init__(self, atlas: Atlas, transitions: dict[Pair, RingMorphism]):
+        self._fill(atlas, transitions)
         expected = set(canonical_spanning_pairs(self.atlas))
         if set(self.transitions) != expected:
             raise ValueError(
@@ -223,15 +223,14 @@ def validate_transition_spec(spec: TransitionSpec) -> ValidationReport:
 # -- shared chart combinatorics -----------------------------------------
 
 
-@dataclass(frozen=True)
-class BlownChart:
-    name: str
-    base: str
-    generator: Exponent
+class BlownChart(Record):
+    __slots__ = ("name", "base", "generator")
+
+    def __init__(self, name: str, base: str, generator: Exponent):
+        self._fill(name, base, generator)
 
 
-@dataclass
-class BlowupResult:
+class BlowupResult(Record, frozen=False):
     """A blow-up: the new structure plus its bundle bookkeeping.
 
     ``spec`` is the blown-up double scheme (or transition family for higher
@@ -241,10 +240,12 @@ class BlowupResult:
     new chart, the base chart and the distinguished center generator.
     """
 
-    spec: DoubleSchemeSpec | TransitionSpec
-    pullback: MultCocycle
-    exceptional: MultCocycle | None
-    charts: tuple[BlownChart, ...]
+    __slots__ = ("spec", "pullback", "exceptional", "charts")
+
+    def __init__(self, spec: DoubleSchemeSpec | TransitionSpec,
+                 pullback: MultCocycle, exceptional: MultCocycle | None,
+                 charts: tuple[BlownChart, ...]):
+        self._fill(spec, pullback, exceptional, charts)
 
     @property
     def atlas(self) -> Atlas:

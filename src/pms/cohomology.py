@@ -58,7 +58,6 @@ free, and a deleted tau would look free by mistake.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -81,6 +80,7 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
+    Record,
     format_rational,
     poly_to_json,
 )
@@ -103,21 +103,22 @@ BOUND_CAVEAT = (
 )
 
 
-@dataclass
-class OneFormCocycle:
+class OneFormCocycle(Record, frozen=False):
     """One-form valued chart-pair data: per pair, one coefficient per dv."""
 
-    data: dict[Pair, tuple[LaurentPoly, ...]]
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        self.data = {k: tuple(v) for k, v in self.data.items()}
+    def __init__(self, data: dict[Pair, tuple[LaurentPoly, ...]]):
+        self._fill({k: tuple(v) for k, v in data.items()})
 
 
-@dataclass
-class TwoCocycle:
+class TwoCocycle(Record, frozen=False):
     """Top-form valued data on chart triples increasing in atlas order."""
 
-    data: dict[tuple[str, str, str], LaurentPoly]
+    __slots__ = ("data",)
+
+    def __init__(self, data: dict[tuple[str, str, str], LaurentPoly]):
+        self._fill(data)
 
 
 def solver_report(status: str, bound: int, witness=None) -> dict:

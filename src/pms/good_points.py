@@ -17,7 +17,6 @@ by H(m) up to scale (trivial, normalized ambient structure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import DoubleSchemeSpec, canonical_spanning_pairs, derive_mult
@@ -26,6 +25,7 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
+    Record,
     poly_in_ring,
 )
 from .linear import LinearSolver, check_bound, in_span, rank_of_vectors
@@ -40,16 +40,14 @@ STANDARD_COORDS = (
 Section = dict[tuple[int, tuple[int, int, int]], Fraction]
 
 
-@dataclass(frozen=True)
-class GoodPoint:
+class GoodPoint(Record):
     """The ideal (y_1 + a_1 t, y_2 + a_2 t) at the origin of the chart U2."""
 
-    coords: tuple[LaurentPoly, LaurentPoly]
-    coeffs: tuple[LaurentPoly, LaurentPoly]
+    __slots__ = ("coords", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coords: tuple[LaurentPoly, LaurentPoly],
+                 coeffs: tuple[LaurentPoly, LaurentPoly]):
+        self._fill(tuple(coords), tuple(coeffs))
         if len(self.coords) != 2 or len(self.coeffs) != 2:
             raise ValueError("a good point needs two coordinates and two "
                              "coefficients")

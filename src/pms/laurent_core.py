@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, attrgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -357,6 +356,70 @@ _set_nvars, _set_terms, _set_den = (
 )
 
 
+# -- records ------------------------------------------------------------
+
+
+class FrozenRecordError(AttributeError):
+    """A write to, or deletion of, an attribute of a frozen ``Record``."""
+
+
+class Record:
+    """The base of the value classes of ``pms``, built as ``LaurentPoly`` is:
+    a subclass lists its fields in ``__slots__`` (a slot starting with ``_``
+    is no field), and its ``__init__`` checks its input and sets them with
+    ``_fill``, which keeps them as one tuple ``_key`` too.  Equality compares
+    ``_key`` within one class; the hash skips the fields in ``_unhashed``;
+    ``repr`` has the dataclass form; ``_replace`` builds a changed copy
+    through ``__init__``, so it is validated.  Writes raise
+    ``FrozenRecordError``, except on a record declared ``frozen=False``,
+    which is unhashable and reads its ``_key`` afresh."""
+
+    __slots__ = ("_key",)
+    _unhashed = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(s for s in vars(cls)["__slots__"] if s[0] != "_")
+        cls._fields, cls._setters = fields, tuple(getattr(cls, f).__set__ for f in fields)
+        if cls._unhashed:
+            cls._hashed = attrgetter(*(f for f in fields if f not in cls._unhashed))
+            cls.__hash__ = lambda self: hash(self._hashed(self))
+        if not frozen:
+            get = attrgetter(*fields)  # one field would come back bare
+            cls._key = property(get if len(fields) > 1 else lambda r: (get(r),))
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def _fill(self, *values) -> None:
+        for put, value in zip(self._setters, values):
+            put(self, value)
+        _set_key(self, values)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._key), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._key)
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+_set_key = Record._key.__set__
+
+
 def _rational(value: Rational | int) -> tuple[int, int]:
     """A coefficient as ``(numerator, denominator)``, denominator > 0.
 
@@ -516,6 +579,12 @@ class PackedSeries:
         terms = {key: c for key, c in self.terms.items() if c and lo <= key < hi}
         return PackedSeries(self.packing, self.order, terms, self.den)
 
+    def coefficient(self, k: int) -> LaurentPoly:
+        """``unpack()[k]``, decoding the keys of t^k alone."""
+        decode = self.packing.decode
+        terms = {decode(key)[1]: c for key, c in self.degree(k).terms.items()}
+        return LaurentPoly._wrap(self.packing.nvars, *_reduced(terms, self.den))
+
     def head_inverse(self) -> PackedSeries | None:
         """1/a_0 when the coefficient a_0 of t^0 is a monomial, else None."""
         head = self.degree(0).terms
@@ -558,20 +627,18 @@ def _exponent(values: Iterable[int], nvars: int) -> Exponent:
     return exp
 
 
-@dataclass(frozen=True)
-class ExponentMonoid:
+class ExponentMonoid(Record):
     """A finitely generated submonoid of Z^nvars, given by its generators."""
 
-    nvars: int
-    generators: tuple[Exponent, ...]
+    __slots__ = ("nvars", "generators")
 
-    def __post_init__(self):
-        gens = tuple(_exponent(g, self.nvars) for g in self.generators)
+    def __init__(self, nvars: int, generators: tuple[Exponent, ...]):
+        gens = tuple(_exponent(g, nvars) for g in generators)
         if not gens:
             raise ValueError("a monoid needs at least one generator")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate monoid generators")
-        object.__setattr__(self, "generators", gens)
+        self._fill(nvars, gens)
 
     def contains(self, exp: Iterable[int]) -> bool:
         return _monoid_contains_cached(

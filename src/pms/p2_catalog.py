@@ -43,7 +43,6 @@ indeterminate al.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -71,6 +70,7 @@ from .laurent_core import (
     ExponentMonoid,
     LaurentPoly,
     Rational,
+    Record,
     format_rational,
     monomial_str,
 )
@@ -135,7 +135,7 @@ def _build_atlas(charts, overlaps, frames, unit: MultCocycle) -> Atlas:
         overlaps={k: ExponentMonoid(2, g) for k, g in overlaps.items()},
         frames={n: _mono(e, c) for n, (e, c) in frames.items()},
     )
-    return replace(atlas, residue_scale=calibrate_residue(atlas, unit))
+    return atlas._replace(residue_scale=calibrate_residue(atlas, unit))
 
 
 @lru_cache(maxsize=1)
@@ -667,18 +667,17 @@ def _label_str(label) -> str:
     return "".join(map(str, label))  # ("c0",) -> c0, ("R", 2) -> R2
 
 
-@dataclass
-class FamilyDescription:
+class FamilyDescription(Record, frozen=False):
     """A family of normal-form double structures with its parameter count."""
 
-    m: int
-    p: int
-    nontrivial: bool
-    parameter_dim: int
-    free_parameters: tuple[str, ...]
-    relations: tuple[str, ...]
-    ansatz_bound: int
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ("m", "p", "nontrivial", "parameter_dim", "free_parameters",
+                 "relations", "ansatz_bound", "diagnostics")
+
+    def __init__(self, m: int, p: int, nontrivial: bool, parameter_dim: int,
+                 free_parameters: tuple[str, ...], relations: tuple[str, ...],
+                 ansatz_bound: int, diagnostics: dict | None = None):
+        self._fill(m, p, nontrivial, parameter_dim, free_parameters, relations,
+                   ansatz_bound, {} if diagnostics is None else diagnostics)
 
     def to_json(self) -> dict:
         return {

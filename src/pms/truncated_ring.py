@@ -76,7 +76,6 @@ S.  A wider packing is as exact, so the floor of 12 only lets calls share the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent_core import (
@@ -85,6 +84,7 @@ from .laurent_core import (
     PackedSeries,
     Packing,
     Rational,
+    Record,
     largest_exponent,
     monomial_is_unit,
     poly_in_ring,
@@ -96,25 +96,23 @@ from .laurent_core import (
 MIN_DIGIT_WIDTH = 12
 
 
-@dataclass(frozen=True)
-class TruncElement:
+class TruncElement(Record):
     """An element of R[t]/(t^order): coeffs[i] multiplies t^i."""
 
-    order: int
-    coeffs: tuple[LaurentPoly, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if type(self.coeffs) is not tuple:  # a list would stay mutable
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.order < 1:
+    def __init__(self, order: int, coeffs: tuple[LaurentPoly, ...]):
+        if type(coeffs) is not tuple:  # a list would stay mutable
+            coeffs = tuple(coeffs)
+        if order < 1:
             raise ValueError("truncation order must be at least 1")
-        if len(self.coeffs) != self.order:
-            raise ValueError(
-                f"expected {self.order} coefficients, got {len(self.coeffs)}"
-            )
-        nv = {c.nvars for c in self.coeffs}
-        if len(nv) != 1:
-            raise ValueError("mixed variable counts in coefficients")
+        if len(coeffs) != order:
+            raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
+        nvars = coeffs[0].nvars
+        for c in coeffs:  # a loop, where a set comprehension costs a frame
+            if c.nvars != nvars:
+                raise ValueError("mixed variable counts in coefficients")
+        self._fill(order, coeffs)
 
     @property
     def nvars(self) -> int:
@@ -283,8 +281,7 @@ def _bracket(l: PackedSeries, apows: list[PackedSeries], order: int,
 # -- endomorphisms ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingMorphism:
+class RingMorphism(Record):
     """A filtered endomorphism of R[t]/(t^order).
 
     ``variable_images[v]`` is the image of the v-th chart variable (constant
@@ -292,13 +289,12 @@ class RingMorphism:
     by t, one truncation order lower.
     """
 
-    order: int
-    variable_images: tuple[TruncElement, ...]
-    epsilon: TruncElement
+    # ``_hash`` is filled in by the first ``__hash__`` call
+    __slots__ = ("order", "variable_images", "epsilon", "_hash")
 
-    def __post_init__(self):
-        images = tuple(self.variable_images)  # a list would stay mutable
-        object.__setattr__(self, "variable_images", images)
+    def __init__(self, order: int, variable_images: tuple[TruncElement, ...],
+                 epsilon: TruncElement):
+        self._fill(order, tuple(variable_images), epsilon)  # a list would stay mutable
         if self.order < 2:
             raise ValueError("morphism order must be at least 2")
         if not self.variable_images:
@@ -329,7 +325,8 @@ class RingMorphism:
 
     def __hash__(self) -> int:
         # the fields' hash, kept by the first call as ``LaurentPoly._hash``
-        # is; ``_hash`` is no field, so repr and == never see it
+        # is; ``_hash`` is no field (its slot starts with ``_``), so repr and
+        # == never see it
         try:
             return self._hash
         except AttributeError:
@@ -516,7 +513,7 @@ def _inverse_part(theta: RingMorphism, eps_pows: list[PackedSeries],
     for k in range(order):
         if k:  # p_k = -e_k / eps0^m, e_k what slices 0..k-1 put at t^k
             m, d = k + shift, num ** (k + shift)
-            p.append(sums.degree(k).unpack()[k]._times(  # over |d| > 0
+            p.append(sums.coefficient(k)._times(  # over |d| > 0
                 tuple(-m * e for e in exp), -den ** m if d > 0 else den ** m,
                 abs(d)))
         if p[k]:

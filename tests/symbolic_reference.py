@@ -22,7 +22,6 @@ the atlas and validation code on three variables with it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -114,7 +113,7 @@ def symbolic_wcover_atlas() -> Atlas:
         overlaps={k: _with_symbol(r) for k, r in plain.overlaps.items()},
         frames={n: padded(f) for n, f in plain.frames.items()},
     )
-    return replace(atlas, residue_scale=calibrate_residue(
+    return atlas._replace(residue_scale=calibrate_residue(
         atlas, padded_bundle(beta_table(1, 0))
     ))
 

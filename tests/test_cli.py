@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import pms
 from pms import blowup, cohomology
 from pms.atlas import (
     AtlasDocument,
@@ -642,12 +644,15 @@ def test_blowup_kind_choices_are_the_center_kinds():
 SRC = Path(__file__).resolve().parent.parent / "src"
 # run one command in a fresh interpreter; print its exit code and the pms
 # modules it loaded
+# the exit code, the pms modules, and which of ``dataclasses`` and the
+# ``inspect`` it imports a cold process has loaded
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 {imports}
 with contextlib.redirect_stdout(io.StringIO()):
     code = {call}
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("pms."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("pms.")),
+                  sorted({{"dataclasses", "inspect"}} & set(sys.modules))]))
 """
 
 
@@ -689,10 +694,18 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, code,
     write_point_center(tmp_path)
     assert loaded_modules(
         tmp_path, "import pms.cli", f"pms.cli.main({list(argv)!r})"
-    ) == [code, sorted(modules)]
+    ) == [code, sorted(modules), []]
 
 
 def test_the_atlas_module_loads_no_truncated_ring(tmp_path):
     assert loaded_modules(tmp_path, "import pms.atlas") == [
-        None, ["pms.atlas", "pms.laurent_core"]
+        None, ["pms.atlas", "pms.laurent_core"], []
     ]
+
+
+def test_no_pms_module_loads_dataclasses_or_inspect(tmp_path):
+    """The value classes are ``laurent_core.Record``s, so importing every
+    layer builds no code and loads neither module."""
+    imports = "import pms.cli, pms.blowup, pms.p2_catalog, pms.good_points"
+    layers = sorted(f"pms.{m.name}" for m in pkgutil.iter_modules(pms.__path__))
+    assert loaded_modules(tmp_path, imports) == [None, layers, []]

@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -960,10 +959,10 @@ def varied(system, name):
         return atlas, bound + 1, twist, target, extra
     if name == "ring":
         charts = tuple(
-            replace(c, ring=ExponentMonoid(2, ((1, 0), (0, 1))))
+            c._replace(ring=ExponentMonoid(2, ((1, 0), (0, 1))))
             if c.name == "W1" else c for c in atlas.charts
         )
-        return replace(atlas, charts=charts), bound, twist, target, extra
+        return atlas._replace(charts=charts), bound, twist, target, extra
     if name == "name":
         def rename(n):
             return "W4" if n == "W3" else n
@@ -972,9 +971,8 @@ def varied(system, name):
             return {tuple(map(rename, key)): value
                     for key, value in family.items()}
 
-        atlas = replace(
-            atlas,
-            charts=tuple(replace(c, name=rename(c.name)) for c in atlas.charts),
+        atlas = atlas._replace(
+            charts=tuple(c._replace(name=rename(c.name)) for c in atlas.charts),
             overlaps=moved(atlas.overlaps),
             frames={rename(n): f for n, f in atlas.frames.items()},
         )

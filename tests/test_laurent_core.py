@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import itertools
 import math
@@ -17,8 +16,10 @@ import pms
 from pms import laurent_core as lc
 from pms.laurent_core import (
     ExponentMonoid,
+    FrozenRecordError,
     LaurentPoly,
     PackedSeries,
+    Record,
     format_rational,
     json_int,
     json_shape,
@@ -639,23 +640,159 @@ def test_every_cache_is_bounded():
     assert all(size is not None for size in caches.values()), caches
 
 
-def test_every_mutable_dataclass_is_listed():
-    """The dataclasses of ``pms`` that are not frozen are exactly these; a
-    value a memo shares must be frozen, and a new mutable one listed here."""
-    mutable = set()
+MUTABLE_RECORDS = {
+    "atlas.AtlasDocument",
+    "atlas.ValidationReport",
+    "blowup.BlowupResult",
+    "blowup.TransitionSpec",
+    "cohomology.OneFormCocycle",
+    "cohomology.TwoCocycle",
+    "p2_catalog.FamilyDescription",
+}
+
+# frozen records with a mapping field, or a field that has one, which no
+# hash can read
+UNHASHABLE_VALUES = {"MultCocycle", "VectorFieldCocycle", "CenterSpec",
+                     "DoubleSchemeSpec"}
+
+
+def record_classes() -> dict[str, type]:
+    """Every ``Record`` subclass a ``pms`` module defines, by module.name."""
+    out = {}
     for info in pkgutil.iter_modules(pms.__path__):
         module = importlib.import_module(f"pms.{info.name}")
         for name, obj in vars(module).items():
-            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                    and not obj.__dataclass_params__.frozen
+            if (isinstance(obj, type) and issubclass(obj, Record)
+                    and obj is not Record
                     and obj.__module__ == module.__name__):
-                mutable.add(f"{info.name}.{name}")
-    assert mutable == {
-        "atlas.AtlasDocument",
-        "atlas.ValidationReport",
-        "blowup.BlowupResult",
-        "blowup.TransitionSpec",
-        "cohomology.OneFormCocycle",
-        "cohomology.TwoCocycle",
-        "p2_catalog.FamilyDescription",
-    }, sorted(mutable)
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def record_samples() -> list:
+    """One value of every record class of ``pms``."""
+    from pms import atlas, blowup, cohomology, good_points, p2_catalog
+    from pms import truncated_ring as tr
+
+    spec = p2_catalog.make_p2(-3, nontrivial=True)
+    plane = spec.atlas
+    center = blowup.CenterSpec("reduced", generators={"U2": (MU, LAM * MU)})
+    result = blowup.blowup_reduced(spec, center)
+    order3 = plane._replace(truncation_order=3)
+    moves = {pair: tr.identity_morphism(3, 2)
+             for pair in atlas.canonical_spanning_pairs(order3)}
+    return [
+        plane.charts[0].ring, plane.charts[0], plane, spec.alpha, spec.D, spec,
+        atlas.validate_double_scheme(spec),
+        atlas.AtlasDocument(plane, {spec.alpha.name: spec.alpha}, spec),
+        tr.TruncElement.one(3, 2), tr.identity_morphism(3, 2),
+        center, blowup.TransitionSpec(order3, moves), result.charts[0], result,
+        cohomology.OneFormCocycle({}), cohomology.TwoCocycle({}),
+        good_points.standard_good_point(1, 0),
+        p2_catalog.FamilyDescription(-3, 0, True, 1, ("c0",), (), 4),
+    ]
+
+
+def test_every_mutable_record_is_listed():
+    """The records of ``pms`` that are not frozen are exactly these; a value
+    a memo shares must be frozen, and a new mutable one listed here."""
+    records = record_classes()
+    mutable = {name for name, cls in records.items()
+               if cls.__setattr__ is not Record.__setattr__
+               or cls.__delattr__ is not Record.__delattr__}
+    assert mutable == MUTABLE_RECORDS, sorted(mutable)
+    assert {name for name, cls in records.items()
+            if cls.__hash__ is None} == MUTABLE_RECORDS
+    samples = record_samples()
+    assert sorted(type(r).__name__ for r in samples) == sorted(
+        name.split(".")[1] for name in records)
+
+
+def test_records_with_equal_fields_are_equal():
+    """A record built again from its fields, positionally in ``_fields``
+    order, equals it and hashes alike; a mutable one hashes not at all."""
+    for record in record_samples():
+        cls = type(record)
+        twin = cls(*record._key)
+        assert twin is not record and twin == record and not twin != record
+        assert repr(twin) == repr(record)
+        if f"{cls.__module__[4:]}.{cls.__name__}" in MUTABLE_RECORDS:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        elif cls.__name__ in UNHASHABLE_VALUES:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record)
+
+
+def test_records_of_different_classes_differ():
+    samples = record_samples()
+    for a, b in itertools.combinations(samples, 2):
+        assert a != b and b != a and not a == b
+    for record in samples:
+        assert record != record._key
+    from pms.cohomology import OneFormCocycle, TwoCocycle
+    # the same field name and value, in two classes
+    assert OneFormCocycle({}) != TwoCocycle({})
+
+
+def test_atlas_hash_skips_overlaps_and_frames_but_equality_does_not():
+    from pms.p2_catalog import make_p2_atlas
+
+    plane = make_p2_atlas()
+    pair = next(iter(plane.overlaps))
+    torus = ExponentMonoid(2, ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    for other in (plane._replace(overlaps={**plane.overlaps, pair: torus}),
+                  plane._replace(frames=None)):
+        assert hash(other) == hash(plane)
+        assert other != plane and plane != other
+    assert plane._replace() == plane
+    assert plane._replace(residue_scale=Fraction(7)) != plane
+
+
+def test_frozen_records_refuse_writes_and_mutable_ones_take_them():
+    assert issubclass(FrozenRecordError, AttributeError)
+    for record in record_samples():
+        cls = type(record)
+        mutable = f"{cls.__module__[4:]}.{cls.__name__}" in MUTABLE_RECORDS
+        for name in record._fields:
+            value = getattr(record, name)
+            if mutable:
+                setattr(record, name, value)
+                continue
+            with pytest.raises(FrozenRecordError) as info:
+                setattr(record, name, value)
+            assert info.type is FrozenRecordError
+            with pytest.raises(FrozenRecordError) as info:
+                delattr(record, name)
+            assert info.type is FrozenRecordError
+            assert getattr(record, name) is value
+        with pytest.raises(AttributeError):  # slots take no new attribute
+            record.extra = 1
+
+
+def test_replace_builds_through_init():
+    """``_replace`` runs the constructor, so it validates and normalizes."""
+    from pms.p2_catalog import make_p2_atlas
+
+    plane = make_p2_atlas()
+    with pytest.raises(ValueError, match="truncation order"):
+        plane._replace(truncation_order=1)
+    with pytest.raises(TypeError):
+        plane._replace(colour="red")
+    copy = plane._replace(overlaps=dict(plane.overlaps))
+    assert copy == plane and copy is not plane
+    assert type(copy.overlaps) is type(plane.overlaps)
+    with pytest.raises(ValueError, match="duplicate"):
+        ExponentMonoid(1, ((1,),))._replace(generators=((1,), (1,)))
+    for record in record_samples():
+        assert record._replace() == record
+
+
+def test_record_repr_has_the_dataclass_form():
+    from pms.atlas import Chart
+
+    chart = Chart("U", ExponentMonoid(1, ((1,),)))
+    assert repr(chart) == (
+        "Chart(name='U', ring=ExponentMonoid(nvars=1, generators=((1,),)))")

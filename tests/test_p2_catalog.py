@@ -5,7 +5,6 @@ import itertools
 import json
 from collections import Counter
 from copy import deepcopy
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from pms.atlas import (
 from pms.blowup import CenterSpec, blowup_reduced
 from pms.cli import main
 from pms.cohomology import BOUND_CAVEAT, extension_obstruction
-from pms.laurent_core import LaurentPoly
+from pms.laurent_core import FrozenRecordError, LaurentPoly
 from pms.linear import (
     box_labels,
     forced_by_singletons,
@@ -144,7 +143,7 @@ def test_catalog_specs_are_read_only_values():
             ("overlaps", {}), ("frames", None),
         )),
     ):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenRecordError):
             setattr(target, name, value)
     assert pairing_matrix() == ((1, 0), (0, -1))
     again = make_blown_plane(-3, 0, Fraction(1, 2), 3)
@@ -630,8 +629,8 @@ def test_constructor_member_is_validated_once_per_key(monkeypatch):
     build = p2_catalog.make_blown_plane
     monkeypatch.setattr(
         p2_catalog, "make_blown_plane",
-        lambda *args, **kwargs: replace(build(*args, **kwargs),
-                                        alpha=beta_table(-3, 2)),
+        lambda *args, **kwargs: build(*args, **kwargs)._replace(
+            alpha=beta_table(-3, 2)),
     )
     p2_catalog._constructor_member.cache_clear()
     with pytest.raises(AssertionError,
@@ -660,8 +659,8 @@ def _drop_free_parameter(monkeypatch):
     check = p2_catalog._check_against_constructor
 
     def dropped(desc, affine):
-        check(replace(desc, parameter_dim=desc.parameter_dim - 1,
-                      free_parameters=desc.free_parameters[:-1]), affine)
+        check(desc._replace(parameter_dim=desc.parameter_dim - 1,
+                            free_parameters=desc.free_parameters[:-1]), affine)
 
     monkeypatch.setattr(p2_catalog, "_check_against_constructor", dropped)
     return "family free parameters"
